@@ -3,6 +3,13 @@
 Occupied intervals are half-open [start, end) so a departure at t and an
 arrival at t on the same component never conflict. Safe intervals are the
 complement of the occupied set over [0, inf); the last one is unbounded.
+
+The table caches each component's complement as two parallel tuples of
+starts and ends (``safe_bounds``) and keeps it until the next ``reserve``
+or ``release`` on that component, which drops only that component's entry.
+Safe intervals are disjoint and in start order, so both tuples ascend and
+the interval live at time t (the first one ending after t) is found by
+bisecting on the ends.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ class ReservationTable:
 
     def __init__(self):
         self._occupied: dict[Hashable, list[TimeInterval]] = {}
+        # comp -> (starts, ends) of its safe intervals; immutable tuples, so
+        # callers and copies may share an entry but never alter it
+        self._safe: dict[Hashable, tuple[tuple[int, ...], tuple]] = {}
 
     def components(self) -> list[Hashable]:
         return list(self._occupied)
@@ -63,6 +73,7 @@ class ReservationTable:
                     f"{comp}: [{interval.start}, {interval.end}) overlaps "
                     f"existing [{neighbor.start}, {neighbor.end})")
         spans.insert(pos, interval)
+        self._safe.pop(comp, None)
 
     def release(self, comp: Hashable, interval: TimeInterval) -> None:
         """Remove an interval previously passed to reserve (exact match)."""
@@ -72,24 +83,42 @@ class ReservationTable:
         except ValueError:
             raise ReservationError(
                 f"{comp}: [{interval.start}, {interval.end}) not reserved") from None
+        self._safe.pop(comp, None)
+
+    def safe_bounds(self, comp: Hashable) -> tuple[tuple[int, ...], tuple]:
+        """Starts and ends of the safe intervals, as two parallel tuples.
+
+        Entry i of both is safe interval i of ``safe_intervals``; the last
+        end is ``INF`` unless a reservation runs to infinity.
+        """
+        bounds = self._safe.get(comp)
+        if bounds is None:
+            starts: list[int] = []
+            ends: list = []
+            cursor = 0
+            for occ in self._occupied.get(comp, []):
+                if occ.start > cursor:
+                    starts.append(cursor)
+                    ends.append(occ.start)
+                cursor = max(cursor, occ.end)
+            # a reservation to infinity leaves no final interval
+            if cursor < INF:
+                starts.append(cursor)
+                ends.append(INF)
+            bounds = self._safe[comp] = (tuple(starts), tuple(ends))
+        return bounds
 
     def safe_intervals(self, comp: Hashable) -> list[SafeInterval]:
         """Complement of the occupied set over [0, inf), in start order."""
-        out: list[SafeInterval] = []
-        cursor = 0
-        for occ in self._occupied.get(comp, []):
-            if occ.start > cursor:
-                out.append(SafeInterval(comp, len(out),
-                                        TimeInterval(cursor, occ.start)))
-            cursor = max(cursor, occ.end)
-        if cursor < INF:  # a reservation to infinity leaves no final interval
-            out.append(SafeInterval(comp, len(out), TimeInterval(cursor, INF)))
-        return out
+        starts, ends = self.safe_bounds(comp)
+        return [SafeInterval(comp, i, TimeInterval(start, end))
+                for i, (start, end) in enumerate(zip(starts, ends))]
 
     def interval_containing(self, comp: Hashable, t: int) -> SafeInterval | None:
-        for si in self.safe_intervals(comp):
-            if si.span.contains(t):
-                return si
+        starts, ends = self.safe_bounds(comp)
+        i = bisect.bisect_right(ends, t)  # first interval still live at t
+        if i < len(ends) and starts[i] <= t:
+            return SafeInterval(comp, i, TimeInterval(starts[i], ends[i]))
         return None
 
     def is_free(self, comp: Hashable, interval: TimeInterval) -> bool:
@@ -99,4 +128,5 @@ class ReservationTable:
     def copy(self) -> "ReservationTable":
         dup = ReservationTable()
         dup._occupied = {comp: list(spans) for comp, spans in self._occupied.items()}
+        dup._safe = dict(self._safe)
         return dup

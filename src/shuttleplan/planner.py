@@ -15,21 +15,36 @@ as an explicit transition. Transitions are
 
 The goal is a readout state with all targets done whose interval admits the
 terminal pad (measurement and any trailing basis-change gate). The search is
-A* with an admissible traveling-salesman lower bound, re-expanding any state
-reached by a strictly earlier arrival, so the returned route is time-optimal
-for the reservations it was planned against.
+A* with a traveling-salesman bound, re-expanding any state reached by a
+strictly earlier arrival. For tasks of at most ``tsp.EXACT_LIMIT`` targets
+the bound is an exact Held-Karp tour, so the heuristic is admissible and the
+returned route is time-optimal for the reservations it was planned against.
+Beyond that limit the tour comes from nearest-neighbour + 2-opt, which can
+overestimate, and the route is not guaranteed optimal.
+
+Safe intervals are read as parallel tuples of starts and ends from
+``ReservationTable.safe_bounds``, which the table caches per component until
+its next reserve or release there. Successor generation skips intervals by
+bisection. No move from time g arrives before g + t (t the shuttle or
+displace duration), so every destination interval ending at or before that
+arrival is dead, and so is every channel interval ending before
+g + t_shuttle. Departures only grow with the destination interval's start,
+so the destination scan stops once the earliest departure passes the end of
+the current interval. Intervals skipped this way yield nothing, so the
+successors and their order are those of a scan from index 0.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .chip import (Cell, ChipLayout, ComponentId, Kind, TimingConfig,
-                   channel_id, component_cell, interaction_id,
-                   intersection_id, readout_id)
-from .intervals import ReservationTable, SafeInterval
+                   channel_id, interaction_id, intersection_id, readout_id)
+from .intervals import ReservationTable
 from .tsp import OpenPathTable, manhattan
 
 _LAYER_BUILDERS = (intersection_id, interaction_id, readout_id)
@@ -39,9 +54,8 @@ class PlanFailure(RuntimeError):
     """No collision-free route exists under the given reservations."""
 
 
-@dataclass(frozen=True, order=True)
-class SearchState:
-    """Keyed (comp, interval, mask); ordering gives deterministic tie-breaks."""
+class SearchState(NamedTuple):
+    """Search key; tuple order makes heap tie-breaks deterministic."""
 
     comp: ComponentId
     interval: int
@@ -82,17 +96,40 @@ class PlanRequest:
 
 
 @dataclass
+class PlanStats:
+    """Search effort of one route; heuristic calls = pushes + 1 (the start)."""
+
+    pops: int = 0            # heap pops, stale ones included
+    pushes: int = 0
+    stale_pops: int = 0      # pops superseded by an earlier arrival
+    h_cache_hits: int = 0
+    h_cache_misses: int = 0  # heuristic evaluations actually computed
+
+
+@dataclass
 class PlanResult:
     steps: list[PathStep]
     parked: ComponentId          # terminal readout
     parked_time: int             # g at the goal (terminal pad not included)
     start_comp: ComponentId
+    stats: PlanStats = field(default_factory=PlanStats)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``build(key)``."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class _Search:
     def __init__(self, layout: ChipLayout, table: ReservationTable,
                  timing: TimingConfig, req: PlanRequest):
-        self.layout = layout
         self.table = table
         self.timing = timing
         self.req = req
@@ -100,100 +137,98 @@ class _Search:
         self.cell_of = {cell: j for j, cell in enumerate(req.targets)}
         if len(self.cell_of) != len(req.targets):
             raise ValueError("duplicate target cells in one task")
-        self._intervals: dict[ComponentId, list[SafeInterval]] = {}
+        # per-search memos, read by subscript in the hot loop (cheaper than a
+        # method call); their builders must not hold self, or each search
+        # would linger in a reference cycle until the next collection
+        self.bounds = _Memo(table.safe_bounds)
+        self.moves = _Memo(partial(_cell_moves, layout))
         self._tours = OpenPathTable(req.targets)
-        self._h_cache: dict[tuple[ComponentId, int], int] = {}
-
-    def intervals(self, comp: ComponentId) -> list[SafeInterval]:
-        cached = self._intervals.get(comp)
-        if cached is None:
-            cached = self.table.safe_intervals(comp)
-            self._intervals[comp] = cached
-        return cached
 
     # -- successor generation ------------------------------------------------
 
-    def successors(self, state: SearchState, g: int):
+    def successors(self, state: tuple, g: int):
         """Yield (state, arrival, action) for all reachable transitions."""
-        t = self.timing
-        comp = state.comp
-        kind = Kind(comp[0])
-        hi = self.intervals(comp)[state.interval].span.end
-        cell = component_cell(comp)
+        comp, interval, mask = state
+        t_shuttle = self.timing.t_shuttle
+        t_displace = self.timing.t_displace
+        bounds = self.bounds
+        hi = bounds[comp][1][interval]
+        cell, links, layers = self.moves[comp]
 
-        if kind is Kind.INTERSECTION:
-            for nb in self.layout.neighbors(cell):
-                ch = channel_id(cell, nb)
-                dest = intersection_id(nb)
-                for dj, dsi in enumerate(self.intervals(dest)):
-                    lo_dep = max(g, dsi.span.start - t.t_shuttle)
-                    for csi in self.intervals(ch):
-                        dep = max(lo_dep, csi.span.start)
-                        arr = dep + t.t_shuttle
-                        if dep > hi or arr >= dsi.span.end:
-                            break  # later channel intervals only delay further
-                        if arr > csi.span.end:
-                            continue  # channel window too short, try the next
-                        yield (SearchState(dest, dj, state.mask), arr,
-                               ("shuttle", ch, dep))
-                        break
+        arr_min = g + t_shuttle
+        for ch, dest in links:
+            starts, ends = bounds[dest]
+            ch_starts, ch_ends = bounds[ch]
+            first_ch = bisect_left(ch_ends, arr_min)
+            for dj in range(bisect_right(ends, arr_min), len(ends)):
+                lo_dep = starts[dj] - t_shuttle
+                if lo_dep < g:
+                    lo_dep = g
+                if lo_dep > hi:
+                    break  # later destination intervals depart later still
+                end = ends[dj]
+                for ci in range(first_ch, len(ch_ends)):
+                    dep = ch_starts[ci]
+                    if dep < lo_dep:
+                        dep = lo_dep
+                    arr = dep + t_shuttle
+                    if dep > hi or arr >= end:
+                        break  # later channel intervals only delay further
+                    if arr > ch_ends[ci]:
+                        continue  # channel window too short, try the next
+                    yield (dest, dj, mask), arr, ("shuttle", ch, dep)
+                    break
 
-        for build in _LAYER_BUILDERS:
-            dest = build(cell)
-            if dest == comp:
-                continue
-            for dj, dsi in enumerate(self.intervals(dest)):
-                dep = max(g, dsi.span.start)
-                arr = dep + t.t_displace
+        arr_min = g + t_displace
+        for dest in layers:
+            starts, ends = bounds[dest]
+            for dj in range(bisect_right(ends, arr_min), len(ends)):
+                dep = starts[dj]
+                if dep < g:
+                    dep = g
+                arr = dep + t_displace
                 if arr > hi:
                     break  # source must stay safe through the displace
-                if arr >= dsi.span.end:
+                if arr >= ends[dj]:
                     continue  # interval too short to arrive inside it
-                yield (SearchState(dest, dj, state.mask), arr,
-                       ("displace", comp, dest, dep))
+                yield (dest, dj, mask), arr, ("displace", comp, dest, dep)
 
-        if kind is Kind.INTERACTION and self._gate_allowed(state, cell):
-            start = max(g, self.req.gate_windows.get(cell, 0))
-            done = start + self.req.gate_duration
-            if done <= hi:
-                j = self.cell_of[cell]
-                yield (SearchState(comp, state.interval, state.mask | (1 << j)),
-                       done, ("gate", comp, start, j))
+        if comp[0] == "interaction":
+            j = self._gate_target(cell, mask)
+            if j is not None:
+                start = max(g, self.req.gate_windows.get(cell, 0))
+                done = start + self.req.gate_duration
+                if done <= hi:
+                    yield ((comp, interval, mask | (1 << j)), done,
+                           ("gate", comp, start, j))
 
-    def _gate_allowed(self, state: SearchState, cell: Cell) -> bool:
+    def _gate_target(self, cell: Cell, mask: int) -> Optional[int]:
+        """Target index gateable at cell under mask, or None."""
         j = self.cell_of.get(cell)
-        if j is None or state.mask & (1 << j):
-            return False
-        if self.req.ordered:
-            return j == bin(state.mask).count("1")
-        return True
+        if j is None or mask & (1 << j):
+            return None
+        if self.req.ordered and j != bin(mask).count("1"):
+            return None
+        return j
 
     # -- heuristic -----------------------------------------------------------
 
-    def heuristic(self, state: SearchState) -> int:
-        key = (state.comp, state.mask)
-        cached = self._h_cache.get(key)
-        if cached is None:
-            cached = self._heuristic(state)
-            self._h_cache[key] = cached
-        return cached
-
-    def _heuristic(self, state: SearchState) -> int:
+    def heuristic(self, comp: ComponentId, mask: int) -> int:
         t = self.timing
-        kind = Kind(state.comp[0])
-        pending = self.full & ~state.mask
+        kind = comp[0]
+        pending = self.full & ~mask
         if pending == 0:
-            return 0 if kind is Kind.READOUT else t.t_displace
-        cell = component_cell(state.comp)
+            return 0 if kind == "readout" else t.t_displace
+        cell = (comp[1], comp[2])
         stop_cost = self.req.gate_duration + 2 * t.t_displace
         cost = 0
 
         if self.req.ordered:
-            seq = self.req.targets[bin(state.mask).count("1"):]
-            if kind is Kind.INTERACTION and cell == seq[0]:
+            seq = self.req.targets[bin(mask).count("1"):]
+            if kind == "interaction" and cell == seq[0]:
                 cost += self.req.gate_duration + t.t_displace
                 seq = seq[1:]
-            elif kind is Kind.READOUT and (not seq or cell != seq[0]):
+            elif kind == "readout" and (not seq or cell != seq[0]):
                 cost += t.t_displace
             cur = cell
             for nxt in seq:
@@ -203,12 +238,12 @@ class _Search:
 
         j = self.cell_of.get(cell)
         at_pending = j is not None and pending & (1 << j)
-        if kind is Kind.INTERACTION and at_pending:
+        if kind == "interaction" and at_pending:
             cost += self.req.gate_duration + t.t_displace
             pending &= ~(1 << j)
             if pending == 0:
                 return cost
-        elif kind is Kind.READOUT and not at_pending:
+        elif kind == "readout" and not at_pending:
             cost += t.t_displace
         cost += self._tours.min_distance(cell, pending) * t.t_shuttle
         cost += bin(pending).count("1") * stop_cost
@@ -225,35 +260,50 @@ class _Search:
         start_si = self.table.interval_containing(start_comp, req.start_time)
         if start_si is None:
             raise PlanFailure(f"start {start_comp} occupied at t={req.start_time}")
-        start = SearchState(start_comp, start_si.index, 0)
+        start = (start_comp, start_si.index, 0)
 
-        g_best: dict[SearchState, int] = {start: req.start_time}
-        parents: dict[SearchState, tuple[SearchState, tuple]] = {}
-        h0 = self.heuristic(start)
+        full = self.full
+        pad = req.terminal_pad
+        bounds = self.bounds
+        successors = self.successors
+        heuristic = self.heuristic
+        h_cache: dict[tuple[ComponentId, int], int] = {}
+        heappush, heappop = heapq.heappush, heapq.heappop
+        g_best: dict[tuple, int] = {start: req.start_time}
+        parents: dict[tuple, tuple[tuple, tuple]] = {}
+        h0 = h_cache[start_comp, 0] = heuristic(start_comp, 0)
         open_heap: list[tuple] = [(req.start_time + h0, h0, start)]
+        pops = pushes = stale = 0
         while open_heap:
-            f, h, state = heapq.heappop(open_heap)
+            f, h, state = heappop(open_heap)
+            pops += 1
             g = g_best[state]
             if f - h != g:
+                stale += 1
                 continue  # stale entry, a cheaper arrival was queued later
-            if self._is_goal(state, g):
-                return self._extract(state, parents, g_best)
-            for nxt, arr, action in self.successors(state, g):
+            comp, interval, mask = state
+            if (mask == full and comp[0] == "readout"
+                    and g + pad <= bounds[comp][1][interval]):
+                result = self._extract(state, parents, g_best)
+                misses = len(h_cache)
+                result.stats = PlanStats(
+                    pops=pops, pushes=pushes, stale_pops=stale,
+                    h_cache_hits=pushes + 1 - misses, h_cache_misses=misses)
+                return result
+            for nxt, arr, action in successors(state, g):
                 if arr < g_best.get(nxt, _INFINITE):
                     g_best[nxt] = arr
                     parents[nxt] = (state, action)
-                    nh = self.heuristic(nxt)
-                    heapq.heappush(open_heap, (arr + nh, nh, nxt))
+                    key = (nxt[0], nxt[2])
+                    nh = h_cache.get(key)
+                    if nh is None:
+                        nh = h_cache[key] = heuristic(*key)
+                    heappush(open_heap, (arr + nh, nh, nxt))
+                    pushes += 1
         raise PlanFailure(
             f"no route from {start_comp} over {len(req.targets)} targets")
 
-    def _is_goal(self, state: SearchState, g: int) -> bool:
-        if state.mask != self.full or state.comp[0] != Kind.READOUT.value:
-            return False
-        hi = self.intervals(state.comp)[state.interval].span.end
-        return g + self.req.terminal_pad <= hi
-
-    def _extract(self, goal: SearchState, parents, g_best) -> PlanResult:
+    def _extract(self, goal: tuple, parents, g_best) -> PlanResult:
         t = self.timing
         chain = []
         state = goal
@@ -264,7 +314,7 @@ class _Search:
         chain.reverse()
 
         steps: list[PathStep] = []
-        rest_comp = state.comp  # where the ancilla is resting between actions
+        rest_comp = state[0]  # where the ancilla is resting between actions
         cursor = self.req.start_time
         for action, arrival in chain:
             if action[0] == "shuttle":
@@ -272,7 +322,7 @@ class _Search:
                 if dep > cursor:
                     steps.append(PathStep("WAIT", cursor, dep - cursor, rest_comp))
                 steps.append(PathStep("SHUTTLE", dep, t.t_shuttle, ch))
-                dest_cell = _other_end(ch, component_cell(rest_comp))
+                dest_cell = _other_end(ch, (rest_comp[1], rest_comp[2]))
                 rest_comp = intersection_id(dest_cell)
             elif action[0] == "displace":
                 _, src, dst, dep = action
@@ -287,11 +337,23 @@ class _Search:
                 steps.append(PathStep("GATE", start, self.req.gate_duration,
                                       comp, target=j))
             cursor = arrival
-        return PlanResult(steps=steps, parked=goal.comp, parked_time=cursor,
-                          start_comp=state.comp)
+        return PlanResult(steps=steps, parked=goal[0], parked_time=cursor,
+                          start_comp=state[0])
 
 
 _INFINITE = float("inf")
+
+
+def _cell_moves(layout: ChipLayout, comp: ComponentId) -> tuple:
+    """(cell, (channel, neighbour intersection) pairs, other layers)."""
+    cell = (comp[1], comp[2])
+    links = ()
+    if comp[0] == "intersection":
+        links = tuple((channel_id(cell, nb), intersection_id(nb))
+                      for nb in layout.neighbors(cell))
+    layers = tuple(dest for dest in (b(cell) for b in _LAYER_BUILDERS)
+                   if dest != comp)
+    return cell, links, layers
 
 
 def _other_end(channel: ComponentId, cell: Cell) -> Cell:
@@ -315,11 +377,13 @@ def route_successors(layout: ChipLayout, table: ReservationTable,
                      state: SearchState, g: int):
     """Successor states with earliest arrivals, exposed for inspection."""
     search = _Search(layout, table, timing, request)
-    return [(nxt, arr) for nxt, arr, _ in search.successors(state, g)]
+    return [(SearchState(*nxt), arr)
+            for nxt, arr, _ in search.successors(state, g)]
 
 
 def route_heuristic(layout: ChipLayout, table: ReservationTable,
                     timing: TimingConfig, request: PlanRequest,
                     state: SearchState) -> int:
     """Admissible remaining-cost estimate for a search state."""
-    return _Search(layout, table, timing, request).heuristic(state)
+    search = _Search(layout, table, timing, request)
+    return search.heuristic(state.comp, state.mask)

@@ -1,0 +1,54 @@
+"""Pinned schedule fingerprints.
+
+Each sha256 is of ``Schedule.to_text()`` as produced by the full-rescan
+planner these schedules were first recorded with. Speed-ups must leave every
+schedule byte-identical; a change that alters one fails here even when every
+other test passes, and must be argued as a behaviour change.
+"""
+
+import hashlib
+
+import pytest
+
+from shuttleplan.chip import TimingConfig, build_grid
+from shuttleplan.compiler import schedule_round
+from shuttleplan.css import default_layout, load_css, surface_code
+
+SURFACE = [  # (distance, order policy, tailored, sha256), all at seed 3
+    (3, "longest", True, "6b42f3c08adcdd3859ad7695c2b915df7357c9651c39a7e06ec2cf73356fd092"),
+    (3, "longest", False, "e8216163a91d0a4fece11606551c55b2a073cb59cd2b89ea4b00d0424d7a0f4d"),
+    (3, "index", True, "8693e8ec885a9be0b90c954c0f2403cddeb4434c65552ef92e99c9f8ef430e18"),
+    (3, "index", False, "bac3b3787b2afe65066abe2ad11d9e37f407e41160bf2a64ea48e81bcf3e2568"),
+    (3, "random", True, "1c38022e2ff255d8c2eab309301aea79727b0bacb6e9b86dc56379add7003a80"),
+    (3, "random", False, "f17736a96441eaa507e6ec346c51aaa1660a9140b99602c536184e833717904e"),
+    (5, "longest", True, "0aaa72d60c41fe96c3caada747ce94db2688ae7d2cb1f7027868514858b0086a"),
+    (5, "longest", False, "81ab218e700abccfba13bb7c19e9251acb09b1b6f71778f21e837a8dfbf2abdd"),
+    (5, "index", True, "1c87175c945d225609b2d48fd71dfaede6ea6ef9daae2655c534a8b1733cdd54"),
+    (5, "index", False, "144a10cc63b364ab772c944eb6f48c8fb309bb5b178477375f81a90d5a159787"),
+    (5, "random", True, "d302dad569a2920f0fd0ebe14499a6aae96949bdcc18b014e924d31b4efa9d5c"),
+    (5, "random", False, "502f437281f7c1eae5ce624d93fba6d0a71c240f625de37a7a87973522a6e407"),
+]
+
+BB72_LONGEST = "4f6754c16e8af5121cd1a966989b9f92a3fb8c28db255e32928688500c2da7de"
+
+
+def fingerprint(schedule) -> str:
+    return hashlib.sha256(schedule.to_text().encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "d,policy,tailored,expected", SURFACE,
+    ids=[f"d{d}-{p}-{'tailored' if t else 'plain'}" for d, p, t, _ in SURFACE])
+def test_surface_schedule_fingerprint(d, policy, tailored, expected):
+    code, layout = surface_code(d)
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy=policy, tailored=tailored, seed=3)
+    assert fingerprint(schedule) == expected
+
+
+def test_bb72_longest_schedule_fingerprint(bb72_path):
+    code = load_css(str(bb72_path))
+    layout = default_layout(code, build_grid(9, 8))
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="longest", seed=0)
+    assert fingerprint(schedule) == BB72_LONGEST

@@ -109,6 +109,63 @@ def test_random_reservations_match_bitmap_oracle():
     assert got == expected
 
 
+def _fresh_spans(table, comp):
+    """Safe spans of comp rebuilt from its occupancy alone, with no cache."""
+    fresh = ReservationTable()
+    for occ in table.occupied(comp):
+        fresh.reserve(comp, occ)
+    return spans(fresh, comp)
+
+
+def test_cache_follows_reserve_release_and_copy():
+    """Random reserve/release/copy interleavings never serve a stale answer."""
+    rng = random.Random(11)
+    comps = ["a", "b", "c", "d"]
+    horizon = 20_000
+    tables = [ReservationTable()]
+    held = [{comp: [] for comp in comps}]  # intervals reserved per table
+    for step in range(600):
+        k = rng.randrange(len(tables))
+        table, mine = tables[k], held[k]
+        comp = rng.choice(comps)
+        op = rng.random()
+        if op < 0.1 and len(tables) < 6:
+            tables.append(table.copy())
+            held.append({c: list(v) for c, v in mine.items()})
+        elif op < 0.45 and mine[comp]:
+            victim = mine[comp].pop(rng.randrange(len(mine[comp])))
+            others = [spans(t, comp) for t in tables if t is not table]
+            table.release(comp, victim)
+            assert [spans(t, comp) for t in tables if t is not table] == others
+        else:
+            start = rng.randrange(0, horizon - 100, 100)
+            end = INF if rng.random() < 0.03 else (
+                start + rng.randrange(100, 3000, 100))
+            interval = TimeInterval(start, end)
+            if table.is_free(comp, interval):
+                table.reserve(comp, interval)
+                mine[comp].append(interval)
+        for t, reserved in zip(tables, held):
+            for c in comps:
+                got = spans(t, c)
+                assert got == _fresh_spans(t, c), f"step {step}: {c}"
+                bounded = [(s, min(e, horizon)) for s, e in got if s < horizon]
+                assert bounded == bitmap_safe_intervals(
+                    [(i.start, i.end) for i in reserved[c]], horizon)
+                probe = rng.randrange(0, horizon + 500, 50)
+                si = t.interval_containing(c, probe)
+                live = [(s, e) for s, e in got if s <= probe < e]
+                assert (si and (si.span.start, si.span.end)) == (
+                    live[0] if live else None)
+
+
+def test_safe_intervals_result_is_a_private_list():
+    table = ReservationTable()
+    table.reserve("c", TimeInterval(100, 200))
+    table.safe_intervals("c").clear()
+    assert spans(table, "c") == [(0, 100), (200, INF)]
+
+
 def test_partition_property():
     """Safe and occupied intervals partition [0, inf) with no gap or overlap."""
     rng = random.Random(3)

@@ -1,0 +1,18 @@
+import importlib
+import sys
+
+import pytest
+
+from conftest import REPO
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs 3.11")
+def test_console_scripts_resolve():
+    """Every [project.scripts] entry names an importable callable."""
+    import tomllib
+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

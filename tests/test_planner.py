@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -61,6 +62,50 @@ def test_two_cell_line_with_blocked_channel():
     assert result.parked_time == expected == 6500
     waits = [s for s in result.steps if s.kind == "WAIT"]
     assert waits, "the route must wait out the blocked channel"
+
+
+def test_search_counters_of_a_fixed_request():
+    """Pops and pushes equal those of the full-rescan successor loop."""
+    layout = build_grid(4, 3)
+    table = ReservationTable()
+    for comp, start, end in [
+            (channel_id((1, 0), (2, 0)), 0, 3000),
+            (intersection_id((2, 1)), 1000, 2500),
+            (intersection_id((2, 1)), 2500, 2600),
+            (interaction_id((3, 2)), 2000, 4000),
+            (channel_id((0, 1), (1, 1)), 500, 1500),
+            (channel_id((0, 1), (1, 1)), 2600, 5000),
+            (readout_id((1, 2)), 0, 9000),
+            (intersection_id((1, 1)), 3000, 3300)]:
+        table.reserve(comp, TimeInterval(start, end))
+    req = request((0, 0), [(3, 0), (1, 2), (3, 2)])
+    req.gate_windows = {(1, 2): 4000}
+    result = plan_route(layout, table, TIMING, req)
+    assert result.parked_time == 9300
+    stats = result.stats
+    assert (stats.pops, stats.pushes) == (30, 52)
+    assert stats.stale_pops == 1
+    assert (stats.h_cache_hits, stats.h_cache_misses) == (4, 49)
+    assert stats.h_cache_hits + stats.h_cache_misses == stats.pushes + 1
+
+
+def test_search_leaves_no_reference_cycles():
+    """Search memory is freed by reference counting as plan_route returns.
+
+    A cycle through the search object would keep every search's memos alive
+    until the cyclic collector runs, raising the peak memory of a compile.
+    """
+    layout = build_grid(3, 3)
+    table = ReservationTable()
+    table.reserve(channel_id((0, 0), (1, 0)), TimeInterval(0, 3000))
+    req = request((0, 0), [(2, 0), (1, 2)])
+    gc.collect()
+    gc.disable()
+    try:
+        plan_route(layout, table, TIMING, req)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failure_when_start_occupied():
@@ -128,6 +173,16 @@ def test_shuttle_successors_split_by_reservation():
             if s.comp == intersection_id((1, 0))]
     assert [(s.interval, arr) for s, arr in succ] == [(1, 2000)]
 
+    # a busy channel delays the departure so the arrival lands exactly on
+    # the end of destination interval 0, which is too late for it
+    table = ReservationTable()
+    table.reserve(intersection_id((1, 0)), TimeInterval(1500, 2000))
+    table.reserve(channel_id((0, 0), (1, 0)), TimeInterval(0, 500))
+    succ = [(s, arr) for s, arr in
+            route_successors(layout, table, TIMING, req, state, 0)
+            if s.comp == intersection_id((1, 0))]
+    assert [(s.interval, arr) for s, arr in succ] == [(1, 2000)]
+
 
 def test_displace_reaches_every_later_interval():
     """One successor per reachable safe interval of the destination layer."""
@@ -137,13 +192,15 @@ def test_displace_reaches_every_later_interval():
     ia = interaction_id((0, 0))
     table.reserve(ia, TimeInterval(800, 2000))
     table.reserve(ia, TimeInterval(2100, 2200))  # gap [2000, 2100) too short
+    table.reserve(ia, TimeInterval(2400, 2500))  # gap of exactly t_displace
     state = SearchState(readout_id((0, 0)), 0, 0)
     succ = [(s.interval, arr) for s, arr in
             route_successors(layout, table, TIMING, req, state, 0)
             if s.comp == ia]
     assert (0, 200) in succ          # before the first reservation
-    assert (2, 2400) in succ         # after the second reservation
-    assert all(i != 1 for i, _ in succ)  # 100 ns gap cannot fit a displace
+    assert (3, 2700) in succ         # after the last reservation
+    # neither gap fits: arriving as a gap closes is arriving too late
+    assert all(i not in (1, 2) for i, _ in succ)
 
 
 def test_heuristic_done_states():
@@ -224,8 +281,8 @@ def test_heuristic_admissible_on_random_states():
         checked += 1
 
 
-def random_instance(rng):
-    """Small randomized routing instance with up to 3 seeded reservations."""
+def random_instance(rng, max_reservations=3):
+    """Small randomized routing instance with seeded reservations."""
     while True:
         w, h = rng.randint(1, 4), rng.randint(1, 4)
         if w * h >= 2:
@@ -236,7 +293,7 @@ def random_instance(rng):
     table = ReservationTable()
     home_ro = readout_id(req.start_cell)
     comps = [c for c in layout.components() if c != home_ro]
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, max_reservations)):
         comp = rng.choice(comps)
         start = rng.randrange(0, 8000, 100)
         interval = TimeInterval(start, start + rng.randrange(100, 4000, 100))
@@ -245,10 +302,39 @@ def random_instance(rng):
     return layout, table, req
 
 
-def run_optimality_trials(count: int, seed: int = 123) -> None:
+def dense_instance(rng):
+    """Up to 12 reservations on channels and destination intersections.
+
+    Half of them run back to back with the previous one on the same
+    component, so arrivals land exactly on interval ends and bisection
+    boundaries are exercised.
+    """
+    layout, table, req = random_instance(rng, max_reservations=0)
+    home_ro = readout_id(req.start_cell)
+    comps = layout.channels() + [intersection_id(x) for x in layout.cells()]
+    comps += [interaction_id(x) for x in req.targets]
+    comps += [readout_id(x) for x in layout.cells()
+              if readout_id(x) != home_ro]
+    last_end: dict = {}
+    for _ in range(rng.randint(6, 12)):
+        comp = rng.choice(comps)
+        if comp in last_end and rng.random() < 0.5:
+            start = last_end[comp]
+        else:
+            start = rng.randrange(0, 8000, 100)
+        end = start + rng.randrange(100, 2500, 100)
+        interval = TimeInterval(start, end)
+        if table.is_free(comp, interval):
+            table.reserve(comp, interval)
+            last_end[comp] = end
+    return layout, table, req
+
+
+def run_optimality_trials(count: int, seed: int = 123,
+                          instance=random_instance) -> None:
     rng = random.Random(seed)
     for trial in range(count):
-        layout, table, req = random_instance(rng)
+        layout, table, req = instance(rng)
         result = plan_route(layout, table, TIMING, req)
         oracle = RouteOracle(layout, reservations_of(table), TIMING, req)
         expected = oracle.solve(result.parked_time + 100)
@@ -259,3 +345,7 @@ def run_optimality_trials(count: int, seed: int = 123) -> None:
 
 def test_route_matches_discretized_oracle():
     run_optimality_trials(8)
+
+
+def test_route_matches_oracle_on_dense_tables():
+    run_optimality_trials(30, seed=2024, instance=dense_instance)
