@@ -90,13 +90,6 @@ class ChipLayout:
                 out.append((nx, ny))
         return out
 
-    def channel_between(self, a: Cell, b: Cell) -> ComponentId:
-        self.require_in_bounds(a)
-        self.require_in_bounds(b)
-        if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-            raise ValueError(f"cells {a} and {b} are not adjacent")
-        return channel_id(a, b)
-
     def channels(self) -> list[ComponentId]:
         out = []
         for x, y in self.cells():

@@ -67,9 +67,6 @@ class Schedule:
         merged.sort(key=lambda e: (e.t, int(e.qubit[1:]), e.kind))
         return merged
 
-    def ancilla_basis(self, ancilla: int) -> str:
-        return self.tasks[ancilla].basis
-
     # -- serialization -------------------------------------------------------
 
     def header_lines(self) -> list[str]:
@@ -205,14 +202,10 @@ def _events_for(task: CheckTask, home: Cell, result: PlanResult,
         events.append(Event(q, "H", cursor, timing.t_h, home_ro))
         cursor += timing.t_h
     for step in result.steps:
-        if step.kind == "WAIT":
-            events.append(Event(q, "WAIT", step.start, step.duration, step.comp))
-        elif step.kind == "SHUTTLE":
-            events.append(Event(q, "SHUTTLE", step.start, step.duration, step.comp))
-        elif step.kind == "DISPLACE":
-            events.append(Event(q, "DISPLACE", step.start, step.duration,
+        if step.kind != "GATE":  # WAIT, SHUTTLE or DISPLACE
+            events.append(Event(q, step.kind, step.start, step.duration,
                                 step.comp, dest=step.dest))
-        else:  # GATE
+        else:
             data = task.targets[step.target]
             if sandwich:
                 events.append(Event(q, "H", step.start, timing.t_h, step.comp))

@@ -70,18 +70,6 @@ class StabCircuit:
             self.num_measurements += len(targets)
         self.instructions.append(Instruction(name, targets, arg, meta))
 
-    def measurement_index(self, **query) -> int:
-        """Absolute index of the unique measurement whose meta matches."""
-        hits = []
-        for instr in self.instructions:
-            if instr.name not in ("M", "MX") or instr.meta is None:
-                continue
-            if all(instr.meta.get(k) == v for k, v in query.items()):
-                hits.append(instr.meta["m_index"])
-        if len(hits) != 1:
-            raise KeyError(f"{len(hits)} measurements match {query}")
-        return hits[0]
-
     def detectors(self) -> list[tuple[tuple[int, ...], Optional[tuple]]]:
         return [(i.targets, i.arg) for i in self.instructions
                 if i.name == "DETECTOR"]
@@ -128,8 +116,7 @@ def compose_phase_flips(p: float, repeats: int) -> float:
 def emit_memory_circuit(schedule: Schedule, code: CssCode,
                         logicals: Optional[LogicalOperators],
                         noise: NoiseConfig, basis: str, *,
-                        per_edge_noise: bool = False,
-                        debug_ticks: bool = False) -> StabCircuit:
+                        per_edge_noise: bool = False) -> StabCircuit:
     """Memory experiment: transversal init, scheduled SE rounds, readout."""
     basis = basis.upper()
     if basis not in ("X", "Z"):
@@ -259,12 +246,8 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
         add(makespan, i, data_measure, (i,),
             meta={"kind": "data_measure", "data": i})
 
-    if debug_ticks:
-        for t in range(0, makespan + 1, 100):
-            add(t, -1, "TICK", ())
-    else:
-        for r in range(1, schedule.rounds + 1):
-            add(r * period, -1, "TICK", ())
+    for r in range(1, schedule.rounds + 1):
+        add(r * period, -1, "TICK", ())
 
     emissions.sort(key=lambda e: (e[0], e[1], e[2]))
     for _, _, _, instr in emissions:

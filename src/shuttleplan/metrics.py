@@ -1,12 +1,9 @@
 """Schedule quality statistics: shuttle counts, ideal bounds, overheads.
 
 The ideal bound assumes ancillae pass freely through each other (no
-reservations) and is the exact minimum open-path edge count over each
-ancilla's targets. Two counting conventions exist because the edge-count
-anchor in the literature does not state one; the default "from-home"
-convention includes the home-to-first-target leg and ignores the final
-parking leg, the alternative "targets-only" convention counts only travel
-between targets. Reports state which convention is active.
+reservations). It is each ancilla's least open-path edge count from its home
+readout through its targets, in the forced sequence for ordered tasks, as
+computed by ``tsp.OpenPathTable``. The final parking leg is not counted.
 """
 
 from __future__ import annotations
@@ -16,9 +13,7 @@ from dataclasses import dataclass
 
 from .compiler import Schedule
 from .css import CheckTask, CssCode
-from .tsp import manhattan, solve_tsp
-
-CONVENTIONS = ("from-home", "targets-only")
+from .tsp import solve_tsp
 
 
 @dataclass
@@ -54,59 +49,27 @@ def shuttle_stats(schedule: Schedule,
 
 
 def ideal_lower_bound(tasks: list[CheckTask], data_cells: dict[int, tuple],
-                      homes: dict[int, tuple], *,
-                      convention: str = "from-home",
-                      exact_limit: int = 12) -> dict[int, int]:
-    """Collision-free minimal edge count per ancilla.
-
-    Ordered tasks use their forced visit sequence; unordered tasks get the
-    exact open-path optimum (bitmask DP up to `exact_limit` targets).
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
-    out: dict[int, int] = {}
-    for task in tasks:
-        cells = [data_cells[i] for i in task.targets]
-        if task.ordered:
-            legs = [manhattan(a, b) for a, b in zip(cells, cells[1:])]
-            between = sum(legs)
-            home_leg = manhattan(homes[task.ancilla], cells[0])
-        else:
-            from_home = solve_tsp(homes[task.ancilla], set(cells),
-                                  exact_limit=exact_limit)
-            if convention == "from-home":
-                out[task.ancilla] = from_home.distance
-                continue
-            best = None
-            for first in cells:
-                tour = solve_tsp(first, set(cells) - {first},
-                                 exact_limit=exact_limit)
-                if best is None or tour.distance < best:
-                    best = tour.distance
-            out[task.ancilla] = best or 0
-            continue
-        if convention == "from-home":
-            out[task.ancilla] = home_leg + between
-        else:
-            out[task.ancilla] = between
-    return out
+                      homes: dict[int, tuple]) -> dict[int, int]:
+    """Collision-free minimal edge count per ancilla, from its home."""
+    return {task.ancilla: solve_tsp(homes[task.ancilla],
+                                    [data_cells[i] for i in task.targets],
+                                    task.ordered)
+            for task in tasks}
 
 
-def ideal_for_schedule(schedule: Schedule, *,
-                       convention: str = "from-home") -> dict[int, int]:
+def ideal_for_schedule(schedule: Schedule) -> dict[int, int]:
     return ideal_lower_bound(schedule.tasks, schedule.data_cells,
-                             schedule.homes, convention=convention)
+                             schedule.homes)
 
 
 @dataclass
 class OverheadReport:
     per_code: dict[str, float]
     geomean: float
-    convention: str
 
 
-def overhead_report(entries: dict[str, tuple[ShuttleStats, dict[int, float]]],
-                    convention: str = "from-home") -> OverheadReport:
+def overhead_report(entries: dict[str, tuple[ShuttleStats, dict[int, float]]]
+                    ) -> OverheadReport:
     """Geometric mean of achieved/ideal mean-shuttle ratios across codes."""
     ratios: dict[str, float] = {}
     for name, (stats, ideal) in entries.items():
@@ -117,8 +80,7 @@ def overhead_report(entries: dict[str, tuple[ShuttleStats, dict[int, float]]],
         geomean = math.exp(sum(math.log(r) for r in finite) / len(finite))
     else:
         geomean = math.nan
-    return OverheadReport(per_code=ratios, geomean=geomean,
-                          convention=convention)
+    return OverheadReport(per_code=ratios, geomean=geomean)
 
 
 def efficiency_factor(code: CssCode) -> float:
@@ -156,9 +118,8 @@ class CodeStats:
         return [fmt(getattr(self, f)) for f in self.ROW_FIELDS]
 
 
-def code_stats(code: CssCode, schedule: Schedule, *,
-               convention: str = "from-home") -> CodeStats:
-    ideal = ideal_for_schedule(schedule, convention=convention)
+def code_stats(code: CssCode, schedule: Schedule) -> CodeStats:
+    ideal = ideal_for_schedule(schedule)
     stats = shuttle_stats(schedule, ideal)
     ideal_mean = sum(ideal.values()) / len(ideal) if ideal else 0.0
     try:

@@ -78,8 +78,6 @@ class ScanResult:
     flips: np.ndarray          # (num_sites, num_measurements) outcome flips
     final_x: np.ndarray        # (num_sites, num_qubits) residual frame
     final_z: np.ndarray
-    marker_x: Optional[np.ndarray]  # frame snapshots at the marker, if any
-    marker_z: Optional[np.ndarray]
 
     def flipped_measurements(self, row: int) -> list[int]:
         return [int(m) for m in np.nonzero(self.flips[row])[0]]
@@ -102,8 +100,7 @@ class ScanResult:
         return out
 
 
-def fault_scan(circuit: StabCircuit, sites: list[FaultSite],
-               marker_index: Optional[int] = None) -> ScanResult:
+def fault_scan(circuit: StabCircuit, sites: list[FaultSite]) -> ScanResult:
     """Propagate every fault site through the circuit in one vectorized pass.
 
     A fault's frame row stays identically zero until its instruction index is
@@ -114,7 +111,6 @@ def fault_scan(circuit: StabCircuit, sites: list[FaultSite],
     fx = np.zeros((ns, nq), dtype=np.uint8)
     fz = np.zeros((ns, nq), dtype=np.uint8)
     flips = np.zeros((ns, circuit.num_measurements), dtype=np.uint8)
-    marker_x = marker_z = None
 
     activate: dict[int, list[int]] = {}
     for row, site in enumerate(sites):
@@ -149,12 +145,8 @@ def fault_scan(circuit: StabCircuit, sites: list[FaultSite],
                         fx[row, q] ^= 1
                     if p in ("Z", "Y"):
                         fz[row, q] ^= 1
-        if marker_index is not None and idx == marker_index:
-            marker_x = fx.copy()
-            marker_z = fz.copy()
 
-    return ScanResult(sites=sites, flips=flips, final_x=fx, final_z=fz,
-                      marker_x=marker_x, marker_z=marker_z)
+    return ScanResult(sites=sites, flips=flips, final_x=fx, final_z=fz)
 
 
 def propagate_fault(circuit: StabCircuit, index: int,

@@ -15,12 +15,12 @@ as an explicit transition. Transitions are
 
 The goal is a readout state with all targets done whose interval admits the
 terminal pad (measurement and any trailing basis-change gate). The search is
-A* with a traveling-salesman bound, re-expanding any state reached by a
-strictly earlier arrival. For tasks of at most ``tsp.EXACT_LIMIT`` targets
-the bound is an exact Held-Karp tour, so the heuristic is admissible and the
-returned route is time-optimal for the reservations it was planned against.
-Beyond that limit the tour comes from nearest-neighbour + 2-opt, which can
-overestimate, and the route is not guaranteed optimal.
+A* re-expanding any state reached by a strictly earlier arrival. Its
+heuristic charges the pending gates and displaces plus the shuttle time of
+``tsp.OpenPathTable``'s remaining-travel bound, which never overestimates
+(an exact open path, or a spanning-tree bound past ``tsp.EXACT_LIMIT``
+unordered targets). The heuristic is therefore admissible and the returned
+route is time-optimal for the reservations it was planned against.
 
 Safe intervals are read as parallel tuples of starts and ends from
 ``ReservationTable.safe_bounds``, which the table caches per component until
@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 from .chip import (Cell, ChipLayout, ComponentId, Kind, TimingConfig,
                    channel_id, interaction_id, intersection_id, readout_id)
 from .intervals import ReservationTable
-from .tsp import OpenPathTable, manhattan
+from .tsp import OpenPathTable
 
 _LAYER_BUILDERS = (intersection_id, interaction_id, readout_id)
 
@@ -142,7 +142,7 @@ class _Search:
         # would linger in a reference cycle until the next collection
         self.bounds = _Memo(table.safe_bounds)
         self.moves = _Memo(partial(_cell_moves, layout))
-        self._tours = OpenPathTable(req.targets)
+        self._tours = OpenPathTable(req.targets, req.ordered)
 
     # -- successor generation ------------------------------------------------
 
@@ -222,28 +222,13 @@ class _Search:
         cell = (comp[1], comp[2])
         stop_cost = self.req.gate_duration + 2 * t.t_displace
         cost = 0
-
-        if self.req.ordered:
-            seq = self.req.targets[bin(mask).count("1"):]
-            if kind == "interaction" and cell == seq[0]:
-                cost += self.req.gate_duration + t.t_displace
-                seq = seq[1:]
-            elif kind == "readout" and (not seq or cell != seq[0]):
-                cost += t.t_displace
-            cur = cell
-            for nxt in seq:
-                cost += manhattan(cur, nxt) * t.t_shuttle + stop_cost
-                cur = nxt
-            return cost
-
-        j = self.cell_of.get(cell)
-        at_pending = j is not None and pending & (1 << j)
-        if kind == "interaction" and at_pending:
+        j = self._gate_target(cell, mask)
+        if kind == "interaction" and j is not None:
             cost += self.req.gate_duration + t.t_displace
             pending &= ~(1 << j)
             if pending == 0:
                 return cost
-        elif kind == "readout" and not at_pending:
+        elif kind == "readout" and j is None:
             cost += t.t_displace
         cost += self._tours.min_distance(cell, pending) * t.t_shuttle
         cost += bin(pending).count("1") * stop_cost

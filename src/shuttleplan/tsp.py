@@ -1,13 +1,20 @@
-"""Open-path traveling-salesman solvers over Manhattan grid distances.
+"""Least open-path travel over Manhattan grid distances.
 
-The exact solver is a Held-Karp bitmask DP; beyond ``exact_limit`` stops it
-falls back to nearest-neighbor + 2-opt and flags the result as inexact
-(the route is still valid, only the lower-bound guarantee is lost).
+``OpenPathTable`` owns the remaining-travel bound: the least Manhattan
+distance from an origin through every pending target, with no return leg.
+The route search scales it into its A* heuristic, and ``metrics`` reports it
+from each ancilla's home as the ideal shuttle count.
+
+* Ordered targets are visited in their fixed sequence, so the pending set is
+  always a suffix and the table holds suffix sums of the consecutive legs.
+* Unordered targets, up to ``EXACT_LIMIT`` of them, get an exact Held-Karp
+  bitmask table.
+* Beyond ``EXACT_LIMIT`` unordered targets the bound is the weight of a
+  minimum spanning tree over the origin and the pending cells. Every open
+  path through them is a spanning tree, so the bound never overestimates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .chip import Cell
 
@@ -18,111 +25,36 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass
-class TourResult:
-    order: list[Cell]  # visit order, origin excluded
-    distance: int
-    exact: bool
-
-
-def solve_tsp(origin: Cell, pending: set[Cell] | list[Cell],
-              exact_limit: int = EXACT_LIMIT) -> TourResult:
-    """Minimum open path from origin through all pending cells (no return)."""
-    cells = sorted(set(pending))
-    if not cells:
-        return TourResult(order=[], distance=0, exact=True)
-    if len(cells) > exact_limit:
-        return _nearest_neighbor_2opt(origin, cells)
-
-    m = len(cells)
-    dist = [[manhattan(a, b) for b in cells] for a in cells]
-    from_origin = [manhattan(origin, c) for c in cells]
-    full = (1 << m) - 1
-
-    # dp[mask][last] = shortest path from origin covering mask, ending at last
-    dp = [[None] * m for _ in range(1 << m)]
-    parent: list[list[int | None]] = [[None] * m for _ in range(1 << m)]
-    for j in range(m):
-        dp[1 << j][j] = from_origin[j]
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        for last in range(m):
-            cur = row[last]
-            if cur is None:
-                continue
-            rest = full & ~mask
-            nxt = rest
-            while nxt:
-                j = (nxt & -nxt).bit_length() - 1
-                nxt &= nxt - 1
-                cand = cur + dist[last][j]
-                nm = mask | (1 << j)
-                if dp[nm][j] is None or cand < dp[nm][j]:
-                    dp[nm][j] = cand
-                    parent[nm][j] = last
-
-    best_last = min(range(m), key=lambda j: dp[full][j])
-    best = dp[full][best_last]
-    order_idx = []
-    mask, last = full, best_last
-    while last is not None:
-        order_idx.append(last)
-        prev = parent[mask][last]
-        mask &= ~(1 << last)
-        last = prev
-    order_idx.reverse()
-    return TourResult(order=[cells[j] for j in order_idx],
-                      distance=int(best), exact=True)
-
-
-def path_distance(origin: Cell, order: list[Cell]) -> int:
-    total = 0
-    cur = origin
-    for cell in order:
-        total += manhattan(cur, cell)
-        cur = cell
-    return total
-
-
-def _nearest_neighbor_2opt(origin: Cell, cells: list[Cell]) -> TourResult:
-    remaining = list(cells)
-    order: list[Cell] = []
-    cur = origin
-    while remaining:
-        nxt = min(remaining, key=lambda c: (manhattan(cur, c), c))
-        remaining.remove(nxt)
-        order.append(nxt)
-        cur = nxt
-
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(order) - 1):
-            for j in range(i + 1, len(order)):
-                trial = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                if path_distance(origin, trial) < path_distance(origin, order):
-                    order = trial
-                    improved = True
-    return TourResult(order=order, distance=path_distance(origin, order),
-                      exact=False)
+def solve_tsp(origin: Cell, targets: list[Cell], ordered: bool) -> int:
+    """Least open-path distance from origin through all targets."""
+    table = OpenPathTable(targets, ordered)
+    return table.min_distance(origin, (1 << len(table.targets)) - 1)
 
 
 class OpenPathTable:
-    """Precomputed Held-Karp table for one fixed target set.
+    """Remaining-travel bound for one fixed target list.
 
-    Route planning evaluates the remaining-tour cost for many (position,
-    pending-subset) pairs of the same ancilla; the subset DP is shared so
+    Route planning evaluates the bound for many (position, pending-subset)
+    pairs of the same ancilla, so the per-subset work is done once here and
     each query is a single O(|pending|) minimization.
 
-    ``best[mask][j]`` is the cheapest open path visiting exactly the targets
-    in ``mask`` when entered at target j (j must be in mask).
+    Ordered: ``suffix[j]`` is the travel from target j through the last one.
+    Unordered: ``best[mask][j]`` is the cheapest open path visiting exactly
+    the targets in ``mask`` when entered at target j (j must be in mask).
+    ``EXACT_LIMIT`` is read when the table is built.
     """
 
-    def __init__(self, targets: list[Cell], exact_limit: int = EXACT_LIMIT):
+    def __init__(self, targets: list[Cell], ordered: bool):
         self.targets = list(targets)
-        self.exact = len(targets) <= exact_limit
+        self._suffix = self._best = None
         m = len(targets)
-        if not self.exact:
+        if ordered:
+            suffix = [0] * m
+            for j in range(m - 2, -1, -1):
+                suffix[j] = suffix[j + 1] + manhattan(targets[j], targets[j + 1])
+            self._suffix = suffix
+            return
+        if m > EXACT_LIMIT:
             return
         dist = [[manhattan(a, b) for b in targets] for a in targets]
         best = [[None] * m for _ in range(1 << m)]
@@ -150,13 +82,19 @@ class OpenPathTable:
         self._best = best
 
     def min_distance(self, origin: Cell, mask: int) -> int:
-        """Shortest open-path distance from origin over the masked targets."""
+        """Least open-path distance from origin over the masked targets.
+
+        For ordered targets the mask must be a suffix of the sequence.
+        """
         if mask == 0:
             return 0
-        if not self.exact:
-            cells = [self.targets[j] for j in range(len(self.targets))
-                     if mask & (1 << j)]
-            return _nearest_neighbor_2opt(origin, cells).distance
+        if self._suffix is not None:
+            j = (mask & -mask).bit_length() - 1
+            return manhattan(origin, self.targets[j]) + self._suffix[j]
+        if self._best is None:
+            return _spanning_tree_weight(
+                origin, [self.targets[j] for j in range(len(self.targets))
+                         if mask & (1 << j)])
         cand = None
         sub = mask
         while sub:
@@ -166,3 +104,16 @@ class OpenPathTable:
             if cand is None or val < cand:
                 cand = val
         return cand
+
+
+def _spanning_tree_weight(origin: Cell, cells: list[Cell]) -> int:
+    """Minimum spanning tree weight over origin and cells (Prim, O(n^2))."""
+    cells = list(cells)
+    reach = [manhattan(origin, c) for c in cells]
+    total = 0
+    while reach:
+        k = min(range(len(reach)), key=reach.__getitem__)
+        total += reach.pop(k)
+        joined = cells.pop(k)
+        reach = [min(r, manhattan(joined, c)) for r, c in zip(reach, cells)]
+    return total

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from shuttleplan import tsp
 from shuttleplan.chip import (Kind, TimingConfig, build_grid, channel_id,
                               interaction_id, intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable, TimeInterval
@@ -259,6 +260,16 @@ def _random_request(rng, layout, cells, windows=False):
 
 def test_heuristic_admissible_on_random_states():
     """h never exceeds the exact no-obstacle cost-to-goal (1000 states)."""
+    check_heuristic_admissible()
+
+
+def test_heuristic_admissible_past_exact_limit(monkeypatch):
+    """Every unordered task of 2+ targets takes the spanning-tree bound."""
+    monkeypatch.setattr(tsp, "EXACT_LIMIT", 1)
+    check_heuristic_admissible()
+
+
+def check_heuristic_admissible():
     rng = random.Random(42)
     checked = 0
     while checked < 1000:
