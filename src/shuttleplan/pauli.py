@@ -1,9 +1,15 @@
 """Pauli-frame propagation and a stabilizer tableau simulator.
 
-The frame engine pushes sparse Pauli faults through a circuit (H swaps the
+The frame engine pushes single Pauli faults through a circuit (H swaps the
 X/Z components, CX copies X control->target and Z target->control, resets
-clear, measurements record the anticommuting component) and is vectorized
-over many fault sites at once.
+clear, measurements record the anticommuting component) for many fault
+sites at once. Its frames are qubit-major and bit-packed, the layout of
+Stim's frame simulator (Gidney, Quantum 5, 497, 2021): fault site r is bit
+r % 64 of word r // 64, so every qubit and every measurement is one row of
+W = ceil(num_sites / 64) uint64 words, each gate is an XOR, swap or clear
+of whole rows, and a scan holds 8 * W * (2 * num_qubits + num_measurements)
+bytes. Detector and observable parities are XORs of packed measurement
+rows, unpacked to one uint8 per (site, detector) only at the end.
 
 The tableau is the standard destabilizer/stabilizer pair with one twist:
 the sign of every row is an affine GF(2) expression in the outcomes of the
@@ -72,92 +78,174 @@ def sites_from_noise(circuit: StabCircuit,
     return sites
 
 
+# Pauli letter -> bit 0 (X component) | bit 1 (Z component)
+_PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
+# instructions that change a frame; everything else leaves it alone
+_FRAME_GATES = ("H", "CX", "R", "RX", "M", "MX")
+
+
+def _column(packed: np.ndarray, row: int) -> np.ndarray:
+    """Bit `row` of every packed row, as a uint8 vector."""
+    word, bit = divmod(row, 64)
+    return ((packed[:, word] >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
+
+
+def _unpack(packed: np.ndarray, num_sites: int) -> np.ndarray:
+    """(n, W) packed rows -> (num_sites, n) uint8 matrix (a transposed view)."""
+    as_bytes = packed.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=num_sites,
+                         bitorder="little").T
+
+
+def _xor_rows(packed: np.ndarray, groups) -> np.ndarray:
+    """One packed row per group: the XOR of the packed rows it names."""
+    out = np.zeros((len(groups), packed.shape[1]), dtype=np.uint64)
+    for g, rows in enumerate(groups):
+        if rows:
+            np.bitwise_xor.reduce(packed[list(rows)], axis=0, out=out[g])
+    return out
+
+
 @dataclass
 class ScanResult:
+    """Packed outcome of `fault_scan`: site r is bit r % 64 of word r // 64.
+
+    `x` and `z` are the residual frames, shape (num_qubits, W); `flips` holds
+    the measurement flips, shape (num_measurements, W); all are uint64 with
+    W = ceil(num_sites / 64).
+    """
+
     sites: list[FaultSite]
-    flips: np.ndarray          # (num_sites, num_measurements) outcome flips
-    final_x: np.ndarray        # (num_sites, num_qubits) residual frame
-    final_z: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    flips: np.ndarray
+
+    def _check_row(self, row: int) -> None:
+        if not 0 <= row < len(self.sites):
+            raise IndexError(f"no fault site {row} in a scan of "
+                             f"{len(self.sites)}")
 
     def flipped_measurements(self, row: int) -> list[int]:
-        return [int(m) for m in np.nonzero(self.flips[row])[0]]
+        self._check_row(row)
+        return np.flatnonzero(_column(self.flips, row)).tolist()
+
+    def final_frame(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x, z) residual frame of one site, as uint8 vectors over qubits."""
+        self._check_row(row)
+        return _column(self.x, row), _column(self.z, row)
 
     def detector_flips(self, circuit: StabCircuit) -> np.ndarray:
         """(num_sites, num_detectors) matrix of detector parity flips."""
-        dets = circuit.detectors()
-        out = np.zeros((len(self.sites), len(dets)), dtype=np.uint8)
-        for d, (targets, _) in enumerate(dets):
-            for m in targets:
-                out[:, d] ^= self.flips[:, m]
-        return out
+        groups = [targets for targets, _ in circuit.detectors()]
+        return _unpack(_xor_rows(self.flips, groups), len(self.sites))
 
     def observable_flips(self, circuit: StabCircuit) -> np.ndarray:
-        obs = circuit.observables()
-        out = np.zeros((len(self.sites), len(obs)), dtype=np.uint8)
-        for o, targets in sorted(obs.items()):
-            for m in targets:
-                out[:, o] ^= self.flips[:, m]
-        return out
+        """(num_sites, num_observables) matrix, columns by observable index."""
+        groups = [targets for _, targets in sorted(circuit.observables().items())]
+        return _unpack(_xor_rows(self.flips, groups), len(self.sites))
+
+
+def _activations(circuit: StabCircuit, sites: list[FaultSite],
+                 gate_at: np.ndarray):
+    """Validate every site; return its frame bits grouped by the next gate.
+
+    Returns (frame row, word, bit mask, bounds): the terms of group k,
+    ``bounds[k]:bounds[k + 1]``, are XORed in just before gate k runs, or
+    after the last gate for k = len(gate_at). A fault injected after
+    instruction i only has to be in the frame before the first gate past i.
+    """
+    ns, nq = len(sites), circuit.num_qubits
+    index = np.fromiter((s.index for s in sites), np.int64, ns)
+    bad = np.flatnonzero((index < 0) | (index >= len(circuit.instructions)))
+    if bad.size:
+        row = int(bad[0])
+        raise IndexError(f"fault site {row}: no instruction at {index[row]}")
+    terms = [t for s in sites for t in s.paulis]
+    rows = np.repeat(np.arange(ns, dtype=np.int64),
+                     np.fromiter((len(s.paulis) for s in sites), np.int64, ns))
+    qubit = np.fromiter((q for q, _ in terms), np.int64, len(terms))
+    bits = np.fromiter((_PAULI_BITS.get(p, 0) for _, p in terms), np.int64,
+                       len(terms))
+    bad = np.flatnonzero((qubit < 0) | (qubit >= nq))
+    if bad.size:
+        t = int(bad[0])
+        raise IndexError(f"fault site {rows[t]}: qubit {qubit[t]} out of range "
+                         f"for {nq} qubits")
+    bad = np.flatnonzero(bits == 0)
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(f"fault site {rows[t]}: Pauli {terms[t][1]!r} is not "
+                         f"X, Y or Z")
+    has_x, has_z = (bits & 1).astype(bool), (bits & 2).astype(bool)
+    frame_row = np.concatenate([qubit[has_x], nq + qubit[has_z]])
+    site_row = np.concatenate([rows[has_x], rows[has_z]])
+    group = np.searchsorted(gate_at, index[site_row], side="right")
+    order = np.argsort(group, kind="stable")
+    site_row = site_row[order]
+    bounds = np.searchsorted(group[order], np.arange(len(gate_at) + 2))
+    mask = np.left_shift(np.uint64(1), (site_row & 63).astype(np.uint64))
+    return frame_row[order], site_row >> 6, mask, bounds.tolist()
 
 
 def fault_scan(circuit: StabCircuit, sites: list[FaultSite]) -> ScanResult:
-    """Propagate every fault site through the circuit in one vectorized pass.
+    """Propagate every fault site through the circuit in one packed pass.
 
-    A fault's frame row stays identically zero until its instruction index is
-    passed, which is sound because every update rule is linear.
+    The frames are qubit-major and bit-packed: site r is bit r % 64 of word
+    r // 64, so each gate is one XOR, swap or clear of uint64 rows of
+    W = ceil(num_sites / 64) words. The result holds
+    8 * W * (2 * num_qubits + num_measurements) bytes. A site's bit stays
+    zero until its fault is XORed in, which is sound because every update
+    rule is linear.
+
+    Raises IndexError for a site whose instruction index or qubit is out of
+    range and ValueError for a Pauli letter other than X, Y or Z; the
+    message names the site's row.
     """
-    ns = len(sites)
-    nq = circuit.num_qubits
-    fx = np.zeros((ns, nq), dtype=np.uint8)
-    fz = np.zeros((ns, nq), dtype=np.uint8)
-    flips = np.zeros((ns, circuit.num_measurements), dtype=np.uint8)
+    ns, nq = len(sites), circuit.num_qubits
+    words = -(-ns // 64)
+    instructions = circuit.instructions
+    gate_at = np.array([i for i, instr in enumerate(instructions)
+                        if instr.name in _FRAME_GATES], dtype=np.int64)
+    act_row, act_word, act_mask, bounds = _activations(circuit, sites, gate_at)
+    frame = np.zeros((2 * nq, words), dtype=np.uint64)
+    x, z = frame[:nq], frame[nq:]
+    flips = np.zeros((circuit.num_measurements, words), dtype=np.uint64)
 
-    activate: dict[int, list[int]] = {}
-    for row, site in enumerate(sites):
-        activate.setdefault(site.index, []).append(row)
+    def activate(k: int) -> None:
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo < hi:
+            np.bitwise_xor.at(frame, (act_row[lo:hi], act_word[lo:hi]),
+                              act_mask[lo:hi])
 
-    for idx, instr in enumerate(circuit.instructions):
+    for k, pos in enumerate(gate_at.tolist()):
+        activate(k)
+        instr = instructions[pos]
         name = instr.name
         if name == "H":
             for q in instr.targets:
-                fx[:, q], fz[:, q] = fz[:, q].copy(), fx[:, q].copy()
+                x[q], z[q] = z[q], x[q].copy()
         elif name == "CX":
             for c, t in zip(instr.targets[::2], instr.targets[1::2]):
-                fx[:, t] ^= fx[:, c]
-                fz[:, c] ^= fz[:, t]
+                x[t] ^= x[c]
+                z[c] ^= z[t]
         elif name in ("R", "RX"):
             for q in instr.targets:
-                fx[:, q] = 0
-                fz[:, q] = 0
-        elif name == "M":
-            base = instr.meta["m_index"] if instr.meta else None
+                x[q] = 0
+                z[q] = 0
+        else:
+            src = x if name == "M" else z
+            base = instr.meta["m_index"]
             for off, q in enumerate(instr.targets):
-                flips[:, base + off] = fx[:, q]
-        elif name == "MX":
-            base = instr.meta["m_index"] if instr.meta else None
-            for off, q in enumerate(instr.targets):
-                flips[:, base + off] = fz[:, q]
-        rows = activate.get(idx)
-        if rows:
-            for row in rows:
-                for q, p in sites[row].paulis:
-                    if p in ("X", "Y"):
-                        fx[row, q] ^= 1
-                    if p in ("Z", "Y"):
-                        fz[row, q] ^= 1
-
-    return ScanResult(sites=sites, flips=flips, final_x=fx, final_z=fz)
+                flips[base + off] = src[q]
+    activate(len(gate_at))
+    return ScanResult(sites=sites, x=x, z=z, flips=flips)
 
 
 def propagate_fault(circuit: StabCircuit, index: int,
                     paulis: Iterable[tuple[int, str]]):
     """Push one fault through; returns (final_x, final_z, flipped ms)."""
-    if not 0 <= index < len(circuit.instructions):
-        raise IndexError(f"no instruction at {index}")
-    site = FaultSite(index, tuple(paulis))
-    result = fault_scan(circuit, [site])
-    return (result.final_x[0], result.final_z[0],
-            result.flipped_measurements(0))
+    result = fault_scan(circuit, [FaultSite(index, tuple(paulis))])
+    return (*result.final_frame(0), result.flipped_measurements(0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's search machinery: the
 route oracle walks a fully time-discretized graph at 100 ns grain, the
 static oracle is a plain Dijkstra over (component, done-mask) with no
-reservations, and the tour oracle enumerates permutations.
+reservations, the tour oracle enumerates permutations, and the frame oracle
+pushes one fault at a time through a circuit as sets of qubits.
 """
 
 from __future__ import annotations
@@ -189,3 +190,46 @@ def static_remaining_cost(layout: ChipLayout, timing: TimingConfig,
                 dist[(dest, nmask)] = nd
                 heapq.heappush(heap, (nd, dest, nmask))
     raise AssertionError("goal unreachable in static oracle")
+
+
+def propagate_frame(circuit, index: int, paulis):
+    """One fault injected after instruction `index`, pushed to the end.
+
+    Tracks the frame as the sets of qubits carrying an X and a Z component.
+    Returns (x qubits, z qubits, indices of the flipped measurements).
+    """
+    xs: set[int] = set()
+    zs: set[int] = set()
+    for q, p in paulis:
+        if p in ("X", "Y"):
+            xs ^= {q}
+        if p in ("Z", "Y"):
+            zs ^= {q}
+    measured = sum(len(instr.targets)
+                   for instr in circuit.instructions[:index + 1]
+                   if instr.name in ("M", "MX"))
+    flipped = []
+    for instr in circuit.instructions[index + 1:]:
+        name, targets = instr.name, instr.targets
+        if name == "H":
+            for q in targets:
+                in_x, in_z = q in xs, q in zs
+                if in_x != in_z:
+                    xs ^= {q}
+                    zs ^= {q}
+        elif name == "CX":
+            for c, t in zip(targets[::2], targets[1::2]):
+                if c in xs:
+                    xs ^= {t}
+                if t in zs:
+                    zs ^= {c}
+        elif name in ("R", "RX"):
+            xs.difference_update(targets)
+            zs.difference_update(targets)
+        elif name in ("M", "MX"):
+            anticommuting = xs if name == "M" else zs
+            for q in targets:
+                if q in anticommuting:
+                    flipped.append(measured)
+                measured += 1
+    return xs, zs, flipped

@@ -3,7 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from shuttleplan.emit import StabCircuit
+from oracles import propagate_frame
+from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
+from shuttleplan.compiler import replicate_rounds, schedule_round
+from shuttleplan.css import (compute_logicals, default_layout, load_css,
+                             surface_code)
+from shuttleplan.emit import StabCircuit, emit_memory_circuit
 from shuttleplan.pauli import (FaultSite, Outcome, Tableau, fault_scan,
                                propagate_fault, simulate_noiseless,
                                sites_from_noise)
@@ -95,8 +100,8 @@ def test_fault_scan_matches_single_propagation():
     result = fault_scan(c, sites)
     for row, site in enumerate(sites):
         fx, fz, flips = propagate_fault(c, site.index, site.paulis)
-        assert np.array_equal(result.final_x[row], fx)
-        assert np.array_equal(result.final_z[row], fz)
+        assert np.array_equal(result.final_frame(row)[0], fx)
+        assert np.array_equal(result.final_frame(row)[1], fz)
         assert result.flipped_measurements(row) == flips
 
 
@@ -266,3 +271,139 @@ def test_frame_agrees_with_tableau_on_random_circuits():
                     assert tab == frm, (
                         f"trial {trial}: parity of measurements {i},{j}")
     assert compared > 3000, "too few comparable observables across the corpus"
+
+
+def memory_circuit(code, layout, rounds, basis, tailored=True):
+    schedule = schedule_round(code, layout, TimingConfig(), tailored=tailored)
+    return emit_memory_circuit(replicate_rounds(schedule, rounds), code,
+                               compute_logicals(code), NoiseConfig(), basis)
+
+
+def random_sites(rng, circuit, count):
+    """Sites of 0-3 Paulis; a qubit may repeat (X then Z on it acts as Y)."""
+    n = circuit.num_qubits
+    return [FaultSite(rng.randrange(len(circuit.instructions)),
+                      tuple((rng.randrange(n), rng.choice("XYZ"))
+                            for _ in range(rng.randint(0, 3))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("num_sites", [0, 1, 63, 64, 65, 130])
+def test_fault_scan_matches_frame_oracle(num_sites):
+    """Every site's flips and final frame equal a one-fault set propagation,
+    across the word boundaries of the packed layout."""
+    rng = random.Random(num_sites)
+    for _ in range(3):
+        circuit = random_circuit(rng)
+        sites = random_sites(rng, circuit, num_sites)
+        result = fault_scan(circuit, sites)
+        for row, site in enumerate(sites):
+            xs, zs, flipped = propagate_frame(circuit, site.index, site.paulis)
+            fx, fz = result.final_frame(row)
+            assert set(np.flatnonzero(fx).tolist()) == xs
+            assert set(np.flatnonzero(fz).tolist()) == zs
+            assert result.flipped_measurements(row) == flipped
+        for packed in (result.x, result.z, result.flips):
+            tail = np.unpackbits(packed.astype("<u8").view(np.uint8), axis=1,
+                                 bitorder="little")[:, num_sites:]
+            assert not tail.any(), "bits past the last site must stay zero"
+
+
+def parities(flipped: set, groups) -> list[int]:
+    return [len(flipped.intersection(targets)) % 2 for targets in groups]
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_detector_and_observable_flips_match_frame_oracle(basis):
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, basis)
+    sites = sites_from_noise(circuit)
+    result = fault_scan(circuit, sites)
+    dets = [targets for targets, _ in circuit.detectors()]
+    obs = [targets for _, targets in sorted(circuit.observables().items())]
+    expect_det, expect_obs = [], []
+    for site in sites:
+        flipped = set(propagate_frame(circuit, site.index, site.paulis)[2])
+        expect_det.append(parities(flipped, dets))
+        expect_obs.append(parities(flipped, obs))
+    det_flips = result.detector_flips(circuit)
+    assert det_flips.dtype == np.uint8
+    assert det_flips.tolist() == expect_det
+    assert result.observable_flips(circuit).tolist() == expect_obs
+    assert det_flips.any() and np.array(expect_obs).any()
+
+
+def undetected_logical(circuit) -> int:
+    """Single faults that flip an observable and no detector."""
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    detected = result.detector_flips(circuit).any(axis=1)
+    logical = result.observable_flips(circuit).any(axis=1)
+    return int((logical & ~detected).sum())
+
+
+@pytest.mark.parametrize("tailored", [True, False])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("d", [3, 5])
+def test_no_undetected_logical_single_fault_surface(d, basis, tailored):
+    code, layout = surface_code(d)
+    assert undetected_logical(
+        memory_circuit(code, layout, 2, basis, tailored)) == 0
+
+
+@pytest.fixture(scope="module")
+def bb72_schedule(bb72_path):
+    code = load_css(str(bb72_path))
+    layout = default_layout(code, build_grid(9, 8))
+    return code, replicate_rounds(schedule_round(code, layout, TimingConfig()), 2)
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_no_undetected_logical_single_fault_bb72(bb72_schedule, basis):
+    code, schedule = bb72_schedule
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig(), basis)
+    assert len(circuit.observables()) == 12
+    assert undetected_logical(circuit) == 0
+
+
+def test_scan_memory_is_bit_packed():
+    """Result arrays hold 8 * ceil(ns / 64) * (2 nq + nm) bytes, not per-site
+    bytes."""
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, "Z")
+    sites = sites_from_noise(circuit)
+    result = fault_scan(circuit, sites)
+    words = -(-len(sites) // 64)
+    packed = 8 * words * (2 * circuit.num_qubits + circuit.num_measurements)
+    held = result.x.nbytes + result.z.nbytes + result.flips.nbytes
+    assert len(sites) > 1000
+    assert held <= packed + 1024
+
+
+@pytest.mark.parametrize("index", [3, 99, -1])
+def test_fault_scan_rejects_instruction_out_of_range(index):
+    c = StabCircuit(2)
+    for q in range(2):
+        c.append("R", (q,))
+    c.append("M", (0, 1))
+    sites = [FaultSite(0, ((0, "X"),)), FaultSite(index, ((1, "Z"),))]
+    with pytest.raises(IndexError, match="fault site 1: no instruction"):
+        fault_scan(c, sites)
+
+
+@pytest.mark.parametrize("qubit", [2, -1])
+def test_fault_scan_rejects_qubit_out_of_range(qubit):
+    c = StabCircuit(2)
+    c.append("M", (0, 1))
+    sites = [FaultSite(0, ((1, "Z"),)), FaultSite(0, ((0, "X"), (qubit, "Y")))]
+    with pytest.raises(IndexError, match="fault site 1: qubit"):
+        fault_scan(c, sites)
+
+
+@pytest.mark.parametrize("letter", ["x", "I", "XZ", ""])
+def test_fault_scan_rejects_unknown_pauli_letter(letter):
+    c = StabCircuit(2)
+    c.append("M", (0, 1))
+    sites = [FaultSite(0, ((1, "Z"),)), FaultSite(0, ((0, letter),))]
+    with pytest.raises(ValueError, match="fault site 1: Pauli"):
+        fault_scan(c, sites)
