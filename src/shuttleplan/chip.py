@@ -9,8 +9,9 @@ ids are plain tuples so they can key dictionaries and sort deterministically:
     ("channel", x1, y1, x2, y2)   with (x1, y1) < (x2, y2)
 
 Alternative tilings (e.g. hexagonal) can be supported by passing any object
-with the same ``neighbors``/``channel_id``/``components`` surface to the
-planner; only the square grid is implemented here.
+with the same ``cells``/``neighbors``/``components``/``require_in_bounds``
+surface to the planner, which indexes a layout once and keys the index by a
+weak reference to it; only the square grid is implemented here.
 """
 
 from __future__ import annotations

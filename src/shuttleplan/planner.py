@@ -22,9 +22,27 @@ heuristic charges the pending gates and displaces plus the shuttle time of
 unordered targets). The heuristic is therefore admissible and the returned
 route is time-optimal for the reservations it was planned against.
 
+Components are searched as dense int ids. ``layout_index`` ranks a layout's
+components in tuple sort order, so id order is component order and the heap
+entries (f, h, (id, interval, mask)) tie-break exactly as they would on
+component tuples. The index also holds each id's kind, cell number, (channel
+id, neighbour id) links and other-layer ids. It is built once per layout and
+kept in a ``WeakKeyDictionary`` keyed by the layout, so it lives as long as
+the layout does and refers to no search. Ids become component tuples again
+only in the returned ``PlanResult`` and in ``route_successors`` and
+``route_heuristic``.
+
+The remaining-travel term of the heuristic depends on the cell and the
+pending mask alone. A search computes it for every cell of the chip the
+first time it meets a pending mask, as one numpy row from
+``OpenPathTable.min_distances``, so the heuristic is a list lookup plus the
+gate and displace charges of the state's own layer. Past ``EXACT_LIMIT`` the
+row is filled lazily, one ``min_distance`` per cell queried.
+
 Safe intervals are read as parallel tuples of starts and ends from
 ``ReservationTable.safe_bounds``, which the table caches per component until
-its next reserve or release there. Successor generation skips intervals by
+its next reserve or release there; a search reads them for every component
+once, into a list by id. Successor generation skips intervals by
 bisection. No move from time g arrives before g + t (t the shuttle or
 displace duration), so every destination interval ending at or before that
 arrival is dead, and so is every channel interval ending before
@@ -37,10 +55,13 @@ successors and their order are those of a scan from index 0.
 from __future__ import annotations
 
 import heapq
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from time import perf_counter
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .chip import (Cell, ChipLayout, ComponentId, Kind, TimingConfig,
                    channel_id, interaction_id, intersection_id, readout_id)
@@ -55,7 +76,7 @@ class PlanFailure(RuntimeError):
 
 
 class SearchState(NamedTuple):
-    """Search key; tuple order makes heap tie-breaks deterministic."""
+    """A search state as the public API shows it, with a component tuple."""
 
     comp: ComponentId
     interval: int
@@ -104,6 +125,7 @@ class PlanStats:
     stale_pops: int = 0      # pops superseded by an earlier arrival
     h_cache_hits: int = 0
     h_cache_misses: int = 0  # heuristic evaluations actually computed
+    seconds: float = 0.0     # wall time of plan_route
 
 
 @dataclass
@@ -113,6 +135,65 @@ class PlanResult:
     parked_time: int             # g at the goal (terminal pad not included)
     start_comp: ComponentId
     stats: PlanStats = field(default_factory=PlanStats)
+
+
+class LayoutIndex:
+    """Dense ids for the components of one layout, in tuple sort order.
+
+    Per id i: ``comps[i]`` is the component, ``kinds[i]`` its kind string,
+    ``cell_no[i]`` the position of its cell in ``cells`` (None for a
+    channel), ``links[i]`` the (channel id, neighbour intersection id) pairs
+    of an intersection in ``layout.neighbors`` order, and ``layers[i]`` the
+    ids of the other layers of its cell in intersection, interaction,
+    readout order. ``xs`` and ``ys`` hold the coordinates of ``cells``.
+    """
+
+    def __init__(self, layout: ChipLayout):
+        self.comps = sorted(layout.components())
+        self.id_of = {comp: i for i, comp in enumerate(self.comps)}
+        self.cells = list(layout.cells())
+        self.cell_number = {cell: k for k, cell in enumerate(self.cells)}
+        self.xs = np.array([x for x, _ in self.cells], dtype=np.int64)
+        self.ys = np.array([y for _, y in self.cells], dtype=np.int64)
+        self.kinds = [comp[0] for comp in self.comps]
+        self.cell_no: list[Optional[int]] = []
+        self.links: list[tuple] = []
+        self.layers: list[tuple] = []
+        id_of = self.id_of
+        for comp in self.comps:
+            if comp[0] == Kind.CHANNEL.value:
+                self.cell_no.append(None)
+                self.links.append(())
+                self.layers.append(())
+                continue
+            cell = (comp[1], comp[2])
+            self.cell_no.append(self.cell_number[cell])
+            links = ()
+            if comp[0] == Kind.INTERSECTION.value:
+                links = tuple((id_of[channel_id(cell, nb)],
+                               id_of[intersection_id(nb)])
+                              for nb in layout.neighbors(cell))
+            self.links.append(links)
+            self.layers.append(tuple(id_of[dest] for dest in
+                                     (b(cell) for b in _LAYER_BUILDERS)
+                                     if dest != comp))
+
+    def id(self, comp: ComponentId) -> int:
+        try:
+            return self.id_of[comp]
+        except KeyError:
+            raise ValueError(f"{comp} is not a component of the layout") from None
+
+
+_INDEXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def layout_index(layout: ChipLayout) -> LayoutIndex:
+    """The layout's ``LayoutIndex``, built on first use and kept with it."""
+    index = _INDEXES.get(layout)
+    if index is None:
+        index = _INDEXES[layout] = LayoutIndex(layout)
+    return index
 
 
 class _Memo(dict):
@@ -130,99 +211,47 @@ class _Memo(dict):
 class _Search:
     def __init__(self, layout: ChipLayout, table: ReservationTable,
                  timing: TimingConfig, req: PlanRequest):
+        for cell in (req.start_cell, *req.targets):
+            layout.require_in_bounds(cell)
+        target_of = {cell: j for j, cell in enumerate(req.targets)}
+        if len(target_of) != len(req.targets):
+            raise ValueError("duplicate target cells in one task")
+        self.index = index = layout_index(layout)
         self.table = table
         self.timing = timing
         self.req = req
         self.full = (1 << len(req.targets)) - 1
-        self.cell_of = {cell: j for j, cell in enumerate(req.targets)}
-        if len(self.cell_of) != len(req.targets):
-            raise ValueError("duplicate target cells in one task")
+        # target index by cell number, and by the id of its interaction zone
+        self.target_at = {index.cell_number[c]: j for c, j in target_of.items()}
+        self.gate_at = {index.id_of[interaction_id(c)]: j
+                        for c, j in target_of.items()}
+        self.windows = [req.gate_windows.get(c, 0) for c in req.targets]
         # per-search memos, read by subscript in the hot loop (cheaper than a
         # method call); their builders must not hold self, or each search
         # would linger in a reference cycle until the next collection
-        self.bounds = _Memo(table.safe_bounds)
-        self.moves = _Memo(partial(_cell_moves, layout))
-        self._tours = OpenPathTable(req.targets, req.ordered)
+        size = len(index.comps)
+        self.h_rows = _Memo(lambda mask: [None] * size)  # mask -> h per id
+        self.travel = _Memo(_travel_rows(index, timing, req))
 
-    # -- successor generation ------------------------------------------------
-
-    def successors(self, state: tuple, g: int):
-        """Yield (state, arrival, action) for all reachable transitions."""
-        comp, interval, mask = state
-        t_shuttle = self.timing.t_shuttle
-        t_displace = self.timing.t_displace
-        bounds = self.bounds
-        hi = bounds[comp][1][interval]
-        cell, links, layers = self.moves[comp]
-
-        arr_min = g + t_shuttle
-        for ch, dest in links:
-            starts, ends = bounds[dest]
-            ch_starts, ch_ends = bounds[ch]
-            first_ch = bisect_left(ch_ends, arr_min)
-            for dj in range(bisect_right(ends, arr_min), len(ends)):
-                lo_dep = starts[dj] - t_shuttle
-                if lo_dep < g:
-                    lo_dep = g
-                if lo_dep > hi:
-                    break  # later destination intervals depart later still
-                end = ends[dj]
-                for ci in range(first_ch, len(ch_ends)):
-                    dep = ch_starts[ci]
-                    if dep < lo_dep:
-                        dep = lo_dep
-                    arr = dep + t_shuttle
-                    if dep > hi or arr >= end:
-                        break  # later channel intervals only delay further
-                    if arr > ch_ends[ci]:
-                        continue  # channel window too short, try the next
-                    yield (dest, dj, mask), arr, ("shuttle", ch, dep)
-                    break
-
-        arr_min = g + t_displace
-        for dest in layers:
-            starts, ends = bounds[dest]
-            for dj in range(bisect_right(ends, arr_min), len(ends)):
-                dep = starts[dj]
-                if dep < g:
-                    dep = g
-                arr = dep + t_displace
-                if arr > hi:
-                    break  # source must stay safe through the displace
-                if arr >= ends[dj]:
-                    continue  # interval too short to arrive inside it
-                yield (dest, dj, mask), arr, ("displace", comp, dest, dep)
-
-        if comp[0] == "interaction":
-            j = self._gate_target(cell, mask)
-            if j is not None:
-                start = max(g, self.req.gate_windows.get(cell, 0))
-                done = start + self.req.gate_duration
-                if done <= hi:
-                    yield ((comp, interval, mask | (1 << j)), done,
-                           ("gate", comp, start, j))
-
-    def _gate_target(self, cell: Cell, mask: int) -> Optional[int]:
-        """Target index gateable at cell under mask, or None."""
-        j = self.cell_of.get(cell)
-        if j is None or mask & (1 << j):
+    def _gate_target(self, j: Optional[int], mask: int) -> Optional[int]:
+        """j if target j may be gated next under mask, else None."""
+        if j is None or mask >> j & 1:
             return None
-        if self.req.ordered and j != bin(mask).count("1"):
+        if self.req.ordered and j != mask.bit_count():
             return None
         return j
 
     # -- heuristic -----------------------------------------------------------
 
-    def heuristic(self, comp: ComponentId, mask: int) -> int:
+    def heuristic(self, sid: int, mask: int) -> int:
         t = self.timing
-        kind = comp[0]
+        kind = self.index.kinds[sid]
         pending = self.full & ~mask
         if pending == 0:
             return 0 if kind == "readout" else t.t_displace
-        cell = (comp[1], comp[2])
-        stop_cost = self.req.gate_duration + 2 * t.t_displace
+        k = self.index.cell_no[sid]
         cost = 0
-        j = self._gate_target(cell, mask)
+        j = self._gate_target(self.target_at.get(k), mask)
         if kind == "interaction" and j is not None:
             cost += self.req.gate_duration + t.t_displace
             pending &= ~(1 << j)
@@ -230,9 +259,7 @@ class _Search:
                 return cost
         elif kind == "readout" and j is None:
             cost += t.t_displace
-        cost += self._tours.min_distance(cell, pending) * t.t_shuttle
-        cost += bin(pending).count("1") * stop_cost
-        return cost
+        return cost + self.travel[pending][k]
 
     # -- A* ------------------------------------------------------------------
 
@@ -245,20 +272,47 @@ class _Search:
         start_si = self.table.interval_containing(start_comp, req.start_time)
         if start_si is None:
             raise PlanFailure(f"start {start_comp} occupied at t={req.start_time}")
-        start = (start_comp, start_si.index, 0)
+        start = (self.index.id_of[start_comp], start_si.index, 0)
+        goal, g_best, parents, stats = self.search(start, req.start_time)
+        if goal is None:
+            raise PlanFailure(
+                f"no route from {start_comp} over {len(req.targets)} targets")
+        result = self._extract(goal, parents, g_best)
+        result.stats = stats
+        return result
 
+    def search(self, start: tuple, g0: int, expand_only: bool = False):
+        """A* from start at time g0: (goal or None, g_best, parents, stats).
+
+        Successors are generated inline, as (dest id, interval, mask) with
+        their earliest arrival; ``parents`` maps each reached state to the
+        state it was reached from. With ``expand_only`` the start is
+        expanded, never tested as a goal, and the search stops, so
+        ``parents`` lists the start's successors in generation order.
+        """
         full = self.full
-        pad = req.terminal_pad
-        bounds = self.bounds
-        successors = self.successors
+        pad = self.req.terminal_pad
+        gate = self.req.gate_duration
+        t_shuttle = self.timing.t_shuttle
+        t_displace = self.timing.t_displace
+        kinds, links, layers = self.index.kinds, self.index.links, self.index.layers
+        # the table does not change during a search: read every component's
+        # safe bounds once, into a list by id
+        bounds = list(map(self.table.safe_bounds, self.index.comps))
+        gate_at_get = self.gate_at.get
+        gate_target = self._gate_target
+        windows = self.windows
         heuristic = self.heuristic
-        h_cache: dict[tuple[ComponentId, int], int] = {}
+        h_rows = self.h_rows
         heappush, heappop = heapq.heappush, heapq.heappop
-        g_best: dict[tuple, int] = {start: req.start_time}
-        parents: dict[tuple, tuple[tuple, tuple]] = {}
-        h0 = h_cache[start_comp, 0] = heuristic(start_comp, 0)
-        open_heap: list[tuple] = [(req.start_time + h0, h0, start)]
+        g_best: dict[tuple, int] = {start: g0}
+        g_best_get = g_best.get
+        parents: dict[tuple, tuple] = {}
+        h0 = h_rows[start[2]][start[0]] = heuristic(start[0], start[2])
+        open_heap: list[tuple] = [(g0 + h0, h0, start)]
         pops = pushes = stale = 0
+        misses = 1
+        goal = None
         while open_heap:
             f, h, state = heappop(open_heap)
             pops += 1
@@ -266,95 +320,164 @@ class _Search:
             if f - h != g:
                 stale += 1
                 continue  # stale entry, a cheaper arrival was queued later
-            comp, interval, mask = state
-            if (mask == full and comp[0] == "readout"
-                    and g + pad <= bounds[comp][1][interval]):
-                result = self._extract(state, parents, g_best)
-                misses = len(h_cache)
-                result.stats = PlanStats(
-                    pops=pops, pushes=pushes, stale_pops=stale,
-                    h_cache_hits=pushes + 1 - misses, h_cache_misses=misses)
-                return result
-            for nxt, arr, action in successors(state, g):
-                if arr < g_best.get(nxt, _INFINITE):
-                    g_best[nxt] = arr
-                    parents[nxt] = (state, action)
-                    key = (nxt[0], nxt[2])
-                    nh = h_cache.get(key)
-                    if nh is None:
-                        nh = h_cache[key] = heuristic(*key)
-                    heappush(open_heap, (arr + nh, nh, nxt))
-                    pushes += 1
-        raise PlanFailure(
-            f"no route from {start_comp} over {len(req.targets)} targets")
+            sid, interval, mask = state
+            hi = bounds[sid][1][interval]
+            if (mask == full and kinds[sid] == "readout" and g + pad <= hi
+                    and not expand_only):
+                goal = state
+                break
+            row = h_rows[mask]
+
+            arr_min = g + t_shuttle
+            for ch, dest in links[sid]:
+                starts, ends = bounds[dest]
+                ch_starts, ch_ends = bounds[ch]
+                first_ch = bisect_left(ch_ends, arr_min)
+                for dj in range(bisect_right(ends, arr_min), len(ends)):
+                    lo_dep = starts[dj] - t_shuttle
+                    if lo_dep < g:
+                        lo_dep = g
+                    if lo_dep > hi:
+                        break  # later destination intervals depart later still
+                    end = ends[dj]
+                    for ci in range(first_ch, len(ch_ends)):
+                        dep = ch_starts[ci]
+                        if dep < lo_dep:
+                            dep = lo_dep
+                        arr = dep + t_shuttle
+                        if dep > hi or arr >= end:
+                            break  # later channel intervals only delay further
+                        if arr > ch_ends[ci]:
+                            continue  # channel window too short, try the next
+                        nxt = (dest, dj, mask)
+                        if arr < g_best_get(nxt, _INFINITE):
+                            g_best[nxt] = arr
+                            parents[nxt] = state
+                            nh = row[dest]
+                            if nh is None:
+                                nh = row[dest] = heuristic(dest, mask)
+                                misses += 1
+                            heappush(open_heap, (arr + nh, nh, nxt))
+                            pushes += 1
+                        break
+
+            arr_min = g + t_displace
+            for dest in layers[sid]:
+                starts, ends = bounds[dest]
+                for dj in range(bisect_right(ends, arr_min), len(ends)):
+                    dep = starts[dj]
+                    if dep < g:
+                        dep = g
+                    arr = dep + t_displace
+                    if arr > hi:
+                        break  # source must stay safe through the displace
+                    if arr >= ends[dj]:
+                        continue  # interval too short to arrive inside it
+                    nxt = (dest, dj, mask)
+                    if arr < g_best_get(nxt, _INFINITE):
+                        g_best[nxt] = arr
+                        parents[nxt] = state
+                        nh = row[dest]
+                        if nh is None:
+                            nh = row[dest] = heuristic(dest, mask)
+                            misses += 1
+                        heappush(open_heap, (arr + nh, nh, nxt))
+                        pushes += 1
+
+            j = gate_at_get(sid)
+            if j is not None and gate_target(j, mask) is not None:
+                done = (g if g > windows[j] else windows[j]) + gate
+                if done <= hi:
+                    nmask = mask | (1 << j)
+                    nxt = (sid, interval, nmask)
+                    if done < g_best_get(nxt, _INFINITE):
+                        g_best[nxt] = done
+                        parents[nxt] = state
+                        nrow = h_rows[nmask]
+                        nh = nrow[sid]
+                        if nh is None:
+                            nh = nrow[sid] = heuristic(sid, nmask)
+                            misses += 1
+                        heappush(open_heap, (done + nh, nh, nxt))
+                        pushes += 1
+            if expand_only:
+                break
+        stats = PlanStats(pops=pops, pushes=pushes, stale_pops=stale,
+                          h_cache_hits=pushes + 1 - misses,
+                          h_cache_misses=misses)
+        return goal, g_best, parents, stats
 
     def _extract(self, goal: tuple, parents, g_best) -> PlanResult:
+        """Steps along the parent chain; each move is read off its two ends."""
         t = self.timing
+        index = self.index
+        comps = index.comps
         chain = []
         state = goal
         while state in parents:
-            prev, action = parents[state]
-            chain.append((action, g_best[state]))
-            state = prev
+            chain.append(state)
+            state = parents[state]
         chain.reverse()
 
         steps: list[PathStep] = []
-        rest_comp = state[0]  # where the ancilla is resting between actions
+        origin = prev = state
         cursor = self.req.start_time
-        for action, arrival in chain:
-            if action[0] == "shuttle":
-                _, ch, dep = action
-                if dep > cursor:
-                    steps.append(PathStep("WAIT", cursor, dep - cursor, rest_comp))
-                steps.append(PathStep("SHUTTLE", dep, t.t_shuttle, ch))
-                dest_cell = _other_end(ch, (rest_comp[1], rest_comp[2]))
-                rest_comp = intersection_id(dest_cell)
-            elif action[0] == "displace":
-                _, src, dst, dep = action
-                if dep > cursor:
-                    steps.append(PathStep("WAIT", cursor, dep - cursor, rest_comp))
-                steps.append(PathStep("DISPLACE", dep, t.t_displace, src, dest=dst))
-                rest_comp = dst
+        for state in chain:
+            arrival = g_best[state]
+            (pid, _, pmask), (sid, _, mask) = prev, state
+            if mask != pmask:
+                step = PathStep("GATE", arrival - self.req.gate_duration,
+                                self.req.gate_duration, comps[sid],
+                                target=(mask ^ pmask).bit_length() - 1)
+            elif sid in index.layers[pid]:
+                step = PathStep("DISPLACE", arrival - t.t_displace,
+                                t.t_displace, comps[pid], dest=comps[sid])
             else:
-                _, comp, start, j = action
-                if start > cursor:
-                    steps.append(PathStep("WAIT", cursor, start - cursor, rest_comp))
-                steps.append(PathStep("GATE", start, self.req.gate_duration,
-                                      comp, target=j))
+                ch = next(c for c, dest in index.links[pid] if dest == sid)
+                step = PathStep("SHUTTLE", arrival - t.t_shuttle, t.t_shuttle,
+                                comps[ch])
+            if step.start > cursor:
+                steps.append(PathStep("WAIT", cursor, step.start - cursor,
+                                      comps[pid]))
+            steps.append(step)
             cursor = arrival
-        return PlanResult(steps=steps, parked=goal[0], parked_time=cursor,
-                          start_comp=state[0])
+            prev = state
+        return PlanResult(steps=steps, parked=comps[goal[0]],
+                          parked_time=cursor, start_comp=comps[origin[0]])
 
 
 _INFINITE = float("inf")
 
 
-def _cell_moves(layout: ChipLayout, comp: ComponentId) -> tuple:
-    """(cell, (channel, neighbour intersection) pairs, other layers)."""
-    cell = (comp[1], comp[2])
-    links = ()
-    if comp[0] == "intersection":
-        links = tuple((channel_id(cell, nb), intersection_id(nb))
-                      for nb in layout.neighbors(cell))
-    layers = tuple(dest for dest in (b(cell) for b in _LAYER_BUILDERS)
-                   if dest != comp)
-    return cell, links, layers
+def _travel_rows(index: LayoutIndex, timing: TimingConfig, req: PlanRequest):
+    """Builder of the pending mask -> per-cell travel-plus-stops row."""
+    tours = OpenPathTable(req.targets, req.ordered)
+    stop_cost = req.gate_duration + 2 * timing.t_displace
+    t_shuttle = timing.t_shuttle
+    if tours.exact:
+        xs, ys = index.xs, index.ys
 
+        def row(pending: int) -> list[int]:
+            dist = tours.min_distances(xs, ys, pending)
+            return (dist * t_shuttle
+                    + pending.bit_count() * stop_cost).tolist()
+    else:
+        cells = index.cells
 
-def _other_end(channel: ComponentId, cell: Cell) -> Cell:
-    a = (channel[1], channel[2])
-    b = (channel[3], channel[4])
-    if cell == a:
-        return b
-    if cell == b:
-        return a
-    raise ValueError(f"{cell} is not an endpoint of {channel}")
+        def row(pending: int) -> _Memo:
+            stops = pending.bit_count() * stop_cost
+            return _Memo(lambda k: tours.min_distance(cells[k], pending)
+                         * t_shuttle + stops)
+    return row
 
 
 def plan_route(layout: ChipLayout, table: ReservationTable,
                timing: TimingConfig, request: PlanRequest) -> PlanResult:
     """Search a time-optimal route for one ancilla; raises PlanFailure."""
-    return _Search(layout, table, timing, request).run()
+    began = perf_counter()
+    result = _Search(layout, table, timing, request).run()
+    result.stats.seconds = perf_counter() - began
+    return result
 
 
 def route_successors(layout: ChipLayout, table: ReservationTable,
@@ -362,8 +485,11 @@ def route_successors(layout: ChipLayout, table: ReservationTable,
                      state: SearchState, g: int):
     """Successor states with earliest arrivals, exposed for inspection."""
     search = _Search(layout, table, timing, request)
-    return [(SearchState(*nxt), arr)
-            for nxt, arr, _ in search.successors(state, g)]
+    comps = search.index.comps
+    start = (search.index.id(state.comp), state.interval, state.mask)
+    _, g_best, parents, _ = search.search(start, g, expand_only=True)
+    return [(SearchState(comps[nxt[0]], nxt[1], nxt[2]), g_best[nxt])
+            for nxt in parents]
 
 
 def route_heuristic(layout: ChipLayout, table: ReservationTable,
@@ -371,4 +497,4 @@ def route_heuristic(layout: ChipLayout, table: ReservationTable,
                     state: SearchState) -> int:
     """Admissible remaining-cost estimate for a search state."""
     search = _Search(layout, table, timing, request)
-    return search.heuristic(state.comp, state.mask)
+    return search.heuristic(search.index.id(state.comp), state.mask)

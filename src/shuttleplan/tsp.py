@@ -12,9 +12,15 @@ from each ancilla's home as the ideal shuttle count.
 * Beyond ``EXACT_LIMIT`` unordered targets the bound is the weight of a
   minimum spanning tree over the origin and the pending cells. Every open
   path through them is a spanning tree, so the bound never overestimates.
+
+The two exact tables also answer ``min_distances``: the bound for one
+pending set from many origins at once, as one numpy pass over the pending
+targets. The spanning-tree bound is queried one origin at a time.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .chip import Cell
 
@@ -41,20 +47,22 @@ class OpenPathTable:
     Ordered: ``suffix[j]`` is the travel from target j through the last one.
     Unordered: ``best[mask][j]`` is the cheapest open path visiting exactly
     the targets in ``mask`` when entered at target j (j must be in mask).
-    ``EXACT_LIMIT`` is read when the table is built.
+    ``EXACT_LIMIT`` is read when the table is built; ``exact`` is False when
+    it was exceeded and the bound is the spanning-tree weight.
     """
 
     def __init__(self, targets: list[Cell], ordered: bool):
         self.targets = list(targets)
         self._suffix = self._best = None
         m = len(targets)
+        self.exact = ordered or m <= EXACT_LIMIT
         if ordered:
             suffix = [0] * m
             for j in range(m - 2, -1, -1):
                 suffix[j] = suffix[j + 1] + manhattan(targets[j], targets[j + 1])
             self._suffix = suffix
             return
-        if m > EXACT_LIMIT:
+        if not self.exact:
             return
         dist = [[manhattan(a, b) for b in targets] for a in targets]
         best = [[None] * m for _ in range(1 << m)]
@@ -104,6 +112,28 @@ class OpenPathTable:
             if cand is None or val < cand:
                 cand = val
         return cand
+
+    def min_distances(self, xs: np.ndarray, ys: np.ndarray,
+                      mask: int) -> np.ndarray:
+        """``min_distance((xs[k], ys[k]), mask)`` for every k, as int64.
+
+        Only exact tables answer this; past ``EXACT_LIMIT`` query
+        ``min_distance`` per origin.
+        """
+        if not self.exact:
+            raise ValueError("the spanning-tree bound is computed per origin")
+        if mask == 0:
+            return np.zeros(len(xs), dtype=np.int64)
+        if self._suffix is not None:
+            j = (mask & -mask).bit_length() - 1
+            tx, ty = self.targets[j]
+            return np.abs(xs - tx) + np.abs(ys - ty) + self._suffix[j]
+        pending = [j for j in range(len(self.targets)) if mask >> j & 1]
+        tx, ty, rest = np.array([(*self.targets[j], self._best[mask][j])
+                                 for j in pending]).T
+        legs = (np.abs(xs - tx[:, None]) + np.abs(ys - ty[:, None])
+                + rest[:, None])
+        return legs.min(axis=0)
 
 
 def _spanning_tree_weight(origin: Cell, cells: list[Cell]) -> int:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's search machinery: the
 route oracle walks a fully time-discretized graph at 100 ns grain, the
-static oracle is a plain Dijkstra over (component, done-mask) with no
-reservations, the tour oracle enumerates permutations, and the frame oracle
-pushes one fault at a time through a circuit as sets of qubits.
+successor oracle scans every safe interval from index 0, the static oracle
+is a plain Dijkstra over (component, done-mask) with no reservations, the
+tour oracle enumerates permutations, and the frame oracle pushes one fault
+at a time through a circuit as sets of qubits.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 from shuttleplan.chip import (ChipLayout, Kind, TimingConfig, channel_id,
                               interaction_id, intersection_id, readout_id)
-from shuttleplan.planner import PlanRequest
+from shuttleplan.intervals import ReservationTable
+
+if TYPE_CHECKING:
+    from shuttleplan.planner import PlanRequest
 
 GRAIN = 100
 
@@ -154,6 +159,52 @@ class RouteOracle:
                     seen.add(key)
                     heapq.heappush(heap, (arr, dest, nmask))
         return None
+
+
+def scan_successors(layout: ChipLayout, table: ReservationTable,
+                    timing: TimingConfig, request: PlanRequest,
+                    comp, interval: int, mask: int, g: int) -> list:
+    """((comp, interval, mask), arrival) out of a state reached at time g.
+
+    Scans every safe interval of every destination and channel from index
+    0 and keeps, per destination interval, the earliest feasible arrival:
+    shuttles in ``layout.neighbors`` order, then displaces to the other
+    layers in intersection, interaction, readout order, then the gate.
+    """
+    hi = table.safe_intervals(comp)[interval].span.end
+    cell = (comp[1], comp[2])
+    out = []
+    if comp[0] == Kind.INTERSECTION.value:
+        for nb in layout.neighbors(cell):
+            channel = table.safe_intervals(channel_id(cell, nb))
+            dest = intersection_id(nb)
+            for dest_si in table.safe_intervals(dest):
+                arrivals = []
+                for ch_si in channel:
+                    dep = max(g, ch_si.span.start,
+                              dest_si.span.start - timing.t_shuttle)
+                    arr = dep + timing.t_shuttle
+                    if (dep <= hi and arr <= ch_si.span.end
+                            and arr < dest_si.span.end):
+                        arrivals.append(arr)
+                if arrivals:
+                    out.append(((dest, dest_si.index, mask), min(arrivals)))
+    for build in _LAYERS:
+        dest = build(cell)
+        if dest == comp:
+            continue
+        for dest_si in table.safe_intervals(dest):
+            arr = max(g, dest_si.span.start) + timing.t_displace
+            if arr <= hi and arr < dest_si.span.end:
+                out.append(((dest, dest_si.index, mask), arr))
+    j = {c: j for j, c in enumerate(request.targets)}.get(cell)
+    if (comp[0] == Kind.INTERACTION.value and j is not None
+            and not mask & (1 << j)
+            and (not request.ordered or j == bin(mask).count("1"))):
+        done = max(g, request.gate_windows.get(cell, 0)) + request.gate_duration
+        if done <= hi:
+            out.append(((comp, interval, mask | (1 << j)), done))
+    return out
 
 
 def static_remaining_cost(layout: ChipLayout, timing: TimingConfig,

@@ -1,4 +1,5 @@
 import gc
+import heapq
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from shuttleplan.chip import (Kind, TimingConfig, build_grid, channel_id,
                               interaction_id, intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable, TimeInterval
 from shuttleplan.planner import (PlanFailure, PlanRequest, SearchState,
-                                 plan_route, route_heuristic,
+                                 layout_index, plan_route, route_heuristic,
                                  route_successors)
-from oracles import RouteOracle, static_remaining_cost
+from oracles import RouteOracle, scan_successors, static_remaining_cost
 
 TIMING = TimingConfig()
 
@@ -107,6 +108,49 @@ def test_search_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_plan_stats_record_wall_time():
+    layout = build_grid(3, 3)
+    result = plan_route(layout, ReservationTable(), TIMING,
+                        request((0, 0), [(2, 2)]))
+    assert 0 < result.stats.seconds < 60
+
+
+def test_off_chip_start_is_rejected():
+    layout = build_grid(3, 3)
+    with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+        plan_route(layout, ReservationTable(), TIMING,
+                   request((-1, 0), [(1, 1)]))
+
+
+def test_off_chip_target_is_rejected():
+    layout = build_grid(3, 3)
+    with pytest.raises(ValueError, match=r"\(1, 3\)"):
+        plan_route(layout, ReservationTable(), TIMING,
+                   request((0, 0), [(1, 1), (1, 3)]))
+
+
+def test_state_off_the_layout_is_rejected():
+    layout = build_grid(3, 3)
+    req = request((0, 0), [(1, 1)])
+    state = SearchState(readout_id((3, 0)), 0, 0)
+    with pytest.raises(ValueError, match="not a component"):
+        route_heuristic(layout, ReservationTable(), TIMING, req, state)
+    with pytest.raises(ValueError, match="not a component"):
+        route_successors(layout, ReservationTable(), TIMING, req, state, 0)
+
+
+def test_layout_ids_follow_component_order():
+    """Dense ids rank components as tuples, so heap ties break alike."""
+    for w, h in ((1, 1), (2, 1), (1, 3), (4, 3), (5, 5)):
+        layout = build_grid(w, h)
+        index = layout_index(layout)
+        assert index.comps == sorted(layout.components())
+        assert layout_index(layout) is index
+        for i, comp in enumerate(index.comps):
+            assert index.id_of[comp] == i
+            assert index.kinds[i] == comp[0]
 
 
 def test_failure_when_start_occupied():
@@ -269,6 +313,63 @@ def test_heuristic_admissible_past_exact_limit(monkeypatch):
     check_heuristic_admissible()
 
 
+def scalar_heuristic(req, comp, mask) -> int:
+    """The heuristic for one state, straight from ``min_distance``."""
+    t = TIMING
+    tours = tsp.OpenPathTable(req.targets, req.ordered)
+    pending = ((1 << len(req.targets)) - 1) & ~mask
+    if pending == 0:
+        return 0 if comp[0] == "readout" else t.t_displace
+    cell = (comp[1], comp[2])
+    j = req.targets.index(cell) if cell in req.targets else None
+    if j is not None and (mask & (1 << j) or (
+            req.ordered and j != bin(mask).count("1"))):
+        j = None
+    cost = 0
+    if comp[0] == "interaction" and j is not None:
+        cost += req.gate_duration + t.t_displace
+        pending &= ~(1 << j)
+        if pending == 0:
+            return cost
+    elif comp[0] == "readout" and j is None:
+        cost += t.t_displace
+    stops = bin(pending).count("1") * (req.gate_duration + 2 * t.t_displace)
+    return cost + tours.min_distance(cell, pending) * t.t_shuttle + stops
+
+
+def check_heuristic_rows(ordered: bool, min_targets: int = 1) -> None:
+    """route_heuristic equals the scalar formula on every cell, layer, mask."""
+    rng = random.Random(7 + ordered)
+    for _ in range(6):
+        layout = build_grid(rng.randint(2, 4), rng.randint(2, 4))
+        cells = list(layout.cells())
+        targets = rng.sample(cells, rng.randint(min_targets, 4))
+        gate = TIMING.t_cx + (2 * TIMING.t_h if rng.random() < 0.5 else 0)
+        req = request(rng.choice(cells), targets, ordered=ordered, gate=gate)
+        for comp in layout.components():
+            if comp[0] == "channel":
+                continue
+            for mask in range(1 << len(targets)):
+                state = SearchState(comp, 0, mask)
+                assert route_heuristic(layout, ReservationTable(), TIMING,
+                                       req, state) == scalar_heuristic(
+                                           req, comp, mask), (state, req)
+
+
+def test_heuristic_rows_ordered():
+    check_heuristic_rows(ordered=True)
+
+
+def test_heuristic_rows_unordered():
+    check_heuristic_rows(ordered=False)
+
+
+def test_heuristic_rows_past_exact_limit(monkeypatch):
+    """Every task of 2+ unordered targets takes the lazy spanning-tree row."""
+    monkeypatch.setattr(tsp, "EXACT_LIMIT", 1)
+    check_heuristic_rows(ordered=False, min_targets=2)
+
+
 def check_heuristic_admissible():
     rng = random.Random(42)
     checked = 0
@@ -360,3 +461,73 @@ def test_route_matches_discretized_oracle():
 
 def test_route_matches_oracle_on_dense_tables():
     run_optimality_trials(30, seed=2024, instance=dense_instance)
+
+
+def oracle_reached_states(layout, table, req) -> dict:
+    """Earliest arrival of every state that a search reaches before its goal.
+
+    A best-first search on arrival time expanded with ``scan_successors``,
+    so the states it reaches do not depend on the planner.
+    """
+    builder = {Kind.INTERSECTION: intersection_id,
+               Kind.INTERACTION: interaction_id,
+               Kind.READOUT: readout_id}[req.start_kind]
+    start_comp = builder(req.start_cell)
+    start = (start_comp,
+             table.interval_containing(start_comp, req.start_time).index, 0)
+    full = (1 << len(req.targets)) - 1
+    g_best = {start: req.start_time}
+    heap = [(req.start_time, start)]
+    while heap:
+        g, state = heapq.heappop(heap)
+        if g > g_best[state]:
+            continue
+        comp, interval, mask = state
+        end = table.safe_intervals(comp)[interval].span.end
+        if mask == full and comp[0] == "readout" and g + req.terminal_pad <= end:
+            break
+        for nxt, arr in scan_successors(layout, table, TIMING, req, *state, g):
+            if arr < g_best.get(nxt, float("inf")):
+                g_best[nxt] = arr
+                heapq.heappush(heap, (arr, nxt))
+    return g_best
+
+
+def gapped_instance(rng):
+    """Reservations separated by gaps of about one shuttle or displace.
+
+    Gaps of exactly t_displace or t_shuttle put arrivals on interval ends.
+    """
+    layout, table, req = random_instance(rng, max_reservations=0)
+    home_ro = readout_id(req.start_cell)
+    comps = [c for c in layout.components() if c != home_ro]
+    last_end: dict = {}
+    for _ in range(rng.randint(6, 12)):
+        comp = rng.choice(comps)
+        if comp in last_end:
+            start = last_end[comp] + rng.choice((100, 200, 300, 1000, 1100))
+        else:
+            start = rng.randrange(0, 4000, 100)
+        end = start + rng.randrange(100, 1500, 100)
+        interval = TimeInterval(start, end)
+        if table.is_free(comp, interval):
+            table.reserve(comp, interval)
+            last_end[comp] = end
+    return layout, table, req
+
+
+def test_successors_match_full_scan_oracle():
+    """Bisected successors equal a scan from index 0, as sets and in order."""
+    rng = random.Random(77)
+    compared = 0
+    for trial in range(64):
+        instance = dense_instance if trial % 2 else gapped_instance
+        layout, table, req = instance(rng)
+        for state, g in oracle_reached_states(layout, table, req).items():
+            expected = scan_successors(layout, table, TIMING, req, *state, g)
+            got = route_successors(layout, table, TIMING, req,
+                                   SearchState(*state), g)
+            assert set(got) == set(expected), (state, g)
+            assert got == expected, (state, g)
+            compared += 1
+    assert compared > 2000

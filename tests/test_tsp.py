@@ -1,5 +1,8 @@
 import random
 
+import numpy as np
+import pytest
+
 from shuttleplan import tsp
 from shuttleplan.tsp import OpenPathTable, manhattan, solve_tsp
 from oracles import brute_force_open_path
@@ -65,6 +68,33 @@ def test_ordered_table_is_the_leg_sum_over_every_suffix():
             origin = (rng.randrange(8), rng.randrange(8))
             assert table.min_distance(origin, mask) == leg_sum(
                 origin, targets[first:])
+
+
+def test_min_distances_is_min_distance_per_origin():
+    """The row query equals the one-shot query at every origin and mask."""
+    rng = random.Random(8)
+    origins = [(x, y) for y in range(-1, 7) for x in range(-1, 7)]
+    xs = np.array([x for x, _ in origins], dtype=np.int64)
+    ys = np.array([y for _, y in origins], dtype=np.int64)
+    for ordered in (True, False):
+        for _ in range(10):
+            targets = random_targets(rng, rng.randint(1, 6), 6)
+            table = OpenPathTable(targets, ordered)
+            assert table.exact
+            for mask in range(1 << len(targets)):
+                row = table.min_distances(xs, ys, mask)
+                assert row.tolist() == [table.min_distance(o, mask)
+                                        for o in origins]
+
+
+def test_min_distances_refused_past_exact_limit(monkeypatch):
+    monkeypatch.setattr(tsp, "EXACT_LIMIT", 1)
+    table = OpenPathTable([(0, 0), (2, 1)], False)
+    assert not table.exact
+    with pytest.raises(ValueError):
+        table.min_distances(np.zeros(1, dtype=np.int64),
+                            np.zeros(1, dtype=np.int64), 0b11)
+    assert OpenPathTable([(0, 0), (2, 1)], True).exact
 
 
 def test_spanning_tree_bound_is_admissible(monkeypatch):
