@@ -353,10 +353,11 @@ def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
     period = schedule.round_makespan
     events: dict[int, list[Event]] = {}
     for aid, evs in schedule.events.items():
-        shifted: list[Event] = []
-        for r in range(rounds):
+        shifted = list(evs)  # events are frozen, so round 0 shares them
+        for r in range(1, rounds):
             offset = r * period
-            shifted.extend(replace(ev, t=ev.t + offset) for ev in evs)
+            shifted.extend(Event(ev.qubit, ev.kind, ev.t + offset, ev.duration,
+                                 ev.comp, ev.dest, ev.partner) for ev in evs)
         events[aid] = shifted
     return replace(schedule, events=events, rounds=rounds,
                    makespan=rounds * period)

@@ -53,6 +53,12 @@ def _fmt_num(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+_NOISE_OPS = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
+# instructions whose targets are qubits, and those taking qubit pairs
+_QUBIT_OPS = frozenset({"H", "CX", "R", "RX", "M", "MX", *_NOISE_OPS})
+_PAIR_OPS = ("CX", "DEPOLARIZE2")
+
+
 class StabCircuit:
     """Ordered instruction list with measurement bookkeeping."""
 
@@ -63,7 +69,20 @@ class StabCircuit:
 
     def append(self, name: str, targets: Iterable[int] = (),
                arg: Optional[tuple] = None, meta: Optional[dict] = None) -> None:
+        """Add one instruction; the only place an `Instruction` is built.
+
+        Raises ValueError for a CX or DEPOLARIZE2 with an odd number of
+        targets and for a gate, reset, measure or noise target outside
+        [0, num_qubits).
+        """
         targets = tuple(int(t) for t in targets)
+        if name in _QUBIT_OPS:
+            if name in _PAIR_OPS and len(targets) % 2:
+                raise ValueError(f"{name} needs target pairs, got {targets}")
+            if targets and not (0 <= min(targets)
+                                and max(targets) < self.num_qubits):
+                raise ValueError(f"{name} targets {targets} outside qubits "
+                                 f"0..{self.num_qubits - 1}")
         if name in ("M", "MX"):
             meta = dict(meta or {})
             meta["m_index"] = self.num_measurements
@@ -89,10 +108,9 @@ class StabCircuit:
 
     def noise_sites(self, **query) -> list[int]:
         """Instruction indices of noise annotations matching the meta query."""
-        names = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
         out = []
         for idx, instr in enumerate(self.instructions):
-            if instr.name not in names or instr.meta is None:
+            if instr.name not in _NOISE_OPS or instr.meta is None:
                 continue
             if all(instr.meta.get(k) == v for k, v in query.items()):
                 out.append(idx)
@@ -135,13 +153,12 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     def anc(a: int) -> int:
         return n + a
 
-    emissions: list[tuple[int, int, int, Instruction]] = []
-    seq_counter = [0]
+    # (time, qubit key, sequence number, name, targets, arg, meta); the
+    # sequence number is unique, so sorting never compares past it
+    emissions: list[tuple] = []
 
     def add(t: int, qkey: int, name: str, targets, arg=None, meta=None):
-        seq_counter[0] += 1
-        emissions.append((t, qkey, seq_counter[0],
-                          Instruction(name, tuple(targets), arg, meta)))
+        emissions.append((t, qkey, len(emissions), name, targets, arg, meta))
 
     def add_noise(t, qkey, name, targets, p, meta):
         if p > 0.0:
@@ -249,9 +266,9 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     for r in range(1, schedule.rounds + 1):
         add(r * period, -1, "TICK", ())
 
-    emissions.sort(key=lambda e: (e[0], e[1], e[2]))
-    for _, _, _, instr in emissions:
-        circuit.append(instr.name, instr.targets, instr.arg, instr.meta)
+    emissions.sort()
+    for _, _, _, name, targets, arg, meta in emissions:
+        circuit.append(name, targets, arg, meta)
 
     add_detectors(circuit, code, basis, logicals=logicals, schedule=schedule)
     return circuit

@@ -11,6 +11,15 @@ of whole rows, and a scan holds 8 * W * (2 * num_qubits + num_measurements)
 bytes. Detector and observable parities are XORs of packed measurement
 rows, unpacked to one uint8 per (site, detector) only at the end.
 
+Fault sites are flat int64 columns (`FaultSites`), never per-site objects:
+``index`` has one entry per site, the instruction it follows; each Pauli
+term of a site has one entry in ``term_site`` (the site's row, ascending),
+``term_qubit`` and ``term_bits`` (X 1, Z 2, Y 3). `sites_from_noise` builds
+them in one pass over the noise instructions from a per-channel template
+(X_ERROR and Z_ERROR 1 site, DEPOLARIZE1 3, DEPOLARIZE2 15), and the scan
+groups the terms with numpy alone. A site's provenance is the ``meta`` of
+the instruction it follows.
+
 The tableau is the standard destabilizer/stabilizer pair with one twist:
 the sign of every row is an affine GF(2) expression in the outcomes of the
 random measurements seen so far, tracked as (constant bit, bitmask over
@@ -21,67 +30,141 @@ repeated sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .emit import StabCircuit
 
-_NOISE_NAMES = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
-
 
 # ---------------------------------------------------------------------------
 # Pauli frame propagation, vectorized over fault sites
-
-
-@dataclass
-class FaultSite:
-    """One Pauli error injected right after an instruction."""
-
-    index: int                           # instruction index in the circuit
-    paulis: tuple[tuple[int, str], ...]  # ((qubit, "X"|"Y"|"Z"), ...)
-    meta: dict = field(default_factory=dict)
-
-
-def sites_from_noise(circuit: StabCircuit,
-                     indices: Optional[Iterable[int]] = None) -> list[FaultSite]:
-    """Expand noise instructions into their possible single-fault Paulis."""
-    if indices is None:
-        indices = [i for i, instr in enumerate(circuit.instructions)
-                   if instr.name in _NOISE_NAMES]
-    sites: list[FaultSite] = []
-    for idx in indices:
-        instr = circuit.instructions[idx]
-        meta = dict(instr.meta or {})
-        if instr.name == "X_ERROR":
-            for q in instr.targets:
-                sites.append(FaultSite(idx, ((q, "X"),), meta))
-        elif instr.name == "Z_ERROR":
-            for q in instr.targets:
-                sites.append(FaultSite(idx, ((q, "Z"),), meta))
-        elif instr.name == "DEPOLARIZE1":
-            for q in instr.targets:
-                for p in "XYZ":
-                    sites.append(FaultSite(idx, ((q, p),), meta))
-        elif instr.name == "DEPOLARIZE2":
-            pairs = zip(instr.targets[::2], instr.targets[1::2])
-            for a, b in pairs:
-                for two in (x + y for x in "IXYZ" for y in "IXYZ"):
-                    if two == "II":
-                        continue
-                    paulis = tuple((q, p) for q, p in ((a, two[0]), (b, two[1]))
-                                   if p != "I")
-                    sites.append(FaultSite(idx, paulis, meta))
-        else:
-            raise ValueError(f"instruction {instr.name} is not a noise channel")
-    return sites
 
 
 # Pauli letter -> bit 0 (X component) | bit 1 (Z component)
 _PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
 # instructions that change a frame; everything else leaves it alone
 _FRAME_GATES = ("H", "CX", "R", "RX", "M", "MX")
+
+
+# noise channel -> (targets per application, Paulis of its sites in order)
+_CHANNELS = {
+    "X_ERROR": (1, ("X",)),
+    "Z_ERROR": (1, ("Z",)),
+    "DEPOLARIZE1": (1, ("X", "Y", "Z")),
+    "DEPOLARIZE2": (2, tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]),
+}
+_KIND = {name: k for k, name in enumerate(_CHANNELS)}
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each run of `counts` starts."""
+    return np.cumsum(counts) - counts
+
+
+def _templates() -> tuple[np.ndarray, ...]:
+    """Per channel kind: arity, site count, term count and first template
+    term; then the template terms of every kind, concatenated in kind order:
+    site within one application, target slot, X/Z bits."""
+    arity, sites, terms, rows = [], [], [], []
+    for width, paulis in _CHANNELS.values():
+        kind_rows = [(s, slot, _PAULI_BITS[p]) for s, word in enumerate(paulis)
+                     for slot, p in enumerate(word) if p != "I"]
+        arity.append(width)
+        sites.append(len(paulis))
+        terms.append(len(kind_rows))
+        rows.extend(kind_rows)
+    terms = np.array(terms, dtype=np.int64)
+    return (np.array(arity, dtype=np.int64), np.array(sites, dtype=np.int64),
+            terms, _offsets(terms), *np.array(rows, dtype=np.int64).T)
+
+
+(_ARITY, _SITES, _TERMS, _TERM_START,
+ _T_SITE, _T_SLOT, _T_BITS) = _templates()
+
+
+@dataclass(frozen=True)
+class FaultSites:
+    """Single-fault sites as flat int64 columns, in scan order.
+
+    Site r is injected right after instruction ``index[r]``. Its Pauli terms
+    are the entries t with ``term_site[t] == r`` (contiguous, ascending r):
+    ``term_qubit[t]`` is the qubit and ``term_bits[t]`` the X/Z bits (X 1,
+    Z 2, Y 3). A site's provenance is ``circuit.instructions[index[r]].meta``.
+    """
+
+    index: np.ndarray
+    term_site: np.ndarray
+    term_qubit: np.ndarray
+    term_bits: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @classmethod
+    def from_paulis(cls, sites: Iterable[tuple[int, Iterable[tuple[int, str]]]]
+                    ) -> "FaultSites":
+        """Build from ``[(instruction index, ((qubit, "X"|"Y"|"Z"), ...)), ...]``.
+
+        Raises ValueError naming the site's row for any other Pauli letter.
+        """
+        index, term_site, term_qubit, term_bits = [], [], [], []
+        for row, (idx, paulis) in enumerate(sites):
+            index.append(idx)
+            for q, p in paulis:
+                bits = _PAULI_BITS.get(p)
+                if bits is None:
+                    raise ValueError(f"fault site {row}: Pauli {p!r} is not "
+                                     f"X, Y or Z")
+                term_site.append(row)
+                term_qubit.append(q)
+                term_bits.append(bits)
+        return cls(*(np.array(col, dtype=np.int64)
+                     for col in (index, term_site, term_qubit, term_bits)))
+
+
+def sites_from_noise(circuit: StabCircuit,
+                     indices: Optional[Iterable[int]] = None) -> FaultSites:
+    """Expand noise instructions into their possible single-fault Paulis.
+
+    Sites follow the instructions, then each instruction's targets (pairs
+    for DEPOLARIZE2), then the channel's Paulis: X_ERROR gives X, Z_ERROR
+    gives Z, DEPOLARIZE1 gives X, Y, Z and DEPOLARIZE2 the 15 non-identity
+    products of IXYZ x IXYZ in that order. `indices` restricts the expansion
+    to those instructions, in the order given; each must be a noise channel.
+    """
+    instructions = circuit.instructions
+    if indices is None:
+        indices = [i for i, instr in enumerate(instructions)
+                   if instr.name in _KIND]
+    at, kind, width, flat = [], [], [], []
+    for idx in indices:
+        instr = instructions[idx]
+        k = _KIND.get(instr.name)
+        if k is None:
+            raise ValueError(f"instruction {instr.name} is not a noise channel")
+        at.append(idx)
+        kind.append(k)
+        width.append(len(instr.targets))
+        flat.extend(instr.targets)
+    kind = np.array(kind, dtype=np.int64)
+    # one application per target, or per target pair for DEPOLARIZE2
+    # (StabCircuit.append rejects an odd count, so applications tile `flat`)
+    uses = np.array(width, dtype=np.int64) // _ARITY[kind]
+    use_kind = np.repeat(kind, uses)
+    use_sites, use_terms = _SITES[use_kind], _TERMS[use_kind]
+    term_use = np.repeat(np.arange(len(use_kind)), use_terms)
+    entry = (_TERM_START[use_kind] - _offsets(use_terms))[term_use] \
+        + np.arange(len(term_use))
+    first_target = _offsets(_ARITY[use_kind])
+    return FaultSites(
+        index=np.repeat(np.repeat(np.array(at, dtype=np.int64), uses),
+                        use_sites),
+        term_site=_offsets(use_sites)[term_use] + _T_SITE[entry],
+        term_qubit=np.array(flat, dtype=np.int64)[first_target[term_use]
+                                                  + _T_SLOT[entry]],
+        term_bits=_T_BITS[entry])
 
 
 def _column(packed: np.ndarray, row: int) -> np.ndarray:
@@ -115,7 +198,7 @@ class ScanResult:
     W = ceil(num_sites / 64).
     """
 
-    sites: list[FaultSite]
+    sites: FaultSites
     x: np.ndarray
     z: np.ndarray
     flips: np.ndarray
@@ -145,7 +228,7 @@ class ScanResult:
         return _unpack(_xor_rows(self.flips, groups), len(self.sites))
 
 
-def _activations(circuit: StabCircuit, sites: list[FaultSite],
+def _activations(circuit: StabCircuit, sites: FaultSites,
                  gate_at: np.ndarray):
     """Validate every site; return its frame bits grouped by the next gate.
 
@@ -154,28 +237,24 @@ def _activations(circuit: StabCircuit, sites: list[FaultSite],
     after the last gate for k = len(gate_at). A fault injected after
     instruction i only has to be in the frame before the first gate past i.
     """
-    ns, nq = len(sites), circuit.num_qubits
-    index = np.fromiter((s.index for s in sites), np.int64, ns)
+    nq, index = circuit.num_qubits, sites.index
     bad = np.flatnonzero((index < 0) | (index >= len(circuit.instructions)))
     if bad.size:
         row = int(bad[0])
         raise IndexError(f"fault site {row}: no instruction at {index[row]}")
-    terms = [t for s in sites for t in s.paulis]
-    rows = np.repeat(np.arange(ns, dtype=np.int64),
-                     np.fromiter((len(s.paulis) for s in sites), np.int64, ns))
-    qubit = np.fromiter((q for q, _ in terms), np.int64, len(terms))
-    bits = np.fromiter((_PAULI_BITS.get(p, 0) for _, p in terms), np.int64,
-                       len(terms))
+    rows, qubit, bits = sites.term_site, sites.term_qubit, sites.term_bits
     bad = np.flatnonzero((qubit < 0) | (qubit >= nq))
     if bad.size:
         t = int(bad[0])
         raise IndexError(f"fault site {rows[t]}: qubit {qubit[t]} out of range "
                          f"for {nq} qubits")
-    bad = np.flatnonzero(bits == 0)
+    bad = np.flatnonzero((rows < 0) | (rows >= len(index)) | (bits < 1)
+                         | (bits > 3))
     if bad.size:
         t = int(bad[0])
-        raise ValueError(f"fault site {rows[t]}: Pauli {terms[t][1]!r} is not "
-                         f"X, Y or Z")
+        raise ValueError(f"Pauli term {t}: site {rows[t]}, bits {bits[t]}; "
+                         f"need a site in [0, {len(index)}) and bits X 1, "
+                         f"Z 2 or Y 3")
     has_x, has_z = (bits & 1).astype(bool), (bits & 2).astype(bool)
     frame_row = np.concatenate([qubit[has_x], nq + qubit[has_z]])
     site_row = np.concatenate([rows[has_x], rows[has_z]])
@@ -187,7 +266,7 @@ def _activations(circuit: StabCircuit, sites: list[FaultSite],
     return frame_row[order], site_row >> 6, mask, bounds.tolist()
 
 
-def fault_scan(circuit: StabCircuit, sites: list[FaultSite]) -> ScanResult:
+def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
     """Propagate every fault site through the circuit in one packed pass.
 
     The frames are qubit-major and bit-packed: site r is bit r % 64 of word
@@ -198,8 +277,8 @@ def fault_scan(circuit: StabCircuit, sites: list[FaultSite]) -> ScanResult:
     rule is linear.
 
     Raises IndexError for a site whose instruction index or qubit is out of
-    range and ValueError for a Pauli letter other than X, Y or Z; the
-    message names the site's row.
+    range, naming the site's row, and ValueError for a term whose site row
+    or X/Z bits are out of range.
     """
     ns, nq = len(sites), circuit.num_qubits
     words = -(-ns // 64)
@@ -244,7 +323,7 @@ def fault_scan(circuit: StabCircuit, sites: list[FaultSite]) -> ScanResult:
 def propagate_fault(circuit: StabCircuit, index: int,
                     paulis: Iterable[tuple[int, str]]):
     """Push one fault through; returns (final_x, final_z, flipped ms)."""
-    result = fault_scan(circuit, [FaultSite(index, tuple(paulis))])
+    result = fault_scan(circuit, FaultSites.from_paulis([(index, paulis)]))
     return (*result.final_frame(0), result.flipped_measurements(0))
 
 

@@ -4,16 +4,20 @@ Everything here deliberately avoids the package's search machinery: the
 route oracle walks a fully time-discretized graph at 100 ns grain, the
 successor oracle scans every safe interval from index 0, the static oracle
 is a plain Dijkstra over (component, done-mask) with no reservations, the
-tour oracle enumerates permutations, and the frame oracle pushes one fault
-at a time through a circuit as sets of qubits.
+tour oracle enumerates permutations, the frame oracle pushes one fault
+at a time through a circuit as sets of qubits, and the noise oracle expands
+each noise instruction into its faults one target at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from shuttleplan.chip import (ChipLayout, Kind, TimingConfig, channel_id,
                               interaction_id, intersection_id, readout_id)
@@ -42,18 +46,21 @@ def bfs_hops(layout: ChipLayout, a, b) -> int:
     raise AssertionError(f"{b} unreachable from {a}")
 
 
+@lru_cache(maxsize=None)
+def _visit_orders(n: int) -> np.ndarray:
+    """Every visit order of n targets as rows of point indices, each row
+    starting at the origin (index 0): shape (n!, n + 1)."""
+    orders = np.array(list(permutations(range(1, n + 1))), dtype=np.intp)
+    return np.hstack([np.zeros((len(orders), 1), dtype=np.intp),
+                      orders.reshape(len(orders), n)])
+
+
 def brute_force_open_path(origin, cells) -> int:
     """Minimum open-path Manhattan distance over all visit permutations."""
-    best = None
-    for perm in permutations(cells):
-        total = 0
-        cur = origin
-        for cell in perm:
-            total += abs(cur[0] - cell[0]) + abs(cur[1] - cell[1])
-            cur = cell
-        if best is None or total < best:
-            best = total
-    return 0 if best is None else best
+    points = np.array([origin, *cells], dtype=np.int64).reshape(-1, 2)
+    dist = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    orders = _visit_orders(len(points) - 1)
+    return int(dist[orders[:, :-1], orders[:, 1:]].sum(axis=1).min())
 
 
 def bitmap_safe_intervals(reservations, horizon: int):
@@ -284,3 +291,34 @@ def propagate_frame(circuit, index: int, paulis):
                     flipped.append(measured)
                 measured += 1
     return xs, zs, flipped
+
+
+def expand_noise(circuit, indices=None):
+    """Every single fault of the noise instructions, as (index, paulis).
+
+    `paulis` is a tuple of (qubit, letter) pairs, identity letters dropped.
+    Faults follow the instructions (or `indices`, in that order), then the
+    targets, then the letters: X, Y, Z for DEPOLARIZE1 and the 15 products
+    of IXYZ x IXYZ other than II for DEPOLARIZE2, first letter slowest.
+    """
+    if indices is None:
+        indices = range(len(circuit.instructions))
+    faults = []
+    for index in indices:
+        instr = circuit.instructions[index]
+        if instr.name == "X_ERROR":
+            faults.extend((index, ((q, "X"),)) for q in instr.targets)
+        elif instr.name == "Z_ERROR":
+            faults.extend((index, ((q, "Z"),)) for q in instr.targets)
+        elif instr.name == "DEPOLARIZE1":
+            faults.extend((index, ((q, p),)) for q in instr.targets
+                          for p in "XYZ")
+        elif instr.name == "DEPOLARIZE2":
+            for a, b in zip(instr.targets[::2], instr.targets[1::2]):
+                for pa in "IXYZ":
+                    for pb in "IXYZ":
+                        paulis = tuple((q, p) for q, p in ((a, pa), (b, pb))
+                                       if p != "I")
+                        if paulis:
+                            faults.append((index, paulis))
+    return faults

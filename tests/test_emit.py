@@ -178,3 +178,35 @@ def test_emit_deterministic_output():
     _, a = surface_circuit(d=3, rounds=2, basis="z")
     _, b = surface_circuit(d=3, rounds=2, basis="z")
     assert a.to_text() == b.to_text()
+
+
+@pytest.mark.parametrize("name", ["CX", "DEPOLARIZE2"])
+def test_append_rejects_odd_pair_targets(name):
+    c = StabCircuit(3)
+    arg = (0.1,) if name == "DEPOLARIZE2" else None
+    with pytest.raises(ValueError, match="target pairs"):
+        c.append(name, (0, 1, 2), arg=arg)
+    assert c.instructions == []
+
+
+@pytest.mark.parametrize("name", ["H", "CX", "R", "RX", "M", "MX", "X_ERROR",
+                                  "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_append_rejects_qubit_out_of_range(name, bad):
+    c = StabCircuit(3)
+    with pytest.raises(ValueError, match="outside qubits 0..2"):
+        c.append(name, (0, bad))
+    assert c.instructions == [] and c.num_measurements == 0
+
+
+def test_append_accepts_measurement_record_targets():
+    """DETECTOR and OBSERVABLE_INCLUDE targets index measurements, not
+    qubits, so they are not range checked against num_qubits."""
+    c = StabCircuit(1)
+    c.append("R", (0,))
+    for _ in range(3):
+        c.append("M", (0,))
+    c.append("DETECTOR", (1, 2))
+    c.append("OBSERVABLE_INCLUDE", (2,), arg=(0,))
+    c.append("TICK")
+    assert c.num_measurements == 3 and len(c.instructions) == 7

@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import propagate_frame
+from oracles import expand_noise, propagate_frame
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
 from shuttleplan.emit import StabCircuit, emit_memory_circuit
-from shuttleplan.pauli import (FaultSite, Outcome, Tableau, fault_scan,
+from shuttleplan.pauli import (FaultSites, Outcome, Tableau, fault_scan,
                                propagate_fault, simulate_noiseless,
                                sites_from_noise)
 
@@ -94,12 +94,95 @@ def test_sites_from_noise_expansion():
     assert len(sites) == 1 + 3 + 15
 
 
+def columns(faults):
+    """(index, term_site, term_qubit, term_bits) lists of (index, paulis)."""
+    bits = {"X": 1, "Z": 2, "Y": 3}
+    terms = [(row, q, bits[p]) for row, (_, paulis) in enumerate(faults)
+             for q, p in paulis]
+    return ([index for index, _ in faults], [t[0] for t in terms],
+            [t[1] for t in terms], [t[2] for t in terms])
+
+
+def assert_columns_equal(sites: FaultSites, faults) -> None:
+    got = (sites.index, sites.term_site, sites.term_qubit, sites.term_bits)
+    for col in got:
+        assert col.dtype == np.int64 and col.ndim == 1
+    assert tuple(col.tolist() for col in got) == columns(faults)
+
+
+def every_channel_circuit() -> StabCircuit:
+    c = StabCircuit(4)
+    c.append("R", (0, 1, 2, 3))
+    c.append("X_ERROR", (0, 3), arg=(0.1,))
+    c.append("DEPOLARIZE2", (0, 1, 3, 2), arg=(0.1,))
+    c.append("CX", (0, 1))
+    c.append("Z_ERROR", (2,), arg=(0.1,))
+    c.append("DEPOLARIZE1", (1, 2, 0), arg=(0.1,))
+    c.append("H", (3,))
+    c.append("DEPOLARIZE2", (2, 3), arg=(0.1,))
+    c.append("M", (0, 1, 2, 3))
+    return c
+
+
+@pytest.mark.parametrize("indices", [None, [7, 1, 4], [5], []])
+def test_sites_match_noise_oracle_on_every_channel(indices):
+    c = every_channel_circuit()
+    sites = sites_from_noise(c, indices)
+    faults = expand_noise(c, indices)
+    assert len(sites) == len(faults)
+    assert_columns_equal(sites, faults)
+    if indices is None:
+        assert len(sites) == 2 + 2 * 15 + 1 + 3 * 3 + 15
+
+
+def test_sites_from_noise_rejects_non_noise_index():
+    c = every_channel_circuit()
+    with pytest.raises(ValueError, match="CX is not a noise channel"):
+        sites_from_noise(c, [1, 3])
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_sites_match_noise_oracle_on_surface_d3(basis):
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, basis)
+    assert_columns_equal(sites_from_noise(circuit), expand_noise(circuit))
+
+
+def test_sites_match_noise_oracle_on_bb72(bb72_schedule):
+    code, schedule = bb72_schedule
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig(), "Z")
+    assert_columns_equal(sites_from_noise(circuit), expand_noise(circuit))
+
+
+def test_fault_sites_memory_is_flat():
+    """Columns hold 8 bytes per site and 3 x 8 per Pauli term, nothing per
+    site beyond that (no objects, no metadata copies)."""
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, "Z")
+    sites = sites_from_noise(circuit)
+    terms = len(sites.term_site)
+    held = sum(col.nbytes for col in (sites.index, sites.term_site,
+                                      sites.term_qubit, sites.term_bits))
+    assert len(sites) > 1000 and terms >= len(sites)
+    assert held <= 8 * (len(sites) + 3 * terms) + 1024
+
+
+def test_from_paulis_matches_columns():
+    faults = [(0, ((1, "Z"),)), (2, ()), (1, ((0, "X"), (3, "Y"), (0, "Z")))]
+    assert_columns_equal(FaultSites.from_paulis(faults), faults)
+    assert len(FaultSites.from_paulis([])) == 0
+
+
 def test_fault_scan_matches_single_propagation():
     c = z_check_circuit(tailored=True)
-    sites = sites_from_noise(c, c.noise_sites(kind="shuttle"))
+    indices = c.noise_sites(kind="shuttle")
+    sites = sites_from_noise(c, indices)
     result = fault_scan(c, sites)
-    for row, site in enumerate(sites):
-        fx, fz, flips = propagate_fault(c, site.index, site.paulis)
+    faults = expand_noise(c, indices)
+    assert len(faults) == len(sites) == 5
+    for row, (index, paulis) in enumerate(faults):
+        fx, fz, flips = propagate_fault(c, index, paulis)
         assert np.array_equal(result.final_frame(row)[0], fx)
         assert np.array_equal(result.final_frame(row)[1], fz)
         assert result.flipped_measurements(row) == flips
@@ -279,12 +362,12 @@ def memory_circuit(code, layout, rounds, basis, tailored=True):
                                compute_logicals(code), NoiseConfig(), basis)
 
 
-def random_sites(rng, circuit, count):
-    """Sites of 0-3 Paulis; a qubit may repeat (X then Z on it acts as Y)."""
+def random_faults(rng, circuit, count):
+    """Faults of 0-3 Paulis; a qubit may repeat (X then Z on it acts as Y)."""
     n = circuit.num_qubits
-    return [FaultSite(rng.randrange(len(circuit.instructions)),
-                      tuple((rng.randrange(n), rng.choice("XYZ"))
-                            for _ in range(rng.randint(0, 3))))
+    return [(rng.randrange(len(circuit.instructions)),
+             tuple((rng.randrange(n), rng.choice("XYZ"))
+                   for _ in range(rng.randint(0, 3))))
             for _ in range(count)]
 
 
@@ -295,10 +378,10 @@ def test_fault_scan_matches_frame_oracle(num_sites):
     rng = random.Random(num_sites)
     for _ in range(3):
         circuit = random_circuit(rng)
-        sites = random_sites(rng, circuit, num_sites)
-        result = fault_scan(circuit, sites)
-        for row, site in enumerate(sites):
-            xs, zs, flipped = propagate_frame(circuit, site.index, site.paulis)
+        faults = random_faults(rng, circuit, num_sites)
+        result = fault_scan(circuit, FaultSites.from_paulis(faults))
+        for row, (index, paulis) in enumerate(faults):
+            xs, zs, flipped = propagate_frame(circuit, index, paulis)
             fx, fz = result.final_frame(row)
             assert set(np.flatnonzero(fx).tolist()) == xs
             assert set(np.flatnonzero(fz).tolist()) == zs
@@ -322,8 +405,8 @@ def test_detector_and_observable_flips_match_frame_oracle(basis):
     dets = [targets for targets, _ in circuit.detectors()]
     obs = [targets for _, targets in sorted(circuit.observables().items())]
     expect_det, expect_obs = [], []
-    for site in sites:
-        flipped = set(propagate_frame(circuit, site.index, site.paulis)[2])
+    for index, paulis in expand_noise(circuit):
+        flipped = set(propagate_frame(circuit, index, paulis)[2])
         expect_det.append(parities(flipped, dets))
         expect_obs.append(parities(flipped, obs))
     det_flips = result.detector_flips(circuit)
@@ -386,7 +469,7 @@ def test_fault_scan_rejects_instruction_out_of_range(index):
     for q in range(2):
         c.append("R", (q,))
     c.append("M", (0, 1))
-    sites = [FaultSite(0, ((0, "X"),)), FaultSite(index, ((1, "Z"),))]
+    sites = FaultSites.from_paulis([(0, ((0, "X"),)), (index, ((1, "Z"),))])
     with pytest.raises(IndexError, match="fault site 1: no instruction"):
         fault_scan(c, sites)
 
@@ -395,7 +478,8 @@ def test_fault_scan_rejects_instruction_out_of_range(index):
 def test_fault_scan_rejects_qubit_out_of_range(qubit):
     c = StabCircuit(2)
     c.append("M", (0, 1))
-    sites = [FaultSite(0, ((1, "Z"),)), FaultSite(0, ((0, "X"), (qubit, "Y")))]
+    sites = FaultSites.from_paulis([(0, ((1, "Z"),)),
+                                    (0, ((0, "X"), (qubit, "Y")))])
     with pytest.raises(IndexError, match="fault site 1: qubit"):
         fault_scan(c, sites)
 
@@ -404,6 +488,16 @@ def test_fault_scan_rejects_qubit_out_of_range(qubit):
 def test_fault_scan_rejects_unknown_pauli_letter(letter):
     c = StabCircuit(2)
     c.append("M", (0, 1))
-    sites = [FaultSite(0, ((1, "Z"),)), FaultSite(0, ((0, letter),))]
     with pytest.raises(ValueError, match="fault site 1: Pauli"):
+        fault_scan(c, FaultSites.from_paulis([(0, ((1, "Z"),)),
+                                              (0, ((0, letter),))]))
+
+
+@pytest.mark.parametrize("site, bits", [(2, 1), (-1, 2), (0, 0), (1, 4)])
+def test_fault_scan_rejects_malformed_term_columns(site, bits):
+    c = StabCircuit(2)
+    c.append("M", (0, 1))
+    col = lambda *v: np.array(v, dtype=np.int64)
+    sites = FaultSites(col(0, 0), col(0, site), col(1, 0), col(2, bits))
+    with pytest.raises(ValueError, match="Pauli term 1"):
         fault_scan(c, sites)
