@@ -59,8 +59,11 @@ class Schedule:
     tailored: bool
     rounds: int
     round_makespan: int
-    makespan: int
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def makespan(self) -> int:
+        return self.rounds * self.round_makespan
 
     def all_events(self) -> list[Event]:
         merged = [ev for evs in self.events.values() for ev in evs]
@@ -163,19 +166,20 @@ def planning_order(ids: list[int], bounds: dict[int, int],
 # per-ancilla circuit shape
 
 
+def _sandwiched(task: CheckTask, tailored: bool) -> bool:
+    """Whether every CX of the ancilla sits between two H gates."""
+    return task.basis == "Z" and tailored
+
+
 def _flanked(task: CheckTask, tailored: bool) -> bool:
     """Whether the ancilla circuit opens and closes with an H at the readout."""
-    return task.basis == "X" or (task.basis == "Z" and tailored)
+    return task.basis == "X" or _sandwiched(task, tailored)
 
 
 def _gate_duration(task: CheckTask, timing: TimingConfig, tailored: bool) -> int:
-    if task.basis == "Z" and tailored:
+    if _sandwiched(task, tailored):
         return timing.t_cx + 2 * timing.t_h
     return timing.t_cx
-
-
-def _tailored_gates(task: CheckTask, tailored: bool) -> bool:
-    return task.basis == "Z" and tailored
 
 
 def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
@@ -184,7 +188,7 @@ def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
     start_time = timing.t_init + (timing.t_h if _flanked(task, tailored) else 0)
     pad = timing.t_meas + (timing.t_h if _flanked(task, tailored) else 0)
     return PlanRequest(
-        start_cell=home, start_kind=Kind.READOUT, start_time=start_time,
+        start_cell=home, start_time=start_time,
         targets=[data_cells[i] for i in task.targets], ordered=task.ordered,
         gate_duration=_gate_duration(task, timing, tailored), terminal_pad=pad,
         gate_windows=gate_windows or {})
@@ -194,7 +198,7 @@ def _events_for(task: CheckTask, home: Cell, result: PlanResult,
                 timing: TimingConfig, tailored: bool) -> list[Event]:
     q = f"a{task.ancilla}"
     flank = _flanked(task, tailored)
-    sandwich = _tailored_gates(task, tailored)
+    sandwich = _sandwiched(task, tailored)
     home_ro = readout_id(home)
     events = [Event(q, "INIT", 0, timing.t_init, home_ro)]
     cursor = timing.t_init
@@ -338,8 +342,7 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     }
     return Schedule(events=events, tasks=tasks, data_cells=data_cells,
                     homes=homes, chip=chip, timing=timing, tailored=tailored,
-                    rounds=1, round_makespan=makespan, makespan=makespan,
-                    provenance=provenance)
+                    rounds=1, round_makespan=makespan, provenance=provenance)
 
 
 def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
@@ -359,8 +362,7 @@ def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
             shifted.extend(Event(ev.qubit, ev.kind, ev.t + offset, ev.duration,
                                  ev.comp, ev.dest, ev.partner) for ev in evs)
         events[aid] = shifted
-    return replace(schedule, events=events, rounds=rounds,
-                   makespan=rounds * period)
+    return replace(schedule, events=events, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +382,21 @@ class ValidationReport:
 
 
 def validate_schedule(schedule: Schedule) -> ValidationReport:
-    """Independent sweep: collisions, completion, order, contiguity, timing."""
+    """Independent sweep: collisions, completion, order, contiguity, timing.
+
+    Event e belongs to round ``e.t // round_makespan`` and must end by the
+    end of that round; an event outside every round window is reported.
+    """
     report = ValidationReport()
-    period = schedule.round_makespan
+    period, rounds = schedule.round_makespan, schedule.rounds
+    if period <= 0:
+        report.add(f"round makespan {period} is not positive")
+        return report
     occupancies: dict[ComponentId, list[tuple[TimeInterval, str]]] = {}
+    # per (round, data qubit): end of the last X-check CX, start of the first
+    # Z-check CX
+    last_x: dict[tuple[int, int], int] = {}
+    first_z: dict[tuple[int, int], int] = {}
 
     for aid, events in schedule.events.items():
         task = schedule.tasks[aid]
@@ -391,16 +404,26 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
         if not events:
             report.add(f"{q}: no events")
             continue
-        for rnd in range(schedule.rounds):
-            lo, hi = rnd * period, (rnd + 1) * period
-            round_events = [ev for ev in events if lo <= ev.t < hi]
-            _check_round(report, schedule, task, round_events, rnd, lo)
-        # occupancy built per round so residencies never span a round boundary
-        for rnd in range(schedule.rounds):
-            lo, hi = rnd * period, (rnd + 1) * period
-            round_events = [ev for ev in events if lo <= ev.t < hi]
+        by_round: list[list[Event]] = [[] for _ in range(rounds)]
+        for ev in events:
+            rnd = ev.t // period
+            if not (0 <= rnd < rounds and ev.end <= (rnd + 1) * period):
+                report.add(f"{q}: {ev.kind} [{ev.t},{ev.end}) lies outside "
+                           f"the round windows")
+                continue
+            by_round[rnd].append(ev)
+            if ev.kind == "CX":
+                key = (rnd, ev.partner)
+                if task.basis == "X":
+                    last_x[key] = max(last_x.get(key, 0), ev.end)
+                else:
+                    first_z[key] = min(first_z.get(key, ev.t), ev.t)
+        for rnd, round_events in enumerate(by_round):
+            _check_round(report, schedule, task, round_events, rnd)
             if not round_events:
                 continue
+            # occupancy built per round so residencies never span a round
+            # boundary
             try:
                 spans = ancilla_occupancy(round_events)
             except Exception as exc:  # chained event defects surface here
@@ -417,41 +440,22 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
                     f"collision on {comp_str(comp)}: {owner_a} "
                     f"[{a.start},{a.end}) vs {owner_b} [{b.start},{b.end})")
 
-    _check_gate_phases(report, schedule)
+    # Per data qubit and round, every X-check CX must precede every Z CX. A Z
+    # gate landing between two X gates of an overlapping check (or vice
+    # versa) injects the other ancilla's Pauli into the measured operator and
+    # makes the outcome non-deterministic.
+    for (rnd, data), t_z in sorted(first_z.items(), key=lambda kv: kv[0][0]):
+        if t_z < last_x.get((rnd, data), 0):
+            report.add(f"round {rnd}: d{data} receives a Z-check CX at "
+                       f"{t_z} before its last X-check CX ends at "
+                       f"{last_x[rnd, data]}")
     return report
 
 
-def _check_gate_phases(report: ValidationReport, schedule: Schedule) -> None:
-    """Per data qubit and round, every X-check CX must precede every Z CX.
-
-    A Z gate landing between two X gates of an overlapping check (or vice
-    versa) injects the other ancilla's Pauli into the measured operator and
-    makes the outcome non-deterministic.
-    """
-    period = schedule.round_makespan
-    for rnd in range(schedule.rounds):
-        last_x: dict[int, int] = {}
-        first_z: dict[int, int] = {}
-        for aid, events in schedule.events.items():
-            basis = schedule.tasks[aid].basis
-            for ev in events:
-                if ev.kind != "CX" or not rnd * period <= ev.t < (rnd + 1) * period:
-                    continue
-                if basis == "X":
-                    last_x[ev.partner] = max(last_x.get(ev.partner, 0), ev.end)
-                else:
-                    first_z[ev.partner] = min(first_z.get(ev.partner, ev.t), ev.t)
-        for data, t_z in first_z.items():
-            if data in last_x and t_z < last_x[data]:
-                report.add(f"round {rnd}: d{data} receives a Z-check CX at "
-                           f"{t_z} before its last X-check CX ends at "
-                           f"{last_x[data]}")
-
-
 def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
-                 events: list[Event], rnd: int, t0: int) -> None:
-    q = f"a{task.ancilla}"
-    where = f"{q} round {rnd}"
+                 events: list[Event], rnd: int) -> None:
+    where = f"a{task.ancilla} round {rnd}"
+    t0 = rnd * schedule.round_makespan
     timing = schedule.timing
     if not events:
         report.add(f"{where}: empty round")

@@ -10,9 +10,8 @@ enumerates, so scanned fault sites and the noise model coincide exactly.
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
 the operation), one phase-flip per displace, one phase-flip per shuttle
-segment with the odd-parity composed probability (or one per edge with
-``per_edge_noise``), and idle bit/phase flips 1-exp(-dt/T1), 1-exp(-dt/T2)
-for every gap in a qubit's activity.
+segment with the odd-parity composed probability, and idle bit/phase flips
+1-exp(-dt/T1), 1-exp(-dt/T2) for every gap in a qubit's activity.
 """
 
 from __future__ import annotations
@@ -133,8 +132,7 @@ def compose_phase_flips(p: float, repeats: int) -> float:
 
 def emit_memory_circuit(schedule: Schedule, code: CssCode,
                         logicals: Optional[LogicalOperators],
-                        noise: NoiseConfig, basis: str, *,
-                        per_edge_noise: bool = False) -> StabCircuit:
+                        noise: NoiseConfig, basis: str) -> StabCircuit:
     """Memory experiment: transversal init, scheduled SE rounds, readout."""
     basis = basis.upper()
     if basis not in ("X", "Z"):
@@ -189,7 +187,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
 
         def flush_shuttle(rnd: int):
             nonlocal run_edges, run_end
-            if run_edges and not per_edge_noise:
+            if run_edges:
                 p = compose_phase_flips(noise.p_shuttle, run_edges)
                 add_noise(run_end, q, "Z_ERROR", (q,), p,
                           {"kind": "shuttle", "ancilla": a, "round": rnd,
@@ -201,10 +199,6 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
             if ev.kind == "SHUTTLE":
                 run_edges += 1
                 run_end = ev.end
-                if per_edge_noise:
-                    add_noise(ev.end, q, "Z_ERROR", (q,), noise.p_shuttle,
-                              {"kind": "shuttle", "ancilla": a, "round": rnd,
-                               "edges": 1})
                 continue
             if ev.kind == "WAIT":
                 add_noise(ev.end, q, "X_ERROR", (q,), noise.idle_px(ev.duration),
@@ -283,8 +277,8 @@ def _data_idle(add_noise, noise: NoiseConfig, qubit: int, start: int, end: int):
 
 
 def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
-                  logicals: Optional[LogicalOperators] = None,
-                  schedule: Optional[Schedule] = None) -> StabCircuit:
+                  logicals: LogicalOperators,
+                  schedule: Schedule) -> StabCircuit:
     """Standard memory-experiment detectors and logical observables.
 
     Round 0 gets detectors only for checks of the memory basis (the other
@@ -293,9 +287,8 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     round against the transversal data readout.
     """
     basis = basis.upper()
-    if logicals is None:
-        logicals = compute_logicals(code)
     n_x = code.hx.shape[0]
+    homes = schedule.homes  # detector coordinates: the check's home cell
 
     checks_by_round: dict[int, dict[int, int]] = {}
     data_m: dict[int, int] = {}
@@ -318,12 +311,6 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     def check_row(a: int) -> np.ndarray:
         return code.hx[a] if a < n_x else code.hz[a - n_x]
 
-    def coords(a: int, rnd: int) -> Optional[tuple]:
-        if schedule is None:
-            return (a, rnd)
-        x, y = schedule.homes[a]
-        return (x, y, rnd)
-
     n_checks = n_x + code.hz.shape[0]
     for rnd in rounds:
         row = checks_by_round[rnd]
@@ -332,11 +319,11 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
         for a in range(n_checks):
             if rnd == rounds[0]:
                 if is_basis_check(a):
-                    circuit.append("DETECTOR", (row[a],), arg=coords(a, rnd),
+                    circuit.append("DETECTOR", (row[a],), arg=(*homes[a], rnd),
                                    meta={"check": a, "round": rnd})
             else:
                 prev = checks_by_round[rnd - 1][a]
-                circuit.append("DETECTOR", (row[a], prev), arg=coords(a, rnd),
+                circuit.append("DETECTOR", (row[a], prev), arg=(*homes[a], rnd),
                                meta={"check": a, "round": rnd})
 
     if data_m:
@@ -347,7 +334,7 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
             support = [data_m[int(i)] for i in np.nonzero(check_row(a))[0]]
             circuit.append("DETECTOR",
                            tuple([checks_by_round[last][a]] + support),
-                           arg=coords(a, last + 1),
+                           arg=(*homes[a], last + 1),
                            meta={"check": a, "round": last + 1})
         logical_rows = logicals.x if basis == "X" else logicals.z
         for obs, row in enumerate(logical_rows):

@@ -30,6 +30,8 @@ repeated sampling.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -460,14 +462,8 @@ class Tableau:
 
 
 @dataclass
-class MeasurementRecord:
-    outcome: Outcome
-    meta: Optional[dict]
-
-
-@dataclass
 class NoiselessReport:
-    measurements: list[MeasurementRecord]
+    measurements: list[Outcome]
     detectors: list[Outcome]
     observables: dict[int, Outcome]
 
@@ -483,7 +479,7 @@ class NoiselessReport:
 def simulate_noiseless(circuit: StabCircuit) -> NoiselessReport:
     """Run the tableau over gates only; evaluate detectors symbolically."""
     tab = Tableau(circuit.num_qubits)
-    records: list[MeasurementRecord] = []
+    outcomes: list[Outcome] = []
     for instr in circuit.instructions:
         name = instr.name
         if name == "R":
@@ -501,25 +497,19 @@ def simulate_noiseless(circuit: StabCircuit) -> NoiselessReport:
                 tab.cx(c, t)
         elif name == "M":
             for q in instr.targets:
-                records.append(MeasurementRecord(tab.measure(q), instr.meta))
+                outcomes.append(tab.measure(q))
         elif name == "MX":
             for q in instr.targets:
                 tab.h(q)
-                out = tab.measure(q)
+                outcomes.append(tab.measure(q))
                 tab.h(q)
-                records.append(MeasurementRecord(out, instr.meta))
         # noise channels, ticks and annotations do not touch the tableau
 
-    detectors = []
-    for targets, _ in circuit.detectors():
-        acc = Outcome(0, 0, False)
-        for m in targets:
-            acc = acc ^ records[m].outcome
-        detectors.append(acc)
-    observables = {}
-    for obs, targets in sorted(circuit.observables().items()):
-        acc = Outcome(0, 0, False)
-        for m in targets:
-            acc = acc ^ records[m].outcome
-        observables[obs] = acc
-    return NoiselessReport(records, detectors, observables)
+    def parity(targets) -> Outcome:
+        return functools.reduce(operator.xor, (outcomes[m] for m in targets),
+                                Outcome(0, 0, False))
+
+    detectors = [parity(targets) for targets, _ in circuit.detectors()]
+    observables = {obs: parity(targets) for obs, targets
+                   in sorted(circuit.observables().items())}
+    return NoiselessReport(outcomes, detectors, observables)

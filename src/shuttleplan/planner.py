@@ -99,8 +99,7 @@ class PathStep:
 
 @dataclass
 class PlanRequest:
-    start_cell: Cell
-    start_kind: Kind
+    start_cell: Cell             # the route starts at this cell's readout
     start_time: int
     targets: list[Cell]          # task target cells, canonical order
     ordered: bool
@@ -109,11 +108,7 @@ class PlanRequest:
     # earliest allowed gate start per target cell; used to keep every data
     # qubit's X-check gates ahead of its Z-check gates within a round, the
     # interleaving rule that keeps detectors deterministic
-    gate_windows: dict[Cell, int] = None
-
-    def __post_init__(self):
-        if self.gate_windows is None:
-            self.gate_windows = {}
+    gate_windows: dict[Cell, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -133,7 +128,6 @@ class PlanResult:
     steps: list[PathStep]
     parked: ComponentId          # terminal readout
     parked_time: int             # g at the goal (terminal pad not included)
-    start_comp: ComponentId
     stats: PlanStats = field(default_factory=PlanStats)
 
 
@@ -265,10 +259,7 @@ class _Search:
 
     def run(self) -> PlanResult:
         req = self.req
-        builder = {Kind.INTERSECTION: intersection_id,
-                   Kind.INTERACTION: interaction_id,
-                   Kind.READOUT: readout_id}[req.start_kind]
-        start_comp = builder(req.start_cell)
+        start_comp = readout_id(req.start_cell)
         start_si = self.table.interval_containing(start_comp, req.start_time)
         if start_si is None:
             raise PlanFailure(f"start {start_comp} occupied at t={req.start_time}")
@@ -420,7 +411,7 @@ class _Search:
         chain.reverse()
 
         steps: list[PathStep] = []
-        origin = prev = state
+        prev = state
         cursor = self.req.start_time
         for state in chain:
             arrival = g_best[state]
@@ -443,7 +434,7 @@ class _Search:
             cursor = arrival
             prev = state
         return PlanResult(steps=steps, parked=comps[goal[0]],
-                          parked_time=cursor, start_comp=comps[origin[0]])
+                          parked_time=cursor)
 
 
 _INFINITE = float("inf")

@@ -13,9 +13,10 @@ from each ancilla's home as the ideal shuttle count.
   minimum spanning tree over the origin and the pending cells. Every open
   path through them is a spanning tree, so the bound never overestimates.
 
-The two exact tables also answer ``min_distances``: the bound for one
-pending set from many origins at once, as one numpy pass over the pending
-targets. The spanning-tree bound is queried one origin at a time.
+The two exact tables answer ``min_distances``: the bound for one pending
+set from many origins at once, as one numpy pass over the pending targets.
+``min_distance`` asks it for a single origin; only the spanning-tree bound
+is computed there, one origin at a time.
 """
 
 from __future__ import annotations
@@ -94,24 +95,11 @@ class OpenPathTable:
 
         For ordered targets the mask must be a suffix of the sequence.
         """
-        if mask == 0:
-            return 0
-        if self._suffix is not None:
-            j = (mask & -mask).bit_length() - 1
-            return manhattan(origin, self.targets[j]) + self._suffix[j]
-        if self._best is None:
+        if not self.exact:
             return _spanning_tree_weight(
-                origin, [self.targets[j] for j in range(len(self.targets))
-                         if mask & (1 << j)])
-        cand = None
-        sub = mask
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub &= sub - 1
-            val = manhattan(origin, self.targets[j]) + self._best[mask][j]
-            if cand is None or val < cand:
-                cand = val
-        return cand
+                origin, [c for j, c in enumerate(self.targets) if mask >> j & 1])
+        x, y = origin
+        return int(self.min_distances(np.array([x]), np.array([y]), mask)[0])
 
     def min_distances(self, xs: np.ndarray, ys: np.ndarray,
                       mask: int) -> np.ndarray:

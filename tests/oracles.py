@@ -114,10 +114,7 @@ class RouteOracle:
         """Earliest time parked in a readout with all targets done."""
         t = self.t
         req = self.req
-        builder = {Kind.INTERSECTION: intersection_id,
-                   Kind.INTERACTION: interaction_id,
-                   Kind.READOUT: readout_id}[req.start_kind]
-        start_comp = builder(req.start_cell)
+        start_comp = readout_id(req.start_cell)
         start = (req.start_time, start_comp, 0)
         heap = [start]
         seen = {(start_comp, 0, req.start_time)}

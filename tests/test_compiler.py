@@ -135,15 +135,78 @@ def test_replicate_rejects_bad_rounds():
 
 def test_validator_reports_injected_collision():
     _, schedule = compile_surface(3)
-    # force two ancillae onto one channel at the same time
+    # a1 walks a0's route: each walk is valid, so only collisions remain
     a0, a1 = 0, 1
-    donor = next(ev for ev in schedule.events[a1] if ev.kind == "SHUTTLE")
-    victim = next(ev for ev in schedule.events[a0] if ev.kind == "SHUTTLE")
-    forged = replace(victim, comp=donor.comp, t=donor.t)
-    events = [forged if ev is victim else ev for ev in schedule.events[a0]]
-    corrupted = replace(schedule, events={**schedule.events, a0: events})
+    tasks = list(schedule.tasks)
+    tasks[a1] = replace(tasks[a0], ancilla=a1)
+    corrupted = replace(schedule, tasks=tasks,
+                        events={**schedule.events, a1: schedule.events[a0]})
     report = validate_schedule(corrupted)
-    assert any("collision" in v for v in report.violations) or report.violations
+    assert report.violations
+    for v in report.violations:
+        assert v.startswith("collision on ")
+        assert f"a{a0} round 0" in v and f"a{a1} round 0" in v
+
+
+def test_validator_reports_z_before_x():
+    """Relabelling every check's basis puts Z-check CXs before X-check ones."""
+    _, schedule = compile_surface(3, tailored=False)
+    tasks = [replace(t, basis="X" if t.basis == "Z" else "Z")
+             for t in schedule.tasks]
+    report = validate_schedule(replace(schedule, tasks=tasks))
+    assert report.violations
+    assert all("receives a Z-check CX" in v for v in report.violations)
+
+
+def test_validator_reports_unflanked_tailored_movement():
+    _, schedule = compile_surface(3, tailored=True)
+    aid = next(t.ancilla for t in schedule.tasks if t.basis == "Z")
+    events = [ev for ev in schedule.events[aid] if ev.kind != "H"]
+    corrupted = replace(schedule, events={**schedule.events, aid: events})
+    report = validate_schedule(corrupted)
+    assert report.violations
+    assert all(v.startswith(f"a{aid} round 0: movement at index")
+               and "not flanked by H" in v for v in report.violations)
+
+
+def _outside_violations(schedule, aid, events):
+    """Out-of-window reports after ancilla aid's events are replaced."""
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, aid: events}))
+    return [v for v in report.violations
+            if v.startswith(f"a{aid}: ") and "outside the round windows" in v]
+
+
+def test_validator_reports_event_after_last_round():
+    schedule = replicate_rounds(compile_surface(3)[1], 2)
+    events = schedule.events[0]
+    shuttle = next(ev for ev in events if ev.kind == "SHUTTLE")
+    late = replace(shuttle, t=schedule.makespan + 5000)
+    assert _outside_violations(schedule, 0, [*events, late])
+
+
+def test_validator_reports_event_before_zero():
+    _, schedule = compile_surface(3)
+    events = schedule.events[0]
+    cx = next(ev for ev in events if ev.kind == "CX")
+    early = replace(cx, t=-3000, partner=99)  # d99 does not exist
+    assert _outside_violations(schedule, 0, [early, *events])
+
+
+def test_validator_reports_event_ending_after_its_round():
+    schedule = replicate_rounds(compile_surface(3)[1], 2)
+    events = list(schedule.events[0])
+    last = max(i for i, ev in enumerate(events)
+               if ev.t < schedule.round_makespan)
+    events[last] = replace(events[last], duration=schedule.round_makespan)
+    found = _outside_violations(schedule, 0, events)
+    assert any(v.startswith(f"a0: {events[last].kind} ") for v in found)
+
+
+def test_validator_reports_nonpositive_round_makespan():
+    _, schedule = compile_surface(3)
+    report = validate_schedule(replace(schedule, round_makespan=0))
+    assert report.violations == ["round makespan 0 is not positive"]
 
 
 def test_validator_reports_missing_cx():

@@ -13,15 +13,17 @@ from shuttleplan.pauli import simulate_noiseless
 TIMING = TimingConfig()
 
 
-def surface_circuit(d=3, rounds=1, basis="z", tailored=True,
-                    noise=None, **emit_kwargs):
+def surface_schedule(d=3, rounds=1, tailored=True):
     code, layout = surface_code(d)
     schedule = schedule_round(code, layout, TIMING, tailored=tailored)
-    schedule = replicate_rounds(schedule, rounds)
+    return code, replicate_rounds(schedule, rounds)
+
+
+def surface_circuit(d=3, rounds=1, basis="z", tailored=True, noise=None):
+    code, schedule = surface_schedule(d, rounds, tailored)
     noise = noise if noise is not None else NoiseConfig()
     logicals = compute_logicals(code)
-    return code, emit_memory_circuit(schedule, code, logicals, noise, basis,
-                                     **emit_kwargs)
+    return code, emit_memory_circuit(schedule, code, logicals, noise, basis)
 
 
 def test_zero_noise_has_no_error_instructions():
@@ -42,20 +44,21 @@ def test_compose_phase_flips_odd_parity():
 
 
 def test_shuttle_segments_collapse_to_one_instruction():
-    _, circuit = surface_circuit(noise=NoiseConfig())
+    """One Z_ERROR per shuttle run, composed over its edges, covers every
+    SHUTTLE event of the schedule exactly once."""
+    code, schedule = surface_schedule()
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig(), "z")
     segs = [circuit.instructions[i] for i in circuit.noise_sites(kind="shuttle")]
     assert segs, "expected composed shuttle noise"
     multi = [s for s in segs if s.meta["edges"] > 1]
+    assert multi, "expected a run of more than one edge"
     for seg in multi:
         expected = compose_phase_flips(1e-3, seg.meta["edges"])
         assert seg.arg[0] == pytest.approx(expected)
-    per_edge_total = sum(s.meta["edges"] for s in segs)
-
-    _, per_edge = surface_circuit(noise=NoiseConfig(), per_edge_noise=True)
-    edges = per_edge.noise_sites(kind="shuttle")
-    assert len(edges) == per_edge_total
-    for i in edges:
-        assert per_edge.instructions[i].arg[0] == pytest.approx(1e-3)
+    shuttles = sum(ev.kind == "SHUTTLE" for evs in schedule.events.values()
+                   for ev in evs)
+    assert sum(s.meta["edges"] for s in segs) == shuttles
 
 
 def test_idle_gap_probability_closed_form():
@@ -169,9 +172,10 @@ def test_emit_rejects_bad_basis():
 
 
 def test_add_detectors_requires_measurements():
-    code, _ = surface_code(3)
+    code, schedule = surface_schedule()
     with pytest.raises(CodeError):
-        add_detectors(StabCircuit(9), code, "z")
+        add_detectors(StabCircuit(9), code, "z",
+                      logicals=compute_logicals(code), schedule=schedule)
 
 
 def test_emit_deterministic_output():

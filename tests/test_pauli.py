@@ -193,7 +193,7 @@ def test_simulate_reset_measure_deterministic_zero():
     c.append("R", (0,))
     c.append("M", (0,))
     report = simulate_noiseless(c)
-    out = report.measurements[0].outcome
+    out = report.measurements[0]
     assert out.deterministic and out.const == 0 and not out.random
 
 
@@ -202,7 +202,7 @@ def test_simulate_hadamard_gives_random_flag():
     c.append("R", (0,))
     c.append("H", (0,))
     c.append("M", (0,))
-    out = simulate_noiseless(c).measurements[0].outcome
+    out = simulate_noiseless(c).measurements[0]
     assert out.random and not out.deterministic
 
 
@@ -220,7 +220,7 @@ def test_repeated_random_measurement_is_correlated():
         c.append("H", (0,))
     c.append("DETECTOR", (0, 1))
     report = simulate_noiseless(c)
-    m0, m1 = (r.outcome for r in report.measurements)
+    m0, m1 = report.measurements
     assert m0.random
     assert not m0.deterministic and not m1.deterministic
     det = report.detectors[0]
@@ -235,7 +235,7 @@ def test_reset_clears_entanglement():
     c.append("CX", (0, 1))
     c.append("R", (1,))   # reset one half of a Bell pair
     c.append("M", (1,))
-    out = simulate_noiseless(c).measurements[0].outcome
+    out = simulate_noiseless(c).measurements[0]
     assert out.deterministic and out.const == 0
 
 
@@ -249,8 +249,7 @@ def test_bell_pair_parity_deterministic():
     c.append("M", (1,))
     c.append("DETECTOR", (0, 1))
     report = simulate_noiseless(c)
-    assert all(r.outcome.random ^ (i == 1) or True for i, r in
-               enumerate(report.measurements))
+    assert [m.random for m in report.measurements] == [True, False]
     det = report.detectors[0]
     assert det.deterministic and det.const == 0
 

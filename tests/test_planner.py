@@ -5,7 +5,7 @@ import random
 import pytest
 
 from shuttleplan import tsp
-from shuttleplan.chip import (Kind, TimingConfig, build_grid, channel_id,
+from shuttleplan.chip import (TimingConfig, build_grid, channel_id,
                               interaction_id, intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable, TimeInterval
 from shuttleplan.planner import (PlanFailure, PlanRequest, SearchState,
@@ -16,11 +16,11 @@ from oracles import RouteOracle, scan_successors, static_remaining_cost
 TIMING = TimingConfig()
 
 
-def request(home, targets, *, start_kind=Kind.READOUT, start_time=0,
-            ordered=False, gate=TIMING.t_cx, pad=TIMING.t_meas):
-    return PlanRequest(start_cell=home, start_kind=start_kind,
-                       start_time=start_time, targets=list(targets),
-                       ordered=ordered, gate_duration=gate, terminal_pad=pad)
+def request(home, targets, *, start_time=0, ordered=False, gate=TIMING.t_cx,
+            pad=TIMING.t_meas):
+    return PlanRequest(start_cell=home, start_time=start_time,
+                       targets=list(targets), ordered=ordered,
+                       gate_duration=gate, terminal_pad=pad)
 
 
 def reservations_of(table: ReservationTable) -> dict:
@@ -469,10 +469,7 @@ def oracle_reached_states(layout, table, req) -> dict:
     A best-first search on arrival time expanded with ``scan_successors``,
     so the states it reaches do not depend on the planner.
     """
-    builder = {Kind.INTERSECTION: intersection_id,
-               Kind.INTERACTION: interaction_id,
-               Kind.READOUT: readout_id}[req.start_kind]
-    start_comp = builder(req.start_cell)
+    start_comp = readout_id(req.start_cell)
     start = (start_comp,
              table.interval_containing(start_comp, req.start_time).index, 0)
     full = (1 << len(req.targets)) - 1
