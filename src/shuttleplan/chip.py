@@ -32,22 +32,30 @@ class Kind(str, Enum):
     READOUT = "readout"
 
 
+# the kind tags as plain strings, for the hot paths that test ``comp[0]``
+# (an enum member's ``.value`` is a descriptor call)
+INTERSECTION = Kind.INTERSECTION.value
+CHANNEL = Kind.CHANNEL.value
+INTERACTION = Kind.INTERACTION.value
+READOUT = Kind.READOUT.value
+
+
 def intersection_id(cell: Cell) -> ComponentId:
-    return ("intersection", cell[0], cell[1])
+    return (INTERSECTION, cell[0], cell[1])
 
 
 def interaction_id(cell: Cell) -> ComponentId:
-    return ("interaction", cell[0], cell[1])
+    return (INTERACTION, cell[0], cell[1])
 
 
 def readout_id(cell: Cell) -> ComponentId:
-    return ("readout", cell[0], cell[1])
+    return (READOUT, cell[0], cell[1])
 
 
 def channel_id(a: Cell, b: Cell) -> ComponentId:
     if b < a:
         a, b = b, a
-    return ("channel", a[0], a[1], b[0], b[1])
+    return (CHANNEL, a[0], a[1], b[0], b[1])
 
 
 def component_kind(comp: ComponentId) -> Kind:
@@ -56,7 +64,7 @@ def component_kind(comp: ComponentId) -> Kind:
 
 def component_cell(comp: ComponentId) -> Cell:
     """Cell of a cell-local component (not defined for channels)."""
-    if comp[0] == Kind.CHANNEL.value:
+    if comp[0] == CHANNEL:
         raise ValueError(f"channel {comp} spans two cells")
     return (comp[1], comp[2])
 

@@ -17,8 +17,9 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .chip import (Cell, ChipLayout, ComponentId, Kind, TimingConfig,
-                   build_grid, component_cell, intersection_id, readout_id)
+from .chip import (CHANNEL, INTERACTION, INTERSECTION, READOUT, Cell,
+                   ChipLayout, ComponentId, TimingConfig, build_grid,
+                   component_cell, intersection_id, readout_id)
 from .css import CheckTask, CssCode, DataLayout, tasks_from_code
 from .intervals import INF, ReservationTable, TimeInterval
 from .planner import (PlanFailure, PlanRequest, PlanResult, SearchState,
@@ -114,7 +115,7 @@ class Schedule:
 
 
 def comp_str(comp: ComponentId) -> str:
-    if comp[0] == Kind.CHANNEL.value:
+    if comp[0] == CHANNEL:
         return f"channel:{comp[1]},{comp[2]}-{comp[3]},{comp[4]}"
     return f"{comp[0]}:{comp[1]},{comp[2]}"
 
@@ -481,7 +482,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 report.add(f"{where}: channel {comp_str(ev.comp)} spans more "
                            f"than one edge")
-            if current[0] != Kind.INTERSECTION.value:
+            if current[0] != INTERSECTION:
                 report.add(f"{where}: shuttle from {comp_str(current)}")
                 continue
             here = component_cell(current)
@@ -503,7 +504,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
             else:
                 current = ev.dest
         elif ev.kind == "CX":
-            if ev.comp != current or current[0] != Kind.INTERACTION.value:
+            if ev.comp != current or current[0] != INTERACTION:
                 report.add(f"{where}: CX outside the interaction zone")
             elif ev.partner is None:
                 report.add(f"{where}: CX without a data partner")
@@ -517,7 +518,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
             if ev.comp != current:
                 report.add(f"{where}: {ev.kind} at {comp_str(ev.comp)} but "
                            f"ancilla rests at {comp_str(current)}")
-            if ev.kind in ("INIT", "MEASURE") and current[0] != Kind.READOUT.value:
+            if ev.kind in ("INIT", "MEASURE") and current[0] != READOUT:
                 report.add(f"{where}: {ev.kind} outside a readout zone")
         else:
             report.add(f"{where}: unknown event kind {ev.kind}")

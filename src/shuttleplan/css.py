@@ -138,7 +138,8 @@ def compute_logicals(code: CssCode) -> LogicalOperators:
 
     Logical X representatives span ker(Hz) modulo rowspace(Hx); logical Z
     likewise with the roles swapped. The two sets are then paired so that
-    x[i] . z[j] = delta_ij.
+    x[i] . z[j] = delta_ij. Raises CodeError if either basis falls short of
+    k rows or the paired sets fail that check.
     """
     n = code.n
     k = code.k
@@ -169,7 +170,8 @@ def compute_logicals(code: CssCode) -> LogicalOperators:
     # pairing matrix M[i, j] = lx_i . lz_j; transform lz so M becomes identity
     m = gf2.matmul(lx, lz.T)
     lz = gf2.matmul(gf2.inverse(m).T, lz).astype(np.uint8)
-    assert np.array_equal(gf2.matmul(lx, lz.T), np.eye(k, dtype=np.int64) % 2)
+    if not np.array_equal(gf2.matmul(lx, lz.T), np.eye(k, dtype=np.int64)):
+        raise CodeError("logical X and Z operators do not pair up")
     return LogicalOperators(x=lx, z=lz)
 
 

@@ -16,8 +16,7 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,24 +25,17 @@ from .compiler import Schedule
 from .css import CodeError, CssCode, LogicalOperators, compute_logicals
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     name: str
     targets: tuple[int, ...] = ()
     arg: Optional[tuple] = None  # probability, coordinates or observable index
     meta: Optional[dict] = None
 
-    def fmt(self, measurements_before: int) -> str:
-        head = self.name
-        if self.arg is not None:
-            args = ", ".join(_fmt_num(a) for a in self.arg)
-            head = f"{self.name}({args})"
-        if self.name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
-            recs = " ".join(f"rec[{t - measurements_before}]" for t in self.targets)
-            return f"{head} {recs}".rstrip()
-        if self.targets:
-            return f"{head} " + " ".join(str(t) for t in self.targets)
-        return head
+    def head(self) -> str:
+        """The name, with the formatted arguments when there are any."""
+        if self.arg is None:
+            return self.name
+        return f"{self.name}({', '.join(_fmt_num(a) for a in self.arg)})"
 
 
 def _fmt_num(value) -> str:
@@ -53,9 +45,13 @@ def _fmt_num(value) -> str:
 
 
 _NOISE_OPS = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
-# instructions whose targets are qubits, and those taking qubit pairs
-_QUBIT_OPS = frozenset({"H", "CX", "R", "RX", "M", "MX", *_NOISE_OPS})
+# instructions whose targets are qubits, those taking qubit pairs, those
+# whose targets are measurement records, and those with neither
+_QUBIT_OPS = frozenset({"H", "CX", "R", "RX", "M", "MX", "QUBIT_COORDS",
+                        *_NOISE_OPS})
 _PAIR_OPS = ("CX", "DEPOLARIZE2")
+_RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
+_OTHER_OPS = ("TICK",)
 
 
 class StabCircuit:
@@ -70,11 +66,13 @@ class StabCircuit:
                arg: Optional[tuple] = None, meta: Optional[dict] = None) -> None:
         """Add one instruction; the only place an `Instruction` is built.
 
-        Raises ValueError for a CX or DEPOLARIZE2 with an odd number of
-        targets and for a gate, reset, measure or noise target outside
-        [0, num_qubits).
+        Raises ValueError for a name outside the instruction set, for a CX
+        or DEPOLARIZE2 with an odd number of targets, for a gate, reset,
+        measure, noise or QUBIT_COORDS target outside [0, num_qubits) and
+        for a DETECTOR or OBSERVABLE_INCLUDE record outside
+        [0, num_measurements).
         """
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(map(int, targets))
         if name in _QUBIT_OPS:
             if name in _PAIR_OPS and len(targets) % 2:
                 raise ValueError(f"{name} needs target pairs, got {targets}")
@@ -82,6 +80,14 @@ class StabCircuit:
                                 and max(targets) < self.num_qubits):
                 raise ValueError(f"{name} targets {targets} outside qubits "
                                  f"0..{self.num_qubits - 1}")
+        elif name in _RECORD_OPS:
+            if targets and not (0 <= min(targets)
+                                and max(targets) < self.num_measurements):
+                raise ValueError(f"{name} records {targets} outside the "
+                                 f"{self.num_measurements} measurements so "
+                                 f"far")
+        elif name not in _OTHER_OPS:
+            raise ValueError(f"unknown instruction {name!r}")
         if name in ("M", "MX"):
             meta = dict(meta or {})
             meta["m_index"] = self.num_measurements
@@ -117,11 +123,20 @@ class StabCircuit:
 
     def to_text(self, header: Iterable[str] = ()) -> str:
         lines = [f"# {line}" for line in header]
+        heads: dict[tuple, str] = {}  # each distinct (name, arg) formatted once
         seen = 0
         for instr in self.instructions:
-            if instr.name in ("M", "MX"):
-                seen += len(instr.targets)
-            lines.append(instr.fmt(seen))
+            name, targets, arg, _ = instr
+            head = heads.get((name, arg))
+            if head is None:
+                head = heads[name, arg] = instr.head()
+            if name in _RECORD_OPS:
+                lines.append(" ".join([head, *(f"rec[{t - seen}]"
+                                               for t in targets)]))
+            else:
+                if name in ("M", "MX"):
+                    seen += len(targets)
+                lines.append(" ".join([head, *map(str, targets)]))
         return "\n".join(lines) + "\n"
 
 

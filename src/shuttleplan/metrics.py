@@ -26,8 +26,9 @@ class ShuttleStats:
     overhead: float | None = None  # achieved mean / ideal mean, when known
 
     def __post_init__(self):
-        if self.per_ancilla:
-            assert self.mean <= self.max + 1e-12
+        if self.per_ancilla and self.mean > self.max + 1e-12:
+            raise ValueError(f"mean shuttles {self.mean} exceed the maximum "
+                             f"{self.max}")
 
 
 def shuttle_stats(schedule: Schedule,

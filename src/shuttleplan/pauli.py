@@ -20,12 +20,21 @@ them in one pass over the noise instructions from a per-channel template
 groups the terms with numpy alone. A site's provenance is the ``meta`` of
 the instruction it follows.
 
-The tableau is the standard destabilizer/stabilizer pair with one twist:
-the sign of every row is an affine GF(2) expression in the outcomes of the
-random measurements seen so far, tracked as (constant bit, bitmask over
-outcome variables). A measurement or detector is deterministic exactly when
-its bitmask is zero, so determinism is decided algebraically instead of by
-repeated sampling.
+The tableau is the destabilizer/stabilizer pair of Aaronson and Gottesman
+(PRA 70, 052328, 2004) with one twist: the sign of every stabilizer is an
+affine GF(2) expression in the outcomes of the random measurements seen so
+far, tracked as (constant bit, bitmask over outcome variables). A
+measurement or detector is deterministic exactly when its bitmask is zero,
+so determinism is decided algebraically instead of by repeated sampling.
+The tableau is bit-packed by column in Python ints, as Stim packs its
+tableau: bit r of ``xc[q]`` and ``zc[q]`` is row r's X and Z on qubit q,
+and bit r of ``sign`` its sign. H is a swap and one AND/XOR, CX three int
+operations. A random measurement multiplies the pivot row into every
+anticommuting row at once, walking the pivot's columns with a bit-sliced
+mod-4 phase counter. A deterministic one reads the sign of the single
+stabilizer that is +-Z_q, or multiplies the few it is a product of. The
+outcomes do not depend on the pivot: each deterministic one is the unique
+affine function of the earlier random outcomes.
 """
 
 from __future__ import annotations
@@ -350,115 +359,161 @@ class Outcome:
                        self.random or other.random)
 
 
+class TableauError(RuntimeError):
+    """A tableau invariant broke: rows that must commute anticommute."""
+
+
+def _bits(value: int):
+    """Indices of the set bits of a non-negative int, ascending."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
+
+
 class Tableau:
-    """Destabilizer/stabilizer tableau with affine symbolic signs."""
+    """Destabilizer/stabilizer tableau with affine symbolic signs.
+
+    Column-major over Python ints: bit r of ``xc[q]`` and ``zc[q]`` is the X
+    and Z component of row r on qubit q. Rows 0..n-1 are the destabilizers
+    and rows n..2n-1 the stabilizers. Bit r of ``sign`` and ``mask[r]`` are
+    the constant and outcome-variable mask of row r's sign; only the
+    stabilizer rows' are kept up to date, since nothing reads a
+    destabilizer's.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1          # destabilizer X_i
-            self.z[n + i, i] = 1      # stabilizer Z_i
-        self.sign = np.zeros(2 * n, dtype=np.uint8)
+        self.xc = [1 << q for q in range(n)]          # destabilizer X_q
+        self.zc = [1 << (n + q) for q in range(n)]    # stabilizer Z_q
+        self.sign = 0
         self.mask = [0] * (2 * n)
         self.num_random = 0
 
     def h(self, q: int) -> None:
-        self.sign ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        x, z = self.xc[q], self.zc[q]
+        self.sign ^= x & z
+        self.xc[q], self.zc[q] = z, x
 
     def cx(self, c: int, t: int) -> None:
-        self.sign ^= (self.x[:, c] & self.z[:, t]
-                      & (self.x[:, t] ^ self.z[:, c] ^ 1))
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
+        xc, zc = self.xc, self.zc
+        x_c, z_t = xc[c], zc[t]
+        self.sign ^= x_c & z_t & ~(xc[t] ^ zc[c])
+        xc[t] ^= x_c
+        zc[c] ^= z_t
 
     def apply_x(self, q: int) -> None:
         """Deterministic X flip (used to inject faults)."""
-        self.sign ^= self.z[:, q]
+        self.sign ^= self.zc[q]
 
     def apply_z(self, q: int) -> None:
-        self.sign ^= self.x[:, q]
-
-    def _rowsum_many(self, rows: np.ndarray, src: int) -> None:
-        """row_h <- row_src * row_h for every h in rows, with sign algebra."""
-        xi, zi = self.x[src], self.z[src]
-        xh, zh = self.x[rows], self.z[rows]
-        xi_b = xi.astype(np.int16)
-        zi_b = zi.astype(np.int16)
-        xh_b = xh.astype(np.int16)
-        zh_b = zh.astype(np.int16)
-        g = (xi_b & zi_b) * (zh_b - xh_b) \
-            + (xi_b & (1 - zi_b)) * (zh_b * (2 * xh_b - 1)) \
-            + ((1 - xi_b) & zi_b) * (xh_b * (1 - 2 * zh_b))
-        total = 2 * self.sign[rows].astype(np.int64) + 2 * int(self.sign[src]) \
-            + g.sum(axis=1)
-        # destabilizer phases are never read and may go imaginary; only the
-        # stabilizer half must stay +/- 1
-        assert not np.any(total[rows >= self.n] % 2), \
-            "rowsum applied to anticommuting stabilizer rows"
-        self.sign[rows] = ((total % 4) // 2).astype(np.uint8)
-        src_mask = self.mask[src]
-        if src_mask:
-            for h in rows.tolist():
-                self.mask[h] ^= src_mask
-        self.x[rows] ^= xi
-        self.z[rows] ^= zi
+        self.sign ^= self.xc[q]
 
     def measure(self, q: int) -> Outcome:
+        """Measure Z_q.
+
+        Raises TableauError if the stabilizer rows it multiplies do not
+        commute, which a tableau built only through this API never does.
+        """
+        hits = self.xc[q]
+        stab_hits = hits >> self.n
+        if stab_hits:
+            pivot = self.n + (stab_hits & -stab_hits).bit_length() - 1
+            return self._measure_random(q, pivot, hits)
+        if hits and not hits & (hits - 1):
+            # one destabilizer anticommutes with Z_q: its stabilizer is +-Z_q
+            row = self.n + hits.bit_length() - 1
+            return Outcome(self.sign >> row & 1, self.mask[row], False)
+        return self._measure_deterministic(hits)
+
+    def _measure_random(self, q: int, p: int, hits: int) -> Outcome:
+        """Multiply stabilizer p into every other row anticommuting with Z_q,
+        make p the destabilizer of the new stabilizer Z_q."""
+        n, xc, zc = self.n, self.xc, self.zc
+        others = hits ^ (1 << p)
+        d = p - n
+        keep = ~((1 << p) | (1 << d))
+        # per-row i-exponent of the product, mod 4, bit-sliced over rows:
+        # bit r of `low` and `high` are the two bits of row r's counter
+        low = high = 0
+        touched = (1 << p) | (1 << d)
+        for j, (xj, zj) in enumerate(zip(xc, zc)):
+            if not (xj | zj) & touched:
+                continue
+            xp, zp = xj >> p & 1, zj >> p & 1
+            if xp or zp:
+                # g(pivot, row) is +1 or -1 where the two Paulis anticommute;
+                # `neg` marks the -1 rows among them
+                if xp and zp:            # Y: g = z - x
+                    anti, neg = xj ^ zj, xj
+                elif xp:                 # X: g = z (2x - 1)
+                    anti, neg = zj, ~xj
+                else:                    # Z: g = x (1 - 2z)
+                    anti, neg = xj, zj
+                anti &= others
+                high ^= anti & (low ^ neg)
+                low ^= anti
+                if xp:
+                    xj ^= others
+                if zp:
+                    zj ^= others
+            # the old pivot row becomes destabilizer d; row p is cleared
+            xc[j] = (xj & keep) | (xp << d)
+            zc[j] = (zj & keep) | (zp << d)
+        zc[q] |= 1 << p
+        stab_others = others >> n << n
+        if low & stab_others:
+            raise TableauError("rowsum applied to anticommuting stabilizer "
+                               "rows")
+        # new sign = old sign + pivot sign + (sum of g) / 2, on every row
+        flip = high ^ others if self.sign >> p & 1 else high
+        self.sign = (self.sign ^ (flip & others)) & ~(1 << p)
+        mask = self.mask
+        if mask[p]:
+            for r in _bits(stab_others):
+                mask[r] ^= mask[p]
+        bit = self.num_random
+        self.num_random += 1
+        mask[p] = 1 << bit
+        return Outcome(const=0, mask=1 << bit, random=True)
+
+    def _measure_deterministic(self, hits: int) -> Outcome:
+        """Z_q is the product of the stabilizers whose destabilizers it
+        anticommutes with; its sign is that product's phase.
+
+        For rows i in ascending order, with x_i, z_i their bits and X, Z
+        the XORs over the rows, the product of i^(x_i.z_i) X^x_i Z^z_i is
+        i^e X^X Z^Z with e = sum x_i.z_i + 2 sum z_<i.x_i, and the phase of
+        the product is e - X.Z (mod 4). A column adds to e only where it
+        holds both an X and a Z of the selected rows.
+        """
         n = self.n
-        stab_hits = np.nonzero(self.x[n:, q])[0]
-        if stab_hits.size:
-            p = n + int(stab_hits[0])
-            others = np.nonzero(self.x[:, q])[0]
-            others = others[others != p]
-            if others.size:
-                self._rowsum_many(others, p)
-            # the old stabilizer becomes the destabilizer of the new Z_q
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.sign[p - n] = self.sign[p]
-            self.mask[p - n] = self.mask[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
-            bit = self.num_random
-            self.num_random += 1
-            self.sign[p] = 0
-            self.mask[p] = 1 << bit
-            return Outcome(const=0, mask=1 << bit, random=True)
-        # deterministic: accumulate stabilizer rows flagged by destabilizers
-        const = 0
+        sel = hits << n
+        phase = 2 * (self.sign & sel).bit_count()
+        for xj, zj in zip(self.xc, self.zc):
+            x = xj & sel
+            if x:
+                z = zj & sel
+                if z:
+                    phase += (x & z).bit_count() \
+                        - (x.bit_count() & z.bit_count() & 1)
+                    for r in _bits(z):
+                        phase += 2 * (x >> (r + 1)).bit_count()
+        if phase % 2:
+            raise TableauError("deterministic outcome must be a +/- Z product")
         mask = 0
-        scratch_x = np.zeros(self.n, dtype=np.uint8)
-        scratch_z = np.zeros(self.n, dtype=np.uint8)
-        phase = 0  # exponent of i, mod 4
-        for i in np.nonzero(self.x[:n, q])[0]:
-            src = n + int(i)
-            xi, zi = self.x[src].astype(np.int16), self.z[src].astype(np.int16)
-            xh, zh = scratch_x.astype(np.int16), scratch_z.astype(np.int16)
-            g = ((xi & zi) * (zh - xh)
-                 + (xi & (1 - zi)) * (zh * (2 * xh - 1))
-                 + ((1 - xi) & zi) * (xh * (1 - 2 * zh)))
-            phase = (phase + 2 * int(self.sign[src]) + int(g.sum())) % 4
-            mask ^= self.mask[src]
-            scratch_x ^= self.x[src]
-            scratch_z ^= self.z[src]
-        assert phase in (0, 2), "deterministic outcome must be a +/- Z product"
-        const = phase // 2
-        return Outcome(const=const, mask=mask, random=False)
+        for r in _bits(sel):
+            mask ^= self.mask[r]
+        return Outcome(const=phase >> 1 & 1, mask=mask, random=False)
 
     def reset(self, q: int) -> None:
         """Project q to |0>, conditionally flipping on the symbolic outcome."""
         out = self.measure(q)
-        if out.const or out.mask:
-            flip_rows = np.nonzero(self.z[:, q])[0]
-            if out.const:
-                self.sign[flip_rows] ^= 1
-            if out.mask:
-                for h in flip_rows.tolist():
-                    self.mask[h] ^= out.mask
+        if out.const:
+            self.sign ^= self.zc[q]
+        if out.mask:
+            for r in _bits(self.zc[q] >> self.n << self.n):
+                self.mask[r] ^= out.mask
 
 
 @dataclass
@@ -479,30 +534,32 @@ class NoiselessReport:
 def simulate_noiseless(circuit: StabCircuit) -> NoiselessReport:
     """Run the tableau over gates only; evaluate detectors symbolically."""
     tab = Tableau(circuit.num_qubits)
+    h, cx, measure, reset = tab.h, tab.cx, tab.measure, tab.reset
     outcomes: list[Outcome] = []
+    record = outcomes.append
     for instr in circuit.instructions:
-        name = instr.name
-        if name == "R":
-            for q in instr.targets:
-                tab.reset(q)
-        elif name == "RX":
-            for q in instr.targets:
-                tab.reset(q)
-                tab.h(q)
+        name, targets = instr.name, instr.targets
+        if name == "CX":
+            for c, t in zip(targets[::2], targets[1::2]):
+                cx(c, t)
         elif name == "H":
-            for q in instr.targets:
-                tab.h(q)
-        elif name == "CX":
-            for c, t in zip(instr.targets[::2], instr.targets[1::2]):
-                tab.cx(c, t)
+            for q in targets:
+                h(q)
+        elif name == "R":
+            for q in targets:
+                reset(q)
+        elif name == "RX":
+            for q in targets:
+                reset(q)
+                h(q)
         elif name == "M":
-            for q in instr.targets:
-                outcomes.append(tab.measure(q))
+            for q in targets:
+                record(measure(q))
         elif name == "MX":
-            for q in instr.targets:
-                tab.h(q)
-                outcomes.append(tab.measure(q))
-                tab.h(q)
+            for q in targets:
+                h(q)
+                record(measure(q))
+                h(q)
         # noise channels, ticks and annotations do not touch the tableau
 
     def parity(targets) -> Outcome:

@@ -63,8 +63,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .chip import (Cell, ChipLayout, ComponentId, Kind, TimingConfig,
-                   channel_id, interaction_id, intersection_id, readout_id)
+from .chip import (CHANNEL, INTERSECTION, Cell, ChipLayout, ComponentId,
+                   TimingConfig, channel_id, interaction_id, intersection_id,
+                   readout_id)
 from .intervals import ReservationTable
 from .tsp import OpenPathTable
 
@@ -155,7 +156,7 @@ class LayoutIndex:
         self.layers: list[tuple] = []
         id_of = self.id_of
         for comp in self.comps:
-            if comp[0] == Kind.CHANNEL.value:
+            if comp[0] == CHANNEL:
                 self.cell_no.append(None)
                 self.links.append(())
                 self.layers.append(())
@@ -163,7 +164,7 @@ class LayoutIndex:
             cell = (comp[1], comp[2])
             self.cell_no.append(self.cell_number[cell])
             links = ()
-            if comp[0] == Kind.INTERSECTION.value:
+            if comp[0] == INTERSECTION:
                 links = tuple((id_of[channel_id(cell, nb)],
                                id_of[intersection_id(nb)])
                               for nb in layout.neighbors(cell))

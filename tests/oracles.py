@@ -5,8 +5,11 @@ route oracle walks a fully time-discretized graph at 100 ns grain, the
 successor oracle scans every safe interval from index 0, the static oracle
 is a plain Dijkstra over (component, done-mask) with no reservations, the
 tour oracle enumerates permutations, the frame oracle pushes one fault
-at a time through a circuit as sets of qubits, and the noise oracle expands
-each noise instruction into its faults one target at a time.
+at a time through a circuit as sets of qubits, the noise oracle expands
+each noise instruction into its faults one target at a time, and the
+tableau oracle is a row-major uint8 destabilizer/stabilizer tableau that
+updates every row of a column with numpy and multiplies rows one phase
+term at a time.
 """
 
 from __future__ import annotations
@@ -319,3 +322,128 @@ def expand_noise(circuit, indices=None):
                         if paulis:
                             faults.append((index, paulis))
     return faults
+
+
+class DenseTableau:
+    """Row-major uint8 tableau (Aaronson & Gottesman, PRA 70, 052328, 2004)
+    whose row signs are affine GF(2) expressions (const, mask) in the
+    outcomes of the random measurements so far."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.x = np.zeros((2 * n, n), dtype=np.uint8)
+        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        for i in range(n):
+            self.x[i, i] = 1          # destabilizer X_i
+            self.z[n + i, i] = 1      # stabilizer Z_i
+        self.sign = np.zeros(2 * n, dtype=np.uint8)
+        self.mask = [0] * (2 * n)
+        self.num_random = 0
+
+    def h(self, q: int) -> None:
+        self.sign ^= self.x[:, q] & self.z[:, q]
+        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+
+    def cx(self, c: int, t: int) -> None:
+        self.sign ^= (self.x[:, c] & self.z[:, t]
+                      & (self.x[:, t] ^ self.z[:, c] ^ 1))
+        self.x[:, t] ^= self.x[:, c]
+        self.z[:, c] ^= self.z[:, t]
+
+    @staticmethod
+    def _g(xi, zi, xh, zh) -> np.ndarray:
+        """Exponent of i in (xi, zi) * (xh, zh), per qubit."""
+        xi, zi, xh, zh = (v.astype(np.int16) for v in (xi, zi, xh, zh))
+        return ((xi & zi) * (zh - xh)
+                + (xi & (1 - zi)) * (zh * (2 * xh - 1))
+                + ((1 - xi) & zi) * (xh * (1 - 2 * zh)))
+
+    def _rowsum(self, h: int, src: int) -> None:
+        """row_h <- row_src * row_h; only stabilizer phases must stay real."""
+        total = 2 * int(self.sign[h]) + 2 * int(self.sign[src]) + int(
+            self._g(self.x[src], self.z[src], self.x[h], self.z[h]).sum())
+        assert h < self.n or total % 2 == 0, "anticommuting stabilizers"
+        self.sign[h] = (total % 4) // 2
+        self.mask[h] ^= self.mask[src]
+        self.x[h] ^= self.x[src]
+        self.z[h] ^= self.z[src]
+
+    def measure(self, q: int) -> tuple[int, int, bool]:
+        """(const, mask, random) of a Z_q measurement."""
+        n = self.n
+        stab_hits = np.nonzero(self.x[n:, q])[0]
+        if stab_hits.size:
+            p = n + int(stab_hits[0])
+            for h in np.nonzero(self.x[:, q])[0].tolist():
+                if h != p:
+                    self._rowsum(h, p)
+            self.x[p - n], self.z[p - n] = self.x[p], self.z[p]
+            self.sign[p - n], self.mask[p - n] = self.sign[p], self.mask[p]
+            self.x[p] = 0
+            self.z[p] = 0
+            self.z[p, q] = 1
+            self.sign[p] = 0
+            self.mask[p] = 1 << self.num_random
+            self.num_random += 1
+            return 0, self.mask[p], True
+        scratch_x = np.zeros(n, dtype=np.uint8)
+        scratch_z = np.zeros(n, dtype=np.uint8)
+        phase, mask = 0, 0
+        for i in np.nonzero(self.x[:n, q])[0].tolist():
+            src = n + i
+            phase += 2 * int(self.sign[src]) + int(self._g(
+                self.x[src], self.z[src], scratch_x, scratch_z).sum())
+            mask ^= self.mask[src]
+            scratch_x ^= self.x[src]
+            scratch_z ^= self.z[src]
+        assert phase % 4 in (0, 2), "deterministic outcome is not +/- Z"
+        assert not scratch_x.any() and scratch_z.tolist() == [
+            int(j == q) for j in range(n)], "stabilizer product is not Z_q"
+        return (phase % 4) // 2, mask, False
+
+    def reset(self, q: int) -> None:
+        const, mask, _ = self.measure(q)
+        for h in np.nonzero(self.z[:, q])[0].tolist():
+            self.sign[h] ^= const
+            self.mask[h] ^= mask
+
+
+def noiseless_outcomes(circuit):
+    """(measurements, detectors, observables by index) of a noiseless run,
+    each outcome a (const, mask, random) triple; parities XOR the consts
+    and masks and are random if any term is."""
+    tab = DenseTableau(circuit.num_qubits)
+    outcomes = []
+    for instr in circuit.instructions:
+        name, targets = instr.name, instr.targets
+        if name in ("R", "RX"):
+            for q in targets:
+                tab.reset(q)
+                if name == "RX":
+                    tab.h(q)
+        elif name == "H":
+            for q in targets:
+                tab.h(q)
+        elif name == "CX":
+            for c, t in zip(targets[::2], targets[1::2]):
+                tab.cx(c, t)
+        elif name in ("M", "MX"):
+            for q in targets:
+                if name == "MX":
+                    tab.h(q)
+                outcomes.append(tab.measure(q))
+                if name == "MX":
+                    tab.h(q)
+
+    def parity(records):
+        const, mask, random = 0, 0, False
+        for m in records:
+            const ^= outcomes[m][0]
+            mask ^= outcomes[m][1]
+            random = random or outcomes[m][2]
+        return const, mask, random
+
+    detectors = [parity(targets) for targets, _ in circuit.detectors()]
+    observables = {obs: parity(targets)
+                   for obs, targets in circuit.observables().items()}
+    return outcomes, detectors, observables

@@ -140,6 +140,14 @@ def test_logicals_repetition_code():
     assert best == 1
 
 
+def test_logicals_raise_when_pairing_fails(monkeypatch):
+    """The pairing check raises CodeError, so it survives `python -O`."""
+    code, _ = surface_code(3)
+    monkeypatch.setattr(gf2, "inverse", lambda m: np.zeros_like(m))
+    with pytest.raises(CodeError, match="do not pair up"):
+        compute_logicals(code)
+
+
 def test_logicals_k0_empty():
     code = CssCode(hx=[[1, 1]], hz=[[1, 1]])
     logs = compute_logicals(code)

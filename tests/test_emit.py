@@ -194,7 +194,8 @@ def test_append_rejects_odd_pair_targets(name):
 
 
 @pytest.mark.parametrize("name", ["H", "CX", "R", "RX", "M", "MX", "X_ERROR",
-                                  "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"])
+                                  "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2",
+                                  "QUBIT_COORDS"])
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_append_rejects_qubit_out_of_range(name, bad):
     c = StabCircuit(3)
@@ -214,3 +215,24 @@ def test_append_accepts_measurement_record_targets():
     c.append("OBSERVABLE_INCLUDE", (2,), arg=(0,))
     c.append("TICK")
     assert c.num_measurements == 3 and len(c.instructions) == 7
+
+
+@pytest.mark.parametrize("name", ["CZ", "m", "SHIFT_COORDS", ""])
+def test_append_rejects_unknown_instruction(name):
+    """An instruction the simulators do not know would be skipped by them."""
+    c = StabCircuit(2)
+    with pytest.raises(ValueError, match="unknown instruction"):
+        c.append(name, (0, 1))
+    assert c.instructions == []
+
+
+@pytest.mark.parametrize("name", ["DETECTOR", "OBSERVABLE_INCLUDE"])
+@pytest.mark.parametrize("bad", [-1, 2, 5])
+def test_append_rejects_record_out_of_range(name, bad):
+    """Records index the measurements made so far: rec[-k] must exist."""
+    c = StabCircuit(2)
+    c.append("M", (0, 1))
+    arg = (0,) if name == "OBSERVABLE_INCLUDE" else None
+    with pytest.raises(ValueError, match="outside the 2 measurements"):
+        c.append(name, (0, bad), arg=arg)
+    assert len(c.instructions) == 1

@@ -3,7 +3,7 @@ import pytest
 from shuttleplan.chip import TimingConfig, build_grid
 from shuttleplan.compiler import schedule_round
 from shuttleplan.css import default_layout, load_css, surface_code
-from shuttleplan.metrics import ideal_for_schedule, shuttle_stats
+from shuttleplan.metrics import ShuttleStats, ideal_for_schedule, shuttle_stats
 from oracles import brute_force_open_path
 
 TIMING = TimingConfig()
@@ -50,3 +50,9 @@ def test_shuttle_stats_surface_d3(surface_d3):
     assert stats.overhead == pytest.approx(1.0833, abs=1e-4)
     assert stats.rounds == 1
     assert stats.makespan == surface_d3.makespan
+
+
+def test_shuttle_stats_rejects_mean_above_max():
+    with pytest.raises(ValueError, match="exceed the maximum"):
+        ShuttleStats(per_ancilla={0: 1.0}, mean=9.0, max=1.0, makespan=1,
+                     rounds=1)

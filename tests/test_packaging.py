@@ -1,3 +1,4 @@
+import ast
 import importlib
 import sys
 
@@ -16,3 +17,14 @@ def test_console_scripts_resolve():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_package_has_no_assert_statements():
+    """Correctness checks must raise named errors: `python -O` strips
+    assert statements."""
+    found = []
+    for path in sorted((REPO / "src" / "shuttleplan").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -3,15 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from oracles import expand_noise, propagate_frame
+from oracles import expand_noise, noiseless_outcomes, propagate_frame
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
 from shuttleplan.emit import StabCircuit, emit_memory_circuit
-from shuttleplan.pauli import (FaultSites, Outcome, Tableau, fault_scan,
-                               propagate_fault, simulate_noiseless,
-                               sites_from_noise)
+from shuttleplan.pauli import (FaultSites, NoiselessReport, Outcome, Tableau,
+                               TableauError, fault_scan, propagate_fault,
+                               simulate_noiseless, sites_from_noise)
 
 
 def z_check_circuit(tailored: bool) -> StabCircuit:
@@ -262,7 +262,7 @@ def random_circuit(rng, n=8, length=50) -> StabCircuit:
         roll = rng.random()
         if roll < 0.35:
             c.append("H", (rng.randrange(n),))
-        elif roll < 0.7:
+        elif roll < 0.7 and n > 1:
             a = rng.randrange(n)
             b = rng.randrange(n)
             while b == a:
@@ -500,3 +500,72 @@ def test_fault_scan_rejects_malformed_term_columns(site, bits):
     sites = FaultSites(col(0, 0), col(0, site), col(1, 0), col(2, bits))
     with pytest.raises(ValueError, match="Pauli term 1"):
         fault_scan(c, sites)
+
+
+def assert_noiseless_matches_oracle(circuit: StabCircuit) -> NoiselessReport:
+    """Measurement, detector and observable Outcomes equal the dense
+    tableau oracle's, exactly."""
+    report = simulate_noiseless(circuit)
+    triple = lambda o: (o.const, o.mask, o.random)
+    measurements, detectors, observables = noiseless_outcomes(circuit)
+    assert [triple(o) for o in report.measurements] == measurements
+    assert [triple(o) for o in report.detectors] == detectors
+    assert {k: triple(o) for k, o in report.observables.items()} == observables
+    return report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 64, 70])
+def test_tableau_matches_dense_oracle_on_random_circuits(n):
+    """R, RX, H, CX, M and MX at random on 1 to 70 qubits, then random
+    record parities as detectors and observables."""
+    rng = random.Random(n)
+    for _ in range(40 if n < 64 else 2):
+        circuit = random_circuit(rng, n=n, length=rng.randint(n, 8 * n))
+        records = range(circuit.num_measurements)
+        pick = lambda most: rng.sample(records,
+                                       rng.randint(1, min(most, len(records))))
+        for _ in range(5):
+            circuit.append("DETECTOR", pick(3))
+        for obs in range(2):
+            circuit.append("OBSERVABLE_INCLUDE", pick(4), arg=(obs,))
+        assert_noiseless_matches_oracle(circuit)
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("d", [3, 5])
+def test_tableau_matches_dense_oracle_on_surface(d, basis):
+    code, layout = surface_code(d)
+    report = assert_noiseless_matches_oracle(
+        memory_circuit(code, layout, 2, basis))
+    assert report.all_detectors_deterministic_zero
+    assert report.all_observables_deterministic
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_tableau_matches_dense_oracle_on_bb72(bb72_schedule, basis):
+    code, schedule = bb72_schedule
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig(), basis)
+    report = assert_noiseless_matches_oracle(circuit)
+    assert report.all_detectors_deterministic_zero
+    assert len(report.observables) == 12
+
+
+def test_tableau_rejects_anticommuting_stabilizers_in_random_measurement():
+    """Stabilizers X0 and Y0 Z1 both anticommute with Z0 and with each
+    other, so multiplying one into the other cannot keep a real sign."""
+    tab = Tableau(2)
+    tab.xc[0] |= 0b1100            # rows 2 and 3 get an X on qubit 0
+    tab.zc[0] ^= 0b1100            # row 2 loses its Z0, row 3 gains one
+    with pytest.raises(TableauError, match="anticommuting"):
+        tab.measure(0)
+
+
+def test_tableau_rejects_non_hermitian_deterministic_product():
+    """Z0 is deterministic, but the two stabilizers it is built from,
+    Z0 X1 and Z1, anticommute, so their product has an imaginary phase."""
+    tab = Tableau(2)
+    tab.xc[0] |= 0b10              # destabilizer 1 also anticommutes with Z0
+    tab.xc[1] |= 0b100             # stabilizer row 2 becomes Z0 X1
+    with pytest.raises(TableauError, match="deterministic outcome"):
+        tab.measure(0)
