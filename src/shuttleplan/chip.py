@@ -18,26 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 Cell = tuple[int, int]
 ComponentId = tuple
 
 
-class Kind(str, Enum):
-    INTERSECTION = "intersection"
-    CHANNEL = "channel"
-    INTERACTION = "interaction"
-    READOUT = "readout"
-
-
-# the kind tags as plain strings, for the hot paths that test ``comp[0]``
-# (an enum member's ``.value`` is a descriptor call)
-INTERSECTION = Kind.INTERSECTION.value
-CHANNEL = Kind.CHANNEL.value
-INTERACTION = Kind.INTERACTION.value
-READOUT = Kind.READOUT.value
+# the component kinds, the first entry of every component id
+INTERSECTION = "intersection"
+CHANNEL = "channel"
+INTERACTION = "interaction"
+READOUT = "readout"
 
 
 def intersection_id(cell: Cell) -> ComponentId:
@@ -56,10 +47,6 @@ def channel_id(a: Cell, b: Cell) -> ComponentId:
     if b < a:
         a, b = b, a
     return (CHANNEL, a[0], a[1], b[0], b[1])
-
-
-def component_kind(comp: ComponentId) -> Kind:
-    return Kind(comp[0])
 
 
 def component_cell(comp: ComponentId) -> Cell:
@@ -116,12 +103,6 @@ class ChipLayout:
             out.append(readout_id(cell))
         out.extend(self.channels())
         return out
-
-    def grid_distance(self, a: Cell, b: Cell) -> int:
-        """Shuttle distance in unit edges (Manhattan on an open grid)."""
-        self.require_in_bounds(a)
-        self.require_in_bounds(b)
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
     def __repr__(self) -> str:
         return f"ChipLayout({self.width}x{self.height})"

@@ -9,6 +9,10 @@ that ancilla is planned.
 The one-round schedule is replicated by pure time translation: round r is
 round 0 shifted by r times the round makespan, which stays collision-free
 because every occupancy of round r lies inside [r*M, (r+1)*M).
+
+A schedule keeps one list of the planner's ``Event`` records per ancilla,
+keyed by the ancilla: a route's WAIT, SHUTTLE and DISPLACE events as they
+are, each GATE as a CX (an H-CX-H sandwich on a tailored Z ancilla).
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .chip import (CHANNEL, INTERACTION, INTERSECTION, READOUT, Cell,
                    component_cell, intersection_id, readout_id)
 from .css import CheckTask, CssCode, DataLayout, tasks_from_code
 from .intervals import INF, ReservationTable, TimeInterval
-from .planner import (PlanFailure, PlanRequest, PlanResult, SearchState,
-                      plan_route, route_heuristic)
+from .planner import (Event, PlanFailure, PlanRequest, PlanResult,
+                      SearchState, plan_route, route_heuristic)
 
 ORDER_POLICIES = ("longest", "index", "random")
 
@@ -34,28 +38,12 @@ class CompileError(RuntimeError):
         self.ancilla = ancilla
 
 
-@dataclass(frozen=True)
-class Event:
-    qubit: str   # "a<i>"
-    kind: str    # INIT DISPLACE SHUTTLE H CX WAIT MEASURE
-    t: int
-    duration: int
-    comp: ComponentId
-    dest: Optional[ComponentId] = None  # displace target layer
-    partner: Optional[int] = None       # data index for CX
-
-    @property
-    def end(self) -> int:
-        return self.t + self.duration
-
-
 @dataclass
 class Schedule:
     events: dict[int, list[Event]]  # ancilla -> time-ordered events
     tasks: list[CheckTask]
     data_cells: dict[int, Cell]     # chip coordinates (margin applied)
     homes: dict[int, Cell]
-    chip: ChipLayout
     timing: TimingConfig
     tailored: bool
     rounds: int
@@ -66,9 +54,10 @@ class Schedule:
     def makespan(self) -> int:
         return self.rounds * self.round_makespan
 
-    def all_events(self) -> list[Event]:
-        merged = [ev for evs in self.events.values() for ev in evs]
-        merged.sort(key=lambda e: (e.t, int(e.qubit[1:]), e.kind))
+    def all_events(self) -> list[tuple[int, Event]]:
+        """(ancilla, event) pairs ordered by time, ancilla and kind."""
+        merged = [(a, ev) for a, evs in self.events.items() for ev in evs]
+        merged.sort(key=lambda pair: (pair[1].t, pair[0], pair[1].kind))
         return merged
 
     # -- serialization -------------------------------------------------------
@@ -84,11 +73,11 @@ class Schedule:
 
     def to_text(self) -> str:
         out = [f"# {line}" for line in self.header_lines()]
-        for ev in self.all_events():
+        for a, ev in self.all_events():
             comp = comp_str(ev.comp)
             if ev.dest is not None:
                 comp = f"{comp}>{comp_str(ev.dest)}"
-            fields = [ev.qubit, ev.kind, str(ev.t), str(ev.duration), comp]
+            fields = [f"a{a}", ev.kind, str(ev.t), str(ev.duration), comp]
             if ev.partner is not None:
                 fields.append(f"d{ev.partner}")
             out.append(" ".join(fields))
@@ -96,9 +85,9 @@ class Schedule:
 
     def to_json(self) -> str:
         events = []
-        for ev in self.all_events():
+        for a, ev in self.all_events():
             events.append({
-                "qubit": ev.qubit, "kind": ev.kind, "t": ev.t,
+                "qubit": f"a{a}", "kind": ev.kind, "t": ev.t,
                 "duration": ev.duration, "comp": comp_str(ev.comp),
                 "dest": comp_str(ev.dest) if ev.dest is not None else None,
                 "partner": ev.partner,
@@ -197,35 +186,31 @@ def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
 
 def _events_for(task: CheckTask, home: Cell, result: PlanResult,
                 timing: TimingConfig, tailored: bool) -> list[Event]:
-    q = f"a{task.ancilla}"
     flank = _flanked(task, tailored)
     sandwich = _sandwiched(task, tailored)
     home_ro = readout_id(home)
-    events = [Event(q, "INIT", 0, timing.t_init, home_ro)]
+    events = [Event("INIT", 0, timing.t_init, home_ro)]
     cursor = timing.t_init
     if flank:
-        events.append(Event(q, "H", cursor, timing.t_h, home_ro))
+        events.append(Event("H", cursor, timing.t_h, home_ro))
         cursor += timing.t_h
     for step in result.steps:
         if step.kind != "GATE":  # WAIT, SHUTTLE or DISPLACE
-            events.append(Event(q, step.kind, step.start, step.duration,
-                                step.comp, dest=step.dest))
-        else:
-            data = task.targets[step.target]
-            if sandwich:
-                events.append(Event(q, "H", step.start, timing.t_h, step.comp))
-                events.append(Event(q, "CX", step.start + timing.t_h,
-                                    timing.t_cx, step.comp, partner=data))
-                events.append(Event(q, "H", step.start + timing.t_h + timing.t_cx,
-                                    timing.t_h, step.comp))
-            else:
-                events.append(Event(q, "CX", step.start, timing.t_cx,
-                                    step.comp, partner=data))
+            events.append(step)
+            continue
+        t, zone = step.t, step.comp
+        data = task.targets[step.partner]
+        if sandwich:
+            events.append(Event("H", t, timing.t_h, zone))
+            t += timing.t_h
+        events.append(Event("CX", t, timing.t_cx, zone, partner=data))
+        if sandwich:
+            events.append(Event("H", t + timing.t_cx, timing.t_h, zone))
     cursor = result.parked_time
     if flank:
-        events.append(Event(q, "H", cursor, timing.t_h, result.parked))
+        events.append(Event("H", cursor, timing.t_h, result.parked))
         cursor += timing.t_h
-    events.append(Event(q, "MEASURE", cursor, timing.t_meas, result.parked))
+    events.append(Event("MEASURE", cursor, timing.t_meas, result.parked))
     return events
 
 
@@ -342,7 +327,7 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
                            sorted(vars(timing).items())),
     }
     return Schedule(events=events, tasks=tasks, data_cells=data_cells,
-                    homes=homes, chip=chip, timing=timing, tailored=tailored,
+                    homes=homes, timing=timing, tailored=tailored,
                     rounds=1, round_makespan=makespan, provenance=provenance)
 
 
@@ -360,8 +345,8 @@ def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
         shifted = list(evs)  # events are frozen, so round 0 shares them
         for r in range(1, rounds):
             offset = r * period
-            shifted.extend(Event(ev.qubit, ev.kind, ev.t + offset, ev.duration,
-                                 ev.comp, ev.dest, ev.partner) for ev in evs)
+            shifted.extend(Event(ev.kind, ev.t + offset, ev.duration, ev.comp,
+                                 ev.dest, ev.partner) for ev in evs)
         events[aid] = shifted
     return replace(schedule, events=events, rounds=rounds)
 
@@ -385,8 +370,10 @@ class ValidationReport:
 def validate_schedule(schedule: Schedule) -> ValidationReport:
     """Independent sweep: collisions, completion, order, contiguity, timing.
 
-    Event e belongs to round ``e.t // round_makespan`` and must end by the
-    end of that round; an event outside every round window is reported.
+    Every check task needs events under its ancilla key, and every key of
+    ``schedule.events`` needs a task. Event e belongs to round
+    ``e.t // round_makespan`` and must end by the end of that round; an
+    event outside every round window is reported.
     """
     report = ValidationReport()
     period, rounds = schedule.round_makespan, schedule.rounds
@@ -399,9 +386,9 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
     last_x: dict[tuple[int, int], int] = {}
     first_z: dict[tuple[int, int], int] = {}
 
-    for aid, events in schedule.events.items():
-        task = schedule.tasks[aid]
-        q = f"a{aid}"
+    for task in schedule.tasks:
+        q = f"a{task.ancilla}"
+        events = schedule.events.get(task.ancilla)
         if not events:
             report.add(f"{q}: no events")
             continue
@@ -432,6 +419,9 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
                 continue
             for comp, span in spans:
                 occupancies.setdefault(comp, []).append((span, f"{q} round {rnd}"))
+    for aid in sorted(set(schedule.events)
+                      - {task.ancilla for task in schedule.tasks}):
+        report.add(f"a{aid}: events for an ancilla with no check task")
 
     for comp, spans in occupancies.items():
         spans.sort(key=lambda item: (item[0].start, item[0].end))

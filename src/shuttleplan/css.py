@@ -30,8 +30,8 @@ class CssCode:
     hz: np.ndarray
     name: str = "unnamed"
     d_claimed: Optional[int] = None
-    ordered: bool = False
-    # explicit per-row visit orders; populated for codes with fixed CNOT order
+    # explicit per-row visit orders, both or neither; a code with them is
+    # ``ordered``
     x_orders: Optional[list[list[int]]] = None
     z_orders: Optional[list[list[int]]] = None
     # explicit data placement from the file's LAYOUT section
@@ -55,6 +55,8 @@ class CssCode:
             empty = np.nonzero(~mat.any(axis=1))[0] if mat.shape[0] else []
             if len(empty):
                 raise CodeError(f"{label} row {int(empty[0])} has no support")
+        if (self.x_orders is None) != (self.z_orders is None):
+            raise CodeError("x_orders and z_orders must be given together")
         for mat, orders, label in ((self.hx, self.x_orders, "X"),
                                    (self.hz, self.z_orders, "Z")):
             if orders is None:
@@ -66,6 +68,11 @@ class CssCode:
                 if sorted(seq) != support:
                     raise CodeError(
                         f"{label} row {row}: ORDER entries do not match support")
+
+    @property
+    def ordered(self) -> bool:
+        """Whether every check visits its data qubits in a fixed order."""
+        return self.x_orders is not None
 
     @property
     def n(self) -> int:
@@ -248,7 +255,7 @@ def surface_code(d: int) -> tuple[CssCode, DataLayout]:
                 z_orders.append(order)
 
     code = CssCode(hx=np.array(x_rows), hz=np.array(z_rows),
-                   name=f"surface_d{d}", d_claimed=d, ordered=True,
+                   name=f"surface_d{d}", d_claimed=d,
                    x_orders=x_orders, z_orders=z_orders)
     layout = {qubit(r, c): (c, r) for r in range(d) for c in range(d)}
     return code, layout
@@ -309,7 +316,6 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
     hz = parse_matrix(sections["HZ"], "HZ")
 
     x_orders = z_orders = None
-    ordered = False
     if "ORDER" in sections:
         rows = sections["ORDER"]
         if len(rows) != hx.shape[0] + hz.shape[0]:
@@ -317,10 +323,9 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
         seqs = [[int(t) for t in line.split()] for line in rows]
         x_orders = seqs[:hx.shape[0]]
         z_orders = seqs[hx.shape[0]:]
-        ordered = True
 
     code = CssCode(hx=hx, hz=hz, name=name, d_claimed=d_claimed,
-                   ordered=ordered, x_orders=x_orders, z_orders=z_orders)
+                   x_orders=x_orders, z_orders=z_orders)
     if code.k != k_claim:
         raise CodeError(f"{name_hint}: header claims k={k_claim} "
                         f"but rank computation gives k={code.k}")

@@ -16,13 +16,14 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .chip import NoiseConfig
 from .compiler import Schedule
-from .css import CodeError, CssCode, LogicalOperators, compute_logicals
+from .css import CodeError, CssCode, LogicalOperators
 
 
 class Instruction(NamedTuple):
@@ -55,7 +56,8 @@ _OTHER_OPS = ("TICK",)
 
 
 class StabCircuit:
-    """Ordered instruction list with measurement bookkeeping."""
+    """Ordered instruction list; a measurement's record index is its place
+    among the M and MX targets in that order, and is stored nowhere else."""
 
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
@@ -66,13 +68,14 @@ class StabCircuit:
                arg: Optional[tuple] = None, meta: Optional[dict] = None) -> None:
         """Add one instruction; the only place an `Instruction` is built.
 
-        Raises ValueError for a name outside the instruction set, for a CX
-        or DEPOLARIZE2 with an odd number of targets, for a gate, reset,
+        Raises TypeError for a target that is not an integer, such as a
+        float, and ValueError for a name outside the instruction set, for a
+        CX or DEPOLARIZE2 with an odd number of targets, for a gate, reset,
         measure, noise or QUBIT_COORDS target outside [0, num_qubits) and
         for a DETECTOR or OBSERVABLE_INCLUDE record outside
         [0, num_measurements).
         """
-        targets = tuple(map(int, targets))
+        targets = tuple(map(index, targets))
         if name in _QUBIT_OPS:
             if name in _PAIR_OPS and len(targets) % 2:
                 raise ValueError(f"{name} needs target pairs, got {targets}")
@@ -89,8 +92,6 @@ class StabCircuit:
         elif name not in _OTHER_OPS:
             raise ValueError(f"unknown instruction {name!r}")
         if name in ("M", "MX"):
-            meta = dict(meta or {})
-            meta["m_index"] = self.num_measurements
             self.num_measurements += len(targets)
         self.instructions.append(Instruction(name, targets, arg, meta))
 
@@ -146,14 +147,12 @@ def compose_phase_flips(p: float, repeats: int) -> float:
 
 
 def emit_memory_circuit(schedule: Schedule, code: CssCode,
-                        logicals: Optional[LogicalOperators],
+                        logicals: LogicalOperators,
                         noise: NoiseConfig, basis: str) -> StabCircuit:
     """Memory experiment: transversal init, scheduled SE rounds, readout."""
     basis = basis.upper()
     if basis not in ("X", "Z"):
         raise CodeError(f"basis must be X or Z, got {basis!r}")
-    if logicals is None:
-        logicals = compute_logicals(code)
     if logicals.x.shape[1] != code.n:
         raise CodeError("logical operators do not match the code length")
 
@@ -307,15 +306,17 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
 
     checks_by_round: dict[int, dict[int, int]] = {}
     data_m: dict[int, int] = {}
+    measured = 0  # record index of the instruction's first measurement
     for instr in circuit.instructions:
-        if instr.name not in ("M", "MX") or instr.meta is None:
+        if instr.name not in ("M", "MX"):
             continue
-        if instr.meta.get("kind") == "anc_measure":
-            rnd = instr.meta["round"]
-            checks_by_round.setdefault(rnd, {})[instr.meta["check"]] = \
-                instr.meta["m_index"]
-        elif instr.meta.get("kind") == "data_measure":
-            data_m[instr.meta["data"]] = instr.meta["m_index"]
+        meta = instr.meta or {}
+        if meta.get("kind") == "anc_measure":
+            checks_by_round.setdefault(meta["round"], {})[meta["check"]] = \
+                measured
+        elif meta.get("kind") == "data_measure":
+            data_m[meta["data"]] = measured
+        measured += len(instr.targets)
     if not checks_by_round:
         raise CodeError("circuit has no check measurements")
     rounds = sorted(checks_by_round)

@@ -30,9 +30,6 @@ class TimeInterval:
         if not self.start < self.end:
             raise ValueError(f"empty interval [{self.start}, {self.end})")
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.end
-
     def overlaps(self, other: "TimeInterval") -> bool:
         return self.start < other.end and other.start < self.end
 

@@ -300,6 +300,7 @@ def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
     frame = np.zeros((2 * nq, words), dtype=np.uint64)
     x, z = frame[:nq], frame[nq:]
     flips = np.zeros((circuit.num_measurements, words), dtype=np.uint64)
+    measured = 0  # record index of the next measurement
 
     def activate(k: int) -> None:
         lo, hi = bounds[k], bounds[k + 1]
@@ -324,9 +325,9 @@ def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
                 z[q] = 0
         else:
             src = x if name == "M" else z
-            base = instr.meta["m_index"]
-            for off, q in enumerate(instr.targets):
-                flips[base + off] = src[q]
+            for q in instr.targets:
+                flips[measured] = src[q]
+                measured += 1
     activate(len(gate_at))
     return ScanResult(sites=sites, x=x, z=z, flips=flips)
 

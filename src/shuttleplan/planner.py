@@ -22,6 +22,10 @@ heuristic charges the pending gates and displaces plus the shuttle time of
 unordered targets). The heuristic is therefore admissible and the returned
 route is time-optimal for the reservations it was planned against.
 
+A route is a list of ``Event`` records, the package's one record of a timed
+ancilla action: WAIT, SHUTTLE, DISPLACE, and GATE with the target index as
+``partner``. The compiler keeps them as they are and expands each GATE.
+
 Components are searched as dense int ids. ``layout_index`` ranks a layout's
 components in tuple sort order, so id order is component order and the heap
 entries (f, h, (id, interval, mask)) tie-break exactly as they would on
@@ -85,17 +89,19 @@ class SearchState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PathStep:
-    kind: str  # SHUTTLE | DISPLACE | GATE | WAIT
-    start: int
+class Event:
+    """One timed action of an ancilla; the ancilla keys its event list."""
+
+    kind: str  # INIT H CX MEASURE WAIT SHUTTLE DISPLACE, or GATE in a route
+    t: int
     duration: int
-    comp: ComponentId            # channel / source layer / zone / wait spot
+    comp: ComponentId            # channel / source layer / zone / resting spot
     dest: Optional[ComponentId] = None  # displace destination layer
-    target: Optional[int] = None        # gated target index into task.targets
+    partner: Optional[int] = None       # GATE: target index; CX: data index
 
     @property
     def end(self) -> int:
-        return self.start + self.duration
+        return self.t + self.duration
 
 
 @dataclass
@@ -126,7 +132,7 @@ class PlanStats:
 
 @dataclass
 class PlanResult:
-    steps: list[PathStep]
+    steps: list[Event]           # WAIT, SHUTTLE, DISPLACE and GATE
     parked: ComponentId          # terminal readout
     parked_time: int             # g at the goal (terminal pad not included)
     stats: PlanStats = field(default_factory=PlanStats)
@@ -400,7 +406,7 @@ class _Search:
         return goal, g_best, parents, stats
 
     def _extract(self, goal: tuple, parents, g_best) -> PlanResult:
-        """Steps along the parent chain; each move is read off its two ends."""
+        """Events on the parent chain; each move is read off its two ends."""
         t = self.timing
         index = self.index
         comps = index.comps
@@ -411,26 +417,25 @@ class _Search:
             state = parents[state]
         chain.reverse()
 
-        steps: list[PathStep] = []
+        steps: list[Event] = []
         prev = state
         cursor = self.req.start_time
         for state in chain:
             arrival = g_best[state]
             (pid, _, pmask), (sid, _, mask) = prev, state
             if mask != pmask:
-                step = PathStep("GATE", arrival - self.req.gate_duration,
-                                self.req.gate_duration, comps[sid],
-                                target=(mask ^ pmask).bit_length() - 1)
+                step = Event("GATE", arrival - self.req.gate_duration,
+                             self.req.gate_duration, comps[sid],
+                             partner=(mask ^ pmask).bit_length() - 1)
             elif sid in index.layers[pid]:
-                step = PathStep("DISPLACE", arrival - t.t_displace,
-                                t.t_displace, comps[pid], dest=comps[sid])
+                step = Event("DISPLACE", arrival - t.t_displace,
+                             t.t_displace, comps[pid], dest=comps[sid])
             else:
                 ch = next(c for c, dest in index.links[pid] if dest == sid)
-                step = PathStep("SHUTTLE", arrival - t.t_shuttle, t.t_shuttle,
-                                comps[ch])
-            if step.start > cursor:
-                steps.append(PathStep("WAIT", cursor, step.start - cursor,
-                                      comps[pid]))
+                step = Event("SHUTTLE", arrival - t.t_shuttle, t.t_shuttle,
+                             comps[ch])
+            if step.t > cursor:
+                steps.append(Event("WAIT", cursor, step.t - cursor, comps[pid]))
             steps.append(step)
             cursor = arrival
             prev = state

@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from shuttleplan.chip import (ChipLayout, Kind, TimingConfig, channel_id,
-                              interaction_id, intersection_id, readout_id)
+from shuttleplan.chip import (INTERACTION, INTERSECTION, READOUT, ChipLayout,
+                              TimingConfig, channel_id, interaction_id,
+                              intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable
 
 if TYPE_CHECKING:
@@ -123,7 +124,7 @@ class RouteOracle:
         seen = {(start_comp, 0, req.start_time)}
         while heap:
             now, comp, mask = heapq.heappop(heap)
-            if (mask == self.full and comp[0] == Kind.READOUT.value
+            if (mask == self.full and comp[0] == READOUT
                     and self.free(comp, now, now + req.terminal_pad)):
                 return now
             if now > horizon:
@@ -134,7 +135,7 @@ class RouteOracle:
             if self.free(comp, now, now + GRAIN):
                 moves.append((now + GRAIN, comp, mask))
             # shuttle
-            if comp[0] == Kind.INTERSECTION.value:
+            if comp[0] == INTERSECTION:
                 for nb in self.layout.neighbors(cell):
                     ch = channel_id(cell, nb)
                     dest = intersection_id(nb)
@@ -153,7 +154,7 @@ class RouteOracle:
                     moves.append((arr, dest, mask))
             # gate (waiting in place until any per-cell window opens)
             j = self.target_index.get(cell)
-            if (comp[0] == Kind.INTERACTION.value and j is not None
+            if (comp[0] == INTERACTION and j is not None
                     and not mask & (1 << j)
                     and (not req.ordered or j == bin(mask).count("1"))
                     and now >= req.gate_windows.get(cell, 0)
@@ -181,7 +182,7 @@ def scan_successors(layout: ChipLayout, table: ReservationTable,
     hi = table.safe_intervals(comp)[interval].span.end
     cell = (comp[1], comp[2])
     out = []
-    if comp[0] == Kind.INTERSECTION.value:
+    if comp[0] == INTERSECTION:
         for nb in layout.neighbors(cell):
             channel = table.safe_intervals(channel_id(cell, nb))
             dest = intersection_id(nb)
@@ -205,7 +206,7 @@ def scan_successors(layout: ChipLayout, table: ReservationTable,
             if arr <= hi and arr < dest_si.span.end:
                 out.append(((dest, dest_si.index, mask), arr))
     j = {c: j for j, c in enumerate(request.targets)}.get(cell)
-    if (comp[0] == Kind.INTERACTION.value and j is not None
+    if (comp[0] == INTERACTION and j is not None
             and not mask & (1 << j)
             and (not request.ordered or j == bin(mask).count("1"))):
         done = max(g, request.gate_windows.get(cell, 0)) + request.gate_duration
@@ -226,11 +227,11 @@ def static_remaining_cost(layout: ChipLayout, timing: TimingConfig,
         d, comp, mask = heapq.heappop(heap)
         if d > dist.get((comp, mask), float("inf")):
             continue
-        if mask == full and comp[0] == Kind.READOUT.value:
+        if mask == full and comp[0] == READOUT:
             return d
         cell = (comp[1], comp[2])
         steps = []
-        if comp[0] == Kind.INTERSECTION.value:
+        if comp[0] == INTERSECTION:
             steps += [(intersection_id(nb), mask, t.t_shuttle)
                       for nb in layout.neighbors(cell)]
         for build in _LAYERS:
@@ -238,7 +239,7 @@ def static_remaining_cost(layout: ChipLayout, timing: TimingConfig,
             if dest != comp:
                 steps.append((dest, mask, t.t_displace))
         j = target_index.get(cell)
-        if (comp[0] == Kind.INTERACTION.value and j is not None
+        if (comp[0] == INTERACTION and j is not None
                 and not mask & (1 << j)
                 and (not request.ordered or j == bin(mask).count("1"))):
             steps.append((comp, mask | (1 << j), request.gate_duration))

@@ -148,6 +148,21 @@ def test_validator_reports_injected_collision():
         assert f"a{a0} round 0" in v and f"a{a1} round 0" in v
 
 
+def test_validator_reports_missing_ancilla():
+    _, schedule = compile_surface(3)
+    events = dict(schedule.events)
+    del events[3]
+    report = validate_schedule(replace(schedule, events=events))
+    assert report.violations == ["a3: no events"]
+
+
+def test_validator_reports_events_without_a_task():
+    _, schedule = compile_surface(3)
+    events = {**schedule.events, 8: schedule.events[0]}
+    report = validate_schedule(replace(schedule, events=events))
+    assert report.violations == ["a8: events for an ancilla with no check task"]
+
+
 def test_validator_reports_z_before_x():
     """Relabelling every check's basis puts Z-check CXs before X-check ones."""
     _, schedule = compile_surface(3, tailored=False)

@@ -27,6 +27,13 @@ def test_zero_weight_row_rejected():
         CssCode(hx=[[0, 0]], hz=[[1, 1]])
 
 
+@pytest.mark.parametrize("side", ["x_orders", "z_orders"])
+def test_one_sided_orders_rejected(side):
+    """Orders fix the visit order of every check or of none."""
+    with pytest.raises(CodeError, match="given together"):
+        CssCode(hx=[[1, 1]], hz=[[1, 1]], **{side: [[0, 1]]})
+
+
 def test_surface_d3_parameters():
     code, layout = surface_code(3)
     assert code.n == 9 and code.k == 1

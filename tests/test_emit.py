@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
@@ -101,7 +102,8 @@ def test_bb72_twelve_observables(bb72_path):
     code = load_css(str(bb72_path))
     layout = default_layout(code, build_grid(9, 8))
     schedule = schedule_round(code, layout, TIMING)
-    circuit = emit_memory_circuit(schedule, code, None, NoiseConfig.zero(), "z")
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig.zero(), "z")
     assert len(circuit.observables()) == 12
     report = simulate_noiseless(circuit)
     assert report.all_detectors_deterministic_zero
@@ -139,6 +141,8 @@ def test_per_round_measurement_counts():
                         if i.name == "M" and i.meta
                         and i.meta.get("kind") == "anc_measure"]
     assert len(anc_measurements) == 8 * 3
+    # a record index follows from instruction order and is stored nowhere
+    assert not any(i.meta and "m_index" in i.meta for i in circuit.instructions)
     cx = circuit.counts()["CX"]
     weights = int(code.hx.sum() + code.hz.sum())
     assert cx == weights * 3
@@ -168,7 +172,8 @@ def test_emit_rejects_bad_basis():
     code, layout = surface_code(3)
     schedule = schedule_round(code, layout, TIMING)
     with pytest.raises(CodeError):
-        emit_memory_circuit(schedule, code, None, NoiseConfig.zero(), "y")
+        emit_memory_circuit(schedule, code, compute_logicals(code),
+                            NoiseConfig.zero(), "y")
 
 
 def test_add_detectors_requires_measurements():
@@ -196,12 +201,21 @@ def test_append_rejects_odd_pair_targets(name):
 @pytest.mark.parametrize("name", ["H", "CX", "R", "RX", "M", "MX", "X_ERROR",
                                   "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2",
                                   "QUBIT_COORDS"])
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, 1.7])
 def test_append_rejects_qubit_out_of_range(name, bad):
+    """A float target is refused, not truncated to the qubit below it."""
     c = StabCircuit(3)
-    with pytest.raises(ValueError, match="outside qubits 0..2"):
+    error, match = ((TypeError, "integer") if isinstance(bad, float)
+                    else (ValueError, "outside qubits 0..2"))
+    with pytest.raises(error, match=match):
         c.append(name, (0, bad))
     assert c.instructions == [] and c.num_measurements == 0
+
+
+def test_append_accepts_numpy_integer_targets():
+    c = StabCircuit(3)
+    c.append("CX", (np.int64(0), np.uint8(2)))
+    assert c.to_text() == "CX 0 2\n"
 
 
 def test_append_accepts_measurement_record_targets():
@@ -227,12 +241,15 @@ def test_append_rejects_unknown_instruction(name):
 
 
 @pytest.mark.parametrize("name", ["DETECTOR", "OBSERVABLE_INCLUDE"])
-@pytest.mark.parametrize("bad", [-1, 2, 5])
+@pytest.mark.parametrize("bad", [-1, 2, 5, 0.5])
 def test_append_rejects_record_out_of_range(name, bad):
-    """Records index the measurements made so far: rec[-k] must exist."""
+    """Records index the measurements made so far: rec[-k] must exist, and a
+    float record is refused, not truncated."""
     c = StabCircuit(2)
     c.append("M", (0, 1))
     arg = (0,) if name == "OBSERVABLE_INCLUDE" else None
-    with pytest.raises(ValueError, match="outside the 2 measurements"):
+    error, match = ((TypeError, "integer") if isinstance(bad, float)
+                    else (ValueError, "outside the 2 measurements"))
+    with pytest.raises(error, match=match):
         c.append(name, (0, bad), arg=arg)
     assert len(c.instructions) == 1
