@@ -13,6 +13,9 @@ because every occupancy of round r lies inside [r*M, (r+1)*M).
 A schedule keeps one list of the planner's ``Event`` records per ancilla,
 keyed by the ancilla: a route's WAIT, SHUTTLE and DISPLACE events as they
 are, each GATE as a CX (an H-CX-H sandwich on a tailored Z ancilla).
+
+Where an ancilla rests is decided by `ancilla_occupancy` alone, for both
+planning and validation; its docstring states the residency model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .chip import (CHANNEL, INTERACTION, INTERSECTION, READOUT, Cell,
+from .chip import (CHANNEL, INTERACTION, READOUT, Cell,
                    ChipLayout, ComponentId, TimingConfig, build_grid,
                    component_cell, intersection_id, readout_id)
 from .css import CheckTask, CssCode, DataLayout, tasks_from_code
@@ -134,8 +137,8 @@ def assign_homes(tasks: list[CheckTask], chip: ChipLayout,
 
 
 def _single_agent_bound(chip: ChipLayout, timing: TimingConfig,
-                        request: PlanRequest, home: Cell) -> int:
-    state = SearchState(readout_id(home), 0, 0)
+                        request: PlanRequest) -> int:
+    state = SearchState(readout_id(request.start_cell), 0, 0)
     return route_heuristic(chip, ReservationTable(), timing, request, state)
 
 
@@ -214,32 +217,53 @@ def _events_for(task: CheckTask, home: Cell, result: PlanResult,
     return events
 
 
-def ancilla_occupancy(events: list[Event]) -> list[tuple[ComponentId, TimeInterval]]:
-    """Component occupancies implied by one ancilla's event list.
+def ancilla_occupancy(events: list[Event]
+                      ) -> tuple[list[tuple[ComponentId, TimeInterval]],
+                                 list[str]]:
+    """The residency model: where one ancilla rests, event by event.
 
-    The ancilla holds its component from arrival until departure, a channel
-    for the whole traversal, and both layers of a displace for its whole
-    duration.
+    The ancilla starts where its first event acts. A SHUTTLE carries it
+    between the intersections at the two ends of its channel, a DISPLACE
+    from ``comp`` to ``dest``; every other event acts where it rests. It
+    holds a resting component from arrival until departure, a channel for
+    the traversal and both layers for a displace's duration.
+
+    Returns ``(spans, faults)``: the occupancies in event order, and one
+    message per event that does not act where the ancilla rests or starts
+    before the previous one ends. After a fault the ancilla stays where it
+    was; the empty spans of overlapping events are skipped.
     """
-    out: list[tuple[ComponentId, TimeInterval]] = []
-    current = events[0].comp
-    r0 = events[0].t
+    spans: list[tuple[ComponentId, TimeInterval]] = []
+    faults: list[str] = []
+
+    def hold(comp: ComponentId, start: int, end: int) -> None:
+        if start < end:
+            spans.append((comp, TimeInterval(start, end)))
+
+    here, since, cursor = events[0].comp, events[0].t, events[0].t
     for ev in events:
+        if ev.t < cursor:
+            faults.append(f"{ev.kind} at {ev.t} overlaps previous event")
+        cursor = max(cursor, ev.end)
         if ev.kind == "SHUTTLE":
-            if ev.t > r0:
-                out.append((current, TimeInterval(r0, ev.t)))
-            out.append((ev.comp, TimeInterval(ev.t, ev.end)))
-            a = (ev.comp[1], ev.comp[2])
-            b = (ev.comp[3], ev.comp[4])
-            here = component_cell(current)
-            current = intersection_id(b if here == a else a)
-            r0 = ev.end
-        elif ev.kind == "DISPLACE":
-            out.append((current, TimeInterval(r0, ev.end)))
-            current = ev.dest
-            r0 = ev.t
-    out.append((current, TimeInterval(r0, events[-1].end)))
-    return out
+            ends = (intersection_id(ev.comp[1:3]),
+                    intersection_id(ev.comp[3:5]))
+            if here not in ends:
+                faults.append(f"shuttle on {comp_str(ev.comp)} does not leave "
+                              f"{comp_str(here)}")
+                continue
+            hold(here, since, ev.t)
+            hold(ev.comp, ev.t, ev.end)
+            here = ends[1] if here == ends[0] else ends[0]
+            since = ev.end
+        elif ev.comp != here:
+            faults.append(f"{ev.kind} at {comp_str(ev.comp)} but ancilla "
+                          f"rests at {comp_str(here)}")
+        elif ev.kind == "DISPLACE" and ev.dest is not None:
+            hold(here, since, ev.end)
+            here, since = ev.dest, ev.t
+    hold(here, since, events[-1].end)
+    return spans, faults
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +307,9 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     rng = _random.Random(seed)
 
     table = ReservationTable()
-    home_blocks = {}
+    home_block = TimeInterval(0, INF)
     for task in tasks:
-        block = TimeInterval(0, INF)
-        table.reserve(readout_id(homes[task.ancilla]), block)
-        home_blocks[task.ancilla] = block
+        table.reserve(readout_id(homes[task.ancilla]), home_block)
 
     events: dict[int, list[Event]] = {}
     order: list[int] = []
@@ -297,17 +319,17 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
         windows = gate_windows if basis == "Z" else None
         requests = {a: build_request(tasks[a], homes[a], data_cells, timing,
                                      tailored, windows) for a in ids}
-        bounds = {a: _single_agent_bound(chip, timing, requests[a], homes[a])
+        bounds = {a: _single_agent_bound(chip, timing, requests[a])
                   for a in ids}
         for aid in planning_order(ids, bounds, order_policy, rng):
             order.append(aid)
-            table.release(readout_id(homes[aid]), home_blocks[aid])
+            table.release(readout_id(homes[aid]), home_block)
             try:
                 result = plan_route(chip, table, timing, requests[aid])
             except PlanFailure as exc:
                 raise CompileError(f"ancilla a{aid}: {exc}", ancilla=aid) from exc
             evs = _events_for(tasks[aid], homes[aid], result, timing, tailored)
-            for comp, span in ancilla_occupancy(evs):
+            for comp, span in ancilla_occupancy(evs)[0]:
                 table.reserve(comp, span)
             events[aid] = evs
             if basis == "X":
@@ -412,13 +434,12 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
                 continue
             # occupancy built per round so residencies never span a round
             # boundary
-            try:
-                spans = ancilla_occupancy(round_events)
-            except Exception as exc:  # chained event defects surface here
-                report.add(f"{q} round {rnd}: cannot derive occupancy: {exc}")
-                continue
+            where = f"{q} round {rnd}"
+            spans, faults = ancilla_occupancy(round_events)
+            for fault in faults:
+                report.add(f"{where}: {fault}")
             for comp, span in spans:
-                occupancies.setdefault(comp, []).append((span, f"{q} round {rnd}"))
+                occupancies.setdefault(comp, []).append((span, where))
     for aid in sorted(set(schedule.events)
                       - {task.ancilla for task in schedule.tasks}):
         report.add(f"a{aid}: events for an ancilla with no check task")
@@ -457,60 +478,35 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
     if events[0].t != t0:
         report.add(f"{where}: INIT at {events[0].t}, expected {t0}")
 
-    cursor = events[0].t
-    current = events[0].comp
     gated: list[int] = []
     for ev in events:
-        if ev.t < cursor:
-            report.add(f"{where}: {ev.kind} at {ev.t} overlaps previous event")
-        cursor = max(cursor, ev.end)
         if ev.kind == "SHUTTLE":
             if ev.duration != timing.t_shuttle:
                 report.add(f"{where}: shuttle duration {ev.duration}")
-            a = (ev.comp[1], ev.comp[2])
-            b = (ev.comp[3], ev.comp[4])
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
+            _, x0, y0, x1, y1 = ev.comp
+            if abs(x0 - x1) + abs(y0 - y1) != 1:
                 report.add(f"{where}: channel {comp_str(ev.comp)} spans more "
                            f"than one edge")
-            if current[0] != INTERSECTION:
-                report.add(f"{where}: shuttle from {comp_str(current)}")
-                continue
-            here = component_cell(current)
-            if here == a:
-                current = intersection_id(b)
-            elif here == b:
-                current = intersection_id(a)
-            else:
-                report.add(f"{where}: shuttle on {comp_str(ev.comp)} does not "
-                           f"touch {comp_str(current)}")
         elif ev.kind == "DISPLACE":
             if ev.duration != timing.t_displace:
                 report.add(f"{where}: displace duration {ev.duration}")
-            if ev.comp != current:
-                report.add(f"{where}: displace leaves {comp_str(ev.comp)} but "
-                           f"ancilla rests at {comp_str(current)}")
             if ev.dest is None or component_cell(ev.dest) != component_cell(ev.comp):
                 report.add(f"{where}: displace must stay within one cell")
-            else:
-                current = ev.dest
         elif ev.kind == "CX":
-            if ev.comp != current or current[0] != INTERACTION:
+            if ev.comp[0] != INTERACTION:
                 report.add(f"{where}: CX outside the interaction zone")
             elif ev.partner is None:
                 report.add(f"{where}: CX without a data partner")
             else:
                 cell = schedule.data_cells.get(ev.partner)
-                if cell != component_cell(current):
+                if cell != component_cell(ev.comp):
                     report.add(f"{where}: CX with d{ev.partner} at "
-                               f"{cell}, ancilla at {component_cell(current)}")
+                               f"{cell}, ancilla at {component_cell(ev.comp)}")
                 gated.append(ev.partner)
-        elif ev.kind in ("INIT", "MEASURE", "H", "WAIT"):
-            if ev.comp != current:
-                report.add(f"{where}: {ev.kind} at {comp_str(ev.comp)} but "
-                           f"ancilla rests at {comp_str(current)}")
-            if ev.kind in ("INIT", "MEASURE") and current[0] != READOUT:
+        elif ev.kind in ("INIT", "MEASURE"):
+            if ev.comp[0] != READOUT:
                 report.add(f"{where}: {ev.kind} outside a readout zone")
-        else:
+        elif ev.kind not in ("H", "WAIT"):
             report.add(f"{where}: unknown event kind {ev.kind}")
 
     if sorted(gated) != sorted(task.targets):

@@ -155,19 +155,11 @@ def compute_logicals(code: CssCode) -> LogicalOperators:
         return LogicalOperators(x=empty, z=empty)
 
     def quotient_basis(kernel_of: np.ndarray, modulo: np.ndarray) -> np.ndarray:
-        candidates = gf2.nullspace(kernel_of)
-        chosen: list[np.ndarray] = []
-        base = modulo if modulo.shape[0] else np.zeros((0, n), dtype=np.uint8)
-        base_rank = gf2.rank(base)
-        stack = base
-        for cand in candidates:
-            trial = np.vstack([stack, cand.reshape(1, -1)])
-            if gf2.rank(trial) > base_rank + len(chosen):
-                chosen.append(cand)
-                stack = trial
-            if len(chosen) == k:
-                break
-        return np.array(chosen, dtype=np.uint8)
+        """Each nullspace row of `kernel_of` outside the span of `modulo` and
+        the rows before it: the pivot columns of one elimination."""
+        stack = np.vstack([modulo, gf2.nullspace(kernel_of)])
+        _, pivots = gf2.rref(stack.T)
+        return stack[[p for p in pivots if p >= modulo.shape[0]]]
 
     lx = quotient_basis(code.hz, code.hx)
     lz = quotient_basis(code.hx, code.hz)
@@ -312,6 +304,13 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
         arr = np.array(parsed, dtype=np.uint8)
         return arr.reshape(len(parsed), n)
 
+    def parse_ints(line: str, label: str) -> list[int]:
+        try:
+            return [int(t) for t in line.split()]
+        except ValueError as exc:
+            raise CodeError(f"{name_hint}: {label} entries must be integers: "
+                            f"{exc}") from exc
+
     hx = parse_matrix(sections["HX"], "HX")
     hz = parse_matrix(sections["HZ"], "HZ")
 
@@ -320,7 +319,7 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
         rows = sections["ORDER"]
         if len(rows) != hx.shape[0] + hz.shape[0]:
             raise CodeError(f"{name_hint}: ORDER needs one line per check row")
-        seqs = [[int(t) for t in line.split()] for line in rows]
+        seqs = [parse_ints(line, "ORDER") for line in rows]
         x_orders = seqs[:hx.shape[0]]
         z_orders = seqs[hx.shape[0]:]
 
@@ -336,10 +335,9 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
             raise CodeError(f"{name_hint}: LAYOUT needs one line per data qubit")
         coords = []
         for line in rows:
-            parts = line.split()
-            if len(parts) != 2:
+            if len(line.split()) != 2:
                 raise CodeError(f"{name_hint}: LAYOUT lines are 'x y'")
-            coords.append((int(parts[0]), int(parts[1])))
+            coords.append(tuple(parse_ints(line, "LAYOUT")))
         if len(set(coords)) != n:
             raise CodeError(f"{name_hint}: LAYOUT coordinates must be distinct")
         code.file_layout = {i: coords[i] for i in range(n)}

@@ -3,9 +3,10 @@
 The output is the de-facto stabilizer-circuit text format (R/RX, H, CX,
 M/MX, X_ERROR, Z_ERROR, DEPOLARIZE1/2, DETECTOR, OBSERVABLE_INCLUDE, TICK,
 QUBIT_COORDS). Qubit indices are data qubits first, then one ancilla per
-check task. Every noise instruction carries provenance metadata naming the
-schedule event that produced it, which is what the fault-scan machinery
-enumerates, so scanned fault sites and the noise model coincide exactly.
+check task. Only noise and measurement instructions carry metadata. A noise
+instruction's names the schedule event that produced it, so the scanned
+fault sites and the noise model coincide exactly; an M or MX names the check
+and round, or the data qubit, it reads, for `add_detectors`.
 
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
@@ -16,7 +17,7 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -45,11 +46,18 @@ def _fmt_num(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-_NOISE_OPS = ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2")
+# noise channel -> the Paulis of its sites, in site order; a two-letter word
+# acts on a target pair
+NOISE_CHANNELS = {
+    "X_ERROR": ("X",),
+    "Z_ERROR": ("Z",),
+    "DEPOLARIZE1": ("X", "Y", "Z"),
+    "DEPOLARIZE2": tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:],
+}
 # instructions whose targets are qubits, those taking qubit pairs, those
 # whose targets are measurement records, and those with neither
 _QUBIT_OPS = frozenset({"H", "CX", "R", "RX", "M", "MX", "QUBIT_COORDS",
-                        *_NOISE_OPS})
+                        *NOISE_CHANNELS})
 _PAIR_OPS = ("CX", "DEPOLARIZE2")
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
 _OTHER_OPS = ("TICK",)
@@ -116,7 +124,7 @@ class StabCircuit:
         """Instruction indices of noise annotations matching the meta query."""
         out = []
         for idx, instr in enumerate(self.instructions):
-            if instr.name not in _NOISE_OPS or instr.meta is None:
+            if instr.name not in NOISE_CHANNELS or instr.meta is None:
                 continue
             if all(instr.meta.get(k) == v for k, v in query.items()):
                 out.append(idx)
@@ -165,12 +173,12 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     def anc(a: int) -> int:
         return n + a
 
-    # (time, qubit key, sequence number, name, targets, arg, meta); the
-    # sequence number is unique, so sorting never compares past it
+    # (time, qubit key, name, targets, arg, meta), sorted by time and qubit
+    # key; ties keep insertion order
     emissions: list[tuple] = []
 
     def add(t: int, qkey: int, name: str, targets, arg=None, meta=None):
-        emissions.append((t, qkey, len(emissions), name, targets, arg, meta))
+        emissions.append((t, qkey, name, targets, arg, meta))
 
     def add_noise(t, qkey, name, targets, p, meta):
         if p > 0.0:
@@ -187,7 +195,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     data_reset = "R" if basis == "Z" else "RX"
     flip_after_reset = "X_ERROR" if basis == "Z" else "Z_ERROR"
     for i in range(n):
-        add(0, i, data_reset, (i,), meta={"kind": "data_init", "qubit": i})
+        add(0, i, data_reset, (i,))
         add_noise(0, i, flip_after_reset, (i,), noise.p_init,
                   {"kind": "init", "qubit": i})
 
@@ -222,20 +230,17 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                 continue
             flush_shuttle(rnd)
             if ev.kind == "INIT":
-                add(ev.t, q, "R", (q,), meta={"kind": "anc_init", "ancilla": a,
-                                              "round": rnd})
+                add(ev.t, q, "R", (q,))
                 add_noise(ev.t, q, "X_ERROR", (q,), noise.p_init,
                           {"kind": "init", "ancilla": a, "round": rnd})
             elif ev.kind == "H":
-                add(ev.t, q, "H", (q,), meta={"kind": "h_gate", "ancilla": a,
-                                              "round": rnd})
+                add(ev.t, q, "H", (q,))
                 add_noise(ev.t, q, "DEPOLARIZE1", (q,), noise.p_h,
                           {"kind": "h", "ancilla": a, "round": rnd})
             elif ev.kind == "CX":
                 data = ev.partner
                 pair = (q, data) if task.basis == "X" else (data, q)
-                add(ev.t, q, "CX", pair, meta={"kind": "cx_gate", "ancilla": a,
-                                               "round": rnd, "data": data})
+                add(ev.t, q, "CX", pair)
                 add_noise(ev.t, q, "DEPOLARIZE2", pair, noise.p_cx,
                           {"kind": "cx", "ancilla": a, "round": rnd,
                            "data": data})
@@ -274,8 +279,10 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     for r in range(1, schedule.rounds + 1):
         add(r * period, -1, "TICK", ())
 
-    emissions.sort()
-    for _, _, _, name, targets, arg, meta in emissions:
+    # two stable sorts on int keys build no key tuples for the collector
+    emissions.sort(key=itemgetter(1))
+    emissions.sort(key=itemgetter(0))
+    for _, _, name, targets, arg, meta in emissions:
         circuit.append(name, targets, arg, meta)
 
     add_detectors(circuit, code, basis, logicals=logicals, schedule=schedule)
@@ -335,12 +342,10 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
         for a in range(n_checks):
             if rnd == rounds[0]:
                 if is_basis_check(a):
-                    circuit.append("DETECTOR", (row[a],), arg=(*homes[a], rnd),
-                                   meta={"check": a, "round": rnd})
+                    circuit.append("DETECTOR", (row[a],), arg=(*homes[a], rnd))
             else:
                 prev = checks_by_round[rnd - 1][a]
-                circuit.append("DETECTOR", (row[a], prev), arg=(*homes[a], rnd),
-                               meta={"check": a, "round": rnd})
+                circuit.append("DETECTOR", (row[a], prev), arg=(*homes[a], rnd))
 
     if data_m:
         last = rounds[-1]
@@ -350,11 +355,9 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
             support = [data_m[int(i)] for i in np.nonzero(check_row(a))[0]]
             circuit.append("DETECTOR",
                            tuple([checks_by_round[last][a]] + support),
-                           arg=(*homes[a], last + 1),
-                           meta={"check": a, "round": last + 1})
+                           arg=(*homes[a], last + 1))
         logical_rows = logicals.x if basis == "X" else logicals.z
         for obs, row in enumerate(logical_rows):
             recs = [data_m[int(i)] for i in np.nonzero(row)[0]]
-            circuit.append("OBSERVABLE_INCLUDE", tuple(recs), arg=(obs,),
-                           meta={"observable": obs})
+            circuit.append("OBSERVABLE_INCLUDE", tuple(recs), arg=(obs,))
     return circuit

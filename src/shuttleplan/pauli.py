@@ -15,10 +15,10 @@ Fault sites are flat int64 columns (`FaultSites`), never per-site objects:
 ``index`` has one entry per site, the instruction it follows; each Pauli
 term of a site has one entry in ``term_site`` (the site's row, ascending),
 ``term_qubit`` and ``term_bits`` (X 1, Z 2, Y 3). `sites_from_noise` builds
-them in one pass over the noise instructions from a per-channel template
-(X_ERROR and Z_ERROR 1 site, DEPOLARIZE1 3, DEPOLARIZE2 15), and the scan
-groups the terms with numpy alone. A site's provenance is the ``meta`` of
-the instruction it follows.
+them in one pass over the noise instructions from the per-channel
+templates of `emit.NOISE_CHANNELS` (X_ERROR and Z_ERROR 1 site, DEPOLARIZE1
+3, DEPOLARIZE2 15), and the scan groups the terms with numpy alone. A site's
+provenance is the ``meta`` of the instruction it follows.
 
 The tableau is the destabilizer/stabilizer pair of Aaronson and Gottesman
 (PRA 70, 052328, 2004) with one twist: the sign of every stabilizer is an
@@ -46,7 +46,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .emit import StabCircuit
+from .emit import NOISE_CHANNELS, StabCircuit
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +59,7 @@ _PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
 _FRAME_GATES = ("H", "CX", "R", "RX", "M", "MX")
 
 
-# noise channel -> (targets per application, Paulis of its sites in order)
-_CHANNELS = {
-    "X_ERROR": (1, ("X",)),
-    "Z_ERROR": (1, ("Z",)),
-    "DEPOLARIZE1": (1, ("X", "Y", "Z")),
-    "DEPOLARIZE2": (2, tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]),
-}
-_KIND = {name: k for k, name in enumerate(_CHANNELS)}
+_KIND = {name: k for k, name in enumerate(NOISE_CHANNELS)}
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -75,14 +68,14 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 
 def _templates() -> tuple[np.ndarray, ...]:
-    """Per channel kind: arity, site count, term count and first template
-    term; then the template terms of every kind, concatenated in kind order:
-    site within one application, target slot, X/Z bits."""
+    """Per channel kind: arity (its Pauli word length), site count, term
+    count and first template term; then the template terms of every kind,
+    concatenated in kind order: site within one application, slot, X/Z bits."""
     arity, sites, terms, rows = [], [], [], []
-    for width, paulis in _CHANNELS.values():
+    for paulis in NOISE_CHANNELS.values():
         kind_rows = [(s, slot, _PAULI_BITS[p]) for s, word in enumerate(paulis)
                      for slot, p in enumerate(word) if p != "I"]
-        arity.append(width)
+        arity.append(len(paulis[0]))
         sites.append(len(paulis))
         terms.append(len(kind_rows))
         rows.extend(kind_rows)

@@ -246,6 +246,86 @@ def test_validator_reports_order_violation():
     assert any("order" in v for v in report.violations)
 
 
+def _set(i, **changes):
+    """Edit replacing event i of the list with a copy under `changes`."""
+    def edit(events):
+        events[i] = replace(events[i], **changes)
+    return edit
+
+
+def _drop(*indices):
+    def edit(events):
+        for i in sorted(indices, reverse=True):
+            del events[i]
+    return edit
+
+
+def _both(first, second):
+    def edit(events):
+        first(events)
+        second(events)
+    return edit
+
+
+# a0 (X, targets d0 d1) runs INIT H DISPLACE CX DISPLACE SHUTTLE DISPLACE CX
+# DISPLACE H MEASURE from readout (1,1); a5 (tailored Z) waits at index 2
+CORRUPTIONS = [
+    ("shuttle-duration", 0, _set(5, duration=999), "shuttle duration 999"),
+    ("channel-two-edges", 0, _set(5, comp=("channel", 1, 1, 3, 1)),
+     "channel channel:1,1-3,1 spans more than one edge"),
+    ("shuttle-off-intersection", 0, _drop(4),
+     "shuttle on channel:1,1-2,1 does not leave interaction:1,1"),
+    ("shuttle-not-touching", 0, _set(5, comp=("channel", 2, 1, 3, 1)),
+     "shuttle on channel:2,1-3,1 does not leave intersection:1,1"),
+    ("displace-duration", 0, _set(2, duration=150), "displace duration 150"),
+    ("displace-not-from-rest", 0, _set(2, comp=("intersection", 1, 1)),
+     "DISPLACE at intersection:1,1 but ancilla rests at readout:1,1"),
+    ("displace-across-cells", 0, _set(2, dest=("interaction", 2, 1)),
+     "displace must stay within one cell"),
+    ("displace-without-dest", 0, _set(2, dest=None),
+     "displace must stay within one cell"),
+    ("cx-outside-interaction", 0, _set(3, comp=("readout", 1, 1)),
+     "CX outside the interaction zone"),
+    ("cx-without-partner", 0, _set(3, partner=None),
+     "CX without a data partner"),
+    ("cx-partner-elsewhere", 0, _set(3, partner=1),
+     "CX with d1 at (2, 1), ancilla at (1, 1)"),
+    ("init-outside-readout", 0, _set(0, comp=("intersection", 1, 1)),
+     "INIT outside a readout zone"),
+    ("measure-outside-readout", 0,
+     _both(_drop(8, 9), _set(8, comp=("interaction", 2, 1))),
+     "MEASURE outside a readout zone"),
+    ("h-away", 0, _set(1, comp=("interaction", 1, 1)),
+     "H at interaction:1,1 but ancilla rests at readout:1,1"),
+    ("wait-away", 5, _set(2, comp=("intersection", 3, 1)),
+     "WAIT at intersection:3,1 but ancilla rests at readout:3,1"),
+    ("overlap", 0, _set(1, t=400), "H at 400 overlaps previous event"),
+    ("unknown-kind", 0, _set(1, kind="NOP"), "unknown event kind NOP"),
+    ("init-late", 0, _set(0, t=1), "INIT at 1, expected 0"),
+    ("no-measure", 0, _drop(10), "round must run INIT..MEASURE"),
+]
+
+
+@pytest.mark.parametrize("aid,edit,expected",
+                         [case[1:] for case in CORRUPTIONS],
+                         ids=[case[0] for case in CORRUPTIONS])
+def test_validator_reports_corrupted_event(aid, edit, expected):
+    _, schedule = compile_surface(3, tailored=True)
+    events = list(schedule.events[aid])
+    edit(events)
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, aid: events}))
+    assert f"a{aid} round 0: {expected}" in report.violations
+
+
+def test_validator_reports_empty_round():
+    schedule = replicate_rounds(compile_surface(3)[1], 2)
+    round0 = [ev for ev in schedule.events[0] if ev.t < schedule.round_makespan]
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, 0: round0}))
+    assert report.violations == ["a0 round 1: empty round"]
+
+
 def test_schedule_text_roundtrip_shape():
     _, schedule = compile_surface(3)
     text = schedule.to_text()

@@ -246,3 +246,11 @@ def test_order_must_match_support():
              "ORDER", "0 1", "1 1"]
     with pytest.raises(CodeError, match="ORDER"):
         parse_css(lines)
+
+
+@pytest.mark.parametrize("section,body", [("ORDER", ["1 x", "0 1"]),
+                                          ("LAYOUT", ["0 q", "1 0"])])
+def test_non_integer_entry_names_file_and_section(section, body):
+    lines = ["2 0 - pair", "HX", "1 1", "HZ", "1 1", section, *body]
+    with pytest.raises(CodeError, match=f"^pair.code: {section} "):
+        parse_css(lines, name_hint="pair.code")

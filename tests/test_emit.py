@@ -7,8 +7,8 @@ from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (CodeError, compute_logicals, default_layout,
                              load_css, surface_code)
-from shuttleplan.emit import (StabCircuit, add_detectors, compose_phase_flips,
-                              emit_memory_circuit)
+from shuttleplan.emit import (NOISE_CHANNELS, StabCircuit, add_detectors,
+                              compose_phase_flips, emit_memory_circuit)
 from shuttleplan.pauli import simulate_noiseless
 
 TIMING = TimingConfig()
@@ -143,6 +143,10 @@ def test_per_round_measurement_counts():
     assert len(anc_measurements) == 8 * 3
     # a record index follows from instruction order and is stored nowhere
     assert not any(i.meta and "m_index" in i.meta for i in circuit.instructions)
+    # only noise and measurement instructions carry metadata, and all do
+    read = {*NOISE_CHANNELS, "M", "MX"}
+    assert all((i.meta is not None) == (i.name in read)
+               for i in circuit.instructions)
     cx = circuit.counts()["CX"]
     weights = int(code.hx.sum() + code.hz.sum())
     assert cx == weights * 3
