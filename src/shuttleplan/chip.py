@@ -7,11 +7,6 @@ ids are plain tuples so they can key dictionaries and sort deterministically:
 
     ("intersection", x, y) / ("interaction", x, y) / ("readout", x, y)
     ("channel", x1, y1, x2, y2)   with (x1, y1) < (x2, y2)
-
-Alternative tilings (e.g. hexagonal) can be supported by passing any object
-with the same ``cells``/``neighbors``/``components``/``require_in_bounds``
-surface to the planner, which indexes a layout once and keys the index by a
-weak reference to it; only the square grid is implemented here.
 """
 
 from __future__ import annotations
@@ -166,32 +161,3 @@ class NoiseConfig:
     def idle_pz(self, dt: int) -> float:
         """Phase-flip probability accumulated while idling dt ns."""
         return -math.expm1(-dt / self.t2) if dt > 0 else 0.0
-
-
-TIMING_KEYS = ("t_cx", "t_h", "t_init", "t_meas", "t_shuttle", "t_displace")
-NOISE_KEYS = ("p_cx", "p_h", "p_init", "p_meas", "p_shuttle", "p_displace", "t1", "t2")
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Parse a ``key = value`` config file, '#' starts a comment."""
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
-    return values
-
-
-def timing_from_dict(values: dict[str, str]) -> TimingConfig:
-    kwargs = {k: int(values[k]) for k in TIMING_KEYS if k in values}
-    return TimingConfig(**kwargs)
-
-
-def noise_from_dict(values: dict[str, str]) -> NoiseConfig:
-    kwargs = {k: float(values[k]) for k in NOISE_KEYS if k in values}
-    return NoiseConfig(**kwargs)

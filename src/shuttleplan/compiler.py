@@ -229,9 +229,10 @@ def ancilla_occupancy(events: list[Event]
     the traversal and both layers for a displace's duration.
 
     Returns ``(spans, faults)``: the occupancies in event order, and one
-    message per event that does not act where the ancilla rests or starts
-    before the previous one ends. After a fault the ancilla stays where it
-    was; the empty spans of overlapping events are skipped.
+    message per event that does not act where the ancilla rests (a SHUTTLE
+    off a channel among them) or starts before the previous one ends.
+    After a fault the ancilla stays where it was; the empty spans of
+    overlapping events are skipped.
     """
     spans: list[tuple[ComponentId, TimeInterval]] = []
     faults: list[str] = []
@@ -246,6 +247,10 @@ def ancilla_occupancy(events: list[Event]
             faults.append(f"{ev.kind} at {ev.t} overlaps previous event")
         cursor = max(cursor, ev.end)
         if ev.kind == "SHUTTLE":
+            if ev.comp[0] != CHANNEL:
+                faults.append(f"SHUTTLE on {comp_str(ev.comp)}, which is not "
+                              f"a channel")
+                continue
             ends = (intersection_id(ev.comp[1:3]),
                     intersection_id(ev.comp[3:5]))
             if here not in ends:
@@ -483,14 +488,17 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
         if ev.kind == "SHUTTLE":
             if ev.duration != timing.t_shuttle:
                 report.add(f"{where}: shuttle duration {ev.duration}")
-            _, x0, y0, x1, y1 = ev.comp
-            if abs(x0 - x1) + abs(y0 - y1) != 1:
-                report.add(f"{where}: channel {comp_str(ev.comp)} spans more "
-                           f"than one edge")
+            # a SHUTTLE off a channel is reported by ancilla_occupancy
+            if ev.comp[0] == CHANNEL:
+                _, x0, y0, x1, y1 = ev.comp
+                if abs(x0 - x1) + abs(y0 - y1) != 1:
+                    report.add(f"{where}: channel {comp_str(ev.comp)} spans "
+                               f"more than one edge")
         elif ev.kind == "DISPLACE":
             if ev.duration != timing.t_displace:
                 report.add(f"{where}: displace duration {ev.duration}")
-            if ev.dest is None or component_cell(ev.dest) != component_cell(ev.comp):
+            if (ev.dest is None or CHANNEL in (ev.comp[0], ev.dest[0])
+                    or component_cell(ev.dest) != component_cell(ev.comp)):
                 report.add(f"{where}: displace must stay within one cell")
         elif ev.kind == "CX":
             if ev.comp[0] != INTERACTION:

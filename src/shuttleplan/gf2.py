@@ -53,15 +53,6 @@ def nullspace(H: np.ndarray) -> np.ndarray:
     return basis
 
 
-def in_rowspace(v: np.ndarray, H: np.ndarray) -> bool:
-    """True iff v lies in the row space of H over GF(2)."""
-    H = _as_gf2(H)
-    if H.size == 0:
-        return not np.any(np.asarray(v) & 1)
-    v = (np.asarray(v).reshape(1, -1) & 1).astype(np.uint8)
-    return rank(H) == rank(np.vstack([H, v]))
-
-
 def inverse(M: np.ndarray) -> np.ndarray:
     """Inverse of a square GF(2) matrix; raises ValueError if singular."""
     M = _as_gf2(M)

@@ -325,13 +325,6 @@ def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
     return ScanResult(sites=sites, x=x, z=z, flips=flips)
 
 
-def propagate_fault(circuit: StabCircuit, index: int,
-                    paulis: Iterable[tuple[int, str]]):
-    """Push one fault through; returns (final_x, final_z, flipped ms)."""
-    result = fault_scan(circuit, FaultSites.from_paulis([(index, paulis)]))
-    return (*result.final_frame(0), result.flipped_measurements(0))
-
-
 # ---------------------------------------------------------------------------
 # tableau simulation with symbolic measurement outcomes
 

@@ -10,6 +10,10 @@ each noise instruction into its faults one target at a time, and the
 tableau oracle is a row-major uint8 destabilizer/stabilizer tableau that
 updates every row of a column with numpy and multiplies rows one phase
 term at a time.
+
+Two helpers here are not independent: `propagate_fault` runs one fault
+through the package's `fault_scan`, and `in_rowspace` compares two
+`gf2.rank` values. Only the tests call them.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from shuttleplan import gf2
 from shuttleplan.chip import (INTERACTION, INTERSECTION, READOUT, ChipLayout,
                               TimingConfig, channel_id, interaction_id,
                               intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable
+from shuttleplan.pauli import FaultSites, fault_scan
 
 if TYPE_CHECKING:
     from shuttleplan.planner import PlanRequest
@@ -292,6 +298,22 @@ def propagate_frame(circuit, index: int, paulis):
                     flipped.append(measured)
                 measured += 1
     return xs, zs, flipped
+
+
+def propagate_fault(circuit, index: int, paulis):
+    """Push one fault through `fault_scan`; returns (final_x, final_z,
+    flipped measurements)."""
+    result = fault_scan(circuit, FaultSites.from_paulis([(index, paulis)]))
+    return (*result.final_frame(0), result.flipped_measurements(0))
+
+
+def in_rowspace(v, H) -> bool:
+    """True iff v lies in the row space of H over GF(2)."""
+    H = (np.atleast_2d(np.asarray(H)) & 1).astype(np.uint8)
+    if H.size == 0:
+        return not np.any(np.asarray(v) & 1)
+    v = (np.asarray(v).reshape(1, -1) & 1).astype(np.uint8)
+    return gf2.rank(H) == gf2.rank(np.vstack([H, v]))
 
 
 def expand_noise(circuit, indices=None):

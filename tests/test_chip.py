@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from shuttleplan.chip import (CHANNEL, INTERACTION, INTERSECTION, READOUT,
                               NoiseConfig, TimingConfig, build_grid,
-                              channel_id, component_cell, noise_from_dict,
-                              parse_config_file, timing_from_dict)
+                              channel_id, component_cell)
 from shuttleplan.tsp import manhattan
 from oracles import bfs_hops
 
@@ -118,13 +117,3 @@ def test_idle_dephasing_closed_form():
     nc = NoiseConfig()
     # 1 ms of idling against t2 = 10 ms
     assert math.isclose(nc.idle_pz(1_000_000), 1 - math.exp(-0.1), rel_tol=1e-12)
-
-
-def test_config_parsing(tmp_path):
-    path = tmp_path / "chip.cfg"
-    path.write_text("t_shuttle = 2000  # slower bus\np_shuttle = 5e-3\n\nt2 = 2e7\n")
-    values = parse_config_file(str(path))
-    timing = timing_from_dict(values)
-    noise = noise_from_dict(values)
-    assert timing.t_shuttle == 2000 and timing.t_cx == 100
-    assert noise.p_shuttle == 5e-3 and noise.t2 == 2e7

@@ -277,12 +277,20 @@ CORRUPTIONS = [
      "shuttle on channel:1,1-2,1 does not leave interaction:1,1"),
     ("shuttle-not-touching", 0, _set(5, comp=("channel", 2, 1, 3, 1)),
      "shuttle on channel:2,1-3,1 does not leave intersection:1,1"),
+    ("shuttle-on-intersection", 0, _set(5, comp=("intersection", 1, 1)),
+     "SHUTTLE on intersection:1,1, which is not a channel"),
+    ("shuttle-on-readout", 0, _set(5, comp=("readout", 1, 1)),
+     "SHUTTLE on readout:1,1, which is not a channel"),
     ("displace-duration", 0, _set(2, duration=150), "displace duration 150"),
     ("displace-not-from-rest", 0, _set(2, comp=("intersection", 1, 1)),
      "DISPLACE at intersection:1,1 but ancilla rests at readout:1,1"),
     ("displace-across-cells", 0, _set(2, dest=("interaction", 2, 1)),
      "displace must stay within one cell"),
     ("displace-without-dest", 0, _set(2, dest=None),
+     "displace must stay within one cell"),
+    ("displace-from-channel", 0, _set(4, comp=("channel", 1, 1, 2, 1)),
+     "displace must stay within one cell"),
+    ("displace-to-channel", 0, _set(4, dest=("channel", 1, 1, 2, 1)),
      "displace must stay within one cell"),
     ("cx-outside-interaction", 0, _set(3, comp=("readout", 1, 1)),
      "CX outside the interaction zone"),

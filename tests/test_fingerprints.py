@@ -1,18 +1,22 @@
-"""Pinned schedule fingerprints.
+"""Pinned schedule and circuit fingerprints.
 
-Each sha256 is of ``Schedule.to_text()`` as produced by the full-rescan
-planner these schedules were first recorded with. Speed-ups must leave every
-schedule byte-identical; a change that alters one fails here even when every
-other test passes, and must be argued as a behaviour change.
+Each schedule sha256 is of ``Schedule.to_text()`` as produced by the
+full-rescan planner these schedules were first recorded with; each circuit
+sha256 is of ``StabCircuit.to_text()`` of a memory experiment under the
+default ``NoiseConfig``. Speed-ups must leave every schedule and circuit
+byte-identical; a change that alters one fails here even when every other
+test passes, and must be argued as a behaviour change.
 """
 
 import hashlib
 
 import pytest
 
-from shuttleplan.chip import TimingConfig, build_grid
-from shuttleplan.compiler import schedule_round
-from shuttleplan.css import default_layout, load_css, surface_code
+from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
+from shuttleplan.compiler import replicate_rounds, schedule_round
+from shuttleplan.css import (compute_logicals, default_layout, load_css,
+                             surface_code)
+from shuttleplan.emit import emit_memory_circuit
 
 SURFACE = [  # (distance, order policy, tailored, sha256), all at seed 3
     (3, "longest", True, "6b42f3c08adcdd3859ad7695c2b915df7357c9651c39a7e06ec2cf73356fd092"),
@@ -30,6 +34,17 @@ SURFACE = [  # (distance, order policy, tailored, sha256), all at seed 3
 ]
 
 BB72_LONGEST = "4f6754c16e8af5121cd1a966989b9f92a3fb8c28db255e32928688500c2da7de"
+
+# (distance, basis, sha256) of a d-round memory circuit, longest order, seed 3
+SURFACE_CIRCUITS = [
+    (3, "Z", "e78fa86ccc8a3b6c6d1755a77515b7051a1145867a89793cfdff9e53a365a15b"),
+    (3, "X", "d03778ef75e2d48c3deb3dfc4ea3bea54ed589387d008de501002c742adf8037"),
+    (5, "Z", "defb9df7d8c26bd0d775ca170fd90ccd7c833a01e5b595a4239a64bce2d7612f"),
+    (5, "X", "2423fae8cb9a011e2648f0b5cb30381dae75172a056d9f35068ee9531d6931c1"),
+]
+
+BB72_LONGEST_CIRCUIT = (  # 2 rounds, Z basis
+    "fdf34d5fbfed4a0cf08e62255cfff11b141ebe206825a990b7d090083cc0cb2b")
 
 
 def fingerprint(schedule) -> str:
@@ -52,3 +67,26 @@ def test_bb72_longest_schedule_fingerprint(bb72_path):
     schedule = schedule_round(code, layout, TimingConfig(),
                               order_policy="longest", seed=0)
     assert fingerprint(schedule) == BB72_LONGEST
+
+
+def circuit_fingerprint(code, schedule, rounds: int, basis: str) -> str:
+    circuit = emit_memory_circuit(replicate_rounds(schedule, rounds), code,
+                                  compute_logicals(code), NoiseConfig(), basis)
+    return hashlib.sha256(circuit.to_text().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d,basis,expected", SURFACE_CIRCUITS,
+                         ids=[f"d{d}-{b}" for d, b, _ in SURFACE_CIRCUITS])
+def test_surface_circuit_fingerprint(d, basis, expected):
+    code, layout = surface_code(d)
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="longest", seed=3)
+    assert circuit_fingerprint(code, schedule, d, basis) == expected
+
+
+def test_bb72_longest_circuit_fingerprint(bb72_path):
+    code = load_css(str(bb72_path))
+    layout = default_layout(code, build_grid(9, 8))
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="longest", seed=0)
+    assert circuit_fingerprint(code, schedule, 2, "Z") == BB72_LONGEST_CIRCUIT

@@ -46,3 +46,40 @@ def test_package_has_no_broad_except():
                    for t in caught):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Module-level names that nothing in the package or the benchmark refers to,
+# each kept for the reason given.
+ENTRY_POINTS = {
+    "layout_for": "reads the LAYOUT section, which the data-layout search "
+                  "will write",
+    "route_successors": "the tests' only view of one expansion of the "
+                        "inline successor loop",
+}
+
+
+def test_every_package_name_has_a_caller():
+    """A module-level def or class must be referenced by name, as an
+    attribute or in an import somewhere in the package or the benchmark,
+    or be listed in ENTRY_POINTS."""
+    package = sorted((REPO / "src" / "shuttleplan").glob("*.py"))
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in package + sorted((REPO / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path in package:
+            defined.update(
+                (node.name, f"{path.stem}.{node.name}") for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert set(ENTRY_POINTS) <= set(defined)
+    unused = sorted(where for name, where in defined.items()
+                    if name not in referenced and name not in ENTRY_POINTS)
+    assert unused == []

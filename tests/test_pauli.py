@@ -3,15 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from oracles import expand_noise, noiseless_outcomes, propagate_frame
+from oracles import (expand_noise, noiseless_outcomes, propagate_fault,
+                     propagate_frame)
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
 from shuttleplan.emit import StabCircuit, emit_memory_circuit
 from shuttleplan.pauli import (FaultSites, NoiselessReport, Outcome, Tableau,
-                               TableauError, fault_scan, propagate_fault,
-                               simulate_noiseless, sites_from_noise)
+                               TableauError, fault_scan, simulate_noiseless,
+                               sites_from_noise)
 
 
 def z_check_circuit(tailored: bool) -> StabCircuit:
