@@ -44,6 +44,17 @@ def channel_id(a: Cell, b: Cell) -> ComponentId:
     return (CHANNEL, a[0], a[1], b[0], b[1])
 
 
+_ID_LENGTH = {INTERSECTION: 3, INTERACTION: 3, READOUT: 3, CHANNEL: 5}
+
+
+def is_component_id(comp: object) -> bool:
+    """Whether comp is a plain tuple of a known kind, 5 fields for a channel
+    and 3 otherwise, with int coordinates; it may lie off any given chip."""
+    return (type(comp) is tuple and len(comp) in (3, 5)
+            and type(comp[0]) is str and _ID_LENGTH.get(comp[0]) == len(comp)
+            and all([type(v) is int for v in comp[1:]]))
+
+
 def component_cell(comp: ComponentId) -> Cell:
     """Cell of a cell-local component (not defined for channels)."""
     if comp[0] == CHANNEL:

@@ -26,7 +26,8 @@ from typing import Optional
 
 from .chip import (CHANNEL, INTERACTION, READOUT, Cell,
                    ChipLayout, ComponentId, TimingConfig, build_grid,
-                   component_cell, intersection_id, readout_id)
+                   component_cell, intersection_id, is_component_id,
+                   readout_id)
 from .css import CheckTask, CssCode, DataLayout, tasks_from_code
 from .intervals import INF, ReservationTable, TimeInterval
 from .planner import (Event, PlanFailure, PlanRequest, PlanResult,
@@ -36,9 +37,7 @@ ORDER_POLICIES = ("longest", "index", "random")
 
 
 class CompileError(RuntimeError):
-    def __init__(self, message: str, ancilla: Optional[int] = None):
-        super().__init__(message)
-        self.ancilla = ancilla
+    """The code, layout or options cannot be scheduled on the chip."""
 
 
 @dataclass
@@ -134,12 +133,6 @@ def assign_homes(tasks: list[CheckTask], chip: ChipLayout,
         homes[task.ancilla] = best
         taken.add(best)
     return homes
-
-
-def _single_agent_bound(chip: ChipLayout, timing: TimingConfig,
-                        request: PlanRequest) -> int:
-    state = SearchState(readout_id(request.start_cell), 0, 0)
-    return route_heuristic(chip, ReservationTable(), timing, request, state)
 
 
 def planning_order(ids: list[int], bounds: dict[int, int],
@@ -324,15 +317,15 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
         windows = gate_windows if basis == "Z" else None
         requests = {a: build_request(tasks[a], homes[a], data_cells, timing,
                                      tailored, windows) for a in ids}
-        bounds = {a: _single_agent_bound(chip, timing, requests[a])
-                  for a in ids}
+        bounds = {a: route_heuristic(chip, timing, requests[a], SearchState(
+                      readout_id(homes[a]), 0, 0)) for a in ids}
         for aid in planning_order(ids, bounds, order_policy, rng):
             order.append(aid)
             table.release(readout_id(homes[aid]), home_block)
             try:
                 result = plan_route(chip, table, timing, requests[aid])
             except PlanFailure as exc:
-                raise CompileError(f"ancilla a{aid}: {exc}", ancilla=aid) from exc
+                raise CompileError(f"ancilla a{aid}: {exc}") from exc
             evs = _events_for(tasks[aid], homes[aid], result, timing, tailored)
             for comp, span in ancilla_occupancy(evs)[0]:
                 table.reserve(comp, span)
@@ -434,12 +427,22 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
                 else:
                     first_z[key] = min(first_z.get(key, ev.t), ev.t)
         for rnd, round_events in enumerate(by_round):
-            _check_round(report, schedule, task, round_events, rnd)
-            if not round_events:
+            where = f"{q} round {rnd}"
+            # comp_str and every position check need well-formed ids
+            ids = [(ev, ev.comp) for ev in round_events]
+            ids += [(ev, ev.dest) for ev in round_events
+                    if ev.dest is not None]
+            malformed = [(ev, comp) for ev, comp in ids
+                         if not is_component_id(comp)]
+            for ev, comp in malformed:
+                report.add(f"{where}: {ev.kind} at {ev.t} names malformed "
+                           f"component {comp!r}")
+            _check_round(report, schedule, task, round_events, rnd,
+                         placed=not malformed)
+            if not round_events or malformed:
                 continue
             # occupancy built per round so residencies never span a round
             # boundary
-            where = f"{q} round {rnd}"
             spans, faults = ancilla_occupancy(round_events)
             for fault in faults:
                 report.add(f"{where}: {fault}")
@@ -470,7 +473,8 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
 
 
 def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
-                 events: list[Event], rnd: int) -> None:
+                 events: list[Event], rnd: int, placed: bool) -> None:
+    """One ancilla-round's own checks; positions are read only if placed."""
     where = f"a{task.ancilla} round {rnd}"
     t0 = rnd * schedule.round_makespan
     timing = schedule.timing
@@ -489,7 +493,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
             if ev.duration != timing.t_shuttle:
                 report.add(f"{where}: shuttle duration {ev.duration}")
             # a SHUTTLE off a channel is reported by ancilla_occupancy
-            if ev.comp[0] == CHANNEL:
+            if placed and ev.comp[0] == CHANNEL:
                 _, x0, y0, x1, y1 = ev.comp
                 if abs(x0 - x1) + abs(y0 - y1) != 1:
                     report.add(f"{where}: channel {comp_str(ev.comp)} spans "
@@ -497,22 +501,23 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
         elif ev.kind == "DISPLACE":
             if ev.duration != timing.t_displace:
                 report.add(f"{where}: displace duration {ev.duration}")
-            if (ev.dest is None or CHANNEL in (ev.comp[0], ev.dest[0])
+            if ev.dest is None or placed and (
+                    CHANNEL in (ev.comp[0], ev.dest[0])
                     or component_cell(ev.dest) != component_cell(ev.comp)):
                 report.add(f"{where}: displace must stay within one cell")
         elif ev.kind == "CX":
-            if ev.comp[0] != INTERACTION:
+            if placed and ev.comp[0] != INTERACTION:
                 report.add(f"{where}: CX outside the interaction zone")
             elif ev.partner is None:
                 report.add(f"{where}: CX without a data partner")
             else:
                 cell = schedule.data_cells.get(ev.partner)
-                if cell != component_cell(ev.comp):
+                if placed and cell != component_cell(ev.comp):
                     report.add(f"{where}: CX with d{ev.partner} at "
                                f"{cell}, ancilla at {component_cell(ev.comp)}")
                 gated.append(ev.partner)
         elif ev.kind in ("INIT", "MEASURE"):
-            if ev.comp[0] != READOUT:
+            if placed and ev.comp[0] != READOUT:
                 report.add(f"{where}: {ev.kind} outside a readout zone")
         elif ev.kind not in ("H", "WAIT"):
             report.add(f"{where}: unknown event kind {ev.kind}")

@@ -130,8 +130,8 @@ class StabCircuit:
                 out.append(idx)
         return out
 
-    def to_text(self, header: Iterable[str] = ()) -> str:
-        lines = [f"# {line}" for line in header]
+    def to_text(self) -> str:
+        lines: list[str] = []
         heads: dict[tuple, str] = {}  # each distinct (name, arg) formatted once
         seen = 0
         for instr in self.instructions:

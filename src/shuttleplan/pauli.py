@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -128,26 +128,19 @@ class FaultSites:
                      for col in (index, term_site, term_qubit, term_bits)))
 
 
-def sites_from_noise(circuit: StabCircuit,
-                     indices: Optional[Iterable[int]] = None) -> FaultSites:
+def sites_from_noise(circuit: StabCircuit) -> FaultSites:
     """Expand noise instructions into their possible single-fault Paulis.
 
     Sites follow the instructions, then each instruction's targets (pairs
     for DEPOLARIZE2), then the channel's Paulis: X_ERROR gives X, Z_ERROR
     gives Z, DEPOLARIZE1 gives X, Y, Z and DEPOLARIZE2 the 15 non-identity
-    products of IXYZ x IXYZ in that order. `indices` restricts the expansion
-    to those instructions, in the order given; each must be a noise channel.
+    products of IXYZ x IXYZ in that order.
     """
-    instructions = circuit.instructions
-    if indices is None:
-        indices = [i for i, instr in enumerate(instructions)
-                   if instr.name in _KIND]
     at, kind, width, flat = [], [], [], []
-    for idx in indices:
-        instr = instructions[idx]
+    for idx, instr in enumerate(circuit.instructions):
         k = _KIND.get(instr.name)
         if k is None:
-            raise ValueError(f"instruction {instr.name} is not a noise channel")
+            continue
         at.append(idx)
         kind.append(k)
         width.append(len(instr.targets))

@@ -19,7 +19,8 @@ A* re-expanding any state reached by a strictly earlier arrival. Its
 heuristic charges the pending gates and displaces plus the shuttle time of
 ``tsp.OpenPathTable``'s remaining-travel bound, which never overestimates
 (an exact open path, or a spanning-tree bound past ``tsp.EXACT_LIMIT``
-unordered targets). The heuristic is therefore admissible and the returned
+unordered targets). It reads the layout, the timing and the request, never
+the reservations, so it is admissible under any of them and the returned
 route is time-optimal for the reservations it was planned against.
 
 A route is a list of ``Event`` records, the package's one record of a timed
@@ -39,9 +40,9 @@ only in the returned ``PlanResult`` and in ``route_successors`` and
 The remaining-travel term of the heuristic depends on the cell and the
 pending mask alone. A search computes it for every cell of the chip the
 first time it meets a pending mask, as one numpy row from
-``OpenPathTable.min_distances``, so the heuristic is a list lookup plus the
-gate and displace charges of the state's own layer. Past ``EXACT_LIMIT`` the
-row is filled lazily, one ``min_distance`` per cell queried.
+``OpenPathTable.min_distances``, whatever the kind of table, so the
+heuristic is a list lookup plus the gate and displace charges of the
+state's own layer.
 
 Safe intervals are read as parallel tuples of starts and ends from
 ``ReservationTable.safe_bounds``, which the table caches per component until
@@ -142,20 +143,20 @@ class LayoutIndex:
     """Dense ids for the components of one layout, in tuple sort order.
 
     Per id i: ``comps[i]`` is the component, ``kinds[i]`` its kind string,
-    ``cell_no[i]`` the position of its cell in ``cells`` (None for a
-    channel), ``links[i]`` the (channel id, neighbour intersection id) pairs
+    ``cell_no[i]`` the position of its cell in ``layout.cells()`` (None for
+    a channel), ``links[i]`` the (channel id, neighbour intersection id) pairs
     of an intersection in ``layout.neighbors`` order, and ``layers[i]`` the
     ids of the other layers of its cell in intersection, interaction,
-    readout order. ``xs`` and ``ys`` hold the coordinates of ``cells``.
+    readout order. ``xs`` and ``ys`` hold the cell coordinates by position.
     """
 
     def __init__(self, layout: ChipLayout):
         self.comps = sorted(layout.components())
         self.id_of = {comp: i for i, comp in enumerate(self.comps)}
-        self.cells = list(layout.cells())
-        self.cell_number = {cell: k for k, cell in enumerate(self.cells)}
-        self.xs = np.array([x for x, _ in self.cells], dtype=np.int64)
-        self.ys = np.array([y for _, y in self.cells], dtype=np.int64)
+        cells = list(layout.cells())
+        self.cell_number = {cell: k for k, cell in enumerate(cells)}
+        self.xs = np.array([x for x, _ in cells], dtype=np.int64)
+        self.ys = np.array([y for _, y in cells], dtype=np.int64)
         self.kinds = [comp[0] for comp in self.comps]
         self.cell_no: list[Optional[int]] = []
         self.links: list[tuple] = []
@@ -210,15 +211,14 @@ class _Memo(dict):
 
 
 class _Search:
-    def __init__(self, layout: ChipLayout, table: ReservationTable,
-                 timing: TimingConfig, req: PlanRequest):
+    def __init__(self, layout: ChipLayout, timing: TimingConfig,
+                 req: PlanRequest):
         for cell in (req.start_cell, *req.targets):
             layout.require_in_bounds(cell)
         target_of = {cell: j for j, cell in enumerate(req.targets)}
         if len(target_of) != len(req.targets):
             raise ValueError("duplicate target cells in one task")
         self.index = index = layout_index(layout)
-        self.table = table
         self.timing = timing
         self.req = req
         self.full = (1 << len(req.targets)) - 1
@@ -264,14 +264,15 @@ class _Search:
 
     # -- A* ------------------------------------------------------------------
 
-    def run(self) -> PlanResult:
+    def run(self, table: ReservationTable) -> PlanResult:
         req = self.req
         start_comp = readout_id(req.start_cell)
-        start_si = self.table.interval_containing(start_comp, req.start_time)
+        start_si = table.interval_containing(start_comp, req.start_time)
         if start_si is None:
             raise PlanFailure(f"start {start_comp} occupied at t={req.start_time}")
         start = (self.index.id_of[start_comp], start_si.index, 0)
-        goal, g_best, parents, stats = self.search(start, req.start_time)
+        goal, g_best, parents, stats = self.search(table, start,
+                                                   req.start_time)
         if goal is None:
             raise PlanFailure(
                 f"no route from {start_comp} over {len(req.targets)} targets")
@@ -279,14 +280,16 @@ class _Search:
         result.stats = stats
         return result
 
-    def search(self, start: tuple, g0: int, expand_only: bool = False):
+    def search(self, table: ReservationTable, start: tuple, g0: int,
+               expand_only: bool = False):
         """A* from start at time g0: (goal or None, g_best, parents, stats).
 
-        Successors are generated inline, as (dest id, interval, mask) with
-        their earliest arrival; ``parents`` maps each reached state to the
-        state it was reached from. With ``expand_only`` the start is
-        expanded, never tested as a goal, and the search stops, so
-        ``parents`` lists the start's successors in generation order.
+        Successors avoid ``table``'s reservations and are generated inline,
+        as (dest id, interval, mask) with their earliest arrival; ``parents``
+        maps each reached state to the state it was reached from. With
+        ``expand_only`` the start is expanded, never tested as a goal, and
+        the search stops, so ``parents`` lists the start's successors in
+        generation order.
         """
         full = self.full
         pad = self.req.terminal_pad
@@ -296,7 +299,7 @@ class _Search:
         kinds, links, layers = self.index.kinds, self.index.links, self.index.layers
         # the table does not change during a search: read every component's
         # safe bounds once, into a list by id
-        bounds = list(map(self.table.safe_bounds, self.index.comps))
+        bounds = list(map(table.safe_bounds, self.index.comps))
         gate_at_get = self.gate_at.get
         gate_target = self._gate_target
         windows = self.windows
@@ -451,20 +454,11 @@ def _travel_rows(index: LayoutIndex, timing: TimingConfig, req: PlanRequest):
     tours = OpenPathTable(req.targets, req.ordered)
     stop_cost = req.gate_duration + 2 * timing.t_displace
     t_shuttle = timing.t_shuttle
-    if tours.exact:
-        xs, ys = index.xs, index.ys
+    xs, ys = index.xs, index.ys
 
-        def row(pending: int) -> list[int]:
-            dist = tours.min_distances(xs, ys, pending)
-            return (dist * t_shuttle
-                    + pending.bit_count() * stop_cost).tolist()
-    else:
-        cells = index.cells
-
-        def row(pending: int) -> _Memo:
-            stops = pending.bit_count() * stop_cost
-            return _Memo(lambda k: tours.min_distance(cells[k], pending)
-                         * t_shuttle + stops)
+    def row(pending: int) -> list[int]:
+        dist = tours.min_distances(xs, ys, pending)
+        return (dist * t_shuttle + pending.bit_count() * stop_cost).tolist()
     return row
 
 
@@ -472,7 +466,7 @@ def plan_route(layout: ChipLayout, table: ReservationTable,
                timing: TimingConfig, request: PlanRequest) -> PlanResult:
     """Search a time-optimal route for one ancilla; raises PlanFailure."""
     began = perf_counter()
-    result = _Search(layout, table, timing, request).run()
+    result = _Search(layout, timing, request).run(table)
     result.stats.seconds = perf_counter() - began
     return result
 
@@ -481,17 +475,17 @@ def route_successors(layout: ChipLayout, table: ReservationTable,
                      timing: TimingConfig, request: PlanRequest,
                      state: SearchState, g: int):
     """Successor states with earliest arrivals, exposed for inspection."""
-    search = _Search(layout, table, timing, request)
+    search = _Search(layout, timing, request)
     comps = search.index.comps
     start = (search.index.id(state.comp), state.interval, state.mask)
-    _, g_best, parents, _ = search.search(start, g, expand_only=True)
+    _, g_best, parents, _ = search.search(table, start, g, expand_only=True)
     return [(SearchState(comps[nxt[0]], nxt[1], nxt[2]), g_best[nxt])
             for nxt in parents]
 
 
-def route_heuristic(layout: ChipLayout, table: ReservationTable,
-                    timing: TimingConfig, request: PlanRequest,
-                    state: SearchState) -> int:
-    """Admissible remaining-cost estimate for a search state."""
-    search = _Search(layout, table, timing, request)
+def route_heuristic(layout: ChipLayout, timing: TimingConfig,
+                    request: PlanRequest, state: SearchState) -> int:
+    """Admissible remaining-cost estimate for a search state; it reads no
+    reservations, so it is the same under every reservation table."""
+    search = _Search(layout, timing, request)
     return search.heuristic(search.index.id(state.comp), state.mask)

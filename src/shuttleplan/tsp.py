@@ -9,14 +9,13 @@ from each ancilla's home as the ideal shuttle count.
   always a suffix and the table holds suffix sums of the consecutive legs.
 * Unordered targets, up to ``EXACT_LIMIT`` of them, get an exact Held-Karp
   bitmask table.
-* Beyond ``EXACT_LIMIT`` unordered targets the bound is the weight of a
-  minimum spanning tree over the origin and the pending cells. Every open
-  path through them is a spanning tree, so the bound never overestimates.
+* Beyond ``EXACT_LIMIT`` unordered targets the travel left after the first
+  pending target is bounded by the weight of a minimum spanning tree over
+  the pending cells, which every open path through them spans.
 
-The two exact tables answer ``min_distances``: the bound for one pending
-set from many origins at once, as one numpy pass over the pending targets.
-``min_distance`` asks it for a single origin; only the spanning-tree bound
-is computed there, one origin at a time.
+``min_distances`` answers all three for one pending set from many origins
+at once: the least, over the pending targets j, of the leg to j plus the
+travel left after j. ``min_distance`` is its one-origin case.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class OpenPathTable:
     Unordered: ``best[mask][j]`` is the cheapest open path visiting exactly
     the targets in ``mask`` when entered at target j (j must be in mask).
     ``EXACT_LIMIT`` is read when the table is built; ``exact`` is False when
-    it was exceeded and the bound is the spanning-tree weight.
+    it was exceeded and the bound rests on the spanning-tree weight.
     """
 
     def __init__(self, targets: list[Cell], ordered: bool):
@@ -95,39 +94,34 @@ class OpenPathTable:
 
         For ordered targets the mask must be a suffix of the sequence.
         """
-        if not self.exact:
-            return _spanning_tree_weight(
-                origin, [c for j, c in enumerate(self.targets) if mask >> j & 1])
         x, y = origin
         return int(self.min_distances(np.array([x]), np.array([y]), mask)[0])
 
     def min_distances(self, xs: np.ndarray, ys: np.ndarray,
                       mask: int) -> np.ndarray:
-        """``min_distance((xs[k], ys[k]), mask)`` for every k, as int64.
-
-        Only exact tables answer this; past ``EXACT_LIMIT`` query
-        ``min_distance`` per origin.
-        """
-        if not self.exact:
-            raise ValueError("the spanning-tree bound is computed per origin")
+        """``min_distance((xs[k], ys[k]), mask)`` for every k, as int64."""
         if mask == 0:
             return np.zeros(len(xs), dtype=np.int64)
-        if self._suffix is not None:
-            j = (mask & -mask).bit_length() - 1
-            tx, ty = self.targets[j]
-            return np.abs(xs - tx) + np.abs(ys - ty) + self._suffix[j]
         pending = [j for j in range(len(self.targets)) if mask >> j & 1]
-        tx, ty, rest = np.array([(*self.targets[j], self._best[mask][j])
-                                 for j in pending]).T
+        if self._suffix is not None:
+            first = pending[0]
+            entries = [(*self.targets[first], self._suffix[first])]
+        elif self._best is not None:
+            entries = [(*self.targets[j], self._best[mask][j])
+                       for j in pending]
+        else:
+            tree = _spanning_tree_weight([self.targets[j] for j in pending])
+            entries = [(*self.targets[j], tree) for j in pending]
+        tx, ty, rest = np.array(entries).T
         legs = (np.abs(xs - tx[:, None]) + np.abs(ys - ty[:, None])
                 + rest[:, None])
         return legs.min(axis=0)
 
 
-def _spanning_tree_weight(origin: Cell, cells: list[Cell]) -> int:
-    """Minimum spanning tree weight over origin and cells (Prim, O(n^2))."""
-    cells = list(cells)
-    reach = [manhattan(origin, c) for c in cells]
+def _spanning_tree_weight(cells: list[Cell]) -> int:
+    """Minimum spanning tree weight over cells (Prim, O(n^2))."""
+    joined, *cells = cells
+    reach = [manhattan(joined, c) for c in cells]
     total = 0
     while reach:
         k = min(range(len(reach)), key=reach.__getitem__)

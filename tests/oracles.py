@@ -316,19 +316,16 @@ def in_rowspace(v, H) -> bool:
     return gf2.rank(H) == gf2.rank(np.vstack([H, v]))
 
 
-def expand_noise(circuit, indices=None):
+def expand_noise(circuit):
     """Every single fault of the noise instructions, as (index, paulis).
 
     `paulis` is a tuple of (qubit, letter) pairs, identity letters dropped.
-    Faults follow the instructions (or `indices`, in that order), then the
-    targets, then the letters: X, Y, Z for DEPOLARIZE1 and the 15 products
-    of IXYZ x IXYZ other than II for DEPOLARIZE2, first letter slowest.
+    Faults follow the instructions, then the targets, then the letters:
+    X, Y, Z for DEPOLARIZE1 and the 15 products of IXYZ x IXYZ other than
+    II for DEPOLARIZE2, first letter slowest.
     """
-    if indices is None:
-        indices = range(len(circuit.instructions))
     faults = []
-    for index in indices:
-        instr = circuit.instructions[index]
+    for index, instr in enumerate(circuit.instructions):
         if instr.name == "X_ERROR":
             faults.extend((index, ((q, "X"),)) for q in instr.targets)
         elif instr.name == "Z_ERROR":

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -311,6 +312,17 @@ CORRUPTIONS = [
     ("unknown-kind", 0, _set(1, kind="NOP"), "unknown event kind NOP"),
     ("init-late", 0, _set(0, t=1), "INIT at 1, expected 0"),
     ("no-measure", 0, _drop(10), "round must run INIT..MEASURE"),
+    # malformed ids: the right kind with too few or too many fields
+    ("shuttle-short-channel-id", 0, _set(5, comp=("channel", 1, 1)),
+     "SHUTTLE at 1100 names malformed component ('channel', 1, 1)"),
+    ("shuttle-long-channel-id", 0, _set(5, comp=("channel", 1, 1, 2, 1, 0)),
+     "SHUTTLE at 1100 names malformed component ('channel', 1, 1, 2, 1, 0)"),
+    ("displace-short-dest", 0, _set(2, dest=("readout", 1)),
+     "DISPLACE at 600 names malformed component ('readout', 1)"),
+    ("displace-short-comp", 0, _set(4, comp=("interaction", 1)),
+     "DISPLACE at 900 names malformed component ('interaction', 1)"),
+    ("cx-short-comp", 0, _set(3, comp=("interaction", 1)),
+     "CX at 800 names malformed component ('interaction', 1)"),
 ]
 
 
@@ -332,6 +344,26 @@ def test_validator_reports_empty_round():
     report = validate_schedule(replace(schedule,
                                        events={**schedule.events, 0: round0}))
     assert report.violations == ["a0 round 1: empty round"]
+
+
+def test_schedule_json_matches_events_and_text():
+    schedule = replicate_rounds(compile_surface(3)[1], 2)
+    doc = json.loads(schedule.to_json())
+    pairs = schedule.all_events()
+    lines = [ln.split() for ln in schedule.to_text().splitlines()
+             if not ln.startswith("#")]
+    assert len(doc["events"]) == len(pairs) == len(lines)
+    for row, (a, ev), fields in zip(doc["events"], pairs, lines):
+        assert (row["qubit"], row["kind"], row["t"], row["duration"],
+                row["partner"]) == (f"a{a}", ev.kind, ev.t, ev.duration,
+                                    ev.partner)
+        assert (row["dest"] is None) == (ev.dest is None)
+        dest = "" if row["dest"] is None else f">{row['dest']}"
+        assert fields[4] == row["comp"] + dest
+    assert doc["rounds"] == schedule.rounds == 2
+    assert doc["round_makespan_ns"] == schedule.round_makespan
+    assert doc["makespan_ns"] == schedule.makespan
+    assert doc["provenance"] == schedule.provenance
 
 
 def test_schedule_text_roundtrip_shape():

@@ -154,8 +154,7 @@ def test_per_round_measurement_counts():
 
 def test_text_format_renders():
     _, circuit = surface_circuit(d=3, rounds=1, basis="z")
-    text = circuit.to_text(header=["demo"])
-    assert text.startswith("# demo")
+    text = circuit.to_text()
     lines = text.splitlines()
     assert any(line.startswith("QUBIT_COORDS") for line in lines)
     assert any(line.startswith("DETECTOR") for line in lines)

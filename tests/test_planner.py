@@ -43,7 +43,7 @@ def test_two_cell_line_single_target():
     req = request((0, 0), [(1, 0)])
     result = plan_route(layout, ReservationTable(), TIMING, req)
     start = SearchState(readout_id((0, 0)), 0, 0)
-    h0 = route_heuristic(layout, ReservationTable(), TIMING, req, start)
+    h0 = route_heuristic(layout, TIMING, req, start)
     assert result.parked_time == h0 == 1700
     kinds = [s.kind for s in result.steps]
     assert kinds == ["DISPLACE", "SHUTTLE", "DISPLACE", "GATE", "DISPLACE"]
@@ -136,7 +136,7 @@ def test_state_off_the_layout_is_rejected():
     req = request((0, 0), [(1, 1)])
     state = SearchState(readout_id((3, 0)), 0, 0)
     with pytest.raises(ValueError, match="not a component"):
-        route_heuristic(layout, ReservationTable(), TIMING, req, state)
+        route_heuristic(layout, TIMING, req, state)
     with pytest.raises(ValueError, match="not a component"):
         route_successors(layout, ReservationTable(), TIMING, req, state, 0)
 
@@ -251,13 +251,12 @@ def test_displace_reaches_every_later_interval():
 def test_heuristic_done_states():
     layout = build_grid(3, 3)
     req = request((0, 0), [(2, 2)])
-    table = ReservationTable()
     done = 1
-    h_ro = route_heuristic(layout, table, TIMING, req,
+    h_ro = route_heuristic(layout, TIMING, req,
                            SearchState(readout_id((1, 1)), 0, done))
-    h_int = route_heuristic(layout, table, TIMING, req,
+    h_int = route_heuristic(layout, TIMING, req,
                             SearchState(intersection_id((1, 1)), 0, done))
-    h_ia = route_heuristic(layout, table, TIMING, req,
+    h_ia = route_heuristic(layout, TIMING, req,
                            SearchState(interaction_id((1, 1)), 0, done))
     assert h_ro == 0
     assert h_int == TIMING.t_displace
@@ -268,7 +267,7 @@ def test_heuristic_single_target_distance_three():
     layout = build_grid(4, 4)
     req = request((0, 0), [(3, 0)])
     state = SearchState(intersection_id((0, 0)), 0, 0)
-    h = route_heuristic(layout, ReservationTable(), TIMING, req, state)
+    h = route_heuristic(layout, TIMING, req, state)
     assert h == 3 * 1000 + 100 + 2 * 200 == 3500
 
 
@@ -276,7 +275,7 @@ def test_heuristic_charges_readout_exit():
     layout = build_grid(4, 4)
     req = request((0, 0), [(3, 0)])
     state = SearchState(readout_id((0, 0)), 0, 0)
-    h = route_heuristic(layout, ReservationTable(), TIMING, req, state)
+    h = route_heuristic(layout, TIMING, req, state)
     assert h == 3500 + TIMING.t_displace
 
 
@@ -284,7 +283,7 @@ def test_heuristic_gate_credit_at_pending_interaction():
     layout = build_grid(4, 1)
     req = request((0, 0), [(1, 0), (3, 0)])
     state = SearchState(interaction_id((1, 0)), 0, 0)
-    h = route_heuristic(layout, ReservationTable(), TIMING, req, state)
+    h = route_heuristic(layout, TIMING, req, state)
     # immediate gate + its exit displace, then the (3,0) stop two edges away
     assert h == (100 + 200) + (2 * 1000 + 100 + 2 * 200)
 
@@ -351,9 +350,8 @@ def check_heuristic_rows(ordered: bool, min_targets: int = 1) -> None:
                 continue
             for mask in range(1 << len(targets)):
                 state = SearchState(comp, 0, mask)
-                assert route_heuristic(layout, ReservationTable(), TIMING,
-                                       req, state) == scalar_heuristic(
-                                           req, comp, mask), (state, req)
+                assert route_heuristic(layout, TIMING, req, state) == \
+                    scalar_heuristic(req, comp, mask), (state, req)
 
 
 def test_heuristic_rows_ordered():
@@ -365,7 +363,7 @@ def test_heuristic_rows_unordered():
 
 
 def test_heuristic_rows_past_exact_limit(monkeypatch):
-    """Every task of 2+ unordered targets takes the lazy spanning-tree row."""
+    """Every task of 2+ unordered targets takes the spanning-tree row."""
     monkeypatch.setattr(tsp, "EXACT_LIMIT", 1)
     check_heuristic_rows(ordered=False, min_targets=2)
 
@@ -378,7 +376,6 @@ def check_heuristic_admissible():
         layout = build_grid(w, h_dim)
         cells = list(layout.cells())
         req = _random_request(rng, layout, cells)
-        table = ReservationTable()
         cell = rng.choice(cells)
         comp = rng.choice((intersection_id, interaction_id, readout_id))(cell)
         n = len(req.targets)
@@ -386,7 +383,7 @@ def check_heuristic_admissible():
         if req.ordered:
             mask = (1 << rng.randint(0, n)) - 1  # ordered tasks finish a prefix
         state = SearchState(comp, 0, mask)
-        h_val = route_heuristic(layout, table, TIMING, req, state)
+        h_val = route_heuristic(layout, TIMING, req, state)
         oracle = static_remaining_cost(layout, TIMING, req, comp, mask)
         assert h_val <= oracle, (
             f"inadmissible: h={h_val} > oracle={oracle} at {state} of {req}")

@@ -1,7 +1,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from shuttleplan import tsp
 from shuttleplan.tsp import OpenPathTable, manhattan, solve_tsp
@@ -70,31 +69,24 @@ def test_ordered_table_is_the_leg_sum_over_every_suffix():
                 origin, targets[first:])
 
 
-def test_min_distances_is_min_distance_per_origin():
-    """The row query equals the one-shot query at every origin and mask."""
+def test_min_distances_is_min_distance_per_origin(monkeypatch):
+    """The row query equals the one-shot query at every origin and mask,
+    for ordered, Held-Karp and spanning-tree tables."""
     rng = random.Random(8)
     origins = [(x, y) for y in range(-1, 7) for x in range(-1, 7)]
     xs = np.array([x for x, _ in origins], dtype=np.int64)
     ys = np.array([y for _, y in origins], dtype=np.int64)
-    for ordered in (True, False):
+    for ordered, limit in ((True, 1), (False, tsp.EXACT_LIMIT), (False, 1)):
+        monkeypatch.setattr(tsp, "EXACT_LIMIT", limit)
         for _ in range(10):
             targets = random_targets(rng, rng.randint(1, 6), 6)
             table = OpenPathTable(targets, ordered)
-            assert table.exact
+            assert table.exact == (ordered or len(targets) <= limit)
             for mask in range(1 << len(targets)):
                 row = table.min_distances(xs, ys, mask)
+                assert row.dtype == np.int64
                 assert row.tolist() == [table.min_distance(o, mask)
                                         for o in origins]
-
-
-def test_min_distances_refused_past_exact_limit(monkeypatch):
-    monkeypatch.setattr(tsp, "EXACT_LIMIT", 1)
-    table = OpenPathTable([(0, 0), (2, 1)], False)
-    assert not table.exact
-    with pytest.raises(ValueError):
-        table.min_distances(np.zeros(1, dtype=np.int64),
-                            np.zeros(1, dtype=np.int64), 0b11)
-    assert OpenPathTable([(0, 0), (2, 1)], True).exact
 
 
 def test_spanning_tree_bound_is_admissible(monkeypatch):
@@ -110,10 +102,10 @@ def test_spanning_tree_bound_is_admissible(monkeypatch):
 
 def test_spanning_tree_bound_values(monkeypatch):
     monkeypatch.setattr(tsp, "EXACT_LIMIT", 1)
-    # a star around the origin: the tree takes each spoke once, the path
-    # has to come back through the origin
+    # a star around the origin: the nearest spoke, then a tree over the
+    # spoke ends, as long as the path that has to turn back at each of them
     star = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert solve_tsp((0, 0), star, False) == 4
+    assert solve_tsp((0, 0), star, False) == 7
     assert brute_force_open_path((0, 0), star) == 7
     # collinear cells: the tree is the path
     assert solve_tsp((0, 0), [(3, 0), (1, 0), (2, 0)], False) == 3
