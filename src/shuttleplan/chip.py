@@ -120,7 +120,7 @@ def build_grid(width: int, height: int) -> ChipLayout:
 
 @dataclass(frozen=True)
 class TimingConfig:
-    """Operation durations in integer nanoseconds.
+    """Operation durations in integer nanoseconds; a bool is not one.
 
     All times are kept integral; the defaults are multiples of 100 ns so a
     100 ns discretization reproduces the continuous schedule exactly.
@@ -135,7 +135,7 @@ class TimingConfig:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not isinstance(value, int) or value <= 0:
+            if type(value) is not int or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -159,11 +159,6 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be in [0, 0.75], got {p!r}")
         if not self.t1 > 0 or not self.t2 > 0:
             raise ValueError("t1 and t2 must be positive")
-
-    @classmethod
-    def zero(cls) -> "NoiseConfig":
-        return cls(p_cx=0.0, p_h=0.0, p_init=0.0, p_meas=0.0,
-                   p_shuttle=0.0, p_displace=0.0, t1=math.inf, t2=math.inf)
 
     def idle_px(self, dt: int) -> float:
         """Bit-flip probability accumulated while idling dt ns."""

@@ -32,6 +32,7 @@ from .css import CheckTask, CssCode, DataLayout, tasks_from_code
 from .intervals import INF, ReservationTable, TimeInterval
 from .planner import (Event, PlanFailure, PlanRequest, PlanResult,
                       SearchState, plan_route, route_heuristic)
+from .tsp import OpenPathTable
 
 ORDER_POLICIES = ("longest", "index", "random")
 
@@ -175,7 +176,8 @@ def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
     pad = timing.t_meas + (timing.t_h if _flanked(task, tailored) else 0)
     return PlanRequest(
         start_cell=home, start_time=start_time,
-        targets=[data_cells[i] for i in task.targets], ordered=task.ordered,
+        tours=OpenPathTable([data_cells[i] for i in task.targets],
+                            task.ordered),
         gate_duration=_gate_duration(task, timing, tailored), terminal_pad=pad,
         gate_windows=gate_windows or {})
 
@@ -281,6 +283,14 @@ def place_on_chip(data_layout: DataLayout, margin: int) -> tuple[ChipLayout, dic
     return chip, {i: (c[0] + dx, c[1] + dy) for i, c in data_layout.items()}
 
 
+def _shared_cells(data_cells: dict[int, Cell]) -> list[str]:
+    """One message per data qubit placed on a cell a lower one holds."""
+    holder: dict[Cell, int] = {}
+    return [f"d{i} and d{holder[cell]} share cell {cell}"
+            for i, cell in sorted(data_cells.items())
+            if holder.setdefault(cell, i) != i]
+
+
 def schedule_round(code: CssCode, data_layout: DataLayout,
                    timing: TimingConfig, *, margin: int = 1,
                    order_policy: str = "longest", tailored: bool = True,
@@ -300,6 +310,15 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     if order_policy not in ORDER_POLICIES:
         raise CompileError(f"order policy must be one of {ORDER_POLICIES}")
     tasks = tasks_from_code(code, data_layout)
+    if not tasks:
+        raise CompileError(f"code {code.name} has no checks to schedule")
+    extra = sorted(set(data_layout) - set(range(code.n)), key=str)
+    if extra:
+        raise CompileError(f"data layout places qubits {extra} outside "
+                           f"0..{code.n - 1}")
+    shared = _shared_cells(data_layout)
+    if shared:
+        raise CompileError(f"data layout: {shared[0]}")
     chip, data_cells = place_on_chip(data_layout, margin)
     homes = assign_homes(tasks, chip, data_cells)
     rng = _random.Random(seed)
@@ -388,7 +407,8 @@ class ValidationReport:
 
 
 def validate_schedule(schedule: Schedule) -> ValidationReport:
-    """Independent sweep: collisions, completion, order, contiguity, timing.
+    """Independent sweep: data placement, collisions, completion, order,
+    contiguity, timing.
 
     Every check task needs events under its ancilla key, and every key of
     ``schedule.events`` needs a task. Event e belongs to round
@@ -400,6 +420,8 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
     if period <= 0:
         report.add(f"round makespan {period} is not positive")
         return report
+    for message in _shared_cells(schedule.data_cells):
+        report.add(message)
     occupancies: dict[ComponentId, list[tuple[TimeInterval, str]]] = {}
     # per (round, data qubit): end of the last X-check CX, start of the first
     # Z-check CX

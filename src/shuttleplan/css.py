@@ -82,15 +82,6 @@ class CssCode:
     def k(self) -> int:
         return self.n - gf2.rank(self.hx) - gf2.rank(self.hz)
 
-    @property
-    def check_weight(self) -> int:
-        weights = [0]
-        if self.hx.shape[0]:
-            weights.append(int(self.hx.sum(axis=1).max()))
-        if self.hz.shape[0]:
-            weights.append(int(self.hz.sum(axis=1).max()))
-        return max(weights)
-
     def params(self) -> str:
         d = self.d_claimed if self.d_claimed is not None else "?"
         return f"[[{self.n},{self.k},{d}]]"
@@ -276,6 +267,8 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
         d_claimed = None if header[2] in ("-", "?") else int(header[2])
     except ValueError as exc:
         raise CodeError(f"{name_hint}: bad header numbers: {exc}") from exc
+    if n < 1:
+        raise CodeError(f"{name_hint}: header needs n >= 1, got {n}")
     name = " ".join(header[3:])
 
     sections: dict[str, list[str]] = {}
@@ -283,6 +276,8 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
     for line in content[1:]:
         if line.upper() in ("HX", "HZ", "LAYOUT", "ORDER"):
             current = line.upper()
+            if current in sections:
+                raise CodeError(f"{name_hint}: repeated {current} section")
             sections[current] = []
         elif current is None:
             raise CodeError(f"{name_hint}: data before any section header")

@@ -120,16 +120,6 @@ class StabCircuit:
             tally[instr.name] = tally.get(instr.name, 0) + 1
         return tally
 
-    def noise_sites(self, **query) -> list[int]:
-        """Instruction indices of noise annotations matching the meta query."""
-        out = []
-        for idx, instr in enumerate(self.instructions):
-            if instr.name not in NOISE_CHANNELS or instr.meta is None:
-                continue
-            if all(instr.meta.get(k) == v for k, v in query.items()):
-                out.append(idx)
-        return out
-
     def to_text(self) -> str:
         lines: list[str] = []
         heads: dict[tuple, str] = {}  # each distinct (name, arg) formatted once

@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -106,27 +105,6 @@ class FaultSites:
     def __len__(self) -> int:
         return len(self.index)
 
-    @classmethod
-    def from_paulis(cls, sites: Iterable[tuple[int, Iterable[tuple[int, str]]]]
-                    ) -> "FaultSites":
-        """Build from ``[(instruction index, ((qubit, "X"|"Y"|"Z"), ...)), ...]``.
-
-        Raises ValueError naming the site's row for any other Pauli letter.
-        """
-        index, term_site, term_qubit, term_bits = [], [], [], []
-        for row, (idx, paulis) in enumerate(sites):
-            index.append(idx)
-            for q, p in paulis:
-                bits = _PAULI_BITS.get(p)
-                if bits is None:
-                    raise ValueError(f"fault site {row}: Pauli {p!r} is not "
-                                     f"X, Y or Z")
-                term_site.append(row)
-                term_qubit.append(q)
-                term_bits.append(bits)
-        return cls(*(np.array(col, dtype=np.int64)
-                     for col in (index, term_site, term_qubit, term_bits)))
-
 
 def sites_from_noise(circuit: StabCircuit) -> FaultSites:
     """Expand noise instructions into their possible single-fault Paulis.
@@ -164,12 +142,6 @@ def sites_from_noise(circuit: StabCircuit) -> FaultSites:
         term_bits=_T_BITS[entry])
 
 
-def _column(packed: np.ndarray, row: int) -> np.ndarray:
-    """Bit `row` of every packed row, as a uint8 vector."""
-    word, bit = divmod(row, 64)
-    return ((packed[:, word] >> np.uint64(bit)) & np.uint64(1)).astype(np.uint8)
-
-
 def _unpack(packed: np.ndarray, num_sites: int) -> np.ndarray:
     """(n, W) packed rows -> (num_sites, n) uint8 matrix (a transposed view)."""
     as_bytes = packed.astype("<u8", copy=False).view(np.uint8)
@@ -199,20 +171,6 @@ class ScanResult:
     x: np.ndarray
     z: np.ndarray
     flips: np.ndarray
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < len(self.sites):
-            raise IndexError(f"no fault site {row} in a scan of "
-                             f"{len(self.sites)}")
-
-    def flipped_measurements(self, row: int) -> list[int]:
-        self._check_row(row)
-        return np.flatnonzero(_column(self.flips, row)).tolist()
-
-    def final_frame(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """(x, z) residual frame of one site, as uint8 vectors over qubits."""
-        self._check_row(row)
-        return _column(self.x, row), _column(self.z, row)
 
     def detector_flips(self, circuit: StabCircuit) -> np.ndarray:
         """(num_sites, num_detectors) matrix of detector parity flips."""
@@ -381,13 +339,6 @@ class Tableau:
         self.sign ^= x_c & z_t & ~(xc[t] ^ zc[c])
         xc[t] ^= x_c
         zc[c] ^= z_t
-
-    def apply_x(self, q: int) -> None:
-        """Deterministic X flip (used to inject faults)."""
-        self.sign ^= self.zc[q]
-
-    def apply_z(self, q: int) -> None:
-        self.sign ^= self.xc[q]
 
     def measure(self, q: int) -> Outcome:
         """Measure Z_q.

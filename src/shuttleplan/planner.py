@@ -37,6 +37,12 @@ the layout does and refers to no search. Ids become component tuples again
 only in the returned ``PlanResult`` and in ``route_successors`` and
 ``route_heuristic``.
 
+The request carries the check's target cells, their order flag and their
+remaining-travel bound as one ``tsp.OpenPathTable`` (``PlanRequest.tours``),
+which ``compiler.build_request`` builds once per check. The compiler's
+``longest`` ordering bound (``route_heuristic``) and the route search
+(``plan_route``) both read that table and build none.
+
 The remaining-travel term of the heuristic depends on the cell and the
 pending mask alone. A search computes it for every cell of the chip the
 first time it meets a pending mask, as one numpy row from
@@ -109,8 +115,8 @@ class Event:
 class PlanRequest:
     start_cell: Cell             # the route starts at this cell's readout
     start_time: int
-    targets: list[Cell]          # task target cells, canonical order
-    ordered: bool
+    tours: OpenPathTable         # target cells in canonical order, their
+                                 # order flag and remaining-travel bound
     gate_duration: int           # t_cx, or t_cx + 2 t_h under tailoring
     terminal_pad: int            # readout time needed after parking
     # earliest allowed gate start per target cell; used to keep every data
@@ -213,20 +219,21 @@ class _Memo(dict):
 class _Search:
     def __init__(self, layout: ChipLayout, timing: TimingConfig,
                  req: PlanRequest):
-        for cell in (req.start_cell, *req.targets):
+        targets = req.tours.targets
+        for cell in (req.start_cell, *targets):
             layout.require_in_bounds(cell)
-        target_of = {cell: j for j, cell in enumerate(req.targets)}
-        if len(target_of) != len(req.targets):
+        target_of = {cell: j for j, cell in enumerate(targets)}
+        if len(target_of) != len(targets):
             raise ValueError("duplicate target cells in one task")
         self.index = index = layout_index(layout)
         self.timing = timing
         self.req = req
-        self.full = (1 << len(req.targets)) - 1
+        self.full = (1 << len(targets)) - 1
         # target index by cell number, and by the id of its interaction zone
         self.target_at = {index.cell_number[c]: j for c, j in target_of.items()}
         self.gate_at = {index.id_of[interaction_id(c)]: j
                         for c, j in target_of.items()}
-        self.windows = [req.gate_windows.get(c, 0) for c in req.targets]
+        self.windows = [req.gate_windows.get(c, 0) for c in targets]
         # per-search memos, read by subscript in the hot loop (cheaper than a
         # method call); their builders must not hold self, or each search
         # would linger in a reference cycle until the next collection
@@ -238,7 +245,7 @@ class _Search:
         """j if target j may be gated next under mask, else None."""
         if j is None or mask >> j & 1:
             return None
-        if self.req.ordered and j != mask.bit_count():
+        if self.req.tours.ordered and j != mask.bit_count():
             return None
         return j
 
@@ -275,7 +282,8 @@ class _Search:
                                                    req.start_time)
         if goal is None:
             raise PlanFailure(
-                f"no route from {start_comp} over {len(req.targets)} targets")
+                f"no route from {start_comp} over {len(req.tours.targets)} "
+                f"targets")
         result = self._extract(goal, parents, g_best)
         result.stats = stats
         return result
@@ -451,7 +459,7 @@ _INFINITE = float("inf")
 
 def _travel_rows(index: LayoutIndex, timing: TimingConfig, req: PlanRequest):
     """Builder of the pending mask -> per-cell travel-plus-stops row."""
-    tours = OpenPathTable(req.targets, req.ordered)
+    tours = req.tours
     stop_cost = req.gate_duration + 2 * timing.t_displace
     t_shuttle = timing.t_shuttle
     xs, ys = index.xs, index.ys

@@ -2,8 +2,11 @@
 
 ``OpenPathTable`` owns the remaining-travel bound: the least Manhattan
 distance from an origin through every pending target, with no return leg.
-The route search scales it into its A* heuristic, and ``metrics`` reports it
-from each ancilla's home as the ideal shuttle count.
+``compiler.build_request`` builds one table per check and stores it in the
+check's ``planner.PlanRequest`` as ``tours``; the planning-order bound and
+the route search scale it into their A* heuristic from there. ``metrics``
+builds its own through ``solve_tsp`` and reports it from each ancilla's
+home as the ideal shuttle count.
 
 * Ordered targets are visited in their fixed sequence, so the pending set is
   always a suffix and the table holds suffix sums of the consecutive legs.
@@ -44,6 +47,9 @@ class OpenPathTable:
     pairs of the same ancilla, so the per-subset work is done once here and
     each query is a single O(|pending|) minimization.
 
+    ``targets`` and ``ordered`` are the task's cells and order flag; the
+    route search reads them from here.
+
     Ordered: ``suffix[j]`` is the travel from target j through the last one.
     Unordered: ``best[mask][j]`` is the cheapest open path visiting exactly
     the targets in ``mask`` when entered at target j (j must be in mask).
@@ -53,6 +59,7 @@ class OpenPathTable:
 
     def __init__(self, targets: list[Cell], ordered: bool):
         self.targets = list(targets)
+        self.ordered = ordered
         self._suffix = self._best = None
         m = len(targets)
         self.exact = ordered or m <= EXACT_LIMIT

@@ -1,13 +1,20 @@
+import math
 import pathlib
 import sys
 
 import pytest
+
+from shuttleplan.chip import NoiseConfig
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 REPO = HERE.parent
 CODES = REPO / "codes"
+# every error rate zero and idling free of decoherence
+NOISELESS = NoiseConfig(p_cx=0.0, p_h=0.0, p_init=0.0, p_meas=0.0,
+                        p_shuttle=0.0, p_displace=0.0, t1=math.inf,
+                        t2=math.inf)
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,10 @@ tableau oracle is a row-major uint8 destabilizer/stabilizer tableau that
 updates every row of a column with numpy and multiplies rows one phase
 term at a time.
 
-Two helpers here are not independent: `propagate_fault` runs one fault
-through the package's `fault_scan`, and `in_rowspace` compares two
-`gf2.rank` values. Only the tests call them.
+Four helpers here are not independent: `fault_sites` and `scan_row`
+write the input and read one site's output of the package's `fault_scan`,
+`propagate_fault` runs one fault through it with them, and `in_rowspace`
+compares two `gf2.rank` values. Only the tests call them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from shuttleplan.chip import (INTERACTION, INTERSECTION, READOUT, ChipLayout,
                               TimingConfig, channel_id, interaction_id,
                               intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable
-from shuttleplan.pauli import FaultSites, fault_scan
+from shuttleplan.pauli import FaultSites, ScanResult, fault_scan
 
 if TYPE_CHECKING:
     from shuttleplan.planner import PlanRequest
@@ -111,8 +112,8 @@ class RouteOracle:
         self.res = {comp: sorted(spans) for comp, spans in reservations.items()}
         self.t = timing
         self.req = request
-        self.full = (1 << len(request.targets)) - 1
-        self.target_index = {c: j for j, c in enumerate(request.targets)}
+        self.full = (1 << len(request.tours.targets)) - 1
+        self.target_index = {c: j for j, c in enumerate(request.tours.targets)}
 
     def free(self, comp, start: int, end: int) -> bool:
         for a, b in self.res.get(comp, ()):
@@ -162,7 +163,7 @@ class RouteOracle:
             j = self.target_index.get(cell)
             if (comp[0] == INTERACTION and j is not None
                     and not mask & (1 << j)
-                    and (not req.ordered or j == bin(mask).count("1"))
+                    and (not req.tours.ordered or j == bin(mask).count("1"))
                     and now >= req.gate_windows.get(cell, 0)
                     and self.free(comp, now, now + req.gate_duration)):
                 moves.append((now + req.gate_duration, comp, mask | (1 << j)))
@@ -211,10 +212,10 @@ def scan_successors(layout: ChipLayout, table: ReservationTable,
             arr = max(g, dest_si.span.start) + timing.t_displace
             if arr <= hi and arr < dest_si.span.end:
                 out.append(((dest, dest_si.index, mask), arr))
-    j = {c: j for j, c in enumerate(request.targets)}.get(cell)
+    j = {c: j for j, c in enumerate(request.tours.targets)}.get(cell)
     if (comp[0] == INTERACTION and j is not None
             and not mask & (1 << j)
-            and (not request.ordered or j == bin(mask).count("1"))):
+            and (not request.tours.ordered or j == bin(mask).count("1"))):
         done = max(g, request.gate_windows.get(cell, 0)) + request.gate_duration
         if done <= hi:
             out.append(((comp, interval, mask | (1 << j)), done))
@@ -225,8 +226,8 @@ def static_remaining_cost(layout: ChipLayout, timing: TimingConfig,
                           request: PlanRequest, start_comp, start_mask: int) -> int:
     """Exact cost-to-goal with no reservations (Dijkstra, no waiting)."""
     t = timing
-    full = (1 << len(request.targets)) - 1
-    target_index = {c: j for j, c in enumerate(request.targets)}
+    full = (1 << len(request.tours.targets)) - 1
+    target_index = {c: j for j, c in enumerate(request.tours.targets)}
     dist = {(start_comp, start_mask): 0}
     heap = [(0, start_comp, start_mask)]
     while heap:
@@ -247,7 +248,7 @@ def static_remaining_cost(layout: ChipLayout, timing: TimingConfig,
         j = target_index.get(cell)
         if (comp[0] == INTERACTION and j is not None
                 and not mask & (1 << j)
-                and (not request.ordered or j == bin(mask).count("1"))):
+                and (not request.tours.ordered or j == bin(mask).count("1"))):
             steps.append((comp, mask | (1 << j), request.gate_duration))
         for dest, nmask, cost in steps:
             nd = d + cost
@@ -300,11 +301,40 @@ def propagate_frame(circuit, index: int, paulis):
     return xs, zs, flipped
 
 
+_PAULI_BITS = {"X": 1, "Z": 2, "Y": 3}
+
+
+def fault_sites(faults) -> FaultSites:
+    """The columns of ``[(instruction index, ((qubit, "X"|"Y"|"Z"), ...))]``.
+
+    Raises ValueError naming the site's row for any other Pauli letter.
+    """
+    terms = []
+    for row, (_, paulis) in enumerate(faults):
+        for q, p in paulis:
+            if p not in _PAULI_BITS:
+                raise ValueError(f"fault site {row}: Pauli {p!r} is not "
+                                 f"X, Y or Z")
+            terms.append((row, q, _PAULI_BITS[p]))
+    columns = [[index for index, _ in faults],
+               *(zip(*terms) if terms else ([], [], []))]
+    return FaultSites(*(np.array(col, dtype=np.int64) for col in columns))
+
+
+def scan_row(result: ScanResult, row: int):
+    """Site `row` of a scan: its final X and Z frames as uint8 vectors over
+    the qubits, and the indices of the measurements it flips."""
+    word, bit = divmod(row, 64)
+    x, z, flips = (((packed[:, word] >> np.uint64(bit)) & np.uint64(1))
+                   .astype(np.uint8)
+                   for packed in (result.x, result.z, result.flips))
+    return x, z, np.flatnonzero(flips).tolist()
+
+
 def propagate_fault(circuit, index: int, paulis):
     """Push one fault through `fault_scan`; returns (final_x, final_z,
     flipped measurements)."""
-    result = fault_scan(circuit, FaultSites.from_paulis([(index, paulis)]))
-    return (*result.final_frame(0), result.flipped_measurements(0))
+    return scan_row(fault_scan(circuit, fault_sites([(index, paulis)])), 0)
 
 
 def in_rowspace(v, H) -> bool:

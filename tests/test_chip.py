@@ -7,6 +7,7 @@ from shuttleplan.chip import (CHANNEL, INTERACTION, INTERSECTION, READOUT,
                               NoiseConfig, TimingConfig, build_grid,
                               channel_id, component_cell)
 from shuttleplan.tsp import manhattan
+from conftest import NOISELESS
 from oracles import bfs_hops
 
 
@@ -97,6 +98,11 @@ def test_timing_defaults_and_validation():
         TimingConfig(t_h=99.5)
 
 
+def test_timing_rejects_bool_durations():
+    with pytest.raises(ValueError, match="t_cx must be a positive integer"):
+        TimingConfig(t_cx=True)
+
+
 def test_noise_defaults_and_validation():
     nc = NoiseConfig()
     assert nc.t1 == 1e10 and nc.t2 == 1e7  # 10 s and 10 ms in ns
@@ -107,7 +113,7 @@ def test_noise_defaults_and_validation():
 
 
 def test_zero_noise_config():
-    nc = NoiseConfig.zero()
+    nc = NOISELESS
     assert nc.p_shuttle == 0.0
     assert nc.idle_px(10_000) == 0.0
     assert nc.idle_pz(10_000) == 0.0

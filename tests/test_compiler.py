@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shuttleplan import tsp
 from shuttleplan.chip import TimingConfig, build_grid, readout_id
 from shuttleplan.compiler import (CompileError, Event, assign_homes,
                                   replicate_rounds, schedule_round,
                                   validate_schedule)
-from shuttleplan.css import CheckTask, CssCode, load_css, surface_code
+from shuttleplan.css import (CheckTask, CssCode, load_css, parse_css,
+                             surface_code)
 from shuttleplan.css import default_layout
 
 TIMING = TimingConfig()
@@ -112,6 +114,58 @@ def test_bb72_schedule(bb72_path):
     assert len(schedule.events) == 72
     report = validate_schedule(schedule)
     assert report.ok, report.violations[:5]
+
+
+@pytest.mark.parametrize("which", ["surface_d3", "bb72"])
+def test_one_travel_table_per_check(which, bb72_path, monkeypatch):
+    """The ordering bound and the route search share each check's table."""
+    if which == "bb72":
+        code = load_css(str(bb72_path))
+        layout = default_layout(code, build_grid(9, 8))
+    else:
+        code, layout = surface_code(3)
+    builds = []
+    init = tsp.OpenPathTable.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(tsp.OpenPathTable, "__init__", counted)
+    schedule = schedule_round(code, layout, TIMING)
+    assert len(builds) == len(schedule.tasks) == len(code.hx) + len(code.hz)
+
+
+def test_layout_with_two_qubits_on_one_cell_is_rejected():
+    code, layout = surface_code(3)
+    layout[2] = layout[0]
+    with pytest.raises(CompileError, match="d2 and d0 share cell"):
+        schedule_round(code, layout, TIMING)
+
+
+def test_layout_with_a_key_outside_the_code_is_rejected():
+    code, layout = surface_code(3)
+    layout[99] = (5, 5)
+    with pytest.raises(CompileError, match=r"\[99\] outside 0..8"):
+        schedule_round(code, layout, TIMING)
+
+
+@pytest.mark.parametrize("code", [
+    parse_css(["2 2 - x", "HX", "HZ"]),
+    CssCode(hx=np.zeros((0, 0), dtype=np.uint8),
+            hz=np.zeros((0, 0), dtype=np.uint8)),
+], ids=["n2", "n0"])
+def test_code_without_checks_is_rejected(code):
+    layout = {i: (i, 0) for i in range(code.n)}
+    with pytest.raises(CompileError, match="no checks"):
+        schedule_round(code, layout, TIMING)
+
+
+def test_validator_reports_two_data_qubits_on_one_cell():
+    _, schedule = compile_surface(3)
+    cells = {**schedule.data_cells, 2: schedule.data_cells[0]}
+    report = validate_schedule(replace(schedule, data_cells=cells))
+    assert f"d2 and d0 share cell {cells[0]}" in report.violations
 
 
 def test_replicate_identity():

@@ -39,7 +39,7 @@ def test_surface_d3_parameters():
     code, layout = surface_code(3)
     assert code.n == 9 and code.k == 1
     assert code.hx.shape[0] == 4 and code.hz.shape[0] == 4
-    assert code.check_weight == 4
+    assert code.hx.sum(axis=1).max() == code.hz.sum(axis=1).max() == 4
     assert code.ordered
     assert layout[4] == (1, 1)
 
@@ -47,7 +47,7 @@ def test_surface_d3_parameters():
 def test_surface_d5_parameters():
     code, _ = surface_code(5)
     assert code.n == 25 and code.k == 1
-    assert code.check_weight == 4
+    assert code.hx.sum(axis=1).max() == code.hz.sum(axis=1).max() == 4
 
 
 @pytest.mark.parametrize("d", [2, 1, 4])
@@ -195,7 +195,7 @@ def test_load_surface_roundtrip(tmp_path):
 def test_load_bb72(bb72_path):
     code = load_css(str(bb72_path))
     assert code.n == 72 and code.k == 12
-    assert code.check_weight == 6
+    assert code.hx.sum(axis=1).max() == code.hz.sum(axis=1).max() == 6
     assert code.d_claimed == 6
     assert not code.ordered
     tasks = tasks_from_code(code, default_layout(code, build_grid(9, 8)))
@@ -255,3 +255,19 @@ def test_non_integer_entry_names_file_and_section(section, body):
     lines = ["2 0 - pair", "HX", "1 1", "HZ", "1 1", section, *body]
     with pytest.raises(CodeError, match=f"^pair.code: {section} "):
         parse_css(lines, name_hint="pair.code")
+
+
+@pytest.mark.parametrize("section", ["HX", "HZ", "LAYOUT", "ORDER"])
+def test_repeated_section_is_rejected(section):
+    lines = ["2 0 - pair", "HX", "1 1", "HZ", "1 1", "LAYOUT", "0 0", "1 0",
+             "ORDER", "0 1", "1 0"]
+    repeat = {"HX": ["1 1"], "HZ": ["1 1"], "LAYOUT": ["0 0", "1 0"],
+              "ORDER": ["0 1", "1 0"]}[section]
+    with pytest.raises(CodeError, match=f"^pair.code: repeated {section} "):
+        parse_css(lines + [section, *repeat], name_hint="pair.code")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_header_needs_a_positive_qubit_count(n):
+    with pytest.raises(CodeError, match=f"n >= 1, got {n}"):
+        parse_css([f"{n} 0 - empty", "HX", "HZ"])

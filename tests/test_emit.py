@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import NOISELESS
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (CodeError, compute_logicals, default_layout,
@@ -28,7 +29,7 @@ def surface_circuit(d=3, rounds=1, basis="z", tailored=True, noise=None):
 
 
 def test_zero_noise_has_no_error_instructions():
-    _, circuit = surface_circuit(noise=NoiseConfig.zero())
+    _, circuit = surface_circuit(noise=NOISELESS)
     counts = circuit.counts()
     for name in ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"):
         assert counts.get(name, 0) == 0
@@ -50,7 +51,8 @@ def test_shuttle_segments_collapse_to_one_instruction():
     code, schedule = surface_schedule()
     circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
                                   NoiseConfig(), "z")
-    segs = [circuit.instructions[i] for i in circuit.noise_sites(kind="shuttle")]
+    segs = [instr for instr in circuit.instructions
+            if instr.name in NOISE_CHANNELS and instr.meta["kind"] == "shuttle"]
     assert segs, "expected composed shuttle noise"
     multi = [s for s in segs if s.meta["edges"] > 1]
     assert multi, "expected a run of more than one edge"
@@ -66,7 +68,8 @@ def test_idle_gap_probability_closed_form():
     nc = NoiseConfig()
     assert nc.idle_pz(1_000_000) == pytest.approx(1 - math.exp(-0.1))
     _, circuit = surface_circuit(noise=NoiseConfig())
-    idles = circuit.noise_sites(kind="idle")
+    idles = [instr for instr in circuit.instructions
+             if instr.name in NOISE_CHANNELS and instr.meta["kind"] == "idle"]
     assert idles, "data qubits must accumulate idle noise between visits"
 
 
@@ -76,7 +79,9 @@ def test_displace_noise_per_event():
     schedule = schedule_round(code, layout, TIMING, tailored=True)
     displaces = sum(1 for evs in schedule.events.values()
                     for ev in evs if ev.kind == "DISPLACE")
-    assert len(circuit.noise_sites(kind="displace")) == displaces
+    assert displaces == sum(instr.name in NOISE_CHANNELS
+                            and instr.meta["kind"] == "displace"
+                            for instr in circuit.instructions)
 
 
 def test_detector_counts_surface_d3_three_rounds():
@@ -103,7 +108,7 @@ def test_bb72_twelve_observables(bb72_path):
     layout = default_layout(code, build_grid(9, 8))
     schedule = schedule_round(code, layout, TIMING)
     circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
-                                  NoiseConfig.zero(), "z")
+                                  NOISELESS, "z")
     assert len(circuit.observables()) == 12
     report = simulate_noiseless(circuit)
     assert report.all_detectors_deterministic_zero
@@ -115,7 +120,7 @@ def test_bb72_twelve_observables(bb72_path):
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_noiseless_determinism_d3(basis, tailored, rounds):
     _, circuit = surface_circuit(d=3, rounds=rounds, basis=basis,
-                                 tailored=tailored, noise=NoiseConfig.zero())
+                                 tailored=tailored, noise=NOISELESS)
     report = simulate_noiseless(circuit)
     assert report.all_detectors_deterministic_zero
     assert report.all_observables_deterministic
@@ -128,7 +133,7 @@ def test_tailored_h_excess_matches_movement_periods():
     plain = schedule_round(code, layout, TIMING, tailored=False)
     tail = schedule_round(code, layout, TIMING, tailored=True)
     logicals = compute_logicals(code)
-    noise = NoiseConfig.zero()
+    noise = NOISELESS
     h_plain = emit_memory_circuit(plain, code, logicals, noise, "z").counts()["H"]
     h_tail = emit_memory_circuit(tail, code, logicals, noise, "z").counts()["H"]
     z_weights = [len(t.targets) for t in tail.tasks if t.basis == "Z"]
@@ -176,7 +181,7 @@ def test_emit_rejects_bad_basis():
     schedule = schedule_round(code, layout, TIMING)
     with pytest.raises(CodeError):
         emit_memory_circuit(schedule, code, compute_logicals(code),
-                            NoiseConfig.zero(), "y")
+                            NOISELESS, "y")
 
 
 def test_add_detectors_requires_measurements():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import sys
 
 import pytest
@@ -58,20 +59,53 @@ ENTRY_POINTS = {
 }
 
 
+# Methods and properties, as "Class.member", that nothing in the package or
+# the benchmark calls, each kept for the caller it waits for.
+MEMBER_ENTRY_POINTS = {
+    "Schedule.to_json": "carries the structured diagnostics of the CLI's "
+                        "compile subcommand (ROADMAP item 2)",
+}
+
+
+def _traced_attributes() -> set[str]:
+    """The attributes the benchmark's tracer patches on the package."""
+    from types import SimpleNamespace
+
+    from shuttleplan import compiler, css, emit, intervals, metrics, pauli, tsp
+
+    spec = importlib.util.spec_from_file_location(
+        "tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sp = SimpleNamespace(compiler=compiler, css=css, emit=emit,
+                         intervals=intervals, metrics=metrics, pauli=pauli,
+                         tsp=tsp)
+    return {attr for _, attr, _ in tracing.traced_targets(sp)}
+
+
 def test_every_package_name_has_a_caller():
     """A module-level def or class must be referenced by name, as an
     attribute or in an import somewhere in the package or the benchmark,
-    or be listed in ENTRY_POINTS."""
+    or be listed in ENTRY_POINTS. A method or property of a package class
+    must be named as an attribute or a name there, or be patched by the
+    benchmark's tracer, or be listed in MEMBER_ENTRY_POINTS; dunder methods
+    are called by the language."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     package = sorted((REPO / "src" / "shuttleplan").glob("*.py"))
     defined: dict[str, str] = {}
+    members: dict[str, str] = {}
     referenced: set[str] = set()
     for path in package + sorted((REPO / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path in package:
-            defined.update(
-                (node.name, f"{path.stem}.{node.name}") for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)))
+            for node in tree.body:
+                if isinstance(node, (*defs, ast.ClassDef)):
+                    defined[node.name] = f"{path.stem}.{node.name}"
+                if isinstance(node, ast.ClassDef):
+                    members.update(
+                        (f"{node.name}.{m.name}", m.name) for m in node.body
+                        if isinstance(m, defs) and not (
+                            m.name.startswith("__") and m.name.endswith("__")))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -80,6 +114,11 @@ def test_every_package_name_has_a_caller():
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     assert set(ENTRY_POINTS) <= set(defined)
+    assert set(MEMBER_ENTRY_POINTS) <= set(members)
     unused = sorted(where for name, where in defined.items()
                     if name not in referenced and name not in ENTRY_POINTS)
+    called = referenced | _traced_attributes()
+    unused += sorted(member for member, name in members.items()
+                     if name not in called
+                     and member not in MEMBER_ENTRY_POINTS)
     assert unused == []

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import (expand_noise, noiseless_outcomes, propagate_fault,
-                     propagate_frame)
+from oracles import (expand_noise, fault_sites, noiseless_outcomes,
+                     propagate_fault, propagate_frame, scan_row)
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
@@ -37,7 +37,8 @@ def z_check_circuit(tailored: bool) -> StabCircuit:
 
 
 def hop_index(circuit, hop):
-    (idx,) = circuit.noise_sites(kind="shuttle", hop=hop)
+    (idx,) = [i for i, instr in enumerate(circuit.instructions)
+              if instr.meta == {"kind": "shuttle", "hop": hop}]
     return idx
 
 
@@ -171,8 +172,8 @@ def test_fault_sites_memory_is_flat():
 
 def test_from_paulis_matches_columns():
     faults = [(0, ((1, "Z"),)), (2, ()), (1, ((0, "X"), (3, "Y"), (0, "Z")))]
-    assert_columns_equal(FaultSites.from_paulis(faults), faults)
-    assert len(FaultSites.from_paulis([])) == 0
+    assert_columns_equal(fault_sites(faults), faults)
+    assert len(fault_sites([])) == 0
 
 
 def test_fault_scan_matches_single_propagation():
@@ -183,9 +184,10 @@ def test_fault_scan_matches_single_propagation():
     assert len(faults) == len(sites) == 5
     for row, (index, paulis) in enumerate(faults):
         fx, fz, flips = propagate_fault(c, index, paulis)
-        assert np.array_equal(result.final_frame(row)[0], fx)
-        assert np.array_equal(result.final_frame(row)[1], fz)
-        assert result.flipped_measurements(row) == flips
+        got_x, got_z, got_flips = scan_row(result, row)
+        assert np.array_equal(got_x, fx)
+        assert np.array_equal(got_z, fz)
+        assert got_flips == flips
 
 
 def test_simulate_reset_measure_deterministic_zero():
@@ -304,11 +306,13 @@ def tableau_run(circuit: StabCircuit, inject=None):
             outcomes.append(tab.measure(q))
             tab.h(q)
         if inject is not None and inject[0] == idx:
+            # a Pauli flips the sign of every row it anticommutes with:
+            # X_q those with a Z on q, Z_q those with an X on q
             for q, p in inject[1]:
                 if p in ("X", "Y"):
-                    tab.apply_x(q)
+                    tab.sign ^= tab.zc[q]
                 if p in ("Z", "Y"):
-                    tab.apply_z(q)
+                    tab.sign ^= tab.xc[q]
     return outcomes
 
 
@@ -378,13 +382,13 @@ def test_fault_scan_matches_frame_oracle(num_sites):
     for _ in range(3):
         circuit = random_circuit(rng)
         faults = random_faults(rng, circuit, num_sites)
-        result = fault_scan(circuit, FaultSites.from_paulis(faults))
+        result = fault_scan(circuit, fault_sites(faults))
         for row, (index, paulis) in enumerate(faults):
             xs, zs, flipped = propagate_frame(circuit, index, paulis)
-            fx, fz = result.final_frame(row)
+            fx, fz, got_flips = scan_row(result, row)
             assert set(np.flatnonzero(fx).tolist()) == xs
             assert set(np.flatnonzero(fz).tolist()) == zs
-            assert result.flipped_measurements(row) == flipped
+            assert got_flips == flipped
         for packed in (result.x, result.z, result.flips):
             tail = np.unpackbits(packed.astype("<u8").view(np.uint8), axis=1,
                                  bitorder="little")[:, num_sites:]
@@ -468,7 +472,7 @@ def test_fault_scan_rejects_instruction_out_of_range(index):
     for q in range(2):
         c.append("R", (q,))
     c.append("M", (0, 1))
-    sites = FaultSites.from_paulis([(0, ((0, "X"),)), (index, ((1, "Z"),))])
+    sites = fault_sites([(0, ((0, "X"),)), (index, ((1, "Z"),))])
     with pytest.raises(IndexError, match="fault site 1: no instruction"):
         fault_scan(c, sites)
 
@@ -477,7 +481,7 @@ def test_fault_scan_rejects_instruction_out_of_range(index):
 def test_fault_scan_rejects_qubit_out_of_range(qubit):
     c = StabCircuit(2)
     c.append("M", (0, 1))
-    sites = FaultSites.from_paulis([(0, ((1, "Z"),)),
+    sites = fault_sites([(0, ((1, "Z"),)),
                                     (0, ((0, "X"), (qubit, "Y")))])
     with pytest.raises(IndexError, match="fault site 1: qubit"):
         fault_scan(c, sites)
@@ -488,7 +492,7 @@ def test_fault_scan_rejects_unknown_pauli_letter(letter):
     c = StabCircuit(2)
     c.append("M", (0, 1))
     with pytest.raises(ValueError, match="fault site 1: Pauli"):
-        fault_scan(c, FaultSites.from_paulis([(0, ((1, "Z"),)),
+        fault_scan(c, fault_sites([(0, ((1, "Z"),)),
                                               (0, ((0, letter),))]))
 
 

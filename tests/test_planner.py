@@ -19,7 +19,7 @@ TIMING = TimingConfig()
 def request(home, targets, *, start_time=0, ordered=False, gate=TIMING.t_cx,
             pad=TIMING.t_meas):
     return PlanRequest(start_cell=home, start_time=start_time,
-                       targets=list(targets), ordered=ordered,
+                       tours=tsp.OpenPathTable(targets, ordered),
                        gate_duration=gate, terminal_pad=pad)
 
 
@@ -315,14 +315,14 @@ def test_heuristic_admissible_past_exact_limit(monkeypatch):
 def scalar_heuristic(req, comp, mask) -> int:
     """The heuristic for one state, straight from ``min_distance``."""
     t = TIMING
-    tours = tsp.OpenPathTable(req.targets, req.ordered)
-    pending = ((1 << len(req.targets)) - 1) & ~mask
+    tours, targets = req.tours, req.tours.targets
+    pending = ((1 << len(targets)) - 1) & ~mask
     if pending == 0:
         return 0 if comp[0] == "readout" else t.t_displace
     cell = (comp[1], comp[2])
-    j = req.targets.index(cell) if cell in req.targets else None
+    j = targets.index(cell) if cell in targets else None
     if j is not None and (mask & (1 << j) or (
-            req.ordered and j != bin(mask).count("1"))):
+            tours.ordered and j != bin(mask).count("1"))):
         j = None
     cost = 0
     if comp[0] == "interaction" and j is not None:
@@ -378,9 +378,9 @@ def check_heuristic_admissible():
         req = _random_request(rng, layout, cells)
         cell = rng.choice(cells)
         comp = rng.choice((intersection_id, interaction_id, readout_id))(cell)
-        n = len(req.targets)
+        n = len(req.tours.targets)
         mask = rng.randrange(1 << n)
-        if req.ordered:
+        if req.tours.ordered:
             mask = (1 << rng.randint(0, n)) - 1  # ordered tasks finish a prefix
         state = SearchState(comp, 0, mask)
         h_val = route_heuristic(layout, TIMING, req, state)
@@ -421,7 +421,7 @@ def dense_instance(rng):
     layout, table, req = random_instance(rng, max_reservations=0)
     home_ro = readout_id(req.start_cell)
     comps = layout.channels() + [intersection_id(x) for x in layout.cells()]
-    comps += [interaction_id(x) for x in req.targets]
+    comps += [interaction_id(x) for x in req.tours.targets]
     comps += [readout_id(x) for x in layout.cells()
               if readout_id(x) != home_ro]
     last_end: dict = {}
@@ -469,7 +469,7 @@ def oracle_reached_states(layout, table, req) -> dict:
     start_comp = readout_id(req.start_cell)
     start = (start_comp,
              table.interval_containing(start_comp, req.start_time).index, 0)
-    full = (1 << len(req.targets)) - 1
+    full = (1 << len(req.tours.targets)) - 1
     g_best = {start: req.start_time}
     heap = [(req.start_time, start)]
     while heap:
