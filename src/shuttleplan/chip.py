@@ -141,7 +141,8 @@ class TimingConfig:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Error rates per operation plus idle decoherence times (ns)."""
+    """Error rates per operation plus idle decoherence times (ns); a bool
+    is neither."""
 
     p_cx: float = 1e-3        # depolarizing, two-qubit
     p_h: float = 1e-3         # depolarizing, single-qubit
@@ -153,6 +154,9 @@ class NoiseConfig:
     t2: float = 1e7           # 10 ms, phase-flip idle channel
 
     def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if type(value) is bool:
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("p_cx", "p_h", "p_init", "p_meas", "p_shuttle", "p_displace"):
             p = getattr(self, name)
             if not 0.0 <= p <= 0.75:

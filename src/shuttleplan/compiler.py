@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .chip import (CHANNEL, INTERACTION, READOUT, Cell,
                    ChipLayout, ComponentId, TimingConfig, build_grid,
@@ -74,27 +75,43 @@ class Schedule:
         lines.append(f"makespan_ns = {self.makespan}")
         return lines
 
+    def _named_events(self) -> Iterator[tuple[int, Event, str,
+                                              Optional[str]]]:
+        """(ancilla, event, comp text, dest text or None) in ``all_events``
+        order, with ``comp_str`` called once per component object.
+
+        Texts are keyed by ``id()``, not by value: ``1 == 1.0 == True``, so
+        a value key would give a malformed id the text of a well-formed one.
+        The events hold every keyed object, so no id is reused meanwhile.
+        """
+        texts: dict[int, str] = {}
+        for a, ev in self.all_events():
+            comp = texts.get(id(ev.comp))
+            if comp is None:
+                comp = texts[id(ev.comp)] = comp_str(ev.comp)
+            dest = None
+            if ev.dest is not None:
+                dest = texts.get(id(ev.dest))
+                if dest is None:
+                    dest = texts[id(ev.dest)] = comp_str(ev.dest)
+            yield a, ev, comp, dest
+
     def to_text(self) -> str:
         out = [f"# {line}" for line in self.header_lines()]
-        for a, ev in self.all_events():
-            comp = comp_str(ev.comp)
-            if ev.dest is not None:
-                comp = f"{comp}>{comp_str(ev.dest)}"
-            fields = [f"a{a}", ev.kind, str(ev.t), str(ev.duration), comp]
+        for a, ev, comp, dest in self._named_events():
+            if dest is not None:
+                comp = f"{comp}>{dest}"
+            line = f"a{a} {ev.kind} {ev.t} {ev.duration} {comp}"
             if ev.partner is not None:
-                fields.append(f"d{ev.partner}")
-            out.append(" ".join(fields))
+                line = f"{line} d{ev.partner}"
+            out.append(line)
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
-        events = []
-        for a, ev in self.all_events():
-            events.append({
-                "qubit": f"a{a}", "kind": ev.kind, "t": ev.t,
-                "duration": ev.duration, "comp": comp_str(ev.comp),
-                "dest": comp_str(ev.dest) if ev.dest is not None else None,
-                "partner": ev.partner,
-            })
+        events = [{"qubit": f"a{a}", "kind": ev.kind, "t": ev.t,
+                   "duration": ev.duration, "comp": comp, "dest": dest,
+                   "partner": ev.partner}
+                  for a, ev, comp, dest in self._named_events()]
         doc = {
             "format": "shuttleplan schedule v1",
             "provenance": self.provenance,
@@ -213,7 +230,7 @@ def _events_for(task: CheckTask, home: Cell, result: PlanResult,
 
 
 def ancilla_occupancy(events: list[Event]
-                      ) -> tuple[list[tuple[ComponentId, TimeInterval]],
+                      ) -> tuple[list[tuple[ComponentId, int, float]],
                                  list[str]]:
     """The residency model: where one ancilla rests, event by event.
 
@@ -223,18 +240,19 @@ def ancilla_occupancy(events: list[Event]
     holds a resting component from arrival until departure, a channel for
     the traversal and both layers for a displace's duration.
 
-    Returns ``(spans, faults)``: the occupancies in event order, and one
-    message per event that does not act where the ancilla rests (a SHUTTLE
-    off a channel among them) or starts before the previous one ends.
-    After a fault the ancilla stays where it was; the empty spans of
-    overlapping events are skipped.
+    Returns ``(spans, faults)``: the occupancies in event order, each a
+    ``(component, start, end)`` with start < end, and one message per event
+    that does not act where the ancilla rests (a SHUTTLE off a channel
+    among them) or starts before the previous one ends. After a fault the
+    ancilla stays where it was; the empty spans of overlapping events are
+    skipped.
     """
-    spans: list[tuple[ComponentId, TimeInterval]] = []
+    spans: list[tuple[ComponentId, int, float]] = []
     faults: list[str] = []
 
     def hold(comp: ComponentId, start: int, end: int) -> None:
         if start < end:
-            spans.append((comp, TimeInterval(start, end)))
+            spans.append((comp, start, end))
 
     here, since, cursor = events[0].comp, events[0].t, events[0].t
     for ev in events:
@@ -272,8 +290,8 @@ def ancilla_occupancy(events: list[Event]
 
 def place_on_chip(data_layout: DataLayout, margin: int) -> tuple[ChipLayout, dict[int, Cell]]:
     """Chip sized to the data bounding box plus margin; shifted placement."""
-    if margin < 0:
-        raise CompileError("margin must be >= 0")
+    if type(margin) is not int or margin < 0:
+        raise CompileError(f"margin must be an int >= 0, got {margin!r}")
     xs = [c[0] for c in data_layout.values()]
     ys = [c[1] for c in data_layout.values()]
     dx, dy = margin - min(xs), margin - min(ys)
@@ -297,6 +315,9 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
                    seed: int = 0) -> Schedule:
     """Plan one syndrome-extraction round for every check of the code.
 
+    A data layout cell must be a tuple of two ints and the margin an int
+    >= 0; anything else raises CompileError.
+
     Planning runs in two phases, all X checks before all Z checks, and each
     Z ancilla may gate a data qubit only after that qubit's last X-check
     gate. Every data qubit therefore sees its X CNOTs strictly before its Z
@@ -316,6 +337,11 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     if extra:
         raise CompileError(f"data layout places qubits {extra} outside "
                            f"0..{code.n - 1}")
+    for i, cell in sorted(data_layout.items()):
+        if not (type(cell) is tuple and len(cell) == 2
+                and all([type(v) is int for v in cell])):
+            raise CompileError(f"data layout places d{i} at {cell!r}, which "
+                               f"is not a pair of ints")
     shared = _shared_cells(data_layout)
     if shared:
         raise CompileError(f"data layout: {shared[0]}")
@@ -346,8 +372,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
             except PlanFailure as exc:
                 raise CompileError(f"ancilla a{aid}: {exc}") from exc
             evs = _events_for(tasks[aid], homes[aid], result, timing, tailored)
-            for comp, span in ancilla_occupancy(evs)[0]:
-                table.reserve(comp, span)
+            for comp, start, end in ancilla_occupancy(evs)[0]:
+                table.reserve(comp, TimeInterval(start, end))
             events[aid] = evs
             if basis == "X":
                 for ev in evs:
@@ -422,11 +448,23 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
         return report
     for message in _shared_cells(schedule.data_cells):
         report.add(message)
-    occupancies: dict[ComponentId, list[tuple[TimeInterval, str]]] = {}
+    # component -> (start, end, owner) of every span held there
+    occupancies: dict[ComponentId, list[tuple[int, float, str]]] = {}
     # per (round, data qubit): end of the last X-check CX, start of the first
     # Z-check CX
     last_x: dict[tuple[int, int], int] = {}
     first_z: dict[tuple[int, int], int] = {}
+
+    # id() of every component object found well formed: is_component_id
+    # runs once per object, and a malformed one is reported at every use
+    # (by id, not value, since 1 == 1.0; the schedule holds the objects)
+    well_formed: set[int] = set()
+
+    def admit(comp) -> bool:
+        if is_component_id(comp):
+            well_formed.add(id(comp))
+            return True
+        return False
 
     for task in schedule.tasks:
         q = f"a{task.ancilla}"
@@ -455,7 +493,7 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
             ids += [(ev, ev.dest) for ev in round_events
                     if ev.dest is not None]
             malformed = [(ev, comp) for ev, comp in ids
-                         if not is_component_id(comp)]
+                         if id(comp) not in well_formed and not admit(comp)]
             for ev, comp in malformed:
                 report.add(f"{where}: {ev.kind} at {ev.t} names malformed "
                            f"component {comp!r}")
@@ -468,19 +506,18 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
             spans, faults = ancilla_occupancy(round_events)
             for fault in faults:
                 report.add(f"{where}: {fault}")
-            for comp, span in spans:
-                occupancies.setdefault(comp, []).append((span, where))
+            for comp, start, end in spans:
+                occupancies.setdefault(comp, []).append((start, end, where))
     for aid in sorted(set(schedule.events)
                       - {task.ancilla for task in schedule.tasks}):
         report.add(f"a{aid}: events for an ancilla with no check task")
 
     for comp, spans in occupancies.items():
-        spans.sort(key=lambda item: (item[0].start, item[0].end))
-        for (a, owner_a), (b, owner_b) in zip(spans, spans[1:]):
-            if a.overlaps(b):
-                report.add(
-                    f"collision on {comp_str(comp)}: {owner_a} "
-                    f"[{a.start},{a.end}) vs {owner_b} [{b.start},{b.end})")
+        spans.sort(key=itemgetter(0, 1))
+        for (a0, a1, owner_a), (b0, b1, owner_b) in zip(spans, spans[1:]):
+            if b0 < a1:  # sorted by start, so b starts inside a
+                report.add(f"collision on {comp_str(comp)}: {owner_a} "
+                           f"[{a0},{a1}) vs {owner_b} [{b0},{b1})")
 
     # Per data qubit and round, every X-check CX must precede every Z CX. A Z
     # gate landing between two X gates of an overlapping check (or vice
@@ -558,15 +595,23 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
 
 def _check_tailoring(report: ValidationReport, where: str,
                      events: list[Event]) -> None:
-    """Every movement period of a tailored Z ancilla is flanked by H gates."""
-    kinds = [ev.kind for ev in events]
-    moves = {"SHUTTLE", "DISPLACE", "WAIT"}
-    for i, kind in enumerate(kinds):
-        if kind not in moves:
+    """Every movement period of a tailored Z ancilla is flanked by H gates.
+
+    One pass: ``prev`` is the last non-movement kind seen and ``run`` the
+    index of the first movement since it; the end of the events closes a
+    run as a next kind of None. The first unflanked run is reported.
+    """
+    prev = run = None
+    for i, kind in enumerate([*(ev.kind for ev in events), None]):
+        if kind in _MOVES:
+            if run is None:
+                run = i
             continue
-        prev = next((k for k in reversed(kinds[:i]) if k not in moves), None)
-        nxt = next((k for k in kinds[i + 1:] if k not in moves), None)
-        if prev not in ("H",) or nxt not in ("H",):
-            report.add(f"{where}: movement at index {i} not flanked by H "
-                       f"(prev={prev}, next={nxt})")
+        if run is not None and (prev != "H" or kind != "H"):
+            report.add(f"{where}: movement at index {run} not flanked by H "
+                       f"(prev={prev}, next={kind})")
             return
+        prev, run = kind, None
+
+
+_MOVES = frozenset({"SHUTTLE", "DISPLACE", "WAIT"})

@@ -8,6 +8,16 @@ instruction's names the schedule event that produced it, so the scanned
 fault sites and the noise model coincide exactly; an M or MX names the check
 and round, or the data qubit, it reads, for `add_detectors`.
 
+Every instruction enters a `StabCircuit` through one checked batch method,
+`StabCircuit.extend`, and `append` is a batch of one. A batch is checked
+as a whole before anything is added, each rule once over all of it rather
+than once per instruction: integer targets (numpy integers become plain
+ints, a float is refused), known names, even target counts for the pair
+instructions, qubit targets in range, and measurement records that index
+only the measurements before them. `emit_memory_circuit` builds its
+instructions itself and checks them as one batch; `add_detectors` appends
+its detectors and observables one at a time.
+
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
 the operation), one phase-flip per displace, one phase-flip per shuttle
@@ -18,7 +28,7 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 from __future__ import annotations
 
 from operator import index, itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,12 +65,19 @@ NOISE_CHANNELS = {
     "DEPOLARIZE2": tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:],
 }
 # instructions whose targets are qubits, those taking qubit pairs, those
-# whose targets are measurement records, and those with neither
+# whose targets are measurement records, every known instruction (TICK has
+# no targets), and the measurements
 _QUBIT_OPS = frozenset({"H", "CX", "R", "RX", "M", "MX", "QUBIT_COORDS",
                         *NOISE_CHANNELS})
 _PAIR_OPS = ("CX", "DEPOLARIZE2")
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
-_OTHER_OPS = ("TICK",)
+_KNOWN_OPS = frozenset({*_QUBIT_OPS, *_RECORD_OPS, "TICK"})
+_MEASURE_OPS = ("M", "MX")
+
+
+def _within(targets: Sequence[int], bound: int) -> bool:
+    """Whether every target lies in [0, bound)."""
+    return not targets or (0 <= min(targets) and max(targets) < bound)
 
 
 class StabCircuit:
@@ -74,34 +91,50 @@ class StabCircuit:
 
     def append(self, name: str, targets: Iterable[int] = (),
                arg: Optional[tuple] = None, meta: Optional[dict] = None) -> None:
-        """Add one instruction; the only place an `Instruction` is built.
+        """Add one instruction: ``extend`` of a batch of one."""
+        self.extend((Instruction(name, targets, arg, meta),))
 
-        Raises TypeError for a target that is not an integer, such as a
-        float, and ValueError for a name outside the instruction set, for a
-        CX or DEPOLARIZE2 with an odd number of targets, for a gate, reset,
-        measure, noise or QUBIT_COORDS target outside [0, num_qubits) and
-        for a DETECTOR or OBSERVABLE_INCLUDE record outside
-        [0, num_measurements).
+    def extend(self, instructions: Iterable[Instruction]) -> None:
+        """Check a batch of instructions, each rule once over the whole
+        batch, then add them all; the only way into ``instructions``.
+
+        Targets other than a tuple of plain ints are converted with
+        ``operator.index``, so numpy integers pass and a float raises
+        TypeError. ValueError is raised for a name outside the instruction
+        set, for a CX or DEPOLARIZE2 with an odd number of targets, for a
+        gate, reset, measure, noise or QUBIT_COORDS target outside
+        [0, num_qubits) and for a DETECTOR or OBSERVABLE_INCLUDE record
+        outside the measurements made before it. A batch that raises adds
+        nothing.
         """
-        targets = tuple(map(index, targets))
-        if name in _QUBIT_OPS:
-            if name in _PAIR_OPS and len(targets) % 2:
-                raise ValueError(f"{name} needs target pairs, got {targets}")
-            if targets and not (0 <= min(targets)
-                                and max(targets) < self.num_qubits):
-                raise ValueError(f"{name} targets {targets} outside qubits "
-                                 f"0..{self.num_qubits - 1}")
-        elif name in _RECORD_OPS:
-            if targets and not (0 <= min(targets)
-                                and max(targets) < self.num_measurements):
-                raise ValueError(f"{name} records {targets} outside the "
-                                 f"{self.num_measurements} measurements so "
-                                 f"far")
-        elif name not in _OTHER_OPS:
-            raise ValueError(f"unknown instruction {name!r}")
-        if name in ("M", "MX"):
-            self.num_measurements += len(targets)
-        self.instructions.append(Instruction(name, targets, arg, meta))
+        batch = list(instructions)
+        if ({type(i.targets) for i in batch} - {tuple}
+                or {type(t) for i in batch for t in i.targets} - {int}):
+            batch = [i._replace(targets=tuple(map(index, i.targets)))
+                     for i in batch]
+        if {i.name for i in batch} - _KNOWN_OPS:
+            bad = next(i for i in batch if i.name not in _KNOWN_OPS)
+            raise ValueError(f"unknown instruction {bad.name!r}")
+        odd = [i for i in batch if i.name in _PAIR_OPS and len(i.targets) % 2]
+        if odd:
+            raise ValueError(f"{odd[0].name} needs target pairs, got "
+                             f"{odd[0].targets}")
+        qubits = [t for i in batch if i.name in _QUBIT_OPS for t in i.targets]
+        if not _within(qubits, self.num_qubits):
+            bad = next(i for i in batch if i.name in _QUBIT_OPS
+                       and not _within(i.targets, self.num_qubits))
+            raise ValueError(f"{bad.name} targets {bad.targets} outside "
+                             f"qubits 0..{self.num_qubits - 1}")
+        measured = self.num_measurements
+        for instr in batch:  # a record indexes only the measurements before it
+            if instr.name in _MEASURE_OPS:
+                measured += len(instr.targets)
+            elif (instr.name in _RECORD_OPS
+                  and not _within(instr.targets, measured)):
+                raise ValueError(f"{instr.name} records {instr.targets} "
+                                 f"outside the {measured} measurements so far")
+        self.instructions += batch
+        self.num_measurements = measured
 
     def detectors(self) -> list[tuple[tuple[int, ...], Optional[tuple]]]:
         return [(i.targets, i.arg) for i in self.instructions
@@ -122,20 +155,28 @@ class StabCircuit:
 
     def to_text(self) -> str:
         lines: list[str] = []
-        heads: dict[tuple, str] = {}  # each distinct (name, arg) formatted once
+        # each distinct (name, arg) and qubit target tuple formatted once;
+        # extend made every target a plain int, so equal tuples print alike
+        heads: dict[tuple, str] = {}
+        qubits: dict[tuple[int, ...], str] = {}
         seen = 0
         for instr in self.instructions:
             name, targets, arg, _ = instr
             head = heads.get((name, arg))
             if head is None:
                 head = heads[name, arg] = instr.head()
-            if name in _RECORD_OPS:
+            if not targets:
+                lines.append(head)
+            elif name in _RECORD_OPS:
                 lines.append(" ".join([head, *(f"rec[{t - seen}]"
                                                for t in targets)]))
             else:
-                if name in ("M", "MX"):
+                if name in _MEASURE_OPS:
                     seen += len(targets)
-                lines.append(" ".join([head, *map(str, targets)]))
+                text = qubits.get(targets)
+                if text is None:
+                    text = qubits[targets] = " ".join(map(str, targets))
+                lines.append(f"{head} {text}")
         return "\n".join(lines) + "\n"
 
 
@@ -163,16 +204,17 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     def anc(a: int) -> int:
         return n + a
 
-    # (time, qubit key, name, targets, arg, meta), sorted by time and qubit
-    # key; ties keep insertion order
-    emissions: list[tuple] = []
+    # (time, qubit key, instruction), sorted by time and qubit key; ties
+    # keep insertion order
+    emissions: list[tuple[int, int, Instruction]] = []
 
     def add(t: int, qkey: int, name: str, targets, arg=None, meta=None):
-        emissions.append((t, qkey, name, targets, arg, meta))
+        emissions.append((t, qkey, Instruction(name, targets, arg, meta)))
 
     def add_noise(t, qkey, name, targets, p, meta):
         if p > 0.0:
-            add(t, qkey, name, targets, arg=(float(p),), meta=meta)
+            emissions.append((t, qkey, Instruction(name, targets, (float(p),),
+                                                   meta)))
 
     for i in range(n):
         x, y = schedule.data_cells[i]
@@ -272,8 +314,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     # two stable sorts on int keys build no key tuples for the collector
     emissions.sort(key=itemgetter(1))
     emissions.sort(key=itemgetter(0))
-    for _, _, name, targets, arg, meta in emissions:
-        circuit.append(name, targets, arg, meta)
+    circuit.extend([instr for _, _, instr in emissions])
 
     add_detectors(circuit, code, basis, logicals=logicals, schedule=schedule)
     return circuit
@@ -305,7 +346,7 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     data_m: dict[int, int] = {}
     measured = 0  # record index of the instruction's first measurement
     for instr in circuit.instructions:
-        if instr.name not in ("M", "MX"):
+        if instr.name not in _MEASURE_OPS:
             continue
         meta = instr.meta or {}
         if meta.get("kind") == "anc_measure":

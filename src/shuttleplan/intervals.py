@@ -10,13 +10,18 @@ or ``release`` on that component, which drops only that component's entry.
 Safe intervals are disjoint and in start order, so both tuples ascend and
 the interval live at time t (the first one ending after t) is found by
 bisecting on the ends.
+
+``bounds_by_id`` lays the same tuples out in a list by position in a fixed
+component list (the planner's dense ids). The table keeps that list across
+calls and refreshes only the entries of the components a ``reserve`` or
+``release`` touched since the last call.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Optional, Sequence
 
 INF = float("inf")
 
@@ -53,6 +58,10 @@ class ReservationTable:
         # comp -> (starts, ends) of its safe intervals; immutable tuples, so
         # callers and copies may share an entry but never alter it
         self._safe: dict[Hashable, tuple[tuple[int, ...], tuple]] = {}
+        # the last bounds_by_id result: (components, position of each, bounds
+        # by position), and the components reserved or released since
+        self._by_id: Optional[tuple[Sequence, dict, list]] = None
+        self._touched: set = set()
 
     def components(self) -> list[Hashable]:
         return list(self._occupied)
@@ -71,6 +80,7 @@ class ReservationTable:
                     f"existing [{neighbor.start}, {neighbor.end})")
         spans.insert(pos, interval)
         self._safe.pop(comp, None)
+        self._touched.add(comp)
 
     def release(self, comp: Hashable, interval: TimeInterval) -> None:
         """Remove an interval previously passed to reserve (exact match)."""
@@ -81,6 +91,7 @@ class ReservationTable:
             raise ReservationError(
                 f"{comp}: [{interval.start}, {interval.end}) not reserved") from None
         self._safe.pop(comp, None)
+        self._touched.add(comp)
 
     def safe_bounds(self, comp: Hashable) -> tuple[tuple[int, ...], tuple]:
         """Starts and ends of the safe intervals, as two parallel tuples.
@@ -103,6 +114,28 @@ class ReservationTable:
                 starts.append(cursor)
                 ends.append(INF)
             bounds = self._safe[comp] = (tuple(starts), tuple(ends))
+        return bounds
+
+    def bounds_by_id(self, comps: Sequence) -> list:
+        """``safe_bounds(comps[i])`` at position i, for every i.
+
+        Called again with the same ``comps`` object, the table returns the
+        same list with only the entries of components reserved or released
+        since brought up to date; another object gets a new list. The list
+        is the table's own, valid until the next reserve or release, and
+        must not be altered by the caller.
+        """
+        view = self._by_id
+        if view is None or view[0] is not comps:
+            bounds = list(map(self.safe_bounds, comps))
+            self._by_id = (comps, {c: i for i, c in enumerate(comps)}, bounds)
+        else:
+            _, position, bounds = view
+            for comp in self._touched:
+                i = position.get(comp)
+                if i is not None:
+                    bounds[i] = self.safe_bounds(comp)
+        self._touched.clear()
         return bounds
 
     def safe_intervals(self, comp: Hashable) -> list[SafeInterval]:

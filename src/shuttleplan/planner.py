@@ -51,16 +51,19 @@ heuristic is a list lookup plus the gate and displace charges of the
 state's own layer.
 
 Safe intervals are read as parallel tuples of starts and ends from
-``ReservationTable.safe_bounds``, which the table caches per component until
-its next reserve or release there; a search reads them for every component
-once, into a list by id. Successor generation skips intervals by
-bisection. No move from time g arrives before g + t (t the shuttle or
-displace duration), so every destination interval ending at or before that
-arrival is dead, and so is every channel interval ending before
-g + t_shuttle. Departures only grow with the destination interval's start,
-so the destination scan stops once the earliest departure passes the end of
-the current interval. Intervals skipped this way yield nothing, so the
-successors and their order are those of a scan from index 0.
+``ReservationTable.bounds_by_id``, a list by id that the table keeps for the
+layout's component list across searches: the first search on a table fills
+it, and each later one refreshes only the components that a reserve or
+release touched since the search before, so planning a route costs
+``safe_bounds`` calls for what the routes before it reserved, not for the
+whole chip. Successor generation skips intervals by bisection. No move from
+time g arrives before g + t (t the shuttle or displace duration), so every
+destination interval ending at or before that arrival is dead, and so is
+every channel interval ending before g + t_shuttle. Departures only grow
+with the destination interval's start, so the destination scan stops once
+the earliest departure passes the end of the current interval. Intervals
+skipped this way yield nothing, so the successors and their order are
+those of a scan from index 0.
 """
 
 from __future__ import annotations
@@ -305,9 +308,8 @@ class _Search:
         t_shuttle = self.timing.t_shuttle
         t_displace = self.timing.t_displace
         kinds, links, layers = self.index.kinds, self.index.links, self.index.layers
-        # the table does not change during a search: read every component's
-        # safe bounds once, into a list by id
-        bounds = list(map(table.safe_bounds, self.index.comps))
+        # the table does not change during a search
+        bounds = table.bounds_by_id(self.index.comps)
         gate_at_get = self.gate_at.get
         gate_target = self._gate_target
         windows = self.windows

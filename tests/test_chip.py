@@ -112,6 +112,15 @@ def test_noise_defaults_and_validation():
         NoiseConfig(t2=0)
 
 
+@pytest.mark.parametrize("name", ["p_cx", "p_h", "p_init", "p_meas",
+                                  "p_shuttle", "p_displace", "t1", "t2"])
+@pytest.mark.parametrize("value", [True, False])
+def test_noise_rejects_bool_fields(name, value):
+    """t1=True would otherwise be a 1 ns bit-flip time."""
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        NoiseConfig(**{name: value})
+
+
 def test_zero_noise_config():
     nc = NOISELESS
     assert nc.p_shuttle == 0.0

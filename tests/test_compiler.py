@@ -136,6 +136,37 @@ def test_one_travel_table_per_check(which, bb72_path, monkeypatch):
     assert len(builds) == len(schedule.tasks) == len(code.hx) + len(code.hz)
 
 
+def test_second_route_reads_only_the_bounds_reservations_touched(
+        monkeypatch):
+    """The first search reads every component's safe bounds; the second
+    reads only those of components reserved or released since the first
+    began (the first route's spans and the second ancilla's home)."""
+    from shuttleplan import compiler
+    from shuttleplan.intervals import ReservationTable
+
+    log = []
+
+    def logged(name, original):
+        def call(*args):
+            log.append((name, args[1] if name != "route" else None))
+            return original(*args)
+        return call
+
+    for name in ("reserve", "release", "safe_bounds"):
+        monkeypatch.setattr(ReservationTable, name,
+                            logged(name, getattr(ReservationTable, name)))
+    monkeypatch.setattr(compiler, "plan_route",
+                        logged("route", compiler.plan_route))
+    compile_surface(3)
+    routes = [i for i, (name, _) in enumerate(log) if name == "route"]
+    first = {c for n, c in log[routes[0]:routes[1]] if n == "safe_bounds"}
+    touched = {c for n, c in log[routes[0]:routes[1]] if n != "safe_bounds"}
+    second = {c for n, c in log[routes[1]:routes[2]] if n == "safe_bounds"}
+    width = height = 5  # d3 data on 3x3 cells, plus a margin of 1
+    assert len(first) == 3 * width * height + 2 * width * (height - 1)
+    assert second and second <= touched
+
+
 def test_layout_with_two_qubits_on_one_cell_is_rejected():
     code, layout = surface_code(3)
     layout[2] = layout[0]
@@ -148,6 +179,27 @@ def test_layout_with_a_key_outside_the_code_is_rejected():
     layout[99] = (5, 5)
     with pytest.raises(CompileError, match=r"\[99\] outside 0..8"):
         schedule_round(code, layout, TIMING)
+
+
+@pytest.mark.parametrize("cell", [(0.5, 0), (0, 0, 0), (0,), [0, 0],
+                                  (np.int64(0), 0), (True, 0)],
+                         ids=["float", "three", "one", "list", "numpy",
+                              "bool"])
+def test_layout_cell_that_is_not_a_pair_of_ints_is_rejected(cell):
+    """A float cell used to raise a bare KeyError from the planner, and a
+    third coordinate was silently dropped."""
+    code, layout = surface_code(3)
+    layout[4] = cell
+    with pytest.raises(CompileError,
+                       match=r"places d4 at .*, which is not a pair of ints"):
+        schedule_round(code, layout, TIMING)
+
+
+@pytest.mark.parametrize("margin", [True, False, 1.5, 1.0, "1", -1])
+def test_margin_that_is_not_a_nonnegative_int_is_rejected(margin):
+    code, layout = surface_code(3)
+    with pytest.raises(CompileError, match="margin must be an int >= 0"):
+        schedule_round(code, layout, TIMING, margin=margin)
 
 
 @pytest.mark.parametrize("code", [
@@ -237,6 +289,17 @@ def test_validator_reports_unflanked_tailored_movement():
     assert report.violations
     assert all(v.startswith(f"a{aid} round 0: movement at index")
                and "not flanked by H" in v for v in report.violations)
+    # trailing movement: the parking leg loses the H before MEASURE
+    events = list(schedule.events[aid])
+    assert [ev.kind for ev in events[-2:]] == ["H", "MEASURE"]
+    del events[-2]
+    last = max(i for i, ev in enumerate(events)
+               if ev.kind not in ("SHUTTLE", "DISPLACE", "WAIT", "MEASURE"))
+    report = validate_schedule(
+        replace(schedule, events={**schedule.events, aid: events}))
+    assert report.violations == [
+        f"a{aid} round 0: movement at index {last + 1} not flanked by H "
+        f"(prev={events[last].kind}, next=MEASURE)"]
 
 
 def _outside_violations(schedule, aid, events):
@@ -390,6 +453,41 @@ def test_validator_reports_corrupted_event(aid, edit, expected):
     report = validate_schedule(replace(schedule,
                                        events={**schedule.events, aid: events}))
     assert f"a{aid} round 0: {expected}" in report.violations
+
+
+def test_validator_reports_a_malformed_id_at_every_use():
+    """One malformed id object shared by two events, in every round, is
+    reported once per event; a float coordinate equal to a well-formed id
+    is reported too."""
+    schedule = replicate_rounds(compile_surface(3, tailored=True)[1], 2)
+    bad = ("interaction", 1)
+    events = [replace(ev, comp=bad) if i % 11 in (3, 4) else ev
+              for i, ev in enumerate(schedule.events[0])]
+    events[1] = replace(events[1], comp=("readout", 1.0, 1))
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, 0: events}))
+    period = schedule.round_makespan
+    malformed = [v for v in report.violations if "malformed" in v]
+    assert malformed == [
+        "a0 round 0: H at 500 names malformed component ('readout', 1.0, 1)",
+        "a0 round 0: CX at 800 names malformed component ('interaction', 1)",
+        "a0 round 0: DISPLACE at 900 names malformed component "
+        "('interaction', 1)",
+        f"a0 round 1: CX at {period + 800} names malformed component "
+        f"('interaction', 1)",
+        f"a0 round 1: DISPLACE at {period + 900} names malformed component "
+        f"('interaction', 1)"]
+
+
+def test_schedule_text_names_each_component_object_by_its_own_value():
+    """Equal ids of different types (1 == 1.0) keep their own text."""
+    _, schedule = compile_surface(3)
+    events = list(schedule.events[0])
+    events[1] = replace(events[1], comp=("readout", 1.0, 1))
+    lines = replace(schedule, events={**schedule.events, 0: events}
+                    ).to_text().splitlines()
+    assert "a0 INIT 0 500 readout:1,1" in lines
+    assert "a0 H 500 100 readout:1.0,1" in lines
 
 
 def test_validator_reports_empty_round():

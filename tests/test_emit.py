@@ -8,8 +8,9 @@ from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (CodeError, compute_logicals, default_layout,
                              load_css, surface_code)
-from shuttleplan.emit import (NOISE_CHANNELS, StabCircuit, add_detectors,
-                              compose_phase_flips, emit_memory_circuit)
+from shuttleplan.emit import (NOISE_CHANNELS, Instruction, StabCircuit,
+                              add_detectors, compose_phase_flips,
+                              emit_memory_circuit)
 from shuttleplan.pauli import simulate_noiseless
 
 TIMING = TimingConfig()
@@ -261,3 +262,110 @@ def test_append_rejects_record_out_of_range(name, bad):
     with pytest.raises(error, match=match):
         c.append(name, (0, bad), arg=arg)
     assert len(c.instructions) == 1
+
+
+# -- the checked batch path against append ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def pinned_circuits(bb72_path):
+    """The memory circuits whose hashes tests/test_fingerprints.py pins."""
+    from test_fingerprints import SURFACE_CIRCUITS
+
+    jobs = []
+    for d, basis, _ in SURFACE_CIRCUITS:
+        code, layout = surface_code(d)
+        jobs.append((code, schedule_round(code, layout, TIMING,
+                                          order_policy="longest", seed=3),
+                     d, basis))
+    code = load_css(str(bb72_path))
+    jobs.append((code, schedule_round(code, default_layout(
+        code, build_grid(9, 8)), TIMING, order_policy="longest", seed=0),
+                 2, "Z"))
+    return [emit_memory_circuit(replicate_rounds(schedule, rounds), code,
+                                compute_logicals(code), NoiseConfig(), basis)
+            for code, schedule, rounds, basis in jobs]
+
+
+def test_extend_matches_append_on_pinned_circuits(pinned_circuits):
+    """Replayed one by one through append, in one batch and in random
+    batches, the instructions give the same circuit."""
+    rng = np.random.default_rng(5)
+    for circuit in pinned_circuits:
+        instrs = circuit.instructions
+        one_by_one = StabCircuit(circuit.num_qubits)
+        for instr in instrs:
+            one_by_one.append(*instr)
+        whole = StabCircuit(circuit.num_qubits)
+        whole.extend(instrs)
+        chunked = StabCircuit(circuit.num_qubits)
+        cuts = sorted(rng.choice(len(instrs), size=20, replace=False))
+        for lo, hi in zip([0, *cuts], [*cuts, len(instrs)]):
+            chunked.extend(instrs[lo:hi])
+        for built in (one_by_one, whole, chunked):
+            assert built.instructions == instrs
+            assert built.num_measurements == circuit.num_measurements
+        assert whole.to_text() == circuit.to_text()
+
+
+def test_extend_normalises_targets_as_append_does():
+    c = StabCircuit(3)
+    c.append("CX", [np.int64(0), np.uint8(2)])
+    batch = StabCircuit(3)
+    batch.extend([Instruction("CX", [np.int64(0), np.uint8(2)]),
+                  Instruction("M", (x for x in (1,)), None, {})])
+    assert batch.instructions[0] == c.instructions[0]
+    targets = [t for i in batch.instructions for t in i.targets]
+    assert [type(t) for t in targets] == [int] * 3
+    assert batch.num_measurements == 1
+
+
+# (name, targets, arg) that append rejects, on a 3-qubit circuit after M 0 1
+REJECTED = [
+    *((name, (0, 1, 2), (0.1,) if name == "DEPOLARIZE2" else None)
+      for name in ("CX", "DEPOLARIZE2")),
+    *((name, (0, bad), None) for name in ("H", "CX", "R", "RX", "M", "MX",
+                                          "X_ERROR", "Z_ERROR", "DEPOLARIZE1",
+                                          "DEPOLARIZE2", "QUBIT_COORDS")
+      for bad in (-1, 3, 1.7)),
+    *((name, (0, 1), None) for name in ("CZ", "m", "SHIFT_COORDS", "")),
+    *((name, (0, bad), (0,) if name == "OBSERVABLE_INCLUDE" else None)
+      for name in ("DETECTOR", "OBSERVABLE_INCLUDE")
+      for bad in (-1, 2, 5, 0.5)),
+]
+
+
+def _after_measuring():
+    c = StabCircuit(3)
+    c.append("M", (0, 1))
+    return c
+
+
+@pytest.mark.parametrize("name,targets,arg", REJECTED,
+                         ids=[f"{n or 'empty'}-{t}" for n, t, _ in REJECTED])
+def test_extend_rejects_what_append_rejects(name, targets, arg):
+    """A rejected instruction raises the same exception from a batch,
+    wherever it sits, and the batch adds nothing."""
+    with pytest.raises((TypeError, ValueError)) as appended:
+        _after_measuring().append(name, targets, arg)
+    # valid around it; none measures, so the records in range stay the same
+    good = [Instruction("H", (2,)), Instruction("X_ERROR", (2,), (0.1,), {}),
+            Instruction("DETECTOR", (1,))]
+    bad = Instruction(name, targets, arg)
+    for batch in ([bad], [*good, bad], [bad, *good], [good[0], bad, good[1]]):
+        c = _after_measuring()
+        before = (list(c.instructions), c.num_measurements)
+        with pytest.raises(type(appended.value)):
+            c.extend(batch)
+        assert (c.instructions, c.num_measurements) == before
+
+
+def test_extend_records_index_only_earlier_measurements():
+    c = StabCircuit(2)
+    c.extend([Instruction("M", (0, 1), None, {}),
+              Instruction("DETECTOR", (0, 1))])
+    assert c.num_measurements == 2
+    with pytest.raises(ValueError, match="outside the 2 measurements"):
+        c.extend([Instruction("DETECTOR", (2,)),
+                  Instruction("M", (0,), None, {})])
+    assert len(c.instructions) == 2 and c.num_measurements == 2

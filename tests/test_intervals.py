@@ -159,6 +159,38 @@ def test_cache_follows_reserve_release_and_copy():
                     live[0] if live else None)
 
 
+def test_bounds_by_id_follow_reserve_and_release():
+    """After random reserve and release sequences, the list by position
+    equals every component's safe bounds, rebuilt with no cache; switching
+    between two component lists rebuilds the list."""
+    rng = random.Random(13)
+    comps = [f"c{i}" for i in range(8)]
+    other = comps[::-1]
+    table = ReservationTable()
+    held = {comp: [] for comp in comps}
+    for step in range(800):
+        comp = rng.choice(comps)
+        if rng.random() < 0.4 and held[comp]:
+            table.release(comp, held[comp].pop(rng.randrange(len(held[comp]))))
+        else:
+            start = rng.randrange(0, 20_000, 100)
+            end = INF if rng.random() < 0.03 else (
+                start + rng.randrange(100, 3000, 100))
+            interval = TimeInterval(start, end)
+            if table.is_free(comp, interval):
+                table.reserve(comp, interval)
+                held[comp].append(interval)
+        if rng.random() < 0.3:
+            order = other if rng.random() < 0.2 else comps
+            got = table.bounds_by_id(order)
+            assert got is table.bounds_by_id(order)
+            for c, bounds in zip(order, got):
+                fresh = ReservationTable()
+                for occ in held[c]:
+                    fresh.reserve(c, occ)
+                assert bounds == fresh.safe_bounds(c), f"step {step}: {c}"
+
+
 def test_safe_intervals_result_is_a_private_list():
     table = ReservationTable()
     table.reserve("c", TimeInterval(100, 200))
