@@ -30,7 +30,7 @@ from .chip import (CHANNEL, INTERACTION, READOUT, Cell,
                    component_cell, intersection_id, is_component_id,
                    readout_id)
 from .css import CheckTask, CssCode, DataLayout, tasks_from_code
-from .intervals import INF, ReservationTable, TimeInterval
+from .intervals import INF, ReservationTable
 from .planner import (Event, PlanFailure, PlanRequest, PlanResult,
                       SearchState, plan_route, route_heuristic)
 from .tsp import OpenPathTable
@@ -155,15 +155,14 @@ def assign_homes(tasks: list[CheckTask], chip: ChipLayout,
 
 def planning_order(ids: list[int], bounds: dict[int, int],
                    policy: str, rng) -> list[int]:
+    """The ids in planning order under one of ``ORDER_POLICIES``, which
+    ``schedule_round`` checks before it plans anything."""
     ids = sorted(ids)
-    if policy == "index":
-        return ids
     if policy == "longest":
-        return sorted(ids, key=lambda a: (-bounds[a], a))
-    if policy == "random":
+        ids.sort(key=lambda a: (-bounds[a], a))
+    elif policy == "random":
         rng.shuffle(ids)
-        return ids
-    raise CompileError(f"unknown order policy {policy!r}")
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     import random as _random
 
     if order_policy not in ORDER_POLICIES:
-        raise CompileError(f"order policy must be one of {ORDER_POLICIES}")
+        raise CompileError(f"order policy must be one of {ORDER_POLICIES}, "
+                           f"got {order_policy!r}")
     tasks = tasks_from_code(code, data_layout)
     if not tasks:
         raise CompileError(f"code {code.name} has no checks to schedule")
@@ -350,9 +350,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     rng = _random.Random(seed)
 
     table = ReservationTable()
-    home_block = TimeInterval(0, INF)
     for task in tasks:
-        table.reserve(readout_id(homes[task.ancilla]), home_block)
+        table.reserve(readout_id(homes[task.ancilla]), 0, INF)
 
     events: dict[int, list[Event]] = {}
     order: list[int] = []
@@ -366,14 +365,14 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
                       readout_id(homes[a]), 0, 0)) for a in ids}
         for aid in planning_order(ids, bounds, order_policy, rng):
             order.append(aid)
-            table.release(readout_id(homes[aid]), home_block)
+            table.release(readout_id(homes[aid]), 0, INF)
             try:
                 result = plan_route(chip, table, timing, requests[aid])
             except PlanFailure as exc:
                 raise CompileError(f"ancilla a{aid}: {exc}") from exc
             evs = _events_for(tasks[aid], homes[aid], result, timing, tailored)
-            for comp, start, end in ancilla_occupancy(evs)[0]:
-                table.reserve(comp, TimeInterval(start, end))
+            for span in ancilla_occupancy(evs)[0]:
+                table.reserve(*span)
             events[aid] = evs
             if basis == "X":
                 for ev in evs:
@@ -398,8 +397,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
 
 def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
     """Repeat the round pattern back to back, one period per round."""
-    if rounds < 1:
-        raise CompileError("rounds must be >= 1")
+    if type(rounds) is not int or rounds < 1:
+        raise CompileError(f"rounds must be an int >= 1, got {rounds!r}")
     if schedule.rounds != 1:
         raise CompileError("replicate_rounds expects a single-round schedule")
     if rounds == 1:

@@ -15,8 +15,8 @@ than once per instruction: integer targets (numpy integers become plain
 ints, a float is refused), known names, even target counts for the pair
 instructions, qubit targets in range, and measurement records that index
 only the measurements before them. `emit_memory_circuit` builds its
-instructions itself and checks them as one batch; `add_detectors` appends
-its detectors and observables one at a time.
+instructions itself and checks them as one batch, and `add_detectors` adds
+all its detectors and observables as one more batch.
 
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
@@ -189,9 +189,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                         logicals: LogicalOperators,
                         noise: NoiseConfig, basis: str) -> StabCircuit:
     """Memory experiment: transversal init, scheduled SE rounds, readout."""
-    basis = basis.upper()
-    if basis not in ("X", "Z"):
-        raise CodeError(f"basis must be X or Z, got {basis!r}")
+    basis = _memory_basis(basis)
     if logicals.x.shape[1] != code.n:
         raise CodeError("logical operators do not match the code length")
 
@@ -328,6 +326,14 @@ def _data_idle(add_noise, noise: NoiseConfig, qubit: int, start: int, end: int):
               {"kind": "idle", "qubit": qubit})
 
 
+def _memory_basis(basis) -> str:
+    """The memory basis, X or Z, from a letter of either case; anything
+    else raises CodeError."""
+    if not (isinstance(basis, str) and basis.upper() in ("X", "Z")):
+        raise CodeError(f"basis must be X or Z, got {basis!r}")
+    return basis.upper()
+
+
 def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
                   logicals: LogicalOperators,
                   schedule: Schedule) -> StabCircuit:
@@ -338,7 +344,7 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     measurements of every check; the final detectors compare the last check
     round against the transversal data readout.
     """
-    basis = basis.upper()
+    basis = _memory_basis(basis)
     n_x = code.hx.shape[0]
     homes = schedule.homes  # detector coordinates: the check's home cell
 
@@ -366,6 +372,7 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
         return code.hx[a] if a < n_x else code.hz[a - n_x]
 
     n_checks = n_x + code.hz.shape[0]
+    batch: list[Instruction] = []
     for rnd in rounds:
         row = checks_by_round[rnd]
         if len(row) != n_checks:
@@ -373,10 +380,12 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
         for a in range(n_checks):
             if rnd == rounds[0]:
                 if is_basis_check(a):
-                    circuit.append("DETECTOR", (row[a],), arg=(*homes[a], rnd))
+                    batch.append(Instruction("DETECTOR", (row[a],),
+                                             (*homes[a], rnd)))
             else:
                 prev = checks_by_round[rnd - 1][a]
-                circuit.append("DETECTOR", (row[a], prev), arg=(*homes[a], rnd))
+                batch.append(Instruction("DETECTOR", (row[a], prev),
+                                         (*homes[a], rnd)))
 
     if data_m:
         last = rounds[-1]
@@ -384,11 +393,12 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
             if not is_basis_check(a):
                 continue
             support = [data_m[int(i)] for i in np.nonzero(check_row(a))[0]]
-            circuit.append("DETECTOR",
-                           tuple([checks_by_round[last][a]] + support),
-                           arg=(*homes[a], last + 1))
+            batch.append(Instruction(
+                "DETECTOR", tuple([checks_by_round[last][a]] + support),
+                (*homes[a], last + 1)))
         logical_rows = logicals.x if basis == "X" else logicals.z
         for obs, row in enumerate(logical_rows):
             recs = [data_m[int(i)] for i in np.nonzero(row)[0]]
-            circuit.append("OBSERVABLE_INCLUDE", tuple(recs), arg=(obs,))
+            batch.append(Instruction("OBSERVABLE_INCLUDE", tuple(recs), (obs,)))
+    circuit.extend(batch)
     return circuit

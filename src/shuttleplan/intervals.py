@@ -1,15 +1,16 @@
 """Per-component reservation table with safe-interval queries.
 
-Occupied intervals are half-open [start, end) so a departure at t and an
-arrival at t on the same component never conflict. Safe intervals are the
-complement of the occupied set over [0, inf); the last one is unbounded.
+Every interval is a plain ``(start, end)`` pair, half-open [start, end), so
+a departure at t and an arrival at t on the same component never conflict.
+The table keeps each component's occupied pairs in one list, sorted and
+disjoint; pairs sort as tuples, by start and then by end. Safe intervals
+are the complement of the occupied set over [0, inf); the last one is
+unbounded.
 
-The table caches each component's complement as two parallel tuples of
-starts and ends (``safe_bounds``) and keeps it until the next ``reserve``
-or ``release`` on that component, which drops only that component's entry.
-Safe intervals are disjoint and in start order, so both tuples ascend and
-the interval live at time t (the first one ending after t) is found by
-bisecting on the ends.
+``safe_bounds`` computes a component's safe intervals from its occupancy
+as two parallel tuples of starts and ends. Safe intervals are disjoint and
+in start order, so both tuples ascend and the interval live at time t (the
+first one ending after t) is found by bisecting on the ends.
 
 ``bounds_by_id`` lays the same tuples out in a list by position in a fixed
 component list (the planner's dense ids). The table keeps that list across
@@ -19,31 +20,10 @@ calls and refreshes only the entries of the components a ``reserve`` or
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from typing import Hashable, Optional, Sequence
 
 INF = float("inf")
-
-
-@dataclass(frozen=True, order=True)
-class TimeInterval:
-    start: int
-    end: float  # int ns or math.inf
-
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise ValueError(f"empty interval [{self.start}, {self.end})")
-
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-
-@dataclass(frozen=True)
-class SafeInterval:
-    comp: Hashable
-    index: int
-    span: TimeInterval
 
 
 class ReservationError(ValueError):
@@ -51,13 +31,10 @@ class ReservationError(ValueError):
 
 
 class ReservationTable:
-    """Occupied time intervals per component, kept sorted and disjoint."""
+    """Occupied (start, end) pairs per component, kept sorted and disjoint."""
 
     def __init__(self):
-        self._occupied: dict[Hashable, list[TimeInterval]] = {}
-        # comp -> (starts, ends) of its safe intervals; immutable tuples, so
-        # callers and copies may share an entry but never alter it
-        self._safe: dict[Hashable, tuple[tuple[int, ...], tuple]] = {}
+        self._occupied: dict[Hashable, list[tuple[int, float]]] = {}
         # the last bounds_by_id result: (components, position of each, bounds
         # by position), and the components reserved or released since
         self._by_id: Optional[tuple[Sequence, dict, list]] = None
@@ -66,31 +43,30 @@ class ReservationTable:
     def components(self) -> list[Hashable]:
         return list(self._occupied)
 
-    def occupied(self, comp: Hashable) -> list[TimeInterval]:
-        return list(self._occupied.get(comp, []))
+    def occupied(self, comp: Hashable) -> list[tuple[int, float]]:
+        return list(self._occupied.get(comp, ()))
 
-    def reserve(self, comp: Hashable, interval: TimeInterval) -> None:
-        """Insert an occupied interval; overlap raises ReservationError."""
+    def reserve(self, comp: Hashable, start: int, end: float) -> None:
+        """Occupy [start, end); ValueError if it is empty, ReservationError
+        if it overlaps a reservation."""
+        if not start < end:
+            raise ValueError(f"empty interval [{start}, {end})")
         spans = self._occupied.setdefault(comp, [])
-        pos = bisect.bisect_left(spans, interval)
-        for neighbor in spans[max(0, pos - 1):pos + 1]:
-            if neighbor.overlaps(interval):
-                raise ReservationError(
-                    f"{comp}: [{interval.start}, {interval.end}) overlaps "
-                    f"existing [{neighbor.start}, {neighbor.end})")
-        spans.insert(pos, interval)
-        self._safe.pop(comp, None)
+        pos = bisect_left(spans, (start, end))
+        for s, e in spans[max(0, pos - 1):pos + 1]:
+            if s < end and start < e:
+                raise ReservationError(f"{comp}: [{start}, {end}) overlaps "
+                                       f"existing [{s}, {e})")
+        spans.insert(pos, (start, end))
         self._touched.add(comp)
 
-    def release(self, comp: Hashable, interval: TimeInterval) -> None:
-        """Remove an interval previously passed to reserve (exact match)."""
+    def release(self, comp: Hashable, start: int, end: float) -> None:
+        """Free a pair previously passed to reserve (exact match)."""
         spans = self._occupied.get(comp, [])
-        try:
-            spans.remove(interval)
-        except ValueError:
-            raise ReservationError(
-                f"{comp}: [{interval.start}, {interval.end}) not reserved") from None
-        self._safe.pop(comp, None)
+        pos = bisect_left(spans, (start, end))
+        if pos == len(spans) or spans[pos] != (start, end):
+            raise ReservationError(f"{comp}: [{start}, {end}) not reserved")
+        del spans[pos]
         self._touched.add(comp)
 
     def safe_bounds(self, comp: Hashable) -> tuple[tuple[int, ...], tuple]:
@@ -99,22 +75,19 @@ class ReservationTable:
         Entry i of both is safe interval i of ``safe_intervals``; the last
         end is ``INF`` unless a reservation runs to infinity.
         """
-        bounds = self._safe.get(comp)
-        if bounds is None:
-            starts: list[int] = []
-            ends: list = []
-            cursor = 0
-            for occ in self._occupied.get(comp, []):
-                if occ.start > cursor:
-                    starts.append(cursor)
-                    ends.append(occ.start)
-                cursor = max(cursor, occ.end)
-            # a reservation to infinity leaves no final interval
-            if cursor < INF:
+        starts: list[int] = []
+        ends: list = []
+        cursor = 0
+        for start, end in self._occupied.get(comp, ()):
+            if start > cursor:
                 starts.append(cursor)
-                ends.append(INF)
-            bounds = self._safe[comp] = (tuple(starts), tuple(ends))
-        return bounds
+                ends.append(start)
+            cursor = end
+        # a reservation to infinity leaves no final interval
+        if cursor < INF:
+            starts.append(cursor)
+            ends.append(INF)
+        return tuple(starts), tuple(ends)
 
     def bounds_by_id(self, comps: Sequence) -> list:
         """``safe_bounds(comps[i])`` at position i, for every i.
@@ -138,25 +111,24 @@ class ReservationTable:
         self._touched.clear()
         return bounds
 
-    def safe_intervals(self, comp: Hashable) -> list[SafeInterval]:
+    def safe_intervals(self, comp: Hashable) -> list[tuple[int, float]]:
         """Complement of the occupied set over [0, inf), in start order."""
-        starts, ends = self.safe_bounds(comp)
-        return [SafeInterval(comp, i, TimeInterval(start, end))
-                for i, (start, end) in enumerate(zip(starts, ends))]
+        return list(zip(*self.safe_bounds(comp)))
 
-    def interval_containing(self, comp: Hashable, t: int) -> SafeInterval | None:
+    def interval_containing(self, comp: Hashable, t: int) -> Optional[int]:
+        """Index of the safe interval that holds time t, or None if t is
+        occupied; index 0 is an interval, so test the result with ``is``."""
         starts, ends = self.safe_bounds(comp)
-        i = bisect.bisect_right(ends, t)  # first interval still live at t
+        i = bisect_right(ends, t)  # first interval still live at t
         if i < len(ends) and starts[i] <= t:
-            return SafeInterval(comp, i, TimeInterval(starts[i], ends[i]))
+            return i
         return None
 
-    def is_free(self, comp: Hashable, interval: TimeInterval) -> bool:
-        return not any(occ.overlaps(interval)
-                       for occ in self._occupied.get(comp, []))
+    def is_free(self, comp: Hashable, start: int, end: float) -> bool:
+        return not any(s < end and start < e
+                       for s, e in self._occupied.get(comp, ()))
 
     def copy(self) -> "ReservationTable":
         dup = ReservationTable()
         dup._occupied = {comp: list(spans) for comp, spans in self._occupied.items()}
-        dup._safe = dict(self._safe)
         return dup

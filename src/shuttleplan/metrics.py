@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .compiler import Schedule
-from .css import CheckTask
 from .tsp import solve_tsp
 
 
@@ -50,15 +49,10 @@ def shuttle_stats(schedule: Schedule,
                         overhead=overhead)
 
 
-def ideal_lower_bound(tasks: list[CheckTask], data_cells: dict[int, tuple],
-                      homes: dict[int, tuple]) -> dict[int, int]:
-    """Collision-free minimal edge count per ancilla, from its home."""
-    return {task.ancilla: solve_tsp(homes[task.ancilla],
-                                    [data_cells[i] for i in task.targets],
-                                    task.ordered)
-            for task in tasks}
-
-
 def ideal_for_schedule(schedule: Schedule) -> dict[int, int]:
-    return ideal_lower_bound(schedule.tasks, schedule.data_cells,
-                             schedule.homes)
+    """Collision-free minimal edge count per ancilla, from its home."""
+    homes, cells = schedule.homes, schedule.data_cells
+    return {task.ancilla: solve_tsp(homes[task.ancilla],
+                                    [cells[i] for i in task.targets],
+                                    task.ordered)
+            for task in schedule.tasks}

@@ -50,10 +50,13 @@ first time it meets a pending mask, as one numpy row from
 heuristic is a list lookup plus the gate and displace charges of the
 state's own layer.
 
-Safe intervals are read as parallel tuples of starts and ends from
+Reservations are plain (start, end) pairs per component, and a safe
+interval is named by its index alone: the start state's is the index
+``ReservationTable.interval_containing`` returns. Safe intervals are read
+as parallel tuples of starts and ends from
 ``ReservationTable.bounds_by_id``, a list by id that the table keeps for the
 layout's component list across searches: the first search on a table fills
-it, and each later one refreshes only the components that a reserve or
+it, and each later one recomputes only the components that a reserve or
 release touched since the search before, so planning a route costs
 ``safe_bounds`` calls for what the routes before it reserved, not for the
 whole chip. Successor generation skips intervals by bisection. No move from
@@ -80,7 +83,7 @@ import numpy as np
 from .chip import (CHANNEL, INTERSECTION, Cell, ChipLayout, ComponentId,
                    TimingConfig, channel_id, interaction_id, intersection_id,
                    readout_id)
-from .intervals import ReservationTable
+from .intervals import INF, ReservationTable
 from .tsp import OpenPathTable
 
 _LAYER_BUILDERS = (intersection_id, interaction_id, readout_id)
@@ -277,10 +280,10 @@ class _Search:
     def run(self, table: ReservationTable) -> PlanResult:
         req = self.req
         start_comp = readout_id(req.start_cell)
-        start_si = table.interval_containing(start_comp, req.start_time)
-        if start_si is None:
+        interval = table.interval_containing(start_comp, req.start_time)
+        if interval is None:
             raise PlanFailure(f"start {start_comp} occupied at t={req.start_time}")
-        start = (self.index.id_of[start_comp], start_si.index, 0)
+        start = (self.index.id_of[start_comp], interval, 0)
         goal, g_best, parents, stats = self.search(table, start,
                                                    req.start_time)
         if goal is None:
@@ -361,7 +364,7 @@ class _Search:
                         if arr > ch_ends[ci]:
                             continue  # channel window too short, try the next
                         nxt = (dest, dj, mask)
-                        if arr < g_best_get(nxt, _INFINITE):
+                        if arr < g_best_get(nxt, INF):
                             g_best[nxt] = arr
                             parents[nxt] = state
                             nh = row[dest]
@@ -385,7 +388,7 @@ class _Search:
                     if arr >= ends[dj]:
                         continue  # interval too short to arrive inside it
                     nxt = (dest, dj, mask)
-                    if arr < g_best_get(nxt, _INFINITE):
+                    if arr < g_best_get(nxt, INF):
                         g_best[nxt] = arr
                         parents[nxt] = state
                         nh = row[dest]
@@ -401,7 +404,7 @@ class _Search:
                 if done <= hi:
                     nmask = mask | (1 << j)
                     nxt = (sid, interval, nmask)
-                    if done < g_best_get(nxt, _INFINITE):
+                    if done < g_best_get(nxt, INF):
                         g_best[nxt] = done
                         parents[nxt] = state
                         nrow = h_rows[nmask]
@@ -454,9 +457,6 @@ class _Search:
             prev = state
         return PlanResult(steps=steps, parked=comps[goal[0]],
                           parked_time=cursor)
-
-
-_INFINITE = float("inf")
 
 
 def _travel_rows(index: LayoutIndex, timing: TimingConfig, req: PlanRequest):

@@ -186,32 +186,31 @@ def scan_successors(layout: ChipLayout, table: ReservationTable,
     shuttles in ``layout.neighbors`` order, then displaces to the other
     layers in intersection, interaction, readout order, then the gate.
     """
-    hi = table.safe_intervals(comp)[interval].span.end
+    hi = table.safe_intervals(comp)[interval][1]
     cell = (comp[1], comp[2])
     out = []
     if comp[0] == INTERSECTION:
         for nb in layout.neighbors(cell):
             channel = table.safe_intervals(channel_id(cell, nb))
             dest = intersection_id(nb)
-            for dest_si in table.safe_intervals(dest):
+            for k, (dest_start, dest_end) in enumerate(
+                    table.safe_intervals(dest)):
                 arrivals = []
-                for ch_si in channel:
-                    dep = max(g, ch_si.span.start,
-                              dest_si.span.start - timing.t_shuttle)
+                for ch_start, ch_end in channel:
+                    dep = max(g, ch_start, dest_start - timing.t_shuttle)
                     arr = dep + timing.t_shuttle
-                    if (dep <= hi and arr <= ch_si.span.end
-                            and arr < dest_si.span.end):
+                    if dep <= hi and arr <= ch_end and arr < dest_end:
                         arrivals.append(arr)
                 if arrivals:
-                    out.append(((dest, dest_si.index, mask), min(arrivals)))
+                    out.append(((dest, k, mask), min(arrivals)))
     for build in _LAYERS:
         dest = build(cell)
         if dest == comp:
             continue
-        for dest_si in table.safe_intervals(dest):
-            arr = max(g, dest_si.span.start) + timing.t_displace
-            if arr <= hi and arr < dest_si.span.end:
-                out.append(((dest, dest_si.index, mask), arr))
+        for k, (dest_start, dest_end) in enumerate(table.safe_intervals(dest)):
+            arr = max(g, dest_start) + timing.t_displace
+            if arr <= hi and arr < dest_end:
+                out.append(((dest, k, mask), arr))
     j = {c: j for j, c in enumerate(request.tours.targets)}.get(cell)
     if (comp[0] == INTERACTION and j is not None
             and not mask & (1 << j)

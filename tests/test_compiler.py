@@ -167,6 +167,17 @@ def test_second_route_reads_only_the_bounds_reservations_touched(
     assert second and second <= touched
 
 
+def test_unknown_order_policy_is_rejected_before_any_route(monkeypatch):
+    from shuttleplan import compiler
+
+    routes = []
+    monkeypatch.setattr(compiler, "plan_route",
+                        lambda *args: routes.append(args))
+    with pytest.raises(CompileError, match="order policy must be one of"):
+        compile_surface(3, order_policy="fastest")
+    assert routes == []
+
+
 def test_layout_with_two_qubits_on_one_cell_is_rejected():
     code, layout = surface_code(3)
     layout[2] = layout[0]
@@ -238,6 +249,15 @@ def test_replicate_rejects_bad_rounds():
     _, schedule = compile_surface(3)
     with pytest.raises(CompileError):
         replicate_rounds(schedule, 0)
+
+
+@pytest.mark.parametrize("rounds", [True, False, 2.5, 2.0, "2", None])
+def test_replicate_rejects_rounds_that_are_not_an_int(rounds):
+    """A bool is not a round count, and a float, a string or None gets a
+    named error, not a bare TypeError."""
+    _, schedule = compile_surface(3)
+    with pytest.raises(CompileError, match="rounds must be an int >= 1"):
+        replicate_rounds(schedule, rounds)
 
 
 def test_validator_reports_injected_collision():

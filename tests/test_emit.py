@@ -185,6 +185,20 @@ def test_emit_rejects_bad_basis():
                             NOISELESS, "y")
 
 
+@pytest.mark.parametrize("basis", [None, 1, "", "XZ"])
+def test_basis_that_is_not_a_letter_raises_code_error(basis):
+    """Both entry points raise CodeError for anything but one X or Z
+    letter, also for a basis with no ``.upper()`` (None, 1)."""
+    code, schedule = surface_schedule()
+    logicals = compute_logicals(code)
+    with pytest.raises(CodeError, match="basis must be X or Z"):
+        emit_memory_circuit(schedule, code, logicals, NOISELESS, basis)
+    _, circuit = surface_circuit()
+    with pytest.raises(CodeError, match="basis must be X or Z"):
+        add_detectors(circuit, code, basis, logicals=logicals,
+                      schedule=schedule)
+
+
 def test_add_detectors_requires_measurements():
     code, schedule = surface_schedule()
     with pytest.raises(CodeError):

@@ -3,84 +3,109 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shuttleplan.intervals import (INF, ReservationError, ReservationTable,
-                                   TimeInterval)
+from shuttleplan.intervals import INF, ReservationError, ReservationTable
 from oracles import bitmap_safe_intervals
-
-
-def spans(table, comp):
-    return [(si.span.start, si.span.end) for si in table.safe_intervals(comp)]
 
 
 def test_empty_component_is_one_unbounded_interval():
     table = ReservationTable()
-    assert spans(table, "c") == [(0, INF)]
-    si = table.interval_containing("c", 12345)
-    assert si.index == 0
+    assert table.safe_intervals("c") == [(0, INF)]
+    assert table.interval_containing("c", 12345) == 0
 
 
 def test_complement_of_single_reservation():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(100, 200))
-    assert spans(table, "c") == [(0, 100), (200, INF)]
+    table.reserve("c", 100, 200)
+    assert table.safe_intervals("c") == [(0, 100), (200, INF)]
 
 
 def test_adjacent_reservations_leave_no_gap():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(0, 50))
-    table.reserve("c", TimeInterval(50, 80))
-    assert spans(table, "c") == [(80, INF)]
+    table.reserve("c", 0, 50)
+    table.reserve("c", 50, 80)
+    assert table.safe_intervals("c") == [(80, INF)]
 
 
 def test_double_reserve_is_an_error():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(0, 100))
+    table.reserve("c", 0, 100)
     with pytest.raises(ReservationError, match=r"\[0, 100\)"):
-        table.reserve("c", TimeInterval(0, 100))
+        table.reserve("c", 0, 100)
 
 
 def test_partial_overlap_is_an_error():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(0, 100))
+    table.reserve("c", 0, 100)
     with pytest.raises(ReservationError):
-        table.reserve("c", TimeInterval(99, 150))
+        table.reserve("c", 99, 150)
+
+
+@pytest.mark.parametrize("start, end", [(100, 100), (200, 100), (INF, INF)])
+def test_empty_or_reversed_reservation_is_refused(start, end):
+    """An empty pair raises ValueError and leaves the table as it was."""
+    table = ReservationTable()
+    table.reserve("c", 300, 400)
+    comps = ["c", "d"]
+    bounds = table.bounds_by_id(comps)
+    before = list(bounds)
+    with pytest.raises(ValueError, match="empty interval"):
+        table.reserve("c", start, end)
+    with pytest.raises(ValueError, match="empty interval"):
+        table.reserve("d", start, end)
+    assert table.components() == ["c"]
+    assert table.occupied("c") == [(300, 400)]
+    assert table.safe_intervals("c") == [(0, 300), (400, INF)]
+    assert table.bounds_by_id(comps) is bounds
+    assert bounds == before
+
+
+def test_interval_containing_tells_index_zero_from_none():
+    """Index 0 is a safe interval, so it is not the occupied answer None."""
+    table = ReservationTable()
+    table.reserve("c", 100, 200)
+    assert table.interval_containing("c", 0) == 0
+    assert table.interval_containing("c", 100) is None
+    table.reserve("c", 0, 100)
+    assert table.interval_containing("c", 0) is None
+    assert table.interval_containing("c", 200) == 0
 
 
 def test_reserve_to_infinity_blocks_tail():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(500, INF))
-    assert spans(table, "c") == [(0, 500)]
+    table.reserve("c", 500, INF)
+    assert table.safe_intervals("c") == [(0, 500)]
     assert table.interval_containing("c", 600) is None
 
 
 def test_release_restores_infinite_interval():
     table = ReservationTable()
-    block = TimeInterval(0, INF)
-    table.reserve("c", block)
-    assert spans(table, "c") == []
-    table.release("c", block)
-    assert spans(table, "c") == [(0, INF)]
+    table.reserve("c", 0, INF)
+    assert table.safe_intervals("c") == []
+    table.release("c", 0, INF)
+    assert table.safe_intervals("c") == [(0, INF)]
     with pytest.raises(ReservationError):
-        table.release("c", block)
+        table.release("c", 0, INF)
 
 
 def test_interval_containing_boundaries():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(100, 200))
-    assert table.interval_containing("c", 50).span == TimeInterval(0, 100)
+    table.reserve("c", 100, 200)
+    assert table.interval_containing("c", 50) == 0
     assert table.interval_containing("c", 100) is None  # inside occupancy
     assert table.interval_containing("c", 150) is None
-    assert table.interval_containing("c", 200).span == TimeInterval(200, INF)
-    assert table.interval_containing("c", 10**9).index == 1
+    assert table.interval_containing("c", 200) == 1
+    assert table.interval_containing("c", 10**9) == 1
+    assert table.safe_intervals("c") == [(0, 100), (200, INF)]
 
 
 def test_indices_enumerate_in_start_order():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(300, 400))
-    table.reserve("c", TimeInterval(100, 200))
+    table.reserve("c", 300, 400)
+    table.reserve("c", 100, 200)
     intervals = table.safe_intervals("c")
-    assert [si.index for si in intervals] == [0, 1, 2]
-    starts = [si.span.start for si in intervals]
+    assert [table.interval_containing("c", start)
+            for start, _ in intervals] == [0, 1, 2]
+    starts = [start for start, _ in intervals]
     assert starts == sorted(starts)
 
 
@@ -94,27 +119,25 @@ def test_random_reservations_match_bitmap_oracle():
         attempts += 1
         start = rng.randrange(0, horizon - 100, 100)
         end = start + rng.randrange(100, 2000, 100)
-        interval = TimeInterval(start, end)
-        if table.is_free("c", interval):
-            table.reserve("c", interval)
+        if table.is_free("c", start, end):
+            table.reserve("c", start, end)
             committed.append((start, end))
     assert len(committed) == 1000
 
     expected = bitmap_safe_intervals(committed, horizon)
     got = []
-    for si in table.safe_intervals("c"):
-        end = min(si.span.end, horizon)
-        if si.span.start < horizon:
-            got.append((si.span.start, end))
+    for start, end in table.safe_intervals("c"):
+        if start < horizon:
+            got.append((start, min(end, horizon)))
     assert got == expected
 
 
 def _fresh_spans(table, comp):
-    """Safe spans of comp rebuilt from its occupancy alone, with no cache."""
+    """Safe spans of comp rebuilt in a new table from its occupancy alone."""
     fresh = ReservationTable()
-    for occ in table.occupied(comp):
-        fresh.reserve(comp, occ)
-    return spans(fresh, comp)
+    for start, end in table.occupied(comp):
+        fresh.reserve(comp, start, end)
+    return fresh.safe_intervals(comp)
 
 
 def test_cache_follows_reserve_release_and_copy():
@@ -134,29 +157,27 @@ def test_cache_follows_reserve_release_and_copy():
             held.append({c: list(v) for c, v in mine.items()})
         elif op < 0.45 and mine[comp]:
             victim = mine[comp].pop(rng.randrange(len(mine[comp])))
-            others = [spans(t, comp) for t in tables if t is not table]
-            table.release(comp, victim)
-            assert [spans(t, comp) for t in tables if t is not table] == others
+            others = [t.safe_intervals(comp) for t in tables if t is not table]
+            table.release(comp, *victim)
+            assert [t.safe_intervals(comp)
+                    for t in tables if t is not table] == others
         else:
             start = rng.randrange(0, horizon - 100, 100)
             end = INF if rng.random() < 0.03 else (
                 start + rng.randrange(100, 3000, 100))
-            interval = TimeInterval(start, end)
-            if table.is_free(comp, interval):
-                table.reserve(comp, interval)
-                mine[comp].append(interval)
+            if table.is_free(comp, start, end):
+                table.reserve(comp, start, end)
+                mine[comp].append((start, end))
         for t, reserved in zip(tables, held):
             for c in comps:
-                got = spans(t, c)
+                got = t.safe_intervals(c)
                 assert got == _fresh_spans(t, c), f"step {step}: {c}"
                 bounded = [(s, min(e, horizon)) for s, e in got if s < horizon]
-                assert bounded == bitmap_safe_intervals(
-                    [(i.start, i.end) for i in reserved[c]], horizon)
+                assert bounded == bitmap_safe_intervals(reserved[c], horizon)
                 probe = rng.randrange(0, horizon + 500, 50)
-                si = t.interval_containing(c, probe)
-                live = [(s, e) for s, e in got if s <= probe < e]
-                assert (si and (si.span.start, si.span.end)) == (
-                    live[0] if live else None)
+                i = t.interval_containing(c, probe)
+                live = [k for k, (s, e) in enumerate(got) if s <= probe < e]
+                assert i == (live[0] if live else None)
 
 
 def test_bounds_by_id_follow_reserve_and_release():
@@ -171,31 +192,30 @@ def test_bounds_by_id_follow_reserve_and_release():
     for step in range(800):
         comp = rng.choice(comps)
         if rng.random() < 0.4 and held[comp]:
-            table.release(comp, held[comp].pop(rng.randrange(len(held[comp]))))
+            table.release(comp, *held[comp].pop(rng.randrange(len(held[comp]))))
         else:
             start = rng.randrange(0, 20_000, 100)
             end = INF if rng.random() < 0.03 else (
                 start + rng.randrange(100, 3000, 100))
-            interval = TimeInterval(start, end)
-            if table.is_free(comp, interval):
-                table.reserve(comp, interval)
-                held[comp].append(interval)
+            if table.is_free(comp, start, end):
+                table.reserve(comp, start, end)
+                held[comp].append((start, end))
         if rng.random() < 0.3:
             order = other if rng.random() < 0.2 else comps
             got = table.bounds_by_id(order)
             assert got is table.bounds_by_id(order)
             for c, bounds in zip(order, got):
                 fresh = ReservationTable()
-                for occ in held[c]:
-                    fresh.reserve(c, occ)
+                for start, end in held[c]:
+                    fresh.reserve(c, start, end)
                 assert bounds == fresh.safe_bounds(c), f"step {step}: {c}"
 
 
 def test_safe_intervals_result_is_a_private_list():
     table = ReservationTable()
-    table.reserve("c", TimeInterval(100, 200))
+    table.reserve("c", 100, 200)
     table.safe_intervals("c").clear()
-    assert spans(table, "c") == [(0, 100), (200, INF)]
+    assert table.safe_intervals("c") == [(0, 100), (200, INF)]
 
 
 def test_partition_property():
@@ -204,11 +224,10 @@ def test_partition_property():
     table = ReservationTable()
     for _ in range(200):
         start = rng.randrange(0, 50_000, 100)
-        interval = TimeInterval(start, start + rng.randrange(100, 900, 100))
-        if table.is_free("c", interval):
-            table.reserve("c", interval)
-    pieces = [(si.span.start, si.span.end) for si in table.safe_intervals("c")]
-    pieces += [(occ.start, occ.end) for occ in table.occupied("c")]
+        end = start + rng.randrange(100, 900, 100)
+        if table.is_free("c", start, end):
+            table.reserve("c", start, end)
+    pieces = table.safe_intervals("c") + table.occupied("c")
     pieces.sort()
     cursor = 0
     for start, end in pieces:
@@ -237,8 +256,8 @@ def test_reserve_order_independent(raw, rng):
         rng.shuffle(shuffled)
         table = ReservationTable()
         for start, end in shuffled:
-            table.reserve("c", TimeInterval(start, end))
-        result = spans(table, "c")
+            table.reserve("c", start, end)
+        result = table.safe_intervals("c")
         if reference is None:
             reference = result
         assert result == reference

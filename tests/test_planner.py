@@ -7,7 +7,7 @@ import pytest
 from shuttleplan import tsp
 from shuttleplan.chip import (TimingConfig, build_grid, channel_id,
                               interaction_id, intersection_id, readout_id)
-from shuttleplan.intervals import ReservationTable, TimeInterval
+from shuttleplan.intervals import ReservationTable
 from shuttleplan.planner import (PlanFailure, PlanRequest, SearchState,
                                  layout_index, plan_route, route_heuristic,
                                  route_successors)
@@ -24,8 +24,7 @@ def request(home, targets, *, start_time=0, ordered=False, gate=TIMING.t_cx,
 
 
 def reservations_of(table: ReservationTable) -> dict:
-    return {comp: [(occ.start, occ.end) for occ in table.occupied(comp)]
-            for comp in table.components()}
+    return {comp: table.occupied(comp) for comp in table.components()}
 
 
 def test_no_tasks_already_parked():
@@ -56,7 +55,7 @@ def test_two_cell_line_with_blocked_channel():
     layout = build_grid(2, 1)
     req = request((0, 0), [(1, 0)])
     table = ReservationTable()
-    table.reserve(channel_id((0, 0), (1, 0)), TimeInterval(0, 5000))
+    table.reserve(channel_id((0, 0), (1, 0)), 0, 5000)
     result = plan_route(layout, table, TIMING, req)
     oracle = RouteOracle(layout, reservations_of(table), TIMING, req)
     expected = oracle.solve(40_000)
@@ -79,7 +78,7 @@ def test_search_counters_of_a_fixed_request():
             (channel_id((0, 1), (1, 1)), 2600, 5000),
             (readout_id((1, 2)), 0, 9000),
             (intersection_id((1, 1)), 3000, 3300)]:
-        table.reserve(comp, TimeInterval(start, end))
+        table.reserve(comp, start, end)
     req = request((0, 0), [(3, 0), (1, 2), (3, 2)])
     req.gate_windows = {(1, 2): 4000}
     result = plan_route(layout, table, TIMING, req)
@@ -99,7 +98,7 @@ def test_search_leaves_no_reference_cycles():
     """
     layout = build_grid(3, 3)
     table = ReservationTable()
-    table.reserve(channel_id((0, 0), (1, 0)), TimeInterval(0, 3000))
+    table.reserve(channel_id((0, 0), (1, 0)), 0, 3000)
     req = request((0, 0), [(2, 0), (1, 2)])
     gc.collect()
     gc.disable()
@@ -156,7 +155,7 @@ def test_layout_ids_follow_component_order():
 def test_failure_when_start_occupied():
     layout = build_grid(2, 1)
     table = ReservationTable()
-    table.reserve(readout_id((0, 0)), TimeInterval(0, 100))
+    table.reserve(readout_id((0, 0)), 0, 100)
     with pytest.raises(PlanFailure):
         plan_route(layout, table, TIMING, request((0, 0), [(1, 0)]))
 
@@ -192,7 +191,7 @@ def test_gate_blocked_by_short_interval():
     req = request((0, 0), [(1, 0)])
     table = ReservationTable()
     # interaction zone becomes busy 50 ns after arrival: gate cannot fit
-    table.reserve(interaction_id((1, 0)), TimeInterval(1450, 2000))
+    table.reserve(interaction_id((1, 0)), 1450, 2000)
     state = SearchState(interaction_id((1, 0)), 0, 0)
     succ = route_successors(layout, table, TIMING, req, state, 1400)
     assert not [s for s, _ in succ if s.mask == 1]
@@ -204,7 +203,7 @@ def test_shuttle_successors_split_by_reservation():
     state = SearchState(intersection_id((0, 0)), 0, 0)
 
     table = ReservationTable()
-    table.reserve(intersection_id((1, 0)), TimeInterval(1200, 2000))
+    table.reserve(intersection_id((1, 0)), 1200, 2000)
     succ = [(s, arr) for s, arr in
             route_successors(layout, table, TIMING, req, state, 0)
             if s.comp == intersection_id((1, 0))]
@@ -212,7 +211,7 @@ def test_shuttle_successors_split_by_reservation():
 
     # arrival landing exactly on the occupancy start is not "before" it
     table = ReservationTable()
-    table.reserve(intersection_id((1, 0)), TimeInterval(1000, 2000))
+    table.reserve(intersection_id((1, 0)), 1000, 2000)
     succ = [(s, arr) for s, arr in
             route_successors(layout, table, TIMING, req, state, 0)
             if s.comp == intersection_id((1, 0))]
@@ -221,8 +220,8 @@ def test_shuttle_successors_split_by_reservation():
     # a busy channel delays the departure so the arrival lands exactly on
     # the end of destination interval 0, which is too late for it
     table = ReservationTable()
-    table.reserve(intersection_id((1, 0)), TimeInterval(1500, 2000))
-    table.reserve(channel_id((0, 0), (1, 0)), TimeInterval(0, 500))
+    table.reserve(intersection_id((1, 0)), 1500, 2000)
+    table.reserve(channel_id((0, 0), (1, 0)), 0, 500)
     succ = [(s, arr) for s, arr in
             route_successors(layout, table, TIMING, req, state, 0)
             if s.comp == intersection_id((1, 0))]
@@ -235,9 +234,9 @@ def test_displace_reaches_every_later_interval():
     req = request((0, 0), [])
     table = ReservationTable()
     ia = interaction_id((0, 0))
-    table.reserve(ia, TimeInterval(800, 2000))
-    table.reserve(ia, TimeInterval(2100, 2200))  # gap [2000, 2100) too short
-    table.reserve(ia, TimeInterval(2400, 2500))  # gap of exactly t_displace
+    table.reserve(ia, 800, 2000)
+    table.reserve(ia, 2100, 2200)  # gap [2000, 2100) too short
+    table.reserve(ia, 2400, 2500)  # gap of exactly t_displace
     state = SearchState(readout_id((0, 0)), 0, 0)
     succ = [(s.interval, arr) for s, arr in
             route_successors(layout, table, TIMING, req, state, 0)
@@ -405,9 +404,9 @@ def random_instance(rng, max_reservations=3):
     for _ in range(rng.randint(0, max_reservations)):
         comp = rng.choice(comps)
         start = rng.randrange(0, 8000, 100)
-        interval = TimeInterval(start, start + rng.randrange(100, 4000, 100))
-        if table.is_free(comp, interval):
-            table.reserve(comp, interval)
+        end = start + rng.randrange(100, 4000, 100)
+        if table.is_free(comp, start, end):
+            table.reserve(comp, start, end)
     return layout, table, req
 
 
@@ -432,9 +431,8 @@ def dense_instance(rng):
         else:
             start = rng.randrange(0, 8000, 100)
         end = start + rng.randrange(100, 2500, 100)
-        interval = TimeInterval(start, end)
-        if table.is_free(comp, interval):
-            table.reserve(comp, interval)
+        if table.is_free(comp, start, end):
+            table.reserve(comp, start, end)
             last_end[comp] = end
     return layout, table, req
 
@@ -468,7 +466,7 @@ def oracle_reached_states(layout, table, req) -> dict:
     """
     start_comp = readout_id(req.start_cell)
     start = (start_comp,
-             table.interval_containing(start_comp, req.start_time).index, 0)
+             table.interval_containing(start_comp, req.start_time), 0)
     full = (1 << len(req.tours.targets)) - 1
     g_best = {start: req.start_time}
     heap = [(req.start_time, start)]
@@ -477,7 +475,7 @@ def oracle_reached_states(layout, table, req) -> dict:
         if g > g_best[state]:
             continue
         comp, interval, mask = state
-        end = table.safe_intervals(comp)[interval].span.end
+        end = table.safe_intervals(comp)[interval][1]
         if mask == full and comp[0] == "readout" and g + req.terminal_pad <= end:
             break
         for nxt, arr in scan_successors(layout, table, TIMING, req, *state, g):
@@ -503,9 +501,8 @@ def gapped_instance(rng):
         else:
             start = rng.randrange(0, 4000, 100)
         end = start + rng.randrange(100, 1500, 100)
-        interval = TimeInterval(start, end)
-        if table.is_free(comp, interval):
-            table.reserve(comp, interval)
+        if table.is_free(comp, start, end):
+            table.reserve(comp, start, end)
             last_end[comp] = end
     return layout, table, req
 
