@@ -13,10 +13,13 @@ Every instruction enters a `StabCircuit` through one checked batch method,
 as a whole before anything is added, each rule once over all of it rather
 than once per instruction: integer targets (numpy integers become plain
 ints, a float is refused), known names, even target counts for the pair
-instructions, qubit targets in range, and measurement records that index
-only the measurements before them. `emit_memory_circuit` builds its
-instructions itself and checks them as one batch, and `add_detectors` adds
-all its detectors and observables as one more batch.
+instructions, qubit targets in range, args (each distinct one checked
+once: a noise channel takes a one-tuple of a probability in [0, 1],
+OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
+measurement records that index only the measurements before them.
+`emit_memory_circuit` builds its instructions itself and checks them as one
+batch, and `add_detectors` adds all its detectors and observables as one
+more batch.
 
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
@@ -27,6 +30,8 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
 from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -73,6 +78,19 @@ _PAIR_OPS = ("CX", "DEPOLARIZE2")
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
 _KNOWN_OPS = frozenset({*_QUBIT_OPS, *_RECORD_OPS, "TICK"})
 _MEASURE_OPS = ("M", "MX")
+# instructions whose arg is a one-tuple of a number other than a bool:
+# (names, the number's type, its upper bound, what they take)
+_NUMBER_ARGS = (
+    (frozenset(NOISE_CHANNELS), Real, 1, "a probability in [0, 1]"),
+    (frozenset({"OBSERVABLE_INCLUDE"}), Integral, math.inf, "an int >= 0"),
+)
+
+
+def _bad_number(arg, kind: type, high) -> bool:
+    """Whether `arg` is not a one-tuple of a `kind` in [0, high]."""
+    return not (type(arg) is tuple and len(arg) == 1
+                and isinstance(arg[0], kind) and not isinstance(arg[0], bool)
+                and 0 <= arg[0] <= high)
 
 
 def _within(targets: Sequence[int], bound: int) -> bool:
@@ -103,9 +121,11 @@ class StabCircuit:
         TypeError. ValueError is raised for a name outside the instruction
         set, for a CX or DEPOLARIZE2 with an odd number of targets, for a
         gate, reset, measure, noise or QUBIT_COORDS target outside
-        [0, num_qubits) and for a DETECTOR or OBSERVABLE_INCLUDE record
-        outside the measurements made before it. A batch that raises adds
-        nothing.
+        [0, num_qubits), for a noise channel whose arg is not a one-tuple of
+        a probability in [0, 1], for an OBSERVABLE_INCLUDE whose arg is not
+        a one-tuple of an int >= 0 (a bool is neither) and for a DETECTOR or
+        OBSERVABLE_INCLUDE record outside the measurements made before it.
+        A batch that raises adds nothing.
         """
         batch = list(instructions)
         if ({type(i.targets) for i in batch} - {tuple}
@@ -125,6 +145,17 @@ class StabCircuit:
                        and not _within(i.targets, self.num_qubits))
             raise ValueError(f"{bad.name} targets {bad.targets} outside "
                              f"qubits 0..{self.num_qubits - 1}")
+        for names, kind, high, want in _NUMBER_ARGS:
+            try:  # each distinct arg once; an unhashable one is no number
+                malformed = any(_bad_number(arg, kind, high) for arg
+                                in {i.arg for i in batch if i.name in names})
+            except TypeError:
+                malformed = True
+            if malformed:
+                bad = next(i for i in batch if i.name in names
+                           and _bad_number(i.arg, kind, high))
+                raise ValueError(f"{bad.name} takes a one-tuple of {want}, "
+                                 f"got {bad.arg!r}")
         measured = self.num_measurements
         for instr in batch:  # a record indexes only the measurements before it
             if instr.name in _MEASURE_OPS:

@@ -1,15 +1,13 @@
-"""Pauli-frame propagation and a stabilizer tableau simulator.
+"""Fault signatures by a backward detector pass, and a stabilizer tableau.
 
-The frame engine pushes single Pauli faults through a circuit (H swaps the
-X/Z components, CX copies X control->target and Z target->control, resets
-clear, measurements record the anticommuting component) for many fault
-sites at once. Its frames are qubit-major and bit-packed, the layout of
-Stim's frame simulator (Gidney, Quantum 5, 497, 2021): fault site r is bit
-r % 64 of word r // 64, so every qubit and every measurement is one row of
-W = ceil(num_sites / 64) uint64 words, each gate is an XOR, swap or clear
-of whole rows, and a scan holds 8 * W * (2 * num_qubits + num_measurements)
-bytes. Detector and observable parities are XORs of packed measurement
-rows, unpacked to one uint8 per (site, detector) only at the end.
+`fault_scan` finds the detectors and observables that every single fault
+flips in one reverse walk over the circuit, as Stim's error analyzer does
+(Gidney, Quantum 5, 497, 2021). It keeps, per qubit, the signature of an X
+and of a Z error at the current point as Python ints, updates them at each
+measurement, reset and gate it steps back over, and reads a site when it
+reaches the instruction the site follows. Each signature comes out
+directly, as one bit row per site: ceil(num_detectors / 8) +
+ceil(num_observables / 8) bytes, the only memory the result holds.
 
 Fault sites are flat int64 columns (`FaultSites`), never per-site objects:
 ``index`` has one entry per site, the instruction it follows; each Pauli
@@ -17,7 +15,7 @@ term of a site has one entry in ``term_site`` (the site's row, ascending),
 ``term_qubit`` and ``term_bits`` (X 1, Z 2, Y 3). `sites_from_noise` builds
 them in one pass over the noise instructions from the per-channel
 templates of `emit.NOISE_CHANNELS` (X_ERROR and Z_ERROR 1 site, DEPOLARIZE1
-3, DEPOLARIZE2 15), and the scan groups the terms with numpy alone. A site's
+3, DEPOLARIZE2 15), and the scan sorts the terms with numpy alone. A site's
 provenance is the ``meta`` of the instruction it follows.
 
 The tableau is the destabilizer/stabilizer pair of Aaronson and Gottesman
@@ -41,7 +39,9 @@ from __future__ import annotations
 
 import functools
 import operator
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -49,13 +49,11 @@ from .emit import NOISE_CHANNELS, StabCircuit
 
 
 # ---------------------------------------------------------------------------
-# Pauli frame propagation, vectorized over fault sites
+# fault sites and their detector signatures
 
 
 # Pauli letter -> bit 0 (X component) | bit 1 (Z component)
 _PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
-# instructions that change a frame; everything else leaves it alone
-_FRAME_GATES = ("H", "CX", "R", "RX", "M", "MX")
 
 
 _KIND = {name: k for k, name in enumerate(NOISE_CHANNELS)}
@@ -142,58 +140,55 @@ def sites_from_noise(circuit: StabCircuit) -> FaultSites:
         term_bits=_T_BITS[entry])
 
 
-def _unpack(packed: np.ndarray, num_sites: int) -> np.ndarray:
-    """(n, W) packed rows -> (num_sites, n) uint8 matrix (a transposed view)."""
-    as_bytes = packed.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, count=num_sites,
-                         bitorder="little").T
-
-
-def _xor_rows(packed: np.ndarray, groups) -> np.ndarray:
-    """One packed row per group: the XOR of the packed rows it names."""
-    out = np.zeros((len(groups), packed.shape[1]), dtype=np.uint64)
-    for g, rows in enumerate(groups):
-        if rows:
-            np.bitwise_xor.reduce(packed[list(rows)], axis=0, out=out[g])
-    return out
-
-
 @dataclass
 class ScanResult:
-    """Packed outcome of `fault_scan`: site r is bit r % 64 of word r // 64.
+    """Outcome of `fault_scan`: row r of ``rows`` is site r's signature.
 
-    `x` and `z` are the residual frames, shape (num_qubits, W); `flips` holds
-    the measurement flips, shape (num_measurements, W); all are uint64 with
-    W = ceil(num_sites / 64).
+    Each row is a little-endian bit string of uint8: bit d is detector d,
+    and the observables, in index order, start at the first byte after the
+    detectors, byte ceil(num_detectors / 8).
     """
 
     sites: FaultSites
-    x: np.ndarray
-    z: np.ndarray
-    flips: np.ndarray
+    rows: np.ndarray
 
     def detector_flips(self, circuit: StabCircuit) -> np.ndarray:
-        """(num_sites, num_detectors) matrix of detector parity flips."""
-        groups = [targets for targets, _ in circuit.detectors()]
-        return _unpack(_xor_rows(self.flips, groups), len(self.sites))
+        """(num_sites, num_detectors) matrix of the scanned circuit's
+        detector parity flips."""
+        count = len(circuit.detectors())
+        return np.unpackbits(self.rows[:, :-(-count // 8)], axis=1,
+                             count=count, bitorder="little")
 
     def observable_flips(self, circuit: StabCircuit) -> np.ndarray:
         """(num_sites, num_observables) matrix, columns by observable index."""
-        groups = [targets for _, targets in sorted(circuit.observables().items())]
-        return _unpack(_xor_rows(self.flips, groups), len(self.sites))
+        start = -(-len(circuit.detectors()) // 8)
+        return np.unpackbits(self.rows[:, start:], axis=1,
+                             count=len(circuit.observables()),
+                             bitorder="little")
 
 
-def _activations(circuit: StabCircuit, sites: FaultSites,
-                 gate_at: np.ndarray):
-    """Validate every site; return its frame bits grouped by the next gate.
+def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
+    """Every site's detector and observable signature, in one backward pass.
 
-    Returns (frame row, word, bit mask, bounds): the terms of group k,
-    ``bounds[k]:bounds[k + 1]``, are XORed in just before gate k runs, or
-    after the last gate for k = len(gate_at). A fault injected after
-    instruction i only has to be in the frame before the first gate past i.
+    Walking back from the last instruction to the earliest site, ``sz[q]``
+    and ``sx[q]`` are the signatures of an X and a Z error on q at that
+    point, as Python ints in the row layout of `ScanResult`. Passing back
+    over M on q with record m XORs the record's mask (the detectors and
+    observables holding m) into ``sz[q]``, over MX into ``sx[q]``; R and RX
+    clear both, H swaps them, and CX(c, t), its pairs taken in reverse,
+    does ``sx[t] ^= sx[c]; sz[c] ^= sz[t]``. A site injected after
+    instruction i is read before the walk steps back over i: the XOR over
+    its terms of ``sz[q]`` for X, ``sx[q]`` for Z and both for Y. Sites may
+    come in any order. The result holds one row of ceil(num_detectors / 8)
+    + ceil(num_observables / 8) bytes per site.
+
+    Raises IndexError for a site whose instruction index or qubit is out of
+    range, naming the site's row, and ValueError for a term whose site row
+    or X/Z bits are out of range.
     """
     nq, index = circuit.num_qubits, sites.index
-    bad = np.flatnonzero((index < 0) | (index >= len(circuit.instructions)))
+    instructions = circuit.instructions
+    bad = np.flatnonzero((index < 0) | (index >= len(instructions)))
     if bad.size:
         row = int(bad[0])
         raise IndexError(f"fault site {row}: no instruction at {index[row]}")
@@ -210,70 +205,59 @@ def _activations(circuit: StabCircuit, sites: FaultSites,
         raise ValueError(f"Pauli term {t}: site {rows[t]}, bits {bits[t]}; "
                          f"need a site in [0, {len(index)}) and bits X 1, "
                          f"Z 2 or Y 3")
-    has_x, has_z = (bits & 1).astype(bool), (bits & 2).astype(bool)
-    frame_row = np.concatenate([qubit[has_x], nq + qubit[has_z]])
-    site_row = np.concatenate([rows[has_x], rows[has_z]])
-    group = np.searchsorted(gate_at, index[site_row], side="right")
-    order = np.argsort(group, kind="stable")
-    site_row = site_row[order]
-    bounds = np.searchsorted(group[order], np.arange(len(gate_at) + 2))
-    mask = np.left_shift(np.uint64(1), (site_row & 63).astype(np.uint64))
-    return frame_row[order], site_row >> 6, mask, bounds.tolist()
 
+    detectors = [targets for targets, _ in circuit.detectors()]
+    observables = [targets for _, targets
+                   in sorted(circuit.observables().items())]
+    shift = 8 * -(-len(detectors) // 8)  # observable k is bit shift + k
+    mask = [0] * circuit.num_measurements
+    for bit, records in (*enumerate(detectors),
+                         *enumerate(observables, shift)):
+        for m in records:
+            mask[m] ^= 1 << bit
 
-def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
-    """Propagate every fault site through the circuit in one packed pass.
-
-    The frames are qubit-major and bit-packed: site r is bit r % 64 of word
-    r // 64, so each gate is one XOR, swap or clear of uint64 rows of
-    W = ceil(num_sites / 64) words. The result holds
-    8 * W * (2 * num_qubits + num_measurements) bytes. A site's bit stays
-    zero until its fault is XORed in, which is sound because every update
-    rule is linear.
-
-    Raises IndexError for a site whose instruction index or qubit is out of
-    range, naming the site's row, and ValueError for a term whose site row
-    or X/Z bits are out of range.
-    """
-    ns, nq = len(sites), circuit.num_qubits
-    words = -(-ns // 64)
-    instructions = circuit.instructions
-    gate_at = np.array([i for i, instr in enumerate(instructions)
-                        if instr.name in _FRAME_GATES], dtype=np.int64)
-    act_row, act_word, act_mask, bounds = _activations(circuit, sites, gate_at)
-    frame = np.zeros((2 * nq, words), dtype=np.uint64)
-    x, z = frame[:nq], frame[nq:]
-    flips = np.zeros((circuit.num_measurements, words), dtype=np.uint64)
-    measured = 0  # record index of the next measurement
-
-    def activate(k: int) -> None:
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo < hi:
-            np.bitwise_xor.at(frame, (act_row[lo:hi], act_word[lo:hi]),
-                              act_mask[lo:hi])
-
-    for k, pos in enumerate(gate_at.tolist()):
-        activate(k)
-        instr = instructions[pos]
-        name = instr.name
-        if name == "H":
-            for q in instr.targets:
-                x[q], z[q] = z[q], x[q].copy()
-        elif name == "CX":
-            for c, t in zip(instr.targets[::2], instr.targets[1::2]):
-                x[t] ^= x[c]
-                z[c] ^= z[t]
-        elif name in ("R", "RX"):
-            for q in instr.targets:
-                x[q] = 0
-                z[q] = 0
-        else:
-            src = x if name == "M" else z
-            for q in instr.targets:
-                flips[measured] = src[q]
-                measured += 1
-    activate(len(gate_at))
-    return ScanResult(sites=sites, x=x, z=z, flips=flips)
+    # terms by instruction, read from the last; stdlib arrays hand out one
+    # int at a time instead of holding a list of them
+    at = index[rows]
+    order = np.argsort(at, kind="stable")
+    columns = (array("q", col[order].tobytes())
+               for col in (at, rows, qubit, bits))
+    signatures = [0] * len(index)
+    sz, sx = [0] * nq, [0] * nq
+    measured = circuit.num_measurements  # records before instruction i
+    i = len(instructions)  # instructions i and later are stepped back over
+    for after, row, target, pauli in zip(*map(reversed, columns)):
+        while i > after + 1:  # step back to just after the site
+            i -= 1
+            name, targets, _, _ = instructions[i]
+            if name == "CX":
+                for k in range(len(targets) - 2, -1, -2):
+                    c, t = targets[k], targets[k + 1]
+                    sx[t] ^= sx[c]
+                    sz[c] ^= sz[t]
+            elif name == "H":
+                for q in targets:
+                    sz[q], sx[q] = sx[q], sz[q]
+            elif name in ("R", "RX"):
+                for q in targets:
+                    sz[q] = sx[q] = 0
+            elif name in ("M", "MX"):
+                measured -= len(targets)
+                sens = sz if name == "M" else sx
+                for m, q in enumerate(targets, measured):
+                    sens[q] ^= mask[m]
+        if pauli & 1:
+            signatures[row] ^= sz[target]
+        if pauli & 2:
+            signatures[row] ^= sx[target]
+    # packed a chunk of rows at a time, so no list of all rows is held
+    size = shift // 8 + -(-len(observables) // 8)
+    packed = b"".join(
+        b"".join(map(int.to_bytes, signatures[k:k + 4096], repeat(size),
+                     repeat("little")))
+        for k in range(0, len(signatures), 4096))
+    return ScanResult(sites=sites, rows=np.frombuffer(
+        packed, dtype=np.uint8).reshape(len(index), size))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ tableau oracle is a row-major uint8 destabilizer/stabilizer tableau that
 updates every row of a column with numpy and multiplies rows one phase
 term at a time.
 
-Four helpers here are not independent: `fault_sites` and `scan_row`
-write the input and read one site's output of the package's `fault_scan`,
-`propagate_fault` runs one fault through it with them, and `in_rowspace`
-compares two `gf2.rank` values. Only the tests call them.
+Two helpers here are not independent: `fault_sites` writes the input of
+the package's `fault_scan`, and `in_rowspace` compares two `gf2.rank`
+values. Only the tests call them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from shuttleplan.chip import (INTERACTION, INTERSECTION, READOUT, ChipLayout,
                               TimingConfig, channel_id, interaction_id,
                               intersection_id, readout_id)
 from shuttleplan.intervals import ReservationTable
-from shuttleplan.pauli import FaultSites, ScanResult, fault_scan
+from shuttleplan.pauli import FaultSites
 
 if TYPE_CHECKING:
     from shuttleplan.planner import PlanRequest
@@ -318,22 +317,6 @@ def fault_sites(faults) -> FaultSites:
     columns = [[index for index, _ in faults],
                *(zip(*terms) if terms else ([], [], []))]
     return FaultSites(*(np.array(col, dtype=np.int64) for col in columns))
-
-
-def scan_row(result: ScanResult, row: int):
-    """Site `row` of a scan: its final X and Z frames as uint8 vectors over
-    the qubits, and the indices of the measurements it flips."""
-    word, bit = divmod(row, 64)
-    x, z, flips = (((packed[:, word] >> np.uint64(bit)) & np.uint64(1))
-                   .astype(np.uint8)
-                   for packed in (result.x, result.z, result.flips))
-    return x, z, np.flatnonzero(flips).tolist()
-
-
-def propagate_fault(circuit, index: int, paulis):
-    """Push one fault through `fault_scan`; returns (final_x, final_z,
-    flipped measurements)."""
-    return scan_row(fault_scan(circuit, fault_sites([(index, paulis)])), 0)
 
 
 def in_rowspace(v, H) -> bool:

@@ -347,6 +347,17 @@ REJECTED = [
       for name in ("DETECTOR", "OBSERVABLE_INCLUDE")
       for bad in (-1, 2, 5, 0.5)),
 ]
+# malformed args: a noise channel takes a one-tuple of a probability in
+# [0, 1], OBSERVABLE_INCLUDE a one-tuple of an int >= 0; a bool is neither
+BAD_ARGS = [
+    *(("OBSERVABLE_INCLUDE", (0,), arg)
+      for arg in (None, (), (-1,), (0.5,), (True,), (0, 1), ("0",), [0])),
+    *(("Z_ERROR", (0,), arg)
+      for arg in (None, (), (1.5,), (-0.1,), (float("nan"),), (True,),
+                  (0.1, 0.2), ("0.1",), ([0.1],))),
+    *((name, (0, 1), None) for name in ("X_ERROR", "DEPOLARIZE1",
+                                        "DEPOLARIZE2")),
+]
 
 
 def _after_measuring():
@@ -355,8 +366,9 @@ def _after_measuring():
     return c
 
 
-@pytest.mark.parametrize("name,targets,arg", REJECTED,
-                         ids=[f"{n or 'empty'}-{t}" for n, t, _ in REJECTED])
+@pytest.mark.parametrize("name,targets,arg", REJECTED + BAD_ARGS,
+                         ids=[f"{n or 'empty'}-{t}" for n, t, _ in REJECTED]
+                         + [f"{n}-{t}-arg{a}" for n, t, a in BAD_ARGS])
 def test_extend_rejects_what_append_rejects(name, targets, arg):
     """A rejected instruction raises the same exception from a batch,
     wherever it sits, and the batch adds nothing."""

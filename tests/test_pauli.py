@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (expand_noise, fault_sites, noiseless_outcomes,
-                     propagate_fault, propagate_frame, scan_row)
+                     propagate_frame)
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
-from shuttleplan.emit import StabCircuit, emit_memory_circuit
+from shuttleplan.emit import Instruction, StabCircuit, emit_memory_circuit
 from shuttleplan.pauli import (FaultSites, NoiselessReport, Outcome, Tableau,
                                TableauError, fault_scan, simulate_noiseless,
                                sites_from_noise)
@@ -42,36 +42,9 @@ def hop_index(circuit, hop):
     return idx
 
 
-def test_untailored_fault_after_second_cx_hits_later_data():
-    c = z_check_circuit(tailored=False)
-    fx, fz, flips = propagate_fault(c, hop_index(c, 2), [(4, "Z")])
-    assert not fx.any()
-    assert fz[:4].tolist() == [0, 0, 1, 1]  # Z lands on data 2 and 3
-    assert flips == []                       # Z on ancilla: measurement intact
-
-
-def test_tailored_fault_flips_only_the_measurement():
-    c = z_check_circuit(tailored=True)
-    for hop in range(5):
-        fx, fz, flips = propagate_fault(c, hop_index(c, hop), [(4, "Z")])
-        assert not fx[:4].any() and not fz[:4].any()
-        assert flips == [0]
-
-
-def test_identity_fault_is_silent():
-    c = z_check_circuit(tailored=False)
-    fx, fz, flips = propagate_fault(c, 0, [])
-    assert not fx.any() and not fz.any() and flips == []
-
-
-def test_propagate_fault_index_range():
-    c = z_check_circuit(tailored=False)
-    with pytest.raises(IndexError):
-        propagate_fault(c, 999, [(4, "Z")])
-
-
-def test_x_ancilla_dephasing_never_reaches_data():
-    """Z faults anywhere between the basis-change Hs leave data untouched."""
+def x_check_circuit() -> StabCircuit:
+    """One X ancilla (qubit 4) driving CXs onto data 0..3 between its
+    basis-change Hs; noise markers per hop."""
     c = StabCircuit(5)
     c.append("R", (4,))
     c.append("H", (4,))
@@ -81,9 +54,41 @@ def test_x_ancilla_dephasing_never_reaches_data():
     c.append("Z_ERROR", (4,), arg=(1e-3,), meta={"kind": "shuttle", "hop": 4})
     c.append("H", (4,))
     c.append("M", (4,))
+    return c
+
+
+DATA = set(range(4))
+
+
+def test_untailored_fault_after_second_cx_hits_later_data():
+    c = z_check_circuit(tailored=False)
+    xs, zs, flips = propagate_frame(c, hop_index(c, 2), [(4, "Z")])
+    assert not xs
+    assert zs & DATA == {2, 3}  # Z lands on data 2 and 3
+    assert flips == []          # Z on ancilla: measurement intact
+
+
+def test_tailored_fault_flips_only_the_measurement():
+    c = z_check_circuit(tailored=True)
     for hop in range(5):
-        fx, fz, flips = propagate_fault(c, hop_index(c, hop), [(4, "Z")])
-        assert not fx[:4].any() and not fz[:4].any()
+        xs, zs, flips = propagate_frame(c, hop_index(c, hop), [(4, "Z")])
+        assert not (xs | zs) & DATA
+        assert flips == [0]
+
+
+def test_identity_fault_is_silent():
+    c = z_check_circuit(tailored=False)
+    assert propagate_frame(c, 0, []) == (set(), set(), [])
+    (flips,), _ = record_flips(c, fault_sites([(0, ())]))
+    assert flips == []
+
+
+def test_x_ancilla_dephasing_never_reaches_data():
+    """Z faults anywhere between the basis-change Hs leave data untouched."""
+    c = x_check_circuit()
+    for hop in range(5):
+        xs, zs, flips = propagate_frame(c, hop_index(c, hop), [(4, "Z")])
+        assert not (xs | zs) & DATA
         assert flips == [0]
 
 
@@ -176,18 +181,54 @@ def test_from_paulis_matches_columns():
     assert len(fault_sites([])) == 0
 
 
-def test_fault_scan_matches_single_propagation():
-    c = z_check_circuit(tailored=True)
-    sites = sites_from_noise(c)
+def record_flips(circuit: StabCircuit, sites: FaultSites):
+    """Scan `sites` on a copy of `circuit` (which has no detectors or
+    observables) with one DETECTOR per measurement record and one
+    OBSERVABLE_INCLUDE of every record. Returns, per site, the records
+    `fault_scan` says it flips, and the observable's flip; checks that the
+    padding bits of every row are zero."""
+    c = StabCircuit(circuit.num_qubits)
+    records = tuple(range(circuit.num_measurements))
+    c.extend([*circuit.instructions,
+              *(Instruction("DETECTOR", (m,)) for m in records),
+              Instruction("OBSERVABLE_INCLUDE", records, (0,))])
     result = fault_scan(c, sites)
-    faults = expand_noise(c)
-    assert len(faults) == len(sites) == 5
-    for row, (index, paulis) in enumerate(faults):
-        fx, fz, flips = propagate_fault(c, index, paulis)
-        got_x, got_z, got_flips = scan_row(result, row)
-        assert np.array_equal(got_x, fx)
-        assert np.array_equal(got_z, fz)
-        assert got_flips == flips
+    split = 8 * -(-len(records) // 8)  # the observable's bit
+    bits = np.unpackbits(result.rows, axis=1, bitorder="little")
+    assert not bits[:, len(records):split].any()
+    assert not bits[:, split + 1:].any()
+    flipped = [np.flatnonzero(row).tolist()
+               for row in result.detector_flips(c)]
+    return flipped, result.observable_flips(c)[:, 0].tolist()
+
+
+def test_fault_scan_takes_cx_pairs_in_order():
+    """A CX's pairs act in order (CX 0 1 1 2 is CX 0 1, then CX 1 2), as
+    the frame oracle takes them: every single-qubit fault before the two
+    chained CXs flips the measurements the oracle gives."""
+    c = StabCircuit(3)
+    c.append("R", (0, 1, 2))
+    c.append("CX", (0, 1, 1, 2))
+    c.append("CX", (2, 1, 1, 0))
+    c.append("M", (0, 1, 2))
+    c.append("MX", (0, 1, 2))
+    faults = [(0, ((q, p),)) for q in range(3) for p in "XYZ"]
+    flipped, _ = record_flips(c, fault_sites(faults))
+    assert flipped == [propagate_frame(c, index, paulis)[2]
+                       for index, paulis in faults]
+
+
+def test_fault_scan_matches_single_propagation():
+    """Every hop fault of the check circuits flips the measurement in the
+    scan exactly when it does in the frame oracle."""
+    for c in (z_check_circuit(True), z_check_circuit(False),
+              x_check_circuit()):
+        faults = expand_noise(c)
+        flipped, parity = record_flips(c, sites_from_noise(c))
+        assert len(faults) == len(flipped) == 5
+        assert flipped == [propagate_frame(c, index, paulis)[2]
+                           for index, paulis in faults]
+        assert parity == [len(f) % 2 for f in flipped]
 
 
 def test_simulate_reset_measure_deterministic_zero():
@@ -339,7 +380,7 @@ def test_frame_agrees_with_tableau_on_random_circuits():
         for a, b in zip(clean, dirty):
             assert a.mask == b.mask, "fault changed the randomness structure"
 
-        _, _, frame_list = propagate_fault(circuit, idx, paulis)
+        (frame_list,), _ = record_flips(circuit, fault_sites([(idx, paulis)]))
         frame_flips = set(frame_list)
 
         for i, (a, b) in enumerate(zip(clean, dirty)):
@@ -376,23 +417,17 @@ def random_faults(rng, circuit, count):
 
 @pytest.mark.parametrize("num_sites", [0, 1, 63, 64, 65, 130])
 def test_fault_scan_matches_frame_oracle(num_sites):
-    """Every site's flips and final frame equal a one-fault set propagation,
-    across the word boundaries of the packed layout."""
+    """Every site's measurement flips equal a one-fault set propagation,
+    for sites in any order, with Y terms and repeated qubits; the padding
+    bits of each row stay zero."""
     rng = random.Random(num_sites)
     for _ in range(3):
         circuit = random_circuit(rng)
         faults = random_faults(rng, circuit, num_sites)
-        result = fault_scan(circuit, fault_sites(faults))
-        for row, (index, paulis) in enumerate(faults):
-            xs, zs, flipped = propagate_frame(circuit, index, paulis)
-            fx, fz, got_flips = scan_row(result, row)
-            assert set(np.flatnonzero(fx).tolist()) == xs
-            assert set(np.flatnonzero(fz).tolist()) == zs
-            assert got_flips == flipped
-        for packed in (result.x, result.z, result.flips):
-            tail = np.unpackbits(packed.astype("<u8").view(np.uint8), axis=1,
-                                 bitorder="little")[:, num_sites:]
-            assert not tail.any(), "bits past the last site must stay zero"
+        flipped, parity = record_flips(circuit, fault_sites(faults))
+        assert flipped == [propagate_frame(circuit, index, paulis)[2]
+                           for index, paulis in faults]
+        assert parity == [len(f) % 2 for f in flipped]
 
 
 def parities(flipped: set, groups) -> list[int]:
@@ -436,6 +471,37 @@ def test_no_undetected_logical_single_fault_surface(d, basis, tailored):
         memory_circuit(code, layout, 2, basis, tailored)) == 0
 
 
+def observables_by_detectors(circuit) -> dict[bytes, set[bytes]]:
+    """The single-fault signatures grouped by their detector bytes: each
+    group's set of distinct observable byte strings. Two sites in one group
+    with different observables make an undetected logical of weight 2; a
+    nonzero observable in the all-zero group, one of weight 1."""
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    split = -(-len(circuit.detectors()) // 8)
+    groups: dict[bytes, set[bytes]] = {}
+    for row in result.rows:
+        groups.setdefault(row[:split].tobytes(), set()).add(
+            row[split:].tobytes())
+    return groups
+
+
+def assert_no_undetected_logical_pair(circuit) -> None:
+    groups = observables_by_detectors(circuit)
+    assert [obs for obs in groups.values() if len(obs) > 1] == []
+    split = -(-len(circuit.detectors()) // 8)
+    nobs = -(-len(circuit.observables()) // 8)
+    assert groups.get(bytes(split), {bytes(nobs)}) == {bytes(nobs)}
+
+
+@pytest.mark.parametrize("tailored", [True, False])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("d", [3, 5])
+def test_no_undetected_logical_fault_pair_surface(d, basis, tailored):
+    code, layout = surface_code(d)
+    assert_no_undetected_logical_pair(
+        memory_circuit(code, layout, 2, basis, tailored))
+
+
 @pytest.fixture(scope="module")
 def bb72_schedule(bb72_path):
     code = load_css(str(bb72_path))
@@ -452,18 +518,45 @@ def test_no_undetected_logical_single_fault_bb72(bb72_schedule, basis):
     assert undetected_logical(circuit) == 0
 
 
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_no_undetected_logical_fault_pair_bb72(bb72_schedule, basis):
+    code, schedule = bb72_schedule
+    assert_no_undetected_logical_pair(emit_memory_circuit(
+        schedule, code, compute_logicals(code), NoiseConfig(), basis))
+
+
+def test_bb72_sample_matches_frame_oracle(bb72_schedule):
+    """A seeded sample of bb72 sites, scanned on their own and out of
+    circuit order, flips the detectors and observables the frame oracle
+    gives."""
+    code, schedule = bb72_schedule
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig(), "Z")
+    faults = random.Random(72).sample(expand_noise(circuit), 64)
+    result = fault_scan(circuit, fault_sites(faults))
+    dets = [targets for targets, _ in circuit.detectors()]
+    obs = [targets for _, targets in sorted(circuit.observables().items())]
+    expect_det, expect_obs = [], []
+    for index, paulis in faults:
+        flipped = set(propagate_frame(circuit, index, paulis)[2])
+        expect_det.append(parities(flipped, dets))
+        expect_obs.append(parities(flipped, obs))
+    assert result.detector_flips(circuit).tolist() == expect_det
+    assert result.observable_flips(circuit).tolist() == expect_obs
+    assert np.array(expect_det).any()
+
+
 def test_scan_memory_is_bit_packed():
-    """Result arrays hold 8 * ceil(ns / 64) * (2 nq + nm) bytes, not per-site
-    bytes."""
+    """The result holds one row of ceil(ndet / 8) + ceil(nobs / 8) bytes per
+    site, not a byte per (site, detector)."""
     code, layout = surface_code(3)
     circuit = memory_circuit(code, layout, 2, "Z")
     sites = sites_from_noise(circuit)
     result = fault_scan(circuit, sites)
-    words = -(-len(sites) // 64)
-    packed = 8 * words * (2 * circuit.num_qubits + circuit.num_measurements)
-    held = result.x.nbytes + result.z.nbytes + result.flips.nbytes
+    row = (-(-len(circuit.detectors()) // 8)
+           + -(-len(circuit.observables()) // 8))
     assert len(sites) > 1000
-    assert held <= packed + 1024
+    assert result.rows.nbytes <= len(sites) * row + 1024
 
 
 @pytest.mark.parametrize("index", [3, 99, -1])
