@@ -6,13 +6,14 @@ Unplanned ancillae block their home readout for all time so nobody routes
 through a qubit that has not moved yet; the block is released the moment
 that ancilla is planned.
 
-The one-round schedule is replicated by pure time translation: round r is
-round 0 shifted by r times the round makespan, which stays collision-free
-because every occupancy of round r lies inside [r*M, (r+1)*M).
-
-A schedule keeps one list of the planner's ``Event`` records per ancilla,
-keyed by the ancilla: a route's WAIT, SHUTTLE and DISPLACE events as they
-are, each GATE as a CX (an H-CX-H sandwich on a tailored Z ancilla).
+A schedule stores round 0 only: one list of the planner's ``Event`` records
+per ancilla, keyed by the ancilla, with a route's WAIT, SHUTTLE and DISPLACE
+events as they are and each GATE as a CX (an H-CX-H sandwich on a tailored
+Z ancilla). Round r is that stored round shifted by r times the round
+makespan M, which stays collision-free because every occupancy of round r
+lies inside [r*M, (r+1)*M). Its readers (``Schedule.all_events``, the text
+and JSON forms, the emitter and the metrics) add the offset as they read
+and build no shifted ``Event``.
 
 Where an ancilla rests is decided by `ancilla_occupancy` alone, for both
 planning and validation; its docstring states the residency model.
@@ -44,7 +45,9 @@ class CompileError(RuntimeError):
 
 @dataclass
 class Schedule:
-    events: dict[int, list[Event]]  # ancilla -> time-ordered events
+    # ancilla -> time-ordered events of round 0; round r's are these at
+    # t + r * round_makespan
+    events: dict[int, list[Event]]
     tasks: list[CheckTask]
     data_cells: dict[int, Cell]     # chip coordinates (margin applied)
     homes: dict[int, Cell]
@@ -58,11 +61,20 @@ class Schedule:
     def makespan(self) -> int:
         return self.rounds * self.round_makespan
 
-    def all_events(self) -> list[tuple[int, Event]]:
-        """(ancilla, event) pairs ordered by time, ancilla and kind."""
-        merged = [(a, ev) for a, evs in self.events.items() for ev in evs]
-        merged.sort(key=lambda pair: (pair[1].t, pair[0], pair[1].kind))
-        return merged
+    def all_events(self) -> Iterator[tuple[int, int, Event]]:
+        """(time, ancilla, event) for every event of every round, ordered by
+        time, ancilla and kind: the stored round's events, sorted once, and
+        round r's at their time plus r * round_makespan.
+
+        Round after round is in time order because every stored event lies
+        in [0, round_makespan), which ``validate_schedule`` checks.
+        """
+        pattern = [(a, ev) for a, evs in self.events.items() for ev in evs]
+        pattern.sort(key=lambda pair: (pair[1].t, pair[0], pair[1].kind))
+        for r in range(self.rounds):
+            offset = r * self.round_makespan
+            for a, ev in pattern:
+                yield ev.t + offset, a, ev
 
     # -- serialization -------------------------------------------------------
 
@@ -75,17 +87,18 @@ class Schedule:
         lines.append(f"makespan_ns = {self.makespan}")
         return lines
 
-    def _named_events(self) -> Iterator[tuple[int, Event, str,
+    def _named_events(self) -> Iterator[tuple[int, int, Event, str,
                                               Optional[str]]]:
-        """(ancilla, event, comp text, dest text or None) in ``all_events``
-        order, with ``comp_str`` called once per component object.
+        """(time, ancilla, event, comp text, dest text or None) in
+        ``all_events`` order, with ``comp_str`` called once per component
+        object.
 
         Texts are keyed by ``id()``, not by value: ``1 == 1.0 == True``, so
         a value key would give a malformed id the text of a well-formed one.
         The events hold every keyed object, so no id is reused meanwhile.
         """
         texts: dict[int, str] = {}
-        for a, ev in self.all_events():
+        for t, a, ev in self.all_events():
             comp = texts.get(id(ev.comp))
             if comp is None:
                 comp = texts[id(ev.comp)] = comp_str(ev.comp)
@@ -94,24 +107,24 @@ class Schedule:
                 dest = texts.get(id(ev.dest))
                 if dest is None:
                     dest = texts[id(ev.dest)] = comp_str(ev.dest)
-            yield a, ev, comp, dest
+            yield t, a, ev, comp, dest
 
     def to_text(self) -> str:
         out = [f"# {line}" for line in self.header_lines()]
-        for a, ev, comp, dest in self._named_events():
+        for t, a, ev, comp, dest in self._named_events():
             if dest is not None:
                 comp = f"{comp}>{dest}"
-            line = f"a{a} {ev.kind} {ev.t} {ev.duration} {comp}"
+            line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
             if ev.partner is not None:
                 line = f"{line} d{ev.partner}"
             out.append(line)
         return "\n".join(out) + "\n"
 
     def to_json(self) -> str:
-        events = [{"qubit": f"a{a}", "kind": ev.kind, "t": ev.t,
+        events = [{"qubit": f"a{a}", "kind": ev.kind, "t": t,
                    "duration": ev.duration, "comp": comp, "dest": dest,
                    "partner": ev.partner}
-                  for a, ev, comp, dest in self._named_events()]
+                  for t, a, ev, comp, dest in self._named_events()]
         doc = {
             "format": "shuttleplan schedule v1",
             "provenance": self.provenance,
@@ -396,23 +409,15 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
 
 
 def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
-    """Repeat the round pattern back to back, one period per round."""
+    """Repeat the round back to back, one period per round: the stored
+    round, shared with the input, under a new round count."""
     if type(rounds) is not int or rounds < 1:
         raise CompileError(f"rounds must be an int >= 1, got {rounds!r}")
     if schedule.rounds != 1:
         raise CompileError("replicate_rounds expects a single-round schedule")
     if rounds == 1:
         return schedule
-    period = schedule.round_makespan
-    events: dict[int, list[Event]] = {}
-    for aid, evs in schedule.events.items():
-        shifted = list(evs)  # events are frozen, so round 0 shares them
-        for r in range(1, rounds):
-            offset = r * period
-            shifted.extend(Event(ev.kind, ev.t + offset, ev.duration, ev.comp,
-                                 ev.dest, ev.partner) for ev in evs)
-        events[aid] = shifted
-    return replace(schedule, events=events, rounds=rounds)
+    return replace(schedule, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +437,31 @@ class ValidationReport:
 
 
 def validate_schedule(schedule: Schedule) -> ValidationReport:
-    """Independent sweep: data placement, collisions, completion, order,
-    contiguity, timing.
+    """Independent sweep: round count, data placement, collisions,
+    completion, order, contiguity, timing.
 
-    Every check task needs events under its ancilla key, and every key of
-    ``schedule.events`` needs a task. Event e belongs to round
-    ``e.t // round_makespan`` and must end by the end of that round; an
-    event outside every round window is reported.
+    The round count must be an int >= 1 and the round makespan M a positive
+    int; a malformed one is reported, never raised on. Every check task
+    needs events under its ancilla key, and every key of ``schedule.events``
+    needs a task. Every stored event must lie in the round window [0, M);
+    one outside it is reported.
+
+    The stored round is checked once, and its reports name round 0. That is
+    exact for every round. Round r is the stored round shifted by r * M,
+    so every span of round r lies in [r * M, (r + 1) * M) and spans of
+    different rounds never meet: no collision crosses a round boundary.
+    Every other check reads one ancilla-round or one round's gates, and
+    gives the same verdict on the shifted copy.
     """
     report = ValidationReport()
     period, rounds = schedule.round_makespan, schedule.rounds
+    if type(rounds) is not int:
+        report.add(f"round count {rounds!r} is not an int")
+    elif rounds < 1:
+        report.add(f"round count {rounds} is not positive")
+    if type(period) is not int:
+        report.add(f"round makespan {period!r} is not an int")
+        return report
     if period <= 0:
         report.add(f"round makespan {period} is not positive")
         return report
@@ -449,10 +469,10 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
         report.add(message)
     # component -> (start, end, owner) of every span held there
     occupancies: dict[ComponentId, list[tuple[int, float, str]]] = {}
-    # per (round, data qubit): end of the last X-check CX, start of the first
-    # Z-check CX
-    last_x: dict[tuple[int, int], int] = {}
-    first_z: dict[tuple[int, int], int] = {}
+    # per data qubit: the end of its last X-check CX and the start of its
+    # first Z-check CX
+    last_x: dict[int, int] = {}
+    first_z: dict[int, int] = {}
 
     # id() of every component object found well formed: is_component_id
     # runs once per object, and a malformed one is reported at every use
@@ -471,42 +491,37 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
         if not events:
             report.add(f"{q}: no events")
             continue
-        by_round: list[list[Event]] = [[] for _ in range(rounds)]
+        inside: list[Event] = []
         for ev in events:
-            rnd = ev.t // period
-            if not (0 <= rnd < rounds and ev.end <= (rnd + 1) * period):
+            if not (0 <= ev.t < period and ev.end <= period):
                 report.add(f"{q}: {ev.kind} [{ev.t},{ev.end}) lies outside "
                            f"the round windows")
                 continue
-            by_round[rnd].append(ev)
+            inside.append(ev)
             if ev.kind == "CX":
-                key = (rnd, ev.partner)
                 if task.basis == "X":
-                    last_x[key] = max(last_x.get(key, 0), ev.end)
+                    last_x[ev.partner] = max(last_x.get(ev.partner, 0),
+                                             ev.end)
                 else:
-                    first_z[key] = min(first_z.get(key, ev.t), ev.t)
-        for rnd, round_events in enumerate(by_round):
-            where = f"{q} round {rnd}"
-            # comp_str and every position check need well-formed ids
-            ids = [(ev, ev.comp) for ev in round_events]
-            ids += [(ev, ev.dest) for ev in round_events
-                    if ev.dest is not None]
-            malformed = [(ev, comp) for ev, comp in ids
-                         if id(comp) not in well_formed and not admit(comp)]
-            for ev, comp in malformed:
-                report.add(f"{where}: {ev.kind} at {ev.t} names malformed "
-                           f"component {comp!r}")
-            _check_round(report, schedule, task, round_events, rnd,
-                         placed=not malformed)
-            if not round_events or malformed:
-                continue
-            # occupancy built per round so residencies never span a round
-            # boundary
-            spans, faults = ancilla_occupancy(round_events)
-            for fault in faults:
-                report.add(f"{where}: {fault}")
-            for comp, start, end in spans:
-                occupancies.setdefault(comp, []).append((start, end, where))
+                    first_z[ev.partner] = min(first_z.get(ev.partner, ev.t),
+                                              ev.t)
+        where = f"{q} round 0"
+        # comp_str and every position check need well-formed ids
+        ids = [(ev, ev.comp) for ev in inside]
+        ids += [(ev, ev.dest) for ev in inside if ev.dest is not None]
+        malformed = [(ev, comp) for ev, comp in ids
+                     if id(comp) not in well_formed and not admit(comp)]
+        for ev, comp in malformed:
+            report.add(f"{where}: {ev.kind} at {ev.t} names malformed "
+                       f"component {comp!r}")
+        _check_round(report, schedule, task, inside, placed=not malformed)
+        if not inside or malformed:
+            continue
+        spans, faults = ancilla_occupancy(inside)
+        for fault in faults:
+            report.add(f"{where}: {fault}")
+        for comp, start, end in spans:
+            occupancies.setdefault(comp, []).append((start, end, where))
     for aid in sorted(set(schedule.events)
                       - {task.ancilla for task in schedule.tasks}):
         report.add(f"a{aid}: events for an ancilla with no check task")
@@ -518,23 +533,22 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
                 report.add(f"collision on {comp_str(comp)}: {owner_a} "
                            f"[{a0},{a1}) vs {owner_b} [{b0},{b1})")
 
-    # Per data qubit and round, every X-check CX must precede every Z CX. A Z
-    # gate landing between two X gates of an overlapping check (or vice
-    # versa) injects the other ancilla's Pauli into the measured operator and
-    # makes the outcome non-deterministic.
-    for (rnd, data), t_z in sorted(first_z.items(), key=lambda kv: kv[0][0]):
-        if t_z < last_x.get((rnd, data), 0):
-            report.add(f"round {rnd}: d{data} receives a Z-check CX at "
-                       f"{t_z} before its last X-check CX ends at "
-                       f"{last_x[rnd, data]}")
+    # Per data qubit, every X-check CX must precede every Z CX. A Z gate
+    # landing between two X gates of an overlapping check (or vice versa)
+    # injects the other ancilla's Pauli into the measured operator and makes
+    # the outcome non-deterministic.
+    for data, t_z in first_z.items():
+        if t_z < last_x.get(data, 0):
+            report.add(f"round 0: d{data} receives a Z-check CX at {t_z} "
+                       f"before its last X-check CX ends at {last_x[data]}")
     return report
 
 
 def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
-                 events: list[Event], rnd: int, placed: bool) -> None:
-    """One ancilla-round's own checks; positions are read only if placed."""
-    where = f"a{task.ancilla} round {rnd}"
-    t0 = rnd * schedule.round_makespan
+                 events: list[Event], placed: bool) -> None:
+    """One ancilla's own checks on the stored round; positions are read
+    only if placed."""
+    where = f"a{task.ancilla} round 0"
     timing = schedule.timing
     if not events:
         report.add(f"{where}: empty round")
@@ -542,8 +556,8 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
     if events[0].kind != "INIT" or events[-1].kind != "MEASURE":
         report.add(f"{where}: round must run INIT..MEASURE")
         return
-    if events[0].t != t0:
-        report.add(f"{where}: INIT at {events[0].t}, expected {t0}")
+    if events[0].t != 0:
+        report.add(f"{where}: INIT at {events[0].t}, expected 0")
 
     gated: list[int] = []
     for ev in events:

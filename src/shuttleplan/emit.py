@@ -12,9 +12,9 @@ Every instruction enters a `StabCircuit` through one checked batch method,
 `StabCircuit.extend`, and `append` is a batch of one. A batch is checked
 as a whole before anything is added, each rule once over all of it rather
 than once per instruction: integer targets (numpy integers become plain
-ints, a float is refused), known names, even target counts for the pair
-instructions, qubit targets in range, args (each distinct one checked
-once: a noise channel takes a one-tuple of a probability in [0, 1],
+ints, a float or a bool is refused), known names, even target counts for
+the pair instructions, qubit targets in range, args (each distinct one
+checked once: a noise channel takes a one-tuple of a probability in [0, 1],
 OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
 measurement records that index only the measurements before them.
 `emit_memory_circuit` builds its instructions itself and checks them as one
@@ -31,6 +31,7 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 from __future__ import annotations
 
 import math
+from itertools import product
 from numbers import Integral, Real
 from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -46,7 +47,7 @@ class Instruction(NamedTuple):
     name: str
     targets: tuple[int, ...] = ()
     arg: Optional[tuple] = None  # probability, coordinates or observable index
-    meta: Optional[dict] = None
+    meta: Optional[dict] = None  # read-only: instructions may share one
 
     def head(self) -> str:
         """The name, with the formatted arguments when there are any."""
@@ -118,18 +119,25 @@ class StabCircuit:
 
         Targets other than a tuple of plain ints are converted with
         ``operator.index``, so numpy integers pass and a float raises
-        TypeError. ValueError is raised for a name outside the instruction
-        set, for a CX or DEPOLARIZE2 with an odd number of targets, for a
-        gate, reset, measure, noise or QUBIT_COORDS target outside
-        [0, num_qubits), for a noise channel whose arg is not a one-tuple of
-        a probability in [0, 1], for an OBSERVABLE_INCLUDE whose arg is not
-        a one-tuple of an int >= 0 (a bool is neither) and for a DETECTOR or
+        TypeError; so does a bool, which ``index`` would take for 0 or 1.
+        ValueError is raised for a name outside the instruction set, for a
+        CX or DEPOLARIZE2 with an odd number of targets, for a gate, reset,
+        measure, noise or QUBIT_COORDS target outside [0, num_qubits), for
+        a noise channel whose arg is not a one-tuple of a probability in
+        [0, 1], for an OBSERVABLE_INCLUDE whose arg is not a one-tuple of an
+        int >= 0 (a bool is neither) and for a DETECTOR or
         OBSERVABLE_INCLUDE record outside the measurements made before it.
         A batch that raises adds nothing.
         """
         batch = list(instructions)
-        if ({type(i.targets) for i in batch} - {tuple}
-                or {type(t) for i in batch for t in i.targets} - {int}):
+        if {type(i.targets) for i in batch} - {tuple}:
+            batch = [i._replace(targets=tuple(i.targets)) for i in batch]
+        kinds = {type(t) for i in batch for t in i.targets}
+        if bool in kinds:
+            bad = next(i for i in batch if bool in map(type, i.targets))
+            raise TypeError(f"{bad.name} targets {bad.targets}: a bool is "
+                            f"not a target")
+        if kinds - {int}:
             batch = [i._replace(targets=tuple(map(index, i.targets)))
                      for i in batch]
         if {i.name for i in batch} - _KNOWN_OPS:
@@ -219,7 +227,15 @@ def compose_phase_flips(p: float, repeats: int) -> float:
 def emit_memory_circuit(schedule: Schedule, code: CssCode,
                         logicals: LogicalOperators,
                         noise: NoiseConfig, basis: str) -> StabCircuit:
-    """Memory experiment: transversal init, scheduled SE rounds, readout."""
+    """Memory experiment: transversal init, scheduled SE rounds, readout.
+
+    Round r runs the schedule's stored round at its times plus
+    r * round_makespan. Repeated facts are stored once per circuit: equal
+    target tuples are one tuple object, and so are equal noise args, each
+    a one-tuple of a float; the two are kept apart, since ``(1,) == (1.0,)``.
+    The X_ERROR and Z_ERROR of one idle gap share one meta dict, so every
+    instruction's meta is read-only.
+    """
     basis = _memory_basis(basis)
     if logicals.x.shape[1] != code.n:
         raise CodeError("logical operators do not match the code length")
@@ -236,14 +252,18 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     # (time, qubit key, instruction), sorted by time and qubit key; ties
     # keep insertion order
     emissions: list[tuple[int, int, Instruction]] = []
+    # each distinct targets tuple and noise arg, stored once
+    shared_targets: dict[tuple[int, ...], tuple[int, ...]] = {}
+    shared_args: dict[tuple[float], tuple[float]] = {}
 
     def add(t: int, qkey: int, name: str, targets, arg=None, meta=None):
+        targets = shared_targets.setdefault(targets, targets)
         emissions.append((t, qkey, Instruction(name, targets, arg, meta)))
 
     def add_noise(t, qkey, name, targets, p, meta):
         if p > 0.0:
-            emissions.append((t, qkey, Instruction(name, targets, (float(p),),
-                                                   meta)))
+            arg = (float(p),)
+            add(t, qkey, name, targets, shared_args.setdefault(arg, arg), meta)
 
     for i in range(n):
         x, y = schedule.data_cells[i]
@@ -277,43 +297,45 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                            "edges": run_edges})
             run_edges = 0
 
-        for ev in schedule.events[a]:
-            rnd = ev.t // period
+        # round by round, the stored round's events at their shifted times
+        for rnd, ev in product(range(schedule.rounds), schedule.events[a]):
+            t, end = ev.t + rnd * period, ev.end + rnd * period
             if ev.kind == "SHUTTLE":
                 run_edges += 1
-                run_end = ev.end
+                run_end = end
                 continue
             if ev.kind == "WAIT":
-                add_noise(ev.end, q, "X_ERROR", (q,), noise.idle_px(ev.duration),
-                          {"kind": "idle", "ancilla": a, "round": rnd})
-                add_noise(ev.end, q, "Z_ERROR", (q,), noise.idle_pz(ev.duration),
-                          {"kind": "idle", "ancilla": a, "round": rnd})
+                idle = {"kind": "idle", "ancilla": a, "round": rnd}
+                add_noise(end, q, "X_ERROR", (q,), noise.idle_px(ev.duration),
+                          idle)
+                add_noise(end, q, "Z_ERROR", (q,), noise.idle_pz(ev.duration),
+                          idle)
                 continue
             flush_shuttle(rnd)
             if ev.kind == "INIT":
-                add(ev.t, q, "R", (q,))
-                add_noise(ev.t, q, "X_ERROR", (q,), noise.p_init,
+                add(t, q, "R", (q,))
+                add_noise(t, q, "X_ERROR", (q,), noise.p_init,
                           {"kind": "init", "ancilla": a, "round": rnd})
             elif ev.kind == "H":
-                add(ev.t, q, "H", (q,))
-                add_noise(ev.t, q, "DEPOLARIZE1", (q,), noise.p_h,
+                add(t, q, "H", (q,))
+                add_noise(t, q, "DEPOLARIZE1", (q,), noise.p_h,
                           {"kind": "h", "ancilla": a, "round": rnd})
             elif ev.kind == "CX":
                 data = ev.partner
                 pair = (q, data) if task.basis == "X" else (data, q)
-                add(ev.t, q, "CX", pair)
-                add_noise(ev.t, q, "DEPOLARIZE2", pair, noise.p_cx,
+                add(t, q, "CX", pair)
+                add_noise(t, q, "DEPOLARIZE2", pair, noise.p_cx,
                           {"kind": "cx", "ancilla": a, "round": rnd,
                            "data": data})
-                cx_by_data[data].append((ev.t, ev.end))
+                cx_by_data[data].append((t, end))
             elif ev.kind == "DISPLACE":
-                add_noise(ev.end, q, "Z_ERROR", (q,), noise.p_displace,
+                add_noise(end, q, "Z_ERROR", (q,), noise.p_displace,
                           {"kind": "displace", "ancilla": a, "round": rnd})
             elif ev.kind == "MEASURE":
-                add_noise(ev.t, q, "X_ERROR", (q,), noise.p_meas,
+                add_noise(t, q, "X_ERROR", (q,), noise.p_meas,
                           {"kind": "meas", "ancilla": a, "round": rnd})
-                add(ev.t, q, "M", (q,), meta={"kind": "anc_measure",
-                                              "check": a, "round": rnd})
+                add(t, q, "M", (q,), meta={"kind": "anc_measure",
+                                           "check": a, "round": rnd})
             else:
                 raise CodeError(f"unknown schedule event {ev.kind}")
         flush_shuttle(schedule.rounds - 1)
@@ -351,10 +373,9 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
 
 def _data_idle(add_noise, noise: NoiseConfig, qubit: int, start: int, end: int):
     dt = end - start
-    add_noise(end, qubit, "X_ERROR", (qubit,), noise.idle_px(dt),
-              {"kind": "idle", "qubit": qubit})
-    add_noise(end, qubit, "Z_ERROR", (qubit,), noise.idle_pz(dt),
-              {"kind": "idle", "qubit": qubit})
+    idle = {"kind": "idle", "qubit": qubit}
+    add_noise(end, qubit, "X_ERROR", (qubit,), noise.idle_px(dt), idle)
+    add_noise(end, qubit, "Z_ERROR", (qubit,), noise.idle_pz(dt), idle)
 
 
 def _memory_basis(basis) -> str:

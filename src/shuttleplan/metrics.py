@@ -33,11 +33,11 @@ class ShuttleStats:
 
 def shuttle_stats(schedule: Schedule,
                   ideal: dict[int, float] | None = None) -> ShuttleStats:
-    """Count unit-edge shuttles per ancilla per round."""
+    """Count unit-edge shuttles per ancilla per round: every round repeats
+    the stored one, so its count is the mean."""
     per = {}
     for aid, events in schedule.events.items():
-        edges = sum(1 for ev in events if ev.kind == "SHUTTLE")
-        per[aid] = edges / schedule.rounds
+        per[aid] = float(sum(1 for ev in events if ev.kind == "SHUTTLE"))
     mean = sum(per.values()) / len(per) if per else 0.0
     peak = max(per.values()) if per else 0.0
     overhead = None

@@ -101,7 +101,7 @@ class SearchState(NamedTuple):
     mask: int  # bit j set once target j has been gated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One timed action of an ancilla; the ancilla keys its event list."""
 

@@ -9,7 +9,8 @@ at a time through a circuit as sets of qubits, the noise oracle expands
 each noise instruction into its faults one target at a time, and the
 tableau oracle is a row-major uint8 destabilizer/stabilizer tableau that
 updates every row of a column with numpy and multiplies rows one phase
-term at a time.
+term at a time, and the round oracle expands a schedule's stored round into
+a shifted copy of every event of every round and sweeps all of them.
 
 Two helpers here are not independent: `fault_sites` writes the input of
 the package's `fault_scan`, and `in_rowspace` compares two `gf2.rank`
@@ -30,8 +31,10 @@ from shuttleplan import gf2
 from shuttleplan.chip import (INTERACTION, INTERSECTION, READOUT, ChipLayout,
                               TimingConfig, channel_id, interaction_id,
                               intersection_id, readout_id)
+from shuttleplan.compiler import ancilla_occupancy
 from shuttleplan.intervals import ReservationTable
 from shuttleplan.pauli import FaultSites
+from shuttleplan.planner import Event
 
 if TYPE_CHECKING:
     from shuttleplan.planner import PlanRequest
@@ -297,6 +300,52 @@ def propagate_frame(circuit, index: int, paulis):
                     flipped.append(measured)
                 measured += 1
     return xs, zs, flipped
+
+
+def expand_rounds(schedule) -> dict[int, list[list[Event]]]:
+    """ancilla -> one event list per round: round r's events are new
+    ``Event`` copies of the stored round's, at t + r * round_makespan."""
+    period = schedule.round_makespan
+    return {a: [[Event(ev.kind, ev.t + r * period, ev.duration, ev.comp,
+                       ev.dest, ev.partner) for ev in evs]
+                for r in range(schedule.rounds)]
+            for a, evs in schedule.events.items()}
+
+
+def sweep_rounds(schedule) -> list[str]:
+    """Window and collision faults over every event of every round.
+
+    An event of round r must lie in [r * M, (r + 1) * M). The events that
+    do are laid out per ancilla-round by ``ancilla_occupancy``, and every
+    span that starts before the latest end of the spans sorted ahead of it
+    on one component is a collision with the span that holds that end.
+    """
+    period = schedule.round_makespan
+    faults: list[str] = []
+    held: dict[tuple, list[tuple[int, int, str]]] = {}
+    for a, rounds in expand_rounds(schedule).items():
+        for r, events in enumerate(rounds):
+            owner = f"a{a} round {r}"
+            lo, hi = r * period, (r + 1) * period
+            inside: list[Event] = []
+            for ev in events:
+                if lo <= ev.t < hi and ev.end <= hi:
+                    inside.append(ev)
+                else:
+                    faults.append(f"{owner}: {ev.kind} [{ev.t},{ev.end}) "
+                                  f"outside [{lo},{hi})")
+            if inside:
+                for comp, start, end in ancilla_occupancy(inside)[0]:
+                    held.setdefault(comp, []).append((start, end, owner))
+    for comp, spans in held.items():
+        spans.sort()
+        latest = spans[0]
+        for span in spans[1:]:
+            if span[0] < latest[1]:
+                faults.append(f"collision on {comp}: {latest[2]} vs {span[2]}")
+            if span[1] > latest[1]:
+                latest = span
+    return faults
 
 
 _PAULI_BITS = {"X": 1, "Z": 2, "Y": 3}

@@ -1,14 +1,16 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import expand_rounds, sweep_rounds
 from shuttleplan import tsp
 from shuttleplan.chip import TimingConfig, build_grid, readout_id
 from shuttleplan.compiler import (CompileError, Event, assign_homes,
-                                  replicate_rounds, schedule_round,
+                                  comp_str, replicate_rounds, schedule_round,
                                   validate_schedule)
 from shuttleplan.css import (CheckTask, CssCode, load_css, parse_css,
                              surface_code)
@@ -237,11 +239,13 @@ def test_replicate_identity():
 
 
 def test_replicate_three_rounds():
+    """The stored round is shared, and it expands to three rounds."""
     _, schedule = compile_surface(3)
     tripled = replicate_rounds(schedule, 3)
     assert tripled.makespan == 3 * schedule.round_makespan
-    for aid, evs in tripled.events.items():
-        assert len(evs) == 3 * len(schedule.events[aid])
+    assert tripled.events is schedule.events
+    for aid, rounds in expand_rounds(tripled).items():
+        assert sum(map(len, rounds)) == 3 * len(schedule.events[aid])
     assert validate_schedule(tripled).ok
 
 
@@ -476,27 +480,22 @@ def test_validator_reports_corrupted_event(aid, edit, expected):
 
 
 def test_validator_reports_a_malformed_id_at_every_use():
-    """One malformed id object shared by two events, in every round, is
-    reported once per event; a float coordinate equal to a well-formed id
-    is reported too."""
+    """One malformed id object shared by two events of the stored round is
+    reported once per event, whatever the round count; a float coordinate
+    equal to a well-formed id is reported too."""
     schedule = replicate_rounds(compile_surface(3, tailored=True)[1], 2)
     bad = ("interaction", 1)
-    events = [replace(ev, comp=bad) if i % 11 in (3, 4) else ev
+    events = [replace(ev, comp=bad) if i in (3, 4) else ev
               for i, ev in enumerate(schedule.events[0])]
     events[1] = replace(events[1], comp=("readout", 1.0, 1))
     report = validate_schedule(replace(schedule,
                                        events={**schedule.events, 0: events}))
-    period = schedule.round_makespan
     malformed = [v for v in report.violations if "malformed" in v]
     assert malformed == [
         "a0 round 0: H at 500 names malformed component ('readout', 1.0, 1)",
         "a0 round 0: CX at 800 names malformed component ('interaction', 1)",
         "a0 round 0: DISPLACE at 900 names malformed component "
-        "('interaction', 1)",
-        f"a0 round 1: CX at {period + 800} names malformed component "
-        f"('interaction', 1)",
-        f"a0 round 1: DISPLACE at {period + 900} names malformed component "
-        f"('interaction', 1)"]
+        "('interaction', 1)"]
 
 
 def test_schedule_text_names_each_component_object_by_its_own_value():
@@ -511,23 +510,50 @@ def test_schedule_text_names_each_component_object_by_its_own_value():
 
 
 def test_validator_reports_empty_round():
+    """Every round runs the stored one, so a round is empty only when the
+    stored round is: an ancilla with no events, or with every event past
+    the round window."""
     schedule = replicate_rounds(compile_surface(3)[1], 2)
-    round0 = [ev for ev in schedule.events[0] if ev.t < schedule.round_makespan]
+    period = schedule.round_makespan
     report = validate_schedule(replace(schedule,
-                                       events={**schedule.events, 0: round0}))
-    assert report.violations == ["a0 round 1: empty round"]
+                                       events={**schedule.events, 0: []}))
+    assert report.violations == ["a0: no events"]
+    late = [replace(ev, t=ev.t + period) for ev in schedule.events[0]]
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, 0: late}))
+    assert report.violations == [
+        *(f"a0: {ev.kind} [{ev.t},{ev.end}) lies outside the round windows"
+          for ev in late), "a0 round 0: empty round"]
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("rounds", 2.0, "round count 2.0 is not an int"),
+    ("rounds", "2", "round count '2' is not an int"),
+    ("rounds", None, "round count None is not an int"),
+    ("rounds", True, "round count True is not an int"),
+    ("rounds", 0, "round count 0 is not positive"),
+    ("round_makespan", None, "round makespan None is not an int"),
+    ("round_makespan", 13.3, "round makespan 13.3 is not an int"),
+    ("round_makespan", True, "round makespan True is not an int"),
+])
+def test_validator_reports_a_malformed_round_count(field, value, expected):
+    """The round count and the round makespan are the only record of the
+    rounds; a malformed one is a named violation, never an exception."""
+    _, schedule = compile_surface(3)
+    report = validate_schedule(replace(schedule, **{field: value}))
+    assert report.violations == [expected]
 
 
 def test_schedule_json_matches_events_and_text():
     schedule = replicate_rounds(compile_surface(3)[1], 2)
     doc = json.loads(schedule.to_json())
-    pairs = schedule.all_events()
+    triples = list(schedule.all_events())
     lines = [ln.split() for ln in schedule.to_text().splitlines()
              if not ln.startswith("#")]
-    assert len(doc["events"]) == len(pairs) == len(lines)
-    for row, (a, ev), fields in zip(doc["events"], pairs, lines):
+    assert len(doc["events"]) == len(triples) == len(lines)
+    for row, (t, a, ev), fields in zip(doc["events"], triples, lines):
         assert (row["qubit"], row["kind"], row["t"], row["duration"],
-                row["partner"]) == (f"a{a}", ev.kind, ev.t, ev.duration,
+                row["partner"]) == (f"a{a}", ev.kind, t, ev.duration,
                                     ev.partner)
         assert (row["dest"] is None) == (ev.dest is None)
         dest = "" if row["dest"] is None else f">{row['dest']}"
@@ -536,6 +562,88 @@ def test_schedule_json_matches_events_and_text():
     assert doc["round_makespan_ns"] == schedule.round_makespan
     assert doc["makespan_ns"] == schedule.makespan
     assert doc["provenance"] == schedule.provenance
+
+
+# (stored round, round count) pairs checked against the expanded rounds
+EXPANDED = [(name, rounds) for name in ("surface-d3", "surface-d5", "bb72")
+            for rounds in (1, 2, 6)]
+
+
+@pytest.fixture(scope="module")
+def stored_rounds(bb72_path):
+    rounds = {f"surface-d{d}": compile_surface(d)[1] for d in (3, 5)}
+    code = load_css(str(bb72_path))
+    rounds["bb72"] = schedule_round(
+        code, default_layout(code, build_grid(9, 8)), TIMING)
+    return rounds
+
+
+def _printed(schedule) -> list[str]:
+    """The expanded rounds' events, sorted by time, ancilla and kind and
+    printed one line each as the text form prints them."""
+    pairs = [(a, ev) for a, rounds in expand_rounds(schedule).items()
+             for events in rounds for ev in events]
+    pairs.sort(key=lambda pair: (pair[1].t, pair[0], pair[1].kind))
+    return [_line(f"a{a}", ev.kind, ev.t, ev.duration, comp_str(ev.comp),
+                  None if ev.dest is None else comp_str(ev.dest), ev.partner)
+            for a, ev in pairs]
+
+
+def _line(qubit, kind, t, duration, comp, dest, partner) -> str:
+    dest = "" if dest is None else f">{dest}"
+    partner = "" if partner is None else f" d{partner}"
+    return f"{qubit} {kind} {t} {duration} {comp}{dest}{partner}"
+
+
+@pytest.mark.parametrize("name,rounds", EXPANDED,
+                         ids=[f"{n}-{r}" for n, r in EXPANDED])
+def test_text_and_json_print_the_expanded_rounds(stored_rounds, name, rounds):
+    one = stored_rounds[name]
+    schedule = replicate_rounds(one, rounds)
+    assert schedule.events is one.events
+    expected = _printed(schedule)
+    assert [ln for ln in schedule.to_text().splitlines()
+            if not ln.startswith("#")] == expected
+    rows = json.loads(schedule.to_json())["events"]
+    assert [_line(r["qubit"], r["kind"], r["t"], r["duration"], r["comp"],
+                  r["dest"], r["partner"]) for r in rows] == expected
+
+
+@pytest.mark.parametrize("name,rounds", EXPANDED,
+                         ids=[f"{n}-{r}" for n, r in EXPANDED])
+def test_validator_agrees_with_a_sweep_of_the_expanded_rounds(
+        stored_rounds, name, rounds):
+    """Checking the stored round once gives the verdict of a window and
+    collision sweep over every event of every round: on the valid round,
+    with a shuttle moved to end past, start at or start past the round
+    makespan, and with a1 walking a0's route, whose collisions the sweep
+    finds within rounds, never between two."""
+    schedule = replicate_rounds(stored_rounds[name], rounds)
+    assert validate_schedule(schedule).ok
+    assert sweep_rounds(schedule) == []
+    period = schedule.round_makespan
+    events = schedule.events[0]
+    i = next(i for i, ev in enumerate(events) if ev.kind == "SHUTTLE")
+    duration = events[i].duration
+    for t in (period - duration + 1, period, period + 300):
+        moved = [*events[:i], replace(events[i], t=t), *events[i + 1:]]
+        corrupted = replace(schedule, events={**schedule.events, 0: moved})
+        report = validate_schedule(corrupted)
+        swept = sweep_rounds(corrupted)
+        assert not report.ok and swept
+        assert [v for v in report.violations if "round windows" in v] == [
+            f"a0: SHUTTLE [{t},{t + duration}) lies outside the round "
+            f"windows"]
+        assert len([f for f in swept if " outside " in f]) == rounds
+    tasks = list(schedule.tasks)
+    tasks[1] = replace(tasks[0], ancilla=1)
+    walked = replace(schedule, tasks=tasks,
+                     events={**schedule.events, 1: events})
+    assert not validate_schedule(walked).ok
+    collided = [re.fullmatch(r"collision on .*: a[01] round (\d+) vs "
+                             r"a[01] round \1", f) for f in sweep_rounds(walked)]
+    assert collided and all(collided)
+    assert {int(m[1]) for m in collided} == set(range(rounds))
 
 
 def test_schedule_text_roundtrip_shape():

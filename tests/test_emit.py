@@ -322,6 +322,21 @@ def test_extend_matches_append_on_pinned_circuits(pinned_circuits):
         assert whole.to_text() == circuit.to_text()
 
 
+def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
+    """Equal qubit targets are one tuple object, and so are equal noise
+    args, each a one-tuple of a float; the X_ERROR and Z_ERROR of one idle
+    gap share their meta. The records of the detectors and observables,
+    which add_detectors builds, are not shared."""
+    bb72 = [i for i in pinned_circuits[-1].instructions
+            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+    assert len({id(i.targets) for i in bb72}) == len({i.targets for i in bb72})
+    noise = [i for i in bb72 if i.name in NOISE_CHANNELS]
+    assert len({id(i.arg) for i in noise}) == len({i.arg for i in noise})
+    assert {type(i.arg[0]) for i in noise} == {float}
+    idle = [i for i in noise if i.meta["kind"] == "idle"]
+    assert 2 * len({id(i.meta) for i in idle}) == len(idle)
+
+
 def test_extend_normalises_targets_as_append_does():
     c = StabCircuit(3)
     c.append("CX", [np.int64(0), np.uint8(2)])
@@ -343,6 +358,7 @@ REJECTED = [
                                           "DEPOLARIZE2", "QUBIT_COORDS")
       for bad in (-1, 3, 1.7)),
     *((name, (0, 1), None) for name in ("CZ", "m", "SHIFT_COORDS", "")),
+    ("H", (True,), None),  # a bool is no qubit, though index(True) == 1
     *((name, (0, bad), (0,) if name == "OBSERVABLE_INCLUDE" else None)
       for name in ("DETECTOR", "OBSERVABLE_INCLUDE")
       for bad in (-1, 2, 5, 0.5)),
