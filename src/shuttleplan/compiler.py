@@ -11,9 +11,11 @@ per ancilla, keyed by the ancilla, with a route's WAIT, SHUTTLE and DISPLACE
 events as they are and each GATE as a CX (an H-CX-H sandwich on a tailored
 Z ancilla). Round r is that stored round shifted by r times the round
 makespan M, which stays collision-free because every occupancy of round r
-lies inside [r*M, (r+1)*M). Its readers (``Schedule.all_events``, the text
-and JSON forms, the emitter and the metrics) add the offset as they read
-and build no shifted ``Event``.
+lies inside [r*M, (r+1)*M). Each writer lowers the stored round once and
+repeats it: the text and JSON forms name each stored event once and print
+its row at t + r*M in every round, and the emitter builds each stored
+event's instructions once and places the same objects at t + r*M. No
+shifted ``Event`` is built.
 
 Where an ancilla rests is decided by `ancilla_occupancy` alone, for both
 planning and validation; its docstring states the residency model.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .chip import (CHANNEL, INTERACTION, READOUT, Cell,
                    ChipLayout, ComponentId, TimingConfig, build_grid,
@@ -53,6 +55,7 @@ class Schedule:
     homes: dict[int, Cell]
     timing: TimingConfig
     tailored: bool
+    ordered: bool                   # every check visits its targets in order
     rounds: int
     round_makespan: int
     provenance: dict = field(default_factory=dict)
@@ -60,21 +63,6 @@ class Schedule:
     @property
     def makespan(self) -> int:
         return self.rounds * self.round_makespan
-
-    def all_events(self) -> Iterator[tuple[int, int, Event]]:
-        """(time, ancilla, event) for every event of every round, ordered by
-        time, ancilla and kind: the stored round's events, sorted once, and
-        round r's at their time plus r * round_makespan.
-
-        Round after round is in time order because every stored event lies
-        in [0, round_makespan), which ``validate_schedule`` checks.
-        """
-        pattern = [(a, ev) for a, evs in self.events.items() for ev in evs]
-        pattern.sort(key=lambda pair: (pair[1].t, pair[0], pair[1].kind))
-        for r in range(self.rounds):
-            offset = r * self.round_makespan
-            for a, ev in pattern:
-                yield ev.t + offset, a, ev
 
     # -- serialization -------------------------------------------------------
 
@@ -87,31 +75,28 @@ class Schedule:
         lines.append(f"makespan_ns = {self.makespan}")
         return lines
 
-    def _named_events(self) -> Iterator[tuple[int, int, Event, str,
-                                              Optional[str]]]:
-        """(time, ancilla, event, comp text, dest text or None) in
-        ``all_events`` order, with ``comp_str`` called once per component
-        object.
+    def _rows(self) -> Iterator[tuple[int, int, Event, str, Optional[str]]]:
+        """(time, ancilla, event, comp text, dest text or None) for every
+        event of every round, ordered by time, ancilla and kind.
 
-        Texts are keyed by ``id()``, not by value: ``1 == 1.0 == True``, so
-        a value key would give a malformed id the text of a well-formed one.
-        The events hold every keyed object, so no id is reused meanwhile.
+        The stored round is sorted once and each of its events named once,
+        from its own component objects; round r repeats those rows at their
+        time plus r * round_makespan. Round after round is in time order
+        because every stored event lies in [0, round_makespan), which
+        ``validate_schedule`` checks.
         """
-        texts: dict[int, str] = {}
-        for t, a, ev in self.all_events():
-            comp = texts.get(id(ev.comp))
-            if comp is None:
-                comp = texts[id(ev.comp)] = comp_str(ev.comp)
-            dest = None
-            if ev.dest is not None:
-                dest = texts.get(id(ev.dest))
-                if dest is None:
-                    dest = texts[id(ev.dest)] = comp_str(ev.dest)
-            yield t, a, ev, comp, dest
+        pattern = [(ev.t, a, ev, comp_str(ev.comp),
+                    None if ev.dest is None else comp_str(ev.dest))
+                   for a, evs in self.events.items() for ev in evs]
+        pattern.sort(key=lambda row: (row[0], row[1], row[2].kind))
+        for r in range(self.rounds):
+            offset = r * self.round_makespan
+            for t, a, ev, comp, dest in pattern:
+                yield t + offset, a, ev, comp, dest
 
     def to_text(self) -> str:
         out = [f"# {line}" for line in self.header_lines()]
-        for t, a, ev, comp, dest in self._named_events():
+        for t, a, ev, comp, dest in self._rows():
             if dest is not None:
                 comp = f"{comp}>{dest}"
             line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
@@ -124,7 +109,7 @@ class Schedule:
         events = [{"qubit": f"a{a}", "kind": ev.kind, "t": t,
                    "duration": ev.duration, "comp": comp, "dest": dest,
                    "partner": ev.partner}
-                  for t, a, ev, comp, dest in self._named_events()]
+                  for t, a, ev, comp, dest in self._rows()]
         doc = {
             "format": "shuttleplan schedule v1",
             "provenance": self.provenance,
@@ -166,13 +151,14 @@ def assign_homes(tasks: list[CheckTask], chip: ChipLayout,
     return homes
 
 
-def planning_order(ids: list[int], bounds: dict[int, int],
+def planning_order(ids: list[int], bound: Callable[[int], int],
                    policy: str, rng) -> list[int]:
     """The ids in planning order under one of ``ORDER_POLICIES``, which
-    ``schedule_round`` checks before it plans anything."""
+    ``schedule_round`` checks before it plans anything. ``bound`` gives an
+    id's route bound; only ``longest`` calls it, once per id."""
     ids = sorted(ids)
     if policy == "longest":
-        ids.sort(key=lambda a: (-bounds[a], a))
+        ids.sort(key=lambda a: (-bound(a), a))
     elif policy == "random":
         rng.shuffle(ids)
     return ids
@@ -199,14 +185,13 @@ def _gate_duration(task: CheckTask, timing: TimingConfig, tailored: bool) -> int
 
 
 def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
-                  timing: TimingConfig, tailored: bool,
+                  timing: TimingConfig, tailored: bool, ordered: bool,
                   gate_windows: Optional[dict[Cell, int]] = None) -> PlanRequest:
     start_time = timing.t_init + (timing.t_h if _flanked(task, tailored) else 0)
     pad = timing.t_meas + (timing.t_h if _flanked(task, tailored) else 0)
     return PlanRequest(
         start_cell=home, start_time=start_time,
-        tours=OpenPathTable([data_cells[i] for i in task.targets],
-                            task.ordered),
+        tours=OpenPathTable([data_cells[i] for i in task.targets], ordered),
         gate_duration=_gate_duration(task, timing, tailored), terminal_pad=pad,
         gate_windows=gate_windows or {})
 
@@ -373,10 +358,14 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
         ids = [t.ancilla for t in tasks if t.basis == basis]
         windows = gate_windows if basis == "Z" else None
         requests = {a: build_request(tasks[a], homes[a], data_cells, timing,
-                                     tailored, windows) for a in ids}
-        bounds = {a: route_heuristic(chip, timing, requests[a], SearchState(
-                      readout_id(homes[a]), 0, 0)) for a in ids}
-        for aid in planning_order(ids, bounds, order_policy, rng):
+                                     tailored, code.ordered, windows)
+                    for a in ids}
+
+        def bound(a: int) -> int:
+            return route_heuristic(chip, timing, requests[a], SearchState(
+                readout_id(homes[a]), 0, 0))
+
+        for aid in planning_order(ids, bound, order_policy, rng):
             order.append(aid)
             table.release(readout_id(homes[aid]), 0, INF)
             try:
@@ -405,7 +394,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     }
     return Schedule(events=events, tasks=tasks, data_cells=data_cells,
                     homes=homes, timing=timing, tailored=tailored,
-                    rounds=1, round_makespan=makespan, provenance=provenance)
+                    ordered=code.ordered, rounds=1, round_makespan=makespan,
+                    provenance=provenance)
 
 
 def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:
@@ -599,7 +589,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
         extra = set(gated) - set(task.targets)
         report.add(f"{where}: incomplete check, missing={sorted(missing)} "
                    f"extra={sorted(extra)}")
-    elif task.ordered and gated != list(task.targets):
+    elif schedule.ordered and gated != list(task.targets):
         report.add(f"{where}: CX order {gated} != required {list(task.targets)}")
 
     if schedule.tailored and task.basis == "Z":

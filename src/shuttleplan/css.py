@@ -96,8 +96,7 @@ class CheckTask:
 
     ancilla: int
     basis: str  # "X" or "Z"
-    targets: list[int]  # data-qubit indices, in visit order when ordered
-    ordered: bool = False
+    targets: list[int]  # data-qubit indices, in visit order if ordered
 
     def __post_init__(self):
         if self.basis not in ("X", "Z"):
@@ -179,8 +178,7 @@ def tasks_from_code(code: CssCode, data_layout: DataLayout) -> list[CheckTask]:
                 support = list(orders[row])  # validated at construction
             else:
                 support = [int(i) for i in np.nonzero(mat[row])[0]]
-            tasks.append(CheckTask(ancilla=aid, basis=basis,
-                                   targets=support, ordered=code.ordered))
+            tasks.append(CheckTask(ancilla=aid, basis=basis, targets=support))
             aid += 1
     return tasks
 

@@ -3,10 +3,13 @@
 The output is the de-facto stabilizer-circuit text format (R/RX, H, CX,
 M/MX, X_ERROR, Z_ERROR, DEPOLARIZE1/2, DETECTOR, OBSERVABLE_INCLUDE, TICK,
 QUBIT_COORDS). Qubit indices are data qubits first, then one ancilla per
-check task. Only noise and measurement instructions carry metadata. A noise
-instruction's names the schedule event that produced it, so the scanned
-fault sites and the noise model coincide exactly; an M or MX names the check
-and round, or the data qubit, it reads, for `add_detectors`.
+check task: qubit q < n is data qubit q and qubit n + a the ancilla of check
+a, so a measurement's qubit says what it reads. Only noise instructions
+carry metadata, which names the schedule event that produced it (its kind,
+ancilla or data qubit), so the scanned fault sites and the noise model
+coincide exactly. The schedule's stored round is lowered once and repeated,
+one TICK per round boundary, so the round of a noise site is the number of
+TICKs before its instruction.
 
 Every instruction enters a `StabCircuit` through one checked batch method,
 `StabCircuit.extend`, and `append` is a batch of one. A batch is checked
@@ -31,7 +34,6 @@ segment with the odd-parity composed probability, and idle bit/phase flips
 from __future__ import annotations
 
 import math
-from itertools import product
 from numbers import Integral, Real
 from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -186,12 +188,6 @@ class StabCircuit:
                 out.setdefault(int(instr.arg[0]), []).extend(instr.targets)
         return {k: tuple(v) for k, v in out.items()}
 
-    def counts(self) -> dict[str, int]:
-        tally: dict[str, int] = {}
-        for instr in self.instructions:
-            tally[instr.name] = tally.get(instr.name, 0) + 1
-        return tally
-
     def to_text(self) -> str:
         lines: list[str] = []
         # each distinct (name, arg) and qubit target tuple formatted once;
@@ -229,25 +225,27 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                         noise: NoiseConfig, basis: str) -> StabCircuit:
     """Memory experiment: transversal init, scheduled SE rounds, readout.
 
-    Round r runs the schedule's stored round at its times plus
-    r * round_makespan. Repeated facts are stored once per circuit: equal
-    target tuples are one tuple object, and so are equal noise args, each
-    a one-tuple of a float; the two are kept apart, since ``(1,) == (1.0,)``.
-    The X_ERROR and Z_ERROR of one idle gap share one meta dict, so every
-    instruction's meta is read-only.
+    Each ancilla's stored round is lowered once, and round r places the
+    same instruction objects at their times plus r * round_makespan, just
+    after TICK r (r >= 1). A site's round is the number of TICKs before it:
+    a data idle gap's is the round it ends in, and the data readout's is
+    ``rounds``.
+
+    Repeated facts are stored once per circuit: equal target tuples are one
+    tuple object, and so are equal noise args, each a one-tuple of a float;
+    the two are kept apart, since ``(1,) == (1.0,)``. An ancilla's noise
+    instructions share their meta across rounds, and the X_ERROR and Z_ERROR
+    of one idle gap share one meta dict, so every meta is read-only.
     """
     basis = _memory_basis(basis)
     if logicals.x.shape[1] != code.n:
         raise CodeError("logical operators do not match the code length")
+    _check_schedule_fits(schedule, code)
 
     n = code.n
-    tasks = schedule.tasks
-    circuit = StabCircuit(num_qubits=n + len(tasks))
+    circuit = StabCircuit(num_qubits=n + len(schedule.tasks))
     period = schedule.round_makespan
     makespan = schedule.makespan
-
-    def anc(a: int) -> int:
-        return n + a
 
     # (time, qubit key, instruction), sorted by time and qubit key; ties
     # keep insertion order
@@ -265,12 +263,15 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
             arg = (float(p),)
             add(t, qkey, name, targets, shared_args.setdefault(arg, arg), meta)
 
+    def add_idle(t, q, dt, meta):  # one meta for the pair
+        add_noise(t, q, "X_ERROR", (q,), noise.idle_px(dt), meta)
+        add_noise(t, q, "Z_ERROR", (q,), noise.idle_pz(dt), meta)
+
     for i in range(n):
-        x, y = schedule.data_cells[i]
-        add(-2, i, "QUBIT_COORDS", (i,), arg=(x, y))
-    for task in tasks:
-        x, y = schedule.homes[task.ancilla]
-        add(-2, anc(task.ancilla), "QUBIT_COORDS", (anc(task.ancilla),), arg=(x, y))
+        add(-2, i, "QUBIT_COORDS", (i,), arg=schedule.data_cells[i])
+    for task in schedule.tasks:
+        q = n + task.ancilla
+        add(-2, q, "QUBIT_COORDS", (q,), arg=schedule.homes[task.ancilla])
 
     # transversal data preparation, concurrent with the round-0 ancilla inits
     data_reset = "R" if basis == "Z" else "RX"
@@ -280,75 +281,68 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
         add_noise(0, i, flip_after_reset, (i,), noise.p_init,
                   {"kind": "init", "qubit": i})
 
+    # the stored round, lowered once; (start, end) of each data qubit's CXs
+    stored = len(emissions)
     cx_by_data: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-
-    for task in tasks:
-        a = task.ancilla
-        q = anc(a)
-        run_edges = 0
-        run_end = 0
-
-        def flush_shuttle(rnd: int):
-            nonlocal run_edges, run_end
-            if run_edges:
-                p = compose_phase_flips(noise.p_shuttle, run_edges)
-                add_noise(run_end, q, "Z_ERROR", (q,), p,
-                          {"kind": "shuttle", "ancilla": a, "round": rnd,
-                           "edges": run_edges})
-            run_edges = 0
-
-        # round by round, the stored round's events at their shifted times
-        for rnd, ev in product(range(schedule.rounds), schedule.events[a]):
-            t, end = ev.t + rnd * period, ev.end + rnd * period
-            if ev.kind == "SHUTTLE":
-                run_edges += 1
-                run_end = end
+    for task in schedule.tasks:
+        a, q = task.ancilla, n + task.ancilla
+        # the shuttles since the last event but a SHUTTLE or WAIT make one
+        # run, one composed Z_ERROR at the end of its last shuttle
+        run = []
+        for ev in [*schedule.events[a], None]:  # None closes the last run
+            kind = None if ev is None else ev.kind
+            if kind == "SHUTTLE":
+                run.append(ev)
                 continue
-            if ev.kind == "WAIT":
-                idle = {"kind": "idle", "ancilla": a, "round": rnd}
-                add_noise(end, q, "X_ERROR", (q,), noise.idle_px(ev.duration),
-                          idle)
-                add_noise(end, q, "Z_ERROR", (q,), noise.idle_pz(ev.duration),
-                          idle)
+            if kind == "WAIT":
+                add_idle(ev.end, q, ev.duration, {"kind": "idle", "ancilla": a})
                 continue
-            flush_shuttle(rnd)
-            if ev.kind == "INIT":
+            if run:
+                add_noise(run[-1].end, q, "Z_ERROR", (q,),
+                          compose_phase_flips(noise.p_shuttle, len(run)),
+                          {"kind": "shuttle", "ancilla": a, "edges": len(run)})
+                run = []
+            if kind is None:
+                break
+            t = ev.t
+            if kind == "INIT":
                 add(t, q, "R", (q,))
                 add_noise(t, q, "X_ERROR", (q,), noise.p_init,
-                          {"kind": "init", "ancilla": a, "round": rnd})
-            elif ev.kind == "H":
+                          {"kind": "init", "ancilla": a})
+            elif kind == "H":
                 add(t, q, "H", (q,))
                 add_noise(t, q, "DEPOLARIZE1", (q,), noise.p_h,
-                          {"kind": "h", "ancilla": a, "round": rnd})
-            elif ev.kind == "CX":
+                          {"kind": "h", "ancilla": a})
+            elif kind == "CX":
                 data = ev.partner
                 pair = (q, data) if task.basis == "X" else (data, q)
                 add(t, q, "CX", pair)
                 add_noise(t, q, "DEPOLARIZE2", pair, noise.p_cx,
-                          {"kind": "cx", "ancilla": a, "round": rnd,
-                           "data": data})
-                cx_by_data[data].append((t, end))
-            elif ev.kind == "DISPLACE":
-                add_noise(end, q, "Z_ERROR", (q,), noise.p_displace,
-                          {"kind": "displace", "ancilla": a, "round": rnd})
-            elif ev.kind == "MEASURE":
+                          {"kind": "cx", "ancilla": a, "data": data})
+                cx_by_data[data].append((t, ev.end))
+            elif kind == "DISPLACE":
+                add_noise(ev.end, q, "Z_ERROR", (q,), noise.p_displace,
+                          {"kind": "displace", "ancilla": a})
+            elif kind == "MEASURE":
                 add_noise(t, q, "X_ERROR", (q,), noise.p_meas,
-                          {"kind": "meas", "ancilla": a, "round": rnd})
-                add(t, q, "M", (q,), meta={"kind": "anc_measure",
-                                           "check": a, "round": rnd})
+                          {"kind": "meas", "ancilla": a})
+                add(t, q, "M", (q,))
             else:
-                raise CodeError(f"unknown schedule event {ev.kind}")
-        flush_shuttle(schedule.rounds - 1)
+                raise CodeError(f"unknown schedule event {kind}")
+    lowered = emissions[stored:]
+    offsets = [r * period for r in range(schedule.rounds)]
+    for offset in offsets[1:]:
+        emissions += [(t + offset, q, instr) for t, q, instr in lowered]
 
-    # idle decoherence on data qubits between their operations
+    # idle decoherence on data qubits between their CXs and the readout
     for i in range(n):
         cursor = schedule.timing.t_init
-        for start, end in sorted(cx_by_data[i]):
+        spans = sorted(cx_by_data[i])
+        for start, end in [*((s + o, e + o) for o in offsets for s, e in spans),
+                           (makespan, makespan)]:
             if start > cursor:
-                _data_idle(add_noise, noise, i, cursor, start)
+                add_idle(start, i, start - cursor, {"kind": "idle", "qubit": i})
             cursor = max(cursor, end)
-        if makespan > cursor:
-            _data_idle(add_noise, noise, i, cursor, makespan)
 
     # transversal data readout in the memory basis
     data_measure = "M" if basis == "Z" else "MX"
@@ -356,8 +350,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     for i in range(n):
         add_noise(makespan, i, flip_before_measure, (i,), noise.p_meas,
                   {"kind": "meas", "qubit": i})
-        add(makespan, i, data_measure, (i,),
-            meta={"kind": "data_measure", "data": i})
+        add(makespan, i, data_measure, (i,))
 
     for r in range(1, schedule.rounds + 1):
         add(r * period, -1, "TICK", ())
@@ -371,13 +364,6 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     return circuit
 
 
-def _data_idle(add_noise, noise: NoiseConfig, qubit: int, start: int, end: int):
-    dt = end - start
-    idle = {"kind": "idle", "qubit": qubit}
-    add_noise(end, qubit, "X_ERROR", (qubit,), noise.idle_px(dt), idle)
-    add_noise(end, qubit, "Z_ERROR", (qubit,), noise.idle_pz(dt), idle)
-
-
 def _memory_basis(basis) -> str:
     """The memory basis, X or Z, from a letter of either case; anything
     else raises CodeError."""
@@ -386,36 +372,64 @@ def _memory_basis(basis) -> str:
     return basis.upper()
 
 
+def _check_schedule_fits(schedule: Schedule, code: CssCode) -> None:
+    """Raise CodeError unless the schedule was compiled for the code: data
+    qubits 0..n-1 and one task per check row, in ``tasks_from_code`` order
+    (ancilla a is row a, X rows first), with the row's basis and support.
+    Qubit n + a is then the ancilla of check a."""
+    rows = [("X", row) for row in code.hx] + [("Z", row) for row in code.hz]
+    if (sorted(schedule.data_cells) != list(range(code.n))
+            or len(schedule.tasks) != len(rows)):
+        raise CodeError(f"schedule has {len(schedule.data_cells)} data qubits "
+                        f"and {len(schedule.tasks)} checks, code {code.name} "
+                        f"{code.n} and {len(rows)}")
+    for a, (task, (basis, row)) in enumerate(zip(schedule.tasks, rows)):
+        want = (a, basis, np.nonzero(row)[0].tolist())
+        have = (task.ancilla, task.basis, sorted(task.targets))
+        if have != want:
+            raise CodeError(f"schedule check (ancilla, basis, support) {have} "
+                            f"!= {want} in code {code.name}")
+
+
 def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
                   logicals: LogicalOperators,
                   schedule: Schedule) -> StabCircuit:
     """Standard memory-experiment detectors and logical observables.
 
-    Round 0 gets detectors only for checks of the memory basis (the other
-    type is random on the first round); later rounds compare consecutive
-    measurements of every check; the final detectors compare the last check
-    round against the transversal data readout.
+    A measurement of qubit q < n reads data qubit q, one of qubit n + a
+    check a, and its round is its place among check a's measurements; every
+    check must be measured in every round. Round 0 gets detectors only for
+    checks of the memory basis (the other type is random on the first
+    round); later rounds compare consecutive measurements of every check;
+    the final detectors compare the last check round against the
+    transversal data readout.
     """
     basis = _memory_basis(basis)
-    n_x = code.hx.shape[0]
+    _check_schedule_fits(schedule, code)
+    n, n_x = code.n, code.hx.shape[0]
+    n_checks = n_x + code.hz.shape[0]
     homes = schedule.homes  # detector coordinates: the check's home cell
 
-    checks_by_round: dict[int, dict[int, int]] = {}
+    # check a's record indices, in round order
+    by_check: dict[int, list[int]] = {}
     data_m: dict[int, int] = {}
     measured = 0  # record index of the instruction's first measurement
     for instr in circuit.instructions:
-        if instr.name not in _MEASURE_OPS:
-            continue
-        meta = instr.meta or {}
-        if meta.get("kind") == "anc_measure":
-            checks_by_round.setdefault(meta["round"], {})[meta["check"]] = \
-                measured
-        elif meta.get("kind") == "data_measure":
-            data_m[meta["data"]] = measured
-        measured += len(instr.targets)
-    if not checks_by_round:
+        if instr.name in _MEASURE_OPS:
+            for rec, q in enumerate(instr.targets, measured):
+                if q < n:
+                    data_m[q] = rec
+                else:
+                    by_check.setdefault(q - n, []).append(rec)
+            measured += len(instr.targets)
+    if not by_check:
         raise CodeError("circuit has no check measurements")
-    rounds = sorted(checks_by_round)
+    rounds = max(map(len, by_check.values()))
+    for rnd in range(rounds):
+        row = [a for a, recs in by_check.items() if len(recs) > rnd]
+        if sorted(row) != list(range(n_checks)):
+            raise CodeError(f"round {rnd}: {len(row)} of {n_checks} checks "
+                            f"measured")
 
     def is_basis_check(a: int) -> bool:
         return (a < n_x) == (basis == "X")
@@ -423,31 +437,25 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     def check_row(a: int) -> np.ndarray:
         return code.hx[a] if a < n_x else code.hz[a - n_x]
 
-    n_checks = n_x + code.hz.shape[0]
     batch: list[Instruction] = []
-    for rnd in rounds:
-        row = checks_by_round[rnd]
-        if len(row) != n_checks:
-            raise CodeError(f"round {rnd}: {len(row)} of {n_checks} checks measured")
+    for a in range(n_checks):
+        if is_basis_check(a):
+            batch.append(Instruction("DETECTOR", (by_check[a][0],),
+                                     (*homes[a], 0)))
+    for rnd in range(1, rounds):
         for a in range(n_checks):
-            if rnd == rounds[0]:
-                if is_basis_check(a):
-                    batch.append(Instruction("DETECTOR", (row[a],),
-                                             (*homes[a], rnd)))
-            else:
-                prev = checks_by_round[rnd - 1][a]
-                batch.append(Instruction("DETECTOR", (row[a], prev),
-                                         (*homes[a], rnd)))
+            recs = by_check[a]
+            batch.append(Instruction("DETECTOR", (recs[rnd], recs[rnd - 1]),
+                                     (*homes[a], rnd)))
 
     if data_m:
-        last = rounds[-1]
         for a in range(n_checks):
             if not is_basis_check(a):
                 continue
             support = [data_m[int(i)] for i in np.nonzero(check_row(a))[0]]
             batch.append(Instruction(
-                "DETECTOR", tuple([checks_by_round[last][a]] + support),
-                (*homes[a], last + 1)))
+                "DETECTOR", tuple([by_check[a][-1]] + support),
+                (*homes[a], rounds)))
         logical_rows = logicals.x if basis == "X" else logicals.z
         for obs, row in enumerate(logical_rows):
             recs = [data_m[int(i)] for i in np.nonzero(row)[0]]

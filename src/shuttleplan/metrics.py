@@ -54,5 +54,5 @@ def ideal_for_schedule(schedule: Schedule) -> dict[int, int]:
     homes, cells = schedule.homes, schedule.data_cells
     return {task.ancilla: solve_tsp(homes[task.ancilla],
                                     [cells[i] for i in task.targets],
-                                    task.ordered)
+                                    schedule.ordered)
             for task in schedule.tasks}

@@ -547,7 +547,10 @@ def test_validator_reports_a_malformed_round_count(field, value, expected):
 def test_schedule_json_matches_events_and_text():
     schedule = replicate_rounds(compile_surface(3)[1], 2)
     doc = json.loads(schedule.to_json())
-    triples = list(schedule.all_events())
+    triples = sorted(((ev.t, a, ev) for a, rounds
+                      in expand_rounds(schedule).items()
+                      for events in rounds for ev in events),
+                     key=lambda row: (row[0], row[1], row[2].kind))
     lines = [ln.split() for ln in schedule.to_text().splitlines()
              if not ln.startswith("#")]
     assert len(doc["events"]) == len(triples) == len(lines)

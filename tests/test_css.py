@@ -167,7 +167,7 @@ def test_tasks_surface_d3():
     tasks = tasks_from_code(code, layout)
     assert len(tasks) == 8
     assert all(len(t.targets) in (2, 4) for t in tasks)
-    assert all(t.ordered for t in tasks)
+    assert [t.targets for t in tasks] == code.x_orders + code.z_orders
     assert [t.ancilla for t in tasks] == list(range(8))
     assert {t.basis for t in tasks} == {"X", "Z"}
 

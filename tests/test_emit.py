@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from conftest import NOISELESS
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
-from shuttleplan.css import (CodeError, compute_logicals, default_layout,
-                             load_css, surface_code)
+from shuttleplan.css import (CodeError, CssCode, compute_logicals,
+                             default_layout, load_css, surface_code)
 from shuttleplan.emit import (NOISE_CHANNELS, Instruction, StabCircuit,
                               add_detectors, compose_phase_flips,
                               emit_memory_circuit)
@@ -31,7 +32,7 @@ def surface_circuit(d=3, rounds=1, basis="z", tailored=True, noise=None):
 
 def test_zero_noise_has_no_error_instructions():
     _, circuit = surface_circuit(noise=NOISELESS)
-    counts = circuit.counts()
+    counts = Counter(i.name for i in circuit.instructions)
     for name in ("X_ERROR", "Z_ERROR", "DEPOLARIZE1", "DEPOLARIZE2"):
         assert counts.get(name, 0) == 0
 
@@ -135,25 +136,23 @@ def test_tailored_h_excess_matches_movement_periods():
     tail = schedule_round(code, layout, TIMING, tailored=True)
     logicals = compute_logicals(code)
     noise = NOISELESS
-    h_plain = emit_memory_circuit(plain, code, logicals, noise, "z").counts()["H"]
-    h_tail = emit_memory_circuit(tail, code, logicals, noise, "z").counts()["H"]
+    h_plain, h_tail = (sum(i.name == "H" for i in emit_memory_circuit(
+        schedule, code, logicals, noise, "z").instructions)
+        for schedule in (plain, tail))
     z_weights = [len(t.targets) for t in tail.tasks if t.basis == "Z"]
     assert h_tail - h_plain == sum(2 * (w + 1) for w in z_weights)
 
 
 def test_per_round_measurement_counts():
     code, circuit = surface_circuit(d=3, rounds=3, basis="z")
+    # a measurement's qubit says what it reads: qubits from n are ancillae
     anc_measurements = [i for i in circuit.instructions
-                        if i.name == "M" and i.meta
-                        and i.meta.get("kind") == "anc_measure"]
+                        if i.name == "M" and i.targets[0] >= code.n]
     assert len(anc_measurements) == 8 * 3
-    # a record index follows from instruction order and is stored nowhere
-    assert not any(i.meta and "m_index" in i.meta for i in circuit.instructions)
-    # only noise and measurement instructions carry metadata, and all do
-    read = {*NOISE_CHANNELS, "M", "MX"}
-    assert all((i.meta is not None) == (i.name in read)
+    # only noise instructions carry metadata, and all do
+    assert all((i.meta is not None) == (i.name in NOISE_CHANNELS)
                for i in circuit.instructions)
-    cx = circuit.counts()["CX"]
+    cx = sum(i.name == "CX" for i in circuit.instructions)
     weights = int(code.hx.sum() + code.hz.sum())
     assert cx == weights * 3
 
@@ -325,8 +324,10 @@ def test_extend_matches_append_on_pinned_circuits(pinned_circuits):
 def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
     """Equal qubit targets are one tuple object, and so are equal noise
     args, each a one-tuple of a float; the X_ERROR and Z_ERROR of one idle
-    gap share their meta. The records of the detectors and observables,
-    which add_detectors builds, are not shared."""
+    gap share their meta, and an ancilla's idle pair shares it with the
+    same pair of every round (the pinned bb72 circuit has 2). The records
+    of the detectors and observables, which add_detectors builds, are not
+    shared."""
     bb72 = [i for i in pinned_circuits[-1].instructions
             if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
     assert len({id(i.targets) for i in bb72}) == len({i.targets for i in bb72})
@@ -334,7 +335,75 @@ def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
     assert len({id(i.arg) for i in noise}) == len({i.arg for i in noise})
     assert {type(i.arg[0]) for i in noise} == {float}
     idle = [i for i in noise if i.meta["kind"] == "idle"]
-    assert 2 * len({id(i.meta) for i in idle}) == len(idle)
+    holders = Counter(id(i.meta) for i in idle)
+    assert {holders[id(i.meta)] for i in idle if "qubit" in i.meta} == {2}
+    assert {holders[id(i.meta)] for i in idle if "ancilla" in i.meta} == {4}
+
+
+def test_pinned_bb72_rounds_repeat_the_lowered_round(pinned_circuits):
+    """Every ancilla instruction of round r >= 1 is the object at the same
+    place in round 0, and lies between TICK r and TICK r + 1; no ancilla
+    instruction follows the last TICK."""
+    circuit = pinned_circuits[-1]
+    n = 72  # bb72's data qubits; qubits 72..143 are its ancillae
+    ticks = 0
+    # (ancilla qubit, TICKs before) -> its instructions in circuit order
+    placed: dict[tuple[int, int], list[Instruction]] = {}
+    for instr in circuit.instructions:
+        ticks += instr.name == "TICK"
+        ancillae = {q for q in instr.targets if q >= n}
+        if ancillae and instr.name not in ("DETECTOR", "OBSERVABLE_INCLUDE",
+                                           "QUBIT_COORDS"):
+            (q,) = ancillae
+            placed.setdefault((q, ticks), []).append(instr)
+    assert ticks == 2
+    assert set(placed) == {(q, r) for q in range(n, 2 * n) for r in (0, 1)}
+    for q in range(n, 2 * n):
+        first, second = placed[q, 0], placed[q, 1]
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+
+
+def _mismatched_pairs():
+    """(schedule, the code it was compiled for, another code, the mismatch
+    the check must name)."""
+    d3, layout3 = surface_code(3)
+    d5, layout5 = surface_code(5)
+    for_d3 = replicate_rounds(schedule_round(d3, layout3, TIMING), 2)
+    for_d5 = replicate_rounds(schedule_round(d5, layout5, TIMING), 2)
+    swapped = CssCode(hx=d3.hz, hz=d3.hx, name="swapped")
+    one_check = CssCode(hx=np.zeros((0, 9), dtype=np.uint8),
+                        hz=[[1, 1, 0, 0, 0, 0, 0, 0, 0]], name="one")
+    return [
+        (for_d3, d3, d5, "has 9 data qubits and 8 checks, code surface_d5 "
+                         "25 and 24"),
+        (for_d5, d5, d3, "has 25 data qubits and 24 checks, code surface_d3 "
+                         "9 and 8"),
+        (for_d3, d3, one_check, "has 9 data qubits and 8 checks, code one 9 "
+                                "and 1"),
+        (for_d3, d3, swapped, r"\(ancilla, basis, support\) \(0, 'X', "
+                              r"\[0, 1\]\) != \(0, 'X', \[[0-9, ]+\]\) in "
+                              r"code swapped"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4),
+                         ids=["d3-for-d5", "d5-for-d3", "fewer-checks",
+                              "other-supports"])
+def test_schedule_for_another_code_is_refused(case):
+    """A schedule compiled for another code raises CodeError naming the
+    first mismatch, from both entry points."""
+    schedule, own, code, match = _mismatched_pairs()[case]
+    logicals = compute_logicals(code)
+    with pytest.raises(CodeError, match=match):
+        emit_memory_circuit(schedule, code, logicals, NOISELESS, "z")
+    circuit = emit_memory_circuit(schedule, own, compute_logicals(own),
+                                  NOISELESS, "z")
+    circuit.instructions = [i for i in circuit.instructions
+                            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+    with pytest.raises(CodeError, match=match):
+        add_detectors(circuit, code, "z", logicals=logicals,
+                      schedule=schedule)
 
 
 def test_extend_normalises_targets_as_append_does():

@@ -25,7 +25,7 @@ def from_home_optimum(schedule, task) -> int:
     """Least travel from home: the forced leg sum, or the best permutation."""
     home = schedule.homes[task.ancilla]
     cells = [schedule.data_cells[i] for i in task.targets]
-    if not task.ordered:
+    if not schedule.ordered:
         return brute_force_open_path(home, cells)
     stops = [home] + cells
     return sum(abs(a[0] - b[0]) + abs(a[1] - b[1])
@@ -38,7 +38,7 @@ def test_ideal_matches_from_home_oracle(request, name, ordered, weight):
     schedule = request.getfixturevalue(name)
     ideal = ideal_for_schedule(schedule)
     assert sorted(ideal) == sorted(schedule.events)
-    assert {t.ordered for t in schedule.tasks} == {ordered}
+    assert schedule.ordered == ordered
     assert max(len(t.targets) for t in schedule.tasks) == weight
     for task in schedule.tasks:
         assert ideal[task.ancilla] == from_home_optimum(schedule, task)

@@ -87,14 +87,16 @@ def test_every_package_name_has_a_caller():
     """A module-level def or class must be referenced by name, as an
     attribute or in an import somewhere in the package or the benchmark,
     or be listed in ENTRY_POINTS. A method or property of a package class
-    must be named as an attribute or a name there, or be patched by the
-    benchmark's tracer, or be listed in MEMBER_ENTRY_POINTS; dunder methods
-    are called by the language."""
+    must be named as an attribute there (a bare name is a local or a
+    global, never a member), or be patched by the benchmark's tracer, or be
+    listed in MEMBER_ENTRY_POINTS; dunder methods are called by the
+    language."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     package = sorted((REPO / "src" / "shuttleplan").glob("*.py"))
     defined: dict[str, str] = {}
     members: dict[str, str] = {}
     referenced: set[str] = set()
+    attributes: set[str] = set()
     for path in package + sorted((REPO / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path in package:
@@ -111,13 +113,14 @@ def test_every_package_name_has_a_caller():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     assert set(ENTRY_POINTS) <= set(defined)
     assert set(MEMBER_ENTRY_POINTS) <= set(members)
     unused = sorted(where for name, where in defined.items()
                     if name not in referenced and name not in ENTRY_POINTS)
-    called = referenced | _traced_attributes()
+    called = attributes | _traced_attributes()
     unused += sorted(member for member, name in members.items()
                      if name not in called
                      and member not in MEMBER_ENTRY_POINTS)
