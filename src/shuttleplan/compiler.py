@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .chip import (CHANNEL, INTERACTION, READOUT, Cell,
                    ChipLayout, ComponentId, TimingConfig, build_grid,
@@ -95,15 +96,18 @@ class Schedule:
                 yield t + offset, a, ev, comp, dest
 
     def to_text(self) -> str:
-        out = [f"# {line}" for line in self.header_lines()]
-        for t, a, ev, comp, dest in self._rows():
-            if dest is not None:
-                comp = f"{comp}>{dest}"
-            line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
-            if ev.partner is not None:
-                line = f"{line} d{ev.partner}"
-            out.append(line)
-        return "\n".join(out) + "\n"
+        def lines() -> Iterator[str]:
+            for line in self.header_lines():
+                yield f"# {line}"
+            for t, a, ev, comp, dest in self._rows():
+                if dest is not None:
+                    comp = f"{comp}>{dest}"
+                line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
+                if ev.partner is not None:
+                    line = f"{line} d{ev.partner}"
+                yield line
+
+        return join_lines(lines())
 
     def to_json(self) -> str:
         events = [{"qubit": f"a{a}", "kind": ev.kind, "t": t,
@@ -119,6 +123,22 @@ class Schedule:
             "events": events,
         }
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+# lines a text writer holds at a time
+TEXT_CHUNK = 256
+
+
+def join_lines(lines: Iterable[str]) -> str:
+    """The lines, each ended by a newline, as one string ("\n" for no
+    lines). They are joined TEXT_CHUNK at a time, so only one chunk's line
+    objects are alive besides the joined chunks."""
+    lines = iter(lines)
+    chunks = []
+    while batch := list(islice(lines, TEXT_CHUNK)):
+        batch.append("")  # ends the chunk's last line
+        chunks.append("\n".join(batch))
+    return "".join(chunks) or "\n"
 
 
 def comp_str(comp: ComponentId) -> str:

@@ -20,9 +20,9 @@ the pair instructions, qubit targets in range, args (each distinct one
 checked once: a noise channel takes a one-tuple of a probability in [0, 1],
 OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
 measurement records that index only the measurements before them.
-`emit_memory_circuit` builds its instructions itself and checks them as one
-batch, and `add_detectors` adds all its detectors and observables as one
-more batch.
+`emit_memory_circuit` builds its instructions itself and checks them one
+round at a time, a batch per round, and `add_detectors` adds all its
+detectors and observables as one more batch.
 
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 from numbers import Integral, Real
 from operator import index, itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .chip import NoiseConfig
-from .compiler import Schedule
+from .compiler import Schedule, join_lines
 from .css import CodeError, CssCode, LogicalOperators
 
 
@@ -189,30 +189,32 @@ class StabCircuit:
         return {k: tuple(v) for k, v in out.items()}
 
     def to_text(self) -> str:
-        lines: list[str] = []
-        # each distinct (name, arg) and qubit target tuple formatted once;
-        # extend made every target a plain int, so equal tuples print alike
-        heads: dict[tuple, str] = {}
-        qubits: dict[tuple[int, ...], str] = {}
-        seen = 0
-        for instr in self.instructions:
-            name, targets, arg, _ = instr
-            head = heads.get((name, arg))
-            if head is None:
-                head = heads[name, arg] = instr.head()
-            if not targets:
-                lines.append(head)
-            elif name in _RECORD_OPS:
-                lines.append(" ".join([head, *(f"rec[{t - seen}]"
-                                               for t in targets)]))
-            else:
-                if name in _MEASURE_OPS:
-                    seen += len(targets)
-                text = qubits.get(targets)
-                if text is None:
-                    text = qubits[targets] = " ".join(map(str, targets))
-                lines.append(f"{head} {text}")
-        return "\n".join(lines) + "\n"
+        def lines() -> Iterator[str]:
+            # each distinct (name, arg) and qubit target tuple formatted
+            # once; extend made every target a plain int, so equal tuples
+            # print alike
+            heads: dict[tuple, str] = {}
+            qubits: dict[tuple[int, ...], str] = {}
+            seen = 0
+            for instr in self.instructions:
+                name, targets, arg, _ = instr
+                head = heads.get((name, arg))
+                if head is None:
+                    head = heads[name, arg] = instr.head()
+                if not targets:
+                    yield head
+                elif name in _RECORD_OPS:
+                    yield " ".join([head, *(f"rec[{t - seen}]"
+                                            for t in targets)])
+                else:
+                    if name in _MEASURE_OPS:
+                        seen += len(targets)
+                    text = qubits.get(targets)
+                    if text is None:
+                        text = qubits[targets] = " ".join(map(str, targets))
+                    yield f"{head} {text}"
+
+        return join_lines(lines())
 
 
 def compose_phase_flips(p: float, repeats: int) -> float:
@@ -229,13 +231,24 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     same instruction objects at their times plus r * round_makespan, just
     after TICK r (r >= 1). A site's round is the number of TICKs before it:
     a data idle gap's is the round it ends in, and the data readout's is
-    ``rounds``.
+    ``rounds``. The lowered round must lie in [0, round_makespan), as the
+    stored events of a valid schedule do; CodeError is raised otherwise.
+
+    The circuit is emitted a round at a time. Round r's rows, its shifted
+    ancilla instructions, its data idle gaps and TICK r, are sorted by time
+    and qubit (ties keep the order they were made in) and added as one
+    checked batch. Round 0's batch opens with the qubit coordinates and the
+    data preparation; the final data idle gaps and the readout make one
+    more batch. No list spanning all rounds is built.
 
     Repeated facts are stored once per circuit: equal target tuples are one
     tuple object, and so are equal noise args, each a one-tuple of a float;
     the two are kept apart, since ``(1,) == (1.0,)``. An ancilla's noise
     instructions share their meta across rounds, and the X_ERROR and Z_ERROR
-    of one idle gap share one meta dict, so every meta is read-only.
+    of one idle gap share one meta dict. A data qubit's idle gaps share one
+    meta, and its gaps of one length are the same two instructions, so
+    every interior gap of round r >= 2 is round 1's. Every meta is
+    read-only.
     """
     basis = _memory_basis(basis)
     if logicals.x.shape[1] != code.n:
@@ -244,45 +257,48 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
 
     n = code.n
     circuit = StabCircuit(num_qubits=n + len(schedule.tasks))
-    period = schedule.round_makespan
-    makespan = schedule.makespan
-
-    # (time, qubit key, instruction), sorted by time and qubit key; ties
-    # keep insertion order
-    emissions: list[tuple[int, int, Instruction]] = []
+    period, makespan = schedule.round_makespan, schedule.makespan
     # each distinct targets tuple and noise arg, stored once
     shared_targets: dict[tuple[int, ...], tuple[int, ...]] = {}
     shared_args: dict[tuple[float], tuple[float]] = {}
 
-    def add(t: int, qkey: int, name: str, targets, arg=None, meta=None):
+    # rows are (time, qubit key, instruction); the TICKs' key is -1
+    def add(rows, t: int, qkey: int, name: str, targets, arg=None, meta=None):
         targets = shared_targets.setdefault(targets, targets)
-        emissions.append((t, qkey, Instruction(name, targets, arg, meta)))
+        rows.append((t, qkey, Instruction(name, targets, arg, meta)))
 
-    def add_noise(t, qkey, name, targets, p, meta):
+    def add_noise(rows, t, qkey, name, targets, p, meta):
         if p > 0.0:
             arg = (float(p),)
-            add(t, qkey, name, targets, shared_args.setdefault(arg, arg), meta)
+            add(rows, t, qkey, name, targets, shared_args.setdefault(arg, arg),
+                meta)
 
-    def add_idle(t, q, dt, meta):  # one meta for the pair
-        add_noise(t, q, "X_ERROR", (q,), noise.idle_px(dt), meta)
-        add_noise(t, q, "Z_ERROR", (q,), noise.idle_pz(dt), meta)
+    def add_idle(rows, t, q, dt, meta):  # one meta for the pair
+        add_noise(rows, t, q, "X_ERROR", (q,), noise.idle_px(dt), meta)
+        add_noise(rows, t, q, "Z_ERROR", (q,), noise.idle_pz(dt), meta)
 
-    for i in range(n):
-        add(-2, i, "QUBIT_COORDS", (i,), arg=schedule.data_cells[i])
-    for task in schedule.tasks:
-        q = n + task.ancilla
-        add(-2, q, "QUBIT_COORDS", (q,), arg=schedule.homes[task.ancilla])
+    # data qubit i's idle pair for a gap of dt, made once per (i, dt)
+    idle_meta = [{"kind": "idle", "qubit": i} for i in range(n)]
+    idle_pairs: dict[tuple[int, int], list[Instruction]] = {}
 
-    # transversal data preparation, concurrent with the round-0 ancilla inits
-    data_reset = "R" if basis == "Z" else "RX"
-    flip_after_reset = "X_ERROR" if basis == "Z" else "Z_ERROR"
-    for i in range(n):
-        add(0, i, data_reset, (i,))
-        add_noise(0, i, flip_after_reset, (i,), noise.p_init,
-                  {"kind": "init", "qubit": i})
+    def add_data_idle(rows, t, i, dt):
+        pair = idle_pairs.get((i, dt))
+        if pair is None:
+            made = []
+            add_idle(made, t, i, dt, idle_meta[i])
+            pair = idle_pairs[i, dt] = [instr for _, _, instr in made]
+        rows.extend((t, i, instr) for instr in pair)
 
-    # the stored round, lowered once; (start, end) of each data qubit's CXs
-    stored = len(emissions)
+    def put(rows):
+        """Add the rows, by time and qubit key, as one batch."""
+        # two stable sorts on int keys build no key tuples for the collector
+        rows.sort(key=itemgetter(1))
+        rows.sort(key=itemgetter(0))
+        circuit.extend([instr for _, _, instr in rows])
+
+    # the stored round, lowered once and sorted; (start, end) of each data
+    # qubit's CXs
+    lowered = []
     cx_by_data: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
     for task in schedule.tasks:
         a, q = task.ancilla, n + task.ancilla
@@ -295,10 +311,11 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                 run.append(ev)
                 continue
             if kind == "WAIT":
-                add_idle(ev.end, q, ev.duration, {"kind": "idle", "ancilla": a})
+                add_idle(lowered, ev.end, q, ev.duration,
+                         {"kind": "idle", "ancilla": a})
                 continue
             if run:
-                add_noise(run[-1].end, q, "Z_ERROR", (q,),
+                add_noise(lowered, run[-1].end, q, "Z_ERROR", (q,),
                           compose_phase_flips(noise.p_shuttle, len(run)),
                           {"kind": "shuttle", "ancilla": a, "edges": len(run)})
                 run = []
@@ -306,59 +323,79 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                 break
             t = ev.t
             if kind == "INIT":
-                add(t, q, "R", (q,))
-                add_noise(t, q, "X_ERROR", (q,), noise.p_init,
+                add(lowered, t, q, "R", (q,))
+                add_noise(lowered, t, q, "X_ERROR", (q,), noise.p_init,
                           {"kind": "init", "ancilla": a})
             elif kind == "H":
-                add(t, q, "H", (q,))
-                add_noise(t, q, "DEPOLARIZE1", (q,), noise.p_h,
+                add(lowered, t, q, "H", (q,))
+                add_noise(lowered, t, q, "DEPOLARIZE1", (q,), noise.p_h,
                           {"kind": "h", "ancilla": a})
             elif kind == "CX":
                 data = ev.partner
                 pair = (q, data) if task.basis == "X" else (data, q)
-                add(t, q, "CX", pair)
-                add_noise(t, q, "DEPOLARIZE2", pair, noise.p_cx,
+                add(lowered, t, q, "CX", pair)
+                add_noise(lowered, t, q, "DEPOLARIZE2", pair, noise.p_cx,
                           {"kind": "cx", "ancilla": a, "data": data})
                 cx_by_data[data].append((t, ev.end))
             elif kind == "DISPLACE":
-                add_noise(ev.end, q, "Z_ERROR", (q,), noise.p_displace,
-                          {"kind": "displace", "ancilla": a})
+                add_noise(lowered, ev.end, q, "Z_ERROR", (q,),
+                          noise.p_displace, {"kind": "displace", "ancilla": a})
             elif kind == "MEASURE":
-                add_noise(t, q, "X_ERROR", (q,), noise.p_meas,
+                add_noise(lowered, t, q, "X_ERROR", (q,), noise.p_meas,
                           {"kind": "meas", "ancilla": a})
-                add(t, q, "M", (q,))
+                add(lowered, t, q, "M", (q,))
             else:
                 raise CodeError(f"unknown schedule event {kind}")
-    lowered = emissions[stored:]
-    offsets = [r * period for r in range(schedule.rounds)]
-    for offset in offsets[1:]:
-        emissions += [(t + offset, q, instr) for t, q, instr in lowered]
+    lowered.sort(key=itemgetter(1))
+    lowered.sort(key=itemgetter(0))
+    if lowered and not (0 <= lowered[0][0] and lowered[-1][0] < period):
+        raise CodeError(f"the lowered round spans [{lowered[0][0]}, "
+                        f"{lowered[-1][0]}], outside the round [0, {period})")
+    spans = {i: sorted(cx_by_data[i]) for i in range(n)}
 
-    # idle decoherence on data qubits between their CXs and the readout
+    # round 0 starts with the qubit coordinates and the transversal data
+    # preparation
+    rows = []
     for i in range(n):
-        cursor = schedule.timing.t_init
-        spans = sorted(cx_by_data[i])
-        for start, end in [*((s + o, e + o) for o in offsets for s, e in spans),
-                           (makespan, makespan)]:
-            if start > cursor:
-                add_idle(start, i, start - cursor, {"kind": "idle", "qubit": i})
-            cursor = max(cursor, end)
+        add(rows, -2, i, "QUBIT_COORDS", (i,), arg=schedule.data_cells[i])
+    for task in schedule.tasks:
+        q = n + task.ancilla
+        add(rows, -2, q, "QUBIT_COORDS", (q,),
+            arg=schedule.homes[task.ancilla])
+    data_reset = "R" if basis == "Z" else "RX"
+    flip_after_reset = "X_ERROR" if basis == "Z" else "Z_ERROR"
+    for i in range(n):
+        add(rows, 0, i, data_reset, (i,))
+        add_noise(rows, 0, i, flip_after_reset, (i,), noise.p_init,
+                  {"kind": "init", "qubit": i})
+    # idle decoherence on data qubits between their CXs and the readout
+    cursor = [schedule.timing.t_init] * n
+    for r in range(schedule.rounds):
+        offset = r * period
+        if r:
+            add(rows, offset, -1, "TICK", ())
+        rows.extend((t + offset, q, instr) for t, q, instr in lowered)
+        for i in range(n):
+            for start, end in spans[i]:
+                start += offset
+                if start > cursor[i]:
+                    add_data_idle(rows, start, i, start - cursor[i])
+                cursor[i] = max(cursor[i], end + offset)
+        put(rows)
+        rows = []
 
-    # transversal data readout in the memory basis
+    # the last gaps, then the transversal data readout in the memory basis
+    add(rows, makespan, -1, "TICK", ())
+    for i in range(n):
+        if makespan > cursor[i]:
+            add_data_idle(rows, makespan, i, makespan - cursor[i])
     data_measure = "M" if basis == "Z" else "MX"
     flip_before_measure = "X_ERROR" if basis == "Z" else "Z_ERROR"
     for i in range(n):
-        add_noise(makespan, i, flip_before_measure, (i,), noise.p_meas,
+        add_noise(rows, makespan, i, flip_before_measure, (i,), noise.p_meas,
                   {"kind": "meas", "qubit": i})
-        add(makespan, i, data_measure, (i,))
-
-    for r in range(1, schedule.rounds + 1):
-        add(r * period, -1, "TICK", ())
-
-    # two stable sorts on int keys build no key tuples for the collector
-    emissions.sort(key=itemgetter(1))
-    emissions.sort(key=itemgetter(0))
-    circuit.extend([instr for _, _, instr in emissions])
+        add(rows, makespan, i, data_measure, (i,))
+    put(rows)
 
     add_detectors(circuit, code, basis, logicals=logicals, schedule=schedule)
     return circuit

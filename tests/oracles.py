@@ -12,9 +12,11 @@ updates every row of a column with numpy and multiplies rows one phase
 term at a time, and the round oracle expands a schedule's stored round into
 a shifted copy of every event of every round and sweeps all of them.
 
-Two helpers here are not independent: `fault_sites` writes the input of
-the package's `fault_scan`, and `in_rowspace` compares two `gf2.rank`
-values. Only the tests call them.
+Four helpers here are not independent: `fault_sites` writes the input of
+the package's `fault_scan`, `in_rowspace` compares two `gf2.rank` values,
+and `schedule_text` and `circuit_text` are the one-list text writers the
+chunked `to_text` methods replaced, kept as references for the chunking.
+Only the tests call them.
 """
 
 from __future__ import annotations
@@ -310,6 +312,48 @@ def expand_rounds(schedule) -> dict[int, list[list[Event]]]:
                        ev.dest, ev.partner) for ev in evs]
                 for r in range(schedule.rounds)]
             for a, evs in schedule.events.items()}
+
+
+def schedule_text(schedule) -> str:
+    """``Schedule.to_text`` from one list holding every line, joined once.
+    It reads the schedule's own rows, so it checks the chunking only."""
+    out = [f"# {line}" for line in schedule.header_lines()]
+    for t, a, ev, comp, dest in schedule._rows():
+        if dest is not None:
+            comp = f"{comp}>{dest}"
+        line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
+        if ev.partner is not None:
+            line = f"{line} d{ev.partner}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def circuit_text(circuit) -> str:
+    """``StabCircuit.to_text`` from one list holding every line, joined
+    once: each distinct (name, arg) and qubit target tuple formatted once,
+    and a record printed relative to the measurements before it."""
+    lines: list[str] = []
+    heads: dict[tuple, str] = {}
+    qubits: dict[tuple[int, ...], str] = {}
+    seen = 0
+    for instr in circuit.instructions:
+        name, targets, arg, _ = instr
+        head = heads.get((name, arg))
+        if head is None:
+            head = heads[name, arg] = instr.head()
+        if not targets:
+            lines.append(head)
+        elif name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
+            lines.append(" ".join([head, *(f"rec[{t - seen}]"
+                                           for t in targets)]))
+        else:
+            if name in ("M", "MX"):
+                seen += len(targets)
+            text = qubits.get(targets)
+            if text is None:
+                text = qubits[targets] = " ".join(map(str, targets))
+            lines.append(f"{head} {text}")
+    return "\n".join(lines) + "\n"
 
 
 def sweep_rounds(schedule) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,9 +326,10 @@ def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
     """Equal qubit targets are one tuple object, and so are equal noise
     args, each a one-tuple of a float; the X_ERROR and Z_ERROR of one idle
     gap share their meta, and an ancilla's idle pair shares it with the
-    same pair of every round (the pinned bb72 circuit has 2). The records
-    of the detectors and observables, which add_detectors builds, are not
-    shared."""
+    same pair of every round (the pinned bb72 circuit has 2). A data
+    qubit's idle instructions share one meta, and its equal ones (its gaps
+    of one length) are one object. The records of the detectors and
+    observables, which add_detectors builds, are not shared."""
     bb72 = [i for i in pinned_circuits[-1].instructions
             if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
     assert len({id(i.targets) for i in bb72}) == len({i.targets for i in bb72})
@@ -336,8 +338,12 @@ def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
     assert {type(i.arg[0]) for i in noise} == {float}
     idle = [i for i in noise if i.meta["kind"] == "idle"]
     holders = Counter(id(i.meta) for i in idle)
-    assert {holders[id(i.meta)] for i in idle if "qubit" in i.meta} == {2}
     assert {holders[id(i.meta)] for i in idle if "ancilla" in i.meta} == {4}
+    data_idle = [i for i in idle if "qubit" in i.meta]
+    metas = {(i.meta["qubit"], id(i.meta)) for i in data_idle}
+    assert len(metas) == len({q for q, _ in metas}) == 72
+    distinct = {(i.name, i.targets, i.arg) for i in data_idle}
+    assert len({id(i) for i in data_idle}) == len(distinct) < len(data_idle)
 
 
 def test_pinned_bb72_rounds_repeat_the_lowered_round(pinned_circuits):
@@ -480,3 +486,21 @@ def test_extend_records_index_only_earlier_measurements():
         c.extend([Instruction("DETECTOR", (2,)),
                   Instruction("M", (0,), None, {})])
     assert len(c.instructions) == 2 and c.num_measurements == 2
+
+
+@pytest.mark.parametrize("shift", [-1, 0])
+def test_round_outside_its_period_is_refused(shift):
+    """Rounds are emitted one period at a time, so a stored round that
+    does not fit in [0, round_makespan) raises CodeError: here the period
+    ends at the last MEASURE, or the events start before 0."""
+    code, schedule = surface_schedule(rounds=2)
+    if shift:
+        events = {a: [replace(ev, t=ev.t + shift) for ev in evs]
+                  for a, evs in schedule.events.items()}
+        schedule = replace(schedule, events=events)
+    else:
+        last = max(evs[-1].t for evs in schedule.events.values())
+        schedule = replace(schedule, round_makespan=last)
+    with pytest.raises(CodeError, match="outside the round"):
+        emit_memory_circuit(schedule, code, compute_logicals(code),
+                            NoiseConfig(), "Z")

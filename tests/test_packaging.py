@@ -31,6 +31,14 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_parses_as_python_3_10():
+    """pyproject.toml requires Python >= 3.10, so no module may use later
+    syntax (``except*``, type parameter lists, ...)."""
+    for path in sorted((REPO / "src" / "shuttleplan").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(3, 10))
+
+
 def test_package_has_no_broad_except():
     """A handler must name the errors it expects: a bare `except:` or an
     `except Exception` hides the defect that raised."""

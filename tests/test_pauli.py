@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (expand_noise, fault_sites, noiseless_outcomes,
                      propagate_frame)
+from shuttleplan import pauli
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
@@ -110,10 +111,15 @@ def columns(faults):
             [t[1] for t in terms], [t[2] for t in terms])
 
 
-def assert_columns_equal(sites: FaultSites, faults) -> None:
+# the column dtypes of sites_from_noise, and of the oracle's fault_sites
+NARROW = (np.int32, np.int32, np.int32, np.uint8)
+WIDE = (np.int64,) * 4
+
+
+def assert_columns_equal(sites: FaultSites, faults, dtypes=NARROW) -> None:
     got = (sites.index, sites.term_site, sites.term_qubit, sites.term_bits)
-    for col in got:
-        assert col.dtype == np.int64 and col.ndim == 1
+    assert tuple(col.dtype for col in got) == dtypes
+    assert all(col.ndim == 1 for col in got)
     assert tuple(col.tolist() for col in got) == columns(faults)
 
 
@@ -163,8 +169,8 @@ def test_sites_match_noise_oracle_on_bb72(bb72_schedule):
 
 
 def test_fault_sites_memory_is_flat():
-    """Columns hold 8 bytes per site and 3 x 8 per Pauli term, nothing per
-    site beyond that (no objects, no metadata copies)."""
+    """Columns hold 4 bytes per site and 4 + 4 + 1 per Pauli term, nothing
+    per site beyond that (no objects, no metadata copies)."""
     code, layout = surface_code(3)
     circuit = memory_circuit(code, layout, 2, "Z")
     sites = sites_from_noise(circuit)
@@ -172,12 +178,12 @@ def test_fault_sites_memory_is_flat():
     held = sum(col.nbytes for col in (sites.index, sites.term_site,
                                       sites.term_qubit, sites.term_bits))
     assert len(sites) > 1000 and terms >= len(sites)
-    assert held <= 8 * (len(sites) + 3 * terms) + 1024
+    assert held <= 4 * len(sites) + 9 * terms + 1024
 
 
 def test_from_paulis_matches_columns():
     faults = [(0, ((1, "Z"),)), (2, ()), (1, ((0, "X"), (3, "Y"), (0, "Z")))]
-    assert_columns_equal(fault_sites(faults), faults)
+    assert_columns_equal(fault_sites(faults), faults, WIDE)
     assert len(fault_sites([])) == 0
 
 
@@ -544,6 +550,67 @@ def test_bb72_sample_matches_frame_oracle(bb72_schedule):
     assert result.detector_flips(circuit).tolist() == expect_det
     assert result.observable_flips(circuit).tolist() == expect_obs
     assert np.array(expect_det).any()
+
+
+def test_scan_rows_equal_for_wide_and_narrow_sites(bb72_schedule):
+    """The oracle's int64 columns and sites_from_noise's int32 and uint8
+    ones give byte-identical rows."""
+    code, schedule = bb72_schedule
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NoiseConfig(), "Z")
+    narrow = sites_from_noise(circuit)
+    wide = fault_sites(expand_noise(circuit))
+    assert (wide.index.dtype, wide.term_bits.dtype) == (np.int64, np.int64)
+    assert (narrow.index.dtype, narrow.term_bits.dtype) == (np.int32, np.uint8)
+    rows = fault_scan(circuit, narrow).rows
+    assert rows.tobytes() == fault_scan(circuit, wide).rows.tobytes()
+    assert rows.shape == (len(narrow), -(-len(circuit.detectors()) // 8) + 2)
+
+
+@pytest.mark.parametrize("run_rows", [1, 2, 7])
+def test_scan_rows_do_not_depend_on_the_run_length(monkeypatch, run_rows):
+    """Finished signatures are written in runs of at most _RUN_ROWS
+    consecutive sites; any run length gives the same rows."""
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, "X")
+    sites = sites_from_noise(circuit)
+    want = fault_scan(circuit, sites).rows.tobytes()
+    monkeypatch.setattr(pauli, "_RUN_ROWS", run_rows)
+    assert fault_scan(circuit, sites).rows.tobytes() == want
+
+
+def test_flips_read_the_counts_the_scan_kept(monkeypatch):
+    """The scan walks the circuit once for its detectors and observables,
+    and the flips walk it not at all."""
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, "Z")
+    detectors, observables = circuit.detectors(), circuit.observables()
+
+    def walk(self):
+        raise AssertionError("the circuit was walked again")
+
+    monkeypatch.setattr(StabCircuit, "detectors", walk)
+    monkeypatch.setattr(StabCircuit, "observables", walk)
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    assert (result.num_detectors, result.num_observables) == (
+        len(detectors), len(observables))
+    assert result.detector_flips(circuit).shape == (len(result.sites),
+                                                    len(detectors))
+    assert result.observable_flips(circuit).shape == (len(result.sites), 1)
+
+
+def test_flips_refuse_another_circuit():
+    code, layout = surface_code(3)
+    circuit = memory_circuit(code, layout, 2, "Z")
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    wider = StabCircuit(circuit.num_qubits + 1)
+    wider.extend(circuit.instructions)
+    longer = StabCircuit(circuit.num_qubits)
+    longer.extend([*circuit.instructions, Instruction("M", (0,))])
+    for other in (wider, longer, memory_circuit(code, layout, 3, "Z")):
+        for flips in (result.detector_flips, result.observable_flips):
+            with pytest.raises(ValueError, match="the scanned one"):
+                flips(other)
 
 
 def test_scan_memory_is_bit_packed():
