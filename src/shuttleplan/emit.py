@@ -15,8 +15,8 @@ Every instruction enters a `StabCircuit` through one checked batch method,
 `StabCircuit.extend`, and `append` is a batch of one. A batch is checked
 as a whole before anything is added, each rule once over all of it rather
 than once per instruction: integer targets (numpy integers become plain
-ints, a float or a bool is refused), known names, even target counts for
-the pair instructions, qubit targets in range, args (each distinct one
+ints, a float or a bool is refused), known names, pairs of two distinct
+qubits for the pair instructions, qubit targets in range, args (each distinct one
 checked once: a noise channel takes a one-tuple of a probability in [0, 1],
 OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
 measurement records that index only the measurements before them.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from numbers import Integral, Real
-from operator import index, itemgetter
+from operator import eq, index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -96,6 +96,11 @@ def _bad_number(arg, kind: type, high) -> bool:
                 and 0 <= arg[0] <= high)
 
 
+def _bad_pairs(targets: tuple[int, ...]) -> bool:
+    """Whether `targets` do not split into pairs of two distinct qubits."""
+    return bool(len(targets) % 2) or any(map(eq, targets[::2], targets[1::2]))
+
+
 def _within(targets: Sequence[int], bound: int) -> bool:
     """Whether every target lies in [0, bound)."""
     return not targets or (0 <= min(targets) and max(targets) < bound)
@@ -123,13 +128,13 @@ class StabCircuit:
         ``operator.index``, so numpy integers pass and a float raises
         TypeError; so does a bool, which ``index`` would take for 0 or 1.
         ValueError is raised for a name outside the instruction set, for a
-        CX or DEPOLARIZE2 with an odd number of targets, for a gate, reset,
-        measure, noise or QUBIT_COORDS target outside [0, num_qubits), for
-        a noise channel whose arg is not a one-tuple of a probability in
-        [0, 1], for an OBSERVABLE_INCLUDE whose arg is not a one-tuple of an
-        int >= 0 (a bool is neither) and for a DETECTOR or
-        OBSERVABLE_INCLUDE record outside the measurements made before it.
-        A batch that raises adds nothing.
+        CX or DEPOLARIZE2 with an odd number of targets or a pair of equal
+        targets, for a gate, reset, measure, noise or QUBIT_COORDS target
+        outside [0, num_qubits), for a noise channel whose arg is not a
+        one-tuple of a probability in [0, 1], for an OBSERVABLE_INCLUDE
+        whose arg is not a one-tuple of an int >= 0 (a bool is neither) and
+        for a DETECTOR or OBSERVABLE_INCLUDE record outside the
+        measurements made before it. A batch that raises adds nothing.
         """
         batch = list(instructions)
         if {type(i.targets) for i in batch} - {tuple}:
@@ -145,10 +150,13 @@ class StabCircuit:
         if {i.name for i in batch} - _KNOWN_OPS:
             bad = next(i for i in batch if i.name not in _KNOWN_OPS)
             raise ValueError(f"unknown instruction {bad.name!r}")
-        odd = [i for i in batch if i.name in _PAIR_OPS and len(i.targets) % 2]
-        if odd:
-            raise ValueError(f"{odd[0].name} needs target pairs, got "
-                             f"{odd[0].targets}")
+        # each distinct target tuple once
+        if any(map(_bad_pairs, {i.targets for i in batch
+                                if i.name in _PAIR_OPS})):
+            bad = next(i for i in batch if i.name in _PAIR_OPS
+                       and _bad_pairs(i.targets))
+            raise ValueError(f"{bad.name} needs target pairs of two distinct "
+                             f"qubits, got {bad.targets}")
         qubits = [t for i in batch if i.name in _QUBIT_OPS for t in i.targets]
         if not _within(qubits, self.num_qubits):
             bad = next(i for i in batch if i.name in _QUBIT_OPS

@@ -1,4 +1,4 @@
-"""Fault signatures by a backward detector pass, and a stabilizer tableau.
+"""Fault signatures and noiseless determinism by backward detector walks.
 
 `fault_scan` finds the detectors and observables that every single fault
 flips in one reverse walk over the circuit, as Stim's error analyzer does
@@ -22,26 +22,20 @@ int32 columns and uint8 bits; the scan sorts the terms with numpy alone
 when they are not already in instruction order. A site's provenance is the
 ``meta`` of the instruction it follows.
 
-The tableau is the destabilizer/stabilizer pair of Aaronson and Gottesman
-(PRA 70, 052328, 2004) with one twist: the sign of every stabilizer is an
-affine GF(2) expression in the outcomes of the random measurements seen so
-far, tracked as (constant bit, bitmask over outcome variables). A
-measurement or detector is deterministic exactly when its bitmask is zero,
-so determinism is decided algebraically instead of by repeated sampling.
-The tableau is bit-packed by column in Python ints, as Stim packs its
-tableau: bit r of ``xc[q]`` and ``zc[q]`` is row r's X and Z on qubit q,
-and bit r of ``sign`` its sign. H is a swap and one AND/XOR, CX three int
-operations. A random measurement multiplies the pivot row into every
-anticommuting row at once, walking the pivot's columns with a bit-sliced
-mod-4 phase counter. A deterministic one reads the sign of the single
-stabilizer that is +-Z_q, or multiplies the few it is a product of. The
-outcomes do not depend on the pivot: each deterministic one is the unique
-affine function of the earlier random outcomes.
+`simulate_noiseless` decides, in a second backward walk, which detectors
+and observables are deterministic without noise and their values. It
+carries each parity's backward Pauli as the scan carries signatures, per
+qubit X and Z bits as Python ints in the same row layout, plus one sign
+int and one int of the parities found random: Stim's check that a
+detector's Pauli anticommutes with no reset (Gidney, Quantum 5, 497,
+2021). Writing a Pauli as -1^s X^x Z^z with no factor of i, H is the only
+gate that changes a sign; CX permutes such words without reordering an X
+and a Z on one qubit. Both walks take their record masks from
+`_record_masks`, so the row layout is decided in one place.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -204,6 +198,32 @@ class ScanResult:
                              count=self.num_observables, bitorder="little")
 
 
+def _record_masks(circuit: StabCircuit
+                  ) -> tuple[list[int], int, dict[int, int]]:
+    """The row layout of `ScanResult`, as one int per measurement record:
+    the bits of the detectors and observables holding it. Detector d is
+    bit d; the observable k-th by index is bit 8 * ceil(num_detectors / 8)
+    + k. Returns the masks, the detector count and each observable's bit,
+    by ascending index."""
+    mask = [0] * circuit.num_measurements
+    num_detectors = 0
+    observables: dict[int, list[tuple[int, ...]]] = {}
+    for name, targets, arg, _ in circuit.instructions:
+        if name == "DETECTOR":
+            for m in targets:
+                mask[m] ^= 1 << num_detectors
+            num_detectors += 1
+        elif name == "OBSERVABLE_INCLUDE":
+            observables.setdefault(int(arg[0]), []).append(targets)
+    bits = {obs: bit for bit, obs in enumerate(sorted(observables),
+                                               8 * -(-num_detectors // 8))}
+    for obs, bit in bits.items():
+        for records in observables[obs]:
+            for m in records:
+                mask[m] ^= 1 << bit
+    return mask, num_detectors, bits
+
+
 # the most finished signatures `fault_scan` holds before writing them
 _RUN_ROWS = 1024
 
@@ -220,9 +240,8 @@ def _write_run(written: memoryview, site: int, size: int,
 def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
     """Every site's detector and observable signature, in one backward pass.
 
-    One forward walk reads the detectors and observables into a mask per
-    measurement record: the bits of the detectors and observables holding
-    it. Walking back from the last instruction to the earliest site,
+    `_record_masks` reads the detectors and observables into a mask per
+    measurement record in one forward walk. Walking back from the last instruction to the earliest site,
     ``sz[q]`` and ``sx[q]`` are the signatures of an X and a Z error on q
     at that point, as Python ints in the row layout of `ScanResult`.
     Passing back over M on q with record m XORs the record's mask into
@@ -264,23 +283,8 @@ def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
                          f"need ascending sites in [0, {len(index)}) and "
                          f"bits X 1, Z 2 or Y 3")
 
-    # record m -> the bits of the detectors and observables holding it
-    mask = [0] * circuit.num_measurements
-    num_detectors = 0
-    observables: dict[int, list[tuple[int, ...]]] = {}
-    for name, targets, arg, _ in instructions:
-        if name == "DETECTOR":
-            for m in targets:
-                mask[m] ^= 1 << num_detectors
-            num_detectors += 1
-        elif name == "OBSERVABLE_INCLUDE":
-            observables.setdefault(int(arg[0]), []).append(targets)
-    shift = 8 * -(-num_detectors // 8)  # observable k is bit shift + k
-    for bit, obs in enumerate(sorted(observables), shift):
-        for records in observables[obs]:
-            for m in records:
-                mask[m] ^= 1 << bit
-    size = shift // 8 + -(-len(observables) // 8)
+    mask, num_detectors, observables = _record_masks(circuit)
+    size = -(-num_detectors // 8) + -(-len(observables) // 8)
     out = np.zeros(len(index) * size, dtype=np.uint8)
     written = memoryview(out)  # site r's row is [r * size, (r + 1) * size)
 
@@ -338,228 +342,80 @@ def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
                       num_qubits=nq, num_measurements=circuit.num_measurements)
 
 
+
+
 # ---------------------------------------------------------------------------
-# tableau simulation with symbolic measurement outcomes
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Affine GF(2) expression: const XOR (bits named by the mask)."""
-
-    const: int
-    mask: int
-    random: bool  # introduced a fresh outcome variable
-
-    @property
-    def deterministic(self) -> bool:
-        return self.mask == 0
-
-    def __xor__(self, other: "Outcome") -> "Outcome":
-        return Outcome(self.const ^ other.const, self.mask ^ other.mask,
-                       self.random or other.random)
-
-
-class TableauError(RuntimeError):
-    """A tableau invariant broke: rows that must commute anticommute."""
-
-
-def _bits(value: int):
-    """Indices of the set bits of a non-negative int, ascending."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
-
-
-class Tableau:
-    """Destabilizer/stabilizer tableau with affine symbolic signs.
-
-    Column-major over Python ints: bit r of ``xc[q]`` and ``zc[q]`` is the X
-    and Z component of row r on qubit q. Rows 0..n-1 are the destabilizers
-    and rows n..2n-1 the stabilizers. Bit r of ``sign`` and ``mask[r]`` are
-    the constant and outcome-variable mask of row r's sign; only the
-    stabilizer rows' are kept up to date, since nothing reads a
-    destabilizer's.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.xc = [1 << q for q in range(n)]          # destabilizer X_q
-        self.zc = [1 << (n + q) for q in range(n)]    # stabilizer Z_q
-        self.sign = 0
-        self.mask = [0] * (2 * n)
-        self.num_random = 0
-
-    def h(self, q: int) -> None:
-        x, z = self.xc[q], self.zc[q]
-        self.sign ^= x & z
-        self.xc[q], self.zc[q] = z, x
-
-    def cx(self, c: int, t: int) -> None:
-        xc, zc = self.xc, self.zc
-        x_c, z_t = xc[c], zc[t]
-        self.sign ^= x_c & z_t & ~(xc[t] ^ zc[c])
-        xc[t] ^= x_c
-        zc[c] ^= z_t
-
-    def measure(self, q: int) -> Outcome:
-        """Measure Z_q.
-
-        Raises TableauError if the stabilizer rows it multiplies do not
-        commute, which a tableau built only through this API never does.
-        """
-        hits = self.xc[q]
-        stab_hits = hits >> self.n
-        if stab_hits:
-            pivot = self.n + (stab_hits & -stab_hits).bit_length() - 1
-            return self._measure_random(q, pivot, hits)
-        if hits and not hits & (hits - 1):
-            # one destabilizer anticommutes with Z_q: its stabilizer is +-Z_q
-            row = self.n + hits.bit_length() - 1
-            return Outcome(self.sign >> row & 1, self.mask[row], False)
-        return self._measure_deterministic(hits)
-
-    def _measure_random(self, q: int, p: int, hits: int) -> Outcome:
-        """Multiply stabilizer p into every other row anticommuting with Z_q,
-        make p the destabilizer of the new stabilizer Z_q."""
-        n, xc, zc = self.n, self.xc, self.zc
-        others = hits ^ (1 << p)
-        d = p - n
-        keep = ~((1 << p) | (1 << d))
-        # per-row i-exponent of the product, mod 4, bit-sliced over rows:
-        # bit r of `low` and `high` are the two bits of row r's counter
-        low = high = 0
-        touched = (1 << p) | (1 << d)
-        for j, (xj, zj) in enumerate(zip(xc, zc)):
-            if not (xj | zj) & touched:
-                continue
-            xp, zp = xj >> p & 1, zj >> p & 1
-            if xp or zp:
-                # g(pivot, row) is +1 or -1 where the two Paulis anticommute;
-                # `neg` marks the -1 rows among them
-                if xp and zp:            # Y: g = z - x
-                    anti, neg = xj ^ zj, xj
-                elif xp:                 # X: g = z (2x - 1)
-                    anti, neg = zj, ~xj
-                else:                    # Z: g = x (1 - 2z)
-                    anti, neg = xj, zj
-                anti &= others
-                high ^= anti & (low ^ neg)
-                low ^= anti
-                if xp:
-                    xj ^= others
-                if zp:
-                    zj ^= others
-            # the old pivot row becomes destabilizer d; row p is cleared
-            xc[j] = (xj & keep) | (xp << d)
-            zc[j] = (zj & keep) | (zp << d)
-        zc[q] |= 1 << p
-        stab_others = others >> n << n
-        if low & stab_others:
-            raise TableauError("rowsum applied to anticommuting stabilizer "
-                               "rows")
-        # new sign = old sign + pivot sign + (sum of g) / 2, on every row
-        flip = high ^ others if self.sign >> p & 1 else high
-        self.sign = (self.sign ^ (flip & others)) & ~(1 << p)
-        mask = self.mask
-        if mask[p]:
-            for r in _bits(stab_others):
-                mask[r] ^= mask[p]
-        bit = self.num_random
-        self.num_random += 1
-        mask[p] = 1 << bit
-        return Outcome(const=0, mask=1 << bit, random=True)
-
-    def _measure_deterministic(self, hits: int) -> Outcome:
-        """Z_q is the product of the stabilizers whose destabilizers it
-        anticommutes with; its sign is that product's phase.
-
-        For rows i in ascending order, with x_i, z_i their bits and X, Z
-        the XORs over the rows, the product of i^(x_i.z_i) X^x_i Z^z_i is
-        i^e X^X Z^Z with e = sum x_i.z_i + 2 sum z_<i.x_i, and the phase of
-        the product is e - X.Z (mod 4). A column adds to e only where it
-        holds both an X and a Z of the selected rows.
-        """
-        n = self.n
-        sel = hits << n
-        phase = 2 * (self.sign & sel).bit_count()
-        for xj, zj in zip(self.xc, self.zc):
-            x = xj & sel
-            if x:
-                z = zj & sel
-                if z:
-                    phase += (x & z).bit_count() \
-                        - (x.bit_count() & z.bit_count() & 1)
-                    for r in _bits(z):
-                        phase += 2 * (x >> (r + 1)).bit_count()
-        if phase % 2:
-            raise TableauError("deterministic outcome must be a +/- Z product")
-        mask = 0
-        for r in _bits(sel):
-            mask ^= self.mask[r]
-        return Outcome(const=phase >> 1 & 1, mask=mask, random=False)
-
-    def reset(self, q: int) -> None:
-        """Project q to |0>, conditionally flipping on the symbolic outcome."""
-        out = self.measure(q)
-        if out.const:
-            self.sign ^= self.zc[q]
-        if out.mask:
-            for r in _bits(self.zc[q] >> self.n << self.n):
-                self.mask[r] ^= out.mask
+# noiseless determinism by the backward walk
 
 
 @dataclass
 class NoiselessReport:
-    measurements: list[Outcome]
-    detectors: list[Outcome]
-    observables: dict[int, Outcome]
+    """Noiseless verdicts of `simulate_noiseless`: per detector, in circuit
+    order, and per observable index, the value 0 or 1 of a deterministic
+    parity, or None for a random one."""
+
+    detectors: list[int | None]
+    observables: dict[int, int | None]
 
     @property
     def all_detectors_deterministic_zero(self) -> bool:
-        return all(d.deterministic and d.const == 0 for d in self.detectors)
+        return all(d == 0 for d in self.detectors)
 
     @property
     def all_observables_deterministic(self) -> bool:
-        return all(o.deterministic for o in self.observables.values())
+        return None not in self.observables.values()
 
 
 def simulate_noiseless(circuit: StabCircuit) -> NoiselessReport:
-    """Run the tableau over gates only; evaluate detectors symbolically."""
-    tab = Tableau(circuit.num_qubits)
-    h, cx, measure, reset = tab.h, tab.cx, tab.measure, tab.reset
-    outcomes: list[Outcome] = []
-    record = outcomes.append
-    for instr in circuit.instructions:
-        name, targets = instr.name, instr.targets
+    """Decide each detector and observable of a noiseless run in one
+    backward walk over the gates, measurements and resets.
+
+    ``sx[q]`` and ``sz[q]`` hold, in the row layout of `ScanResult`, the
+    parities whose backward Pauli has an X and a Z on q; bit b of ``sign``
+    is parity b's sign, its Pauli being -1^sign X^x Z^z with no factor of
+    i. Stepping back over H on q flips the sign where the Pauli has both
+    (H X^x Z^z H = Z^x X^z = -1^(xz) X^z Z^x) and swaps the two. CX(c, t),
+    its pairs in reverse, is `fault_scan`'s update and nothing more: it
+    maps X_c to X_c X_t and Z_t to Z_c Z_t, so it moves no Z past an X on
+    one qubit and leaves every sign alone. A parity whose Pauli
+    anticommutes with a measurement (M on q while it has an X on q, MX
+    while it has a Z), with a reset (R and X, RX and Z) or with the |0>
+    every qubit starts in (an X) is random; otherwise a measurement
+    multiplies its basis Pauli into the parities holding its record and a
+    reset drops q. What remains at the start is -1^sign times a product of
+    Zs, so a parity that was never random has the value of its sign bit.
+    """
+    mask, num_detectors, observables = _record_masks(circuit)
+    sx, sz = [0] * circuit.num_qubits, [0] * circuit.num_qubits
+    sign = random = 0
+    measured = circuit.num_measurements  # records before the instruction
+    for name, targets, _, _ in reversed(circuit.instructions):
         if name == "CX":
-            for c, t in zip(targets[::2], targets[1::2]):
-                cx(c, t)
+            for k in range(len(targets) - 2, -1, -2):
+                c, t = targets[k], targets[k + 1]
+                sx[t] ^= sx[c]
+                sz[c] ^= sz[t]
         elif name == "H":
             for q in targets:
-                h(q)
-        elif name == "R":
+                sign ^= sx[q] & sz[q]
+                sz[q], sx[q] = sx[q], sz[q]
+        elif name in ("R", "RX"):
+            anti = sx if name == "R" else sz
             for q in targets:
-                reset(q)
-        elif name == "RX":
-            for q in targets:
-                reset(q)
-                h(q)
-        elif name == "M":
-            for q in targets:
-                record(measure(q))
-        elif name == "MX":
-            for q in targets:
-                h(q)
-                record(measure(q))
-                h(q)
-        # noise channels, ticks and annotations do not touch the tableau
+                random |= anti[q]
+                sz[q] = sx[q] = 0
+        elif name in ("M", "MX"):
+            measured -= len(targets)
+            anti, sens = (sx, sz) if name == "M" else (sz, sx)
+            for m, q in enumerate(targets, measured):
+                random |= anti[q]
+                sens[q] ^= mask[m]
+    for x in sx:
+        random |= x
 
-    def parity(targets) -> Outcome:
-        return functools.reduce(operator.xor, (outcomes[m] for m in targets),
-                                Outcome(0, 0, False))
+    def value(bit: int) -> int | None:
+        return None if random >> bit & 1 else sign >> bit & 1
 
-    detectors = [parity(targets) for targets, _ in circuit.detectors()]
-    observables = {obs: parity(targets) for obs, targets
-                   in sorted(circuit.observables().items())}
-    return NoiselessReport(outcomes, detectors, observables)
+    return NoiselessReport(
+        detectors=list(map(value, range(num_detectors))),
+        observables={obs: value(bit) for obs, bit in observables.items()})

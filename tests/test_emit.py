@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -127,8 +128,7 @@ def test_noiseless_determinism_d3(basis, tailored, rounds):
     report = simulate_noiseless(circuit)
     assert report.all_detectors_deterministic_zero
     assert report.all_observables_deterministic
-    for obs in report.observables.values():
-        assert obs.const == 0
+    assert set(report.observables.values()) == {0}
 
 
 def test_tailored_h_excess_matches_movement_periods():
@@ -218,6 +218,18 @@ def test_append_rejects_odd_pair_targets(name):
     arg = (0.1,) if name == "DEPOLARIZE2" else None
     with pytest.raises(ValueError, match="target pairs"):
         c.append(name, (0, 1, 2), arg=arg)
+    assert c.instructions == []
+
+
+@pytest.mark.parametrize("name", ["CX", "DEPOLARIZE2"])
+@pytest.mark.parametrize("targets", [(0, 0), (0, 1, 2, 2)])
+def test_append_rejects_a_pair_of_equal_targets(name, targets):
+    c = StabCircuit(3)
+    arg = (0.1,) if name == "DEPOLARIZE2" else None
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} needs target pairs of two distinct qubits, "
+            f"got {targets}")):
+        c.append(name, targets, arg=arg)
     assert c.instructions == []
 
 
@@ -426,8 +438,9 @@ def test_extend_normalises_targets_as_append_does():
 
 # (name, targets, arg) that append rejects, on a 3-qubit circuit after M 0 1
 REJECTED = [
-    *((name, (0, 1, 2), (0.1,) if name == "DEPOLARIZE2" else None)
-      for name in ("CX", "DEPOLARIZE2")),
+    *((name, targets, (0.1,) if name == "DEPOLARIZE2" else None)
+      for name in ("CX", "DEPOLARIZE2")
+      for targets in ((0, 1, 2), (1, 1), (0, 1, 2, 2))),
     *((name, (0, bad), None) for name in ("H", "CX", "R", "RX", "M", "MX",
                                           "X_ERROR", "Z_ERROR", "DEPOLARIZE1",
                                           "DEPOLARIZE2", "QUBIT_COORDS")

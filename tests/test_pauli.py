@@ -3,17 +3,18 @@ import random
 import numpy as np
 import pytest
 
-from oracles import (expand_noise, fault_sites, noiseless_outcomes,
-                     propagate_frame)
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import (DenseTableau, expand_noise, fault_sites,
+                     noiseless_outcomes, propagate_frame)
 from shuttleplan import pauli
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
 from shuttleplan.emit import Instruction, StabCircuit, emit_memory_circuit
-from shuttleplan.pauli import (FaultSites, NoiselessReport, Outcome, Tableau,
-                               TableauError, fault_scan, simulate_noiseless,
-                               sites_from_noise)
+from shuttleplan.pauli import (FaultSites, NoiselessReport, fault_scan,
+                               simulate_noiseless, sites_from_noise)
 
 
 def z_check_circuit(tailored: bool) -> StabCircuit:
@@ -237,22 +238,32 @@ def test_fault_scan_matches_single_propagation():
         assert parity == [len(f) % 2 for f in flipped]
 
 
+def verdicts(circuit: StabCircuit, *parities) -> list:
+    """`simulate_noiseless`'s detector verdicts on `circuit` with one
+    DETECTOR per measurement record, then one per tuple in `parities`."""
+    c = StabCircuit(circuit.num_qubits)
+    c.extend([*circuit.instructions,
+              *(Instruction("DETECTOR", (m,))
+                for m in range(circuit.num_measurements)),
+              *(Instruction("DETECTOR", records) for records in parities)])
+    return simulate_noiseless(c).detectors
+
+
+def parse(text: str, num_qubits: int = 2) -> StabCircuit:
+    """A circuit from ``"NAME t t; NAME t; ..."``."""
+    c = StabCircuit(num_qubits)
+    for line in text.split(";"):
+        name, *targets = line.split()
+        c.append(name, map(int, targets))
+    return c
+
+
 def test_simulate_reset_measure_deterministic_zero():
-    c = StabCircuit(1)
-    c.append("R", (0,))
-    c.append("M", (0,))
-    report = simulate_noiseless(c)
-    out = report.measurements[0]
-    assert out.deterministic and out.const == 0 and not out.random
+    assert verdicts(parse("R 0; M 0", 1)) == [0]
 
 
 def test_simulate_hadamard_gives_random_flag():
-    c = StabCircuit(1)
-    c.append("R", (0,))
-    c.append("H", (0,))
-    c.append("M", (0,))
-    out = simulate_noiseless(c).measurements[0]
-    assert out.random and not out.deterministic
+    assert verdicts(parse("R 0; H 0; M 0", 1)) == [None]
 
 
 def test_repeated_random_measurement_is_correlated():
@@ -267,40 +278,36 @@ def test_repeated_random_measurement_is_correlated():
         c.append("M", (1,))
         c.append("CX", (0, 1))
         c.append("H", (0,))
-    c.append("DETECTOR", (0, 1))
-    report = simulate_noiseless(c)
-    m0, m1 = report.measurements
-    assert m0.random
-    assert not m0.deterministic and not m1.deterministic
-    det = report.detectors[0]
-    assert det.deterministic and det.const == 0
+    assert verdicts(c, (0, 1)) == [None, None, 0]
 
 
 def test_reset_clears_entanglement():
-    c = StabCircuit(2)
-    c.append("R", (0,))
-    c.append("R", (1,))
-    c.append("H", (0,))
-    c.append("CX", (0, 1))
-    c.append("R", (1,))   # reset one half of a Bell pair
-    c.append("M", (1,))
-    out = simulate_noiseless(c).measurements[0]
-    assert out.deterministic and out.const == 0
+    # reset one half of a Bell pair
+    assert verdicts(parse("R 0; R 1; H 0; CX 0 1; R 1; M 1")) == [0]
 
 
 def test_bell_pair_parity_deterministic():
-    c = StabCircuit(2)
-    c.append("R", (0,))
-    c.append("R", (1,))
-    c.append("H", (0,))
-    c.append("CX", (0, 1))
-    c.append("M", (0,))
-    c.append("M", (1,))
-    c.append("DETECTOR", (0, 1))
-    report = simulate_noiseless(c)
-    assert [m.random for m in report.measurements] == [True, False]
-    det = report.detectors[0]
-    assert det.deterministic and det.const == 0
+    c = parse("R 0; R 1; H 0; CX 0 1; M 0; M 1")
+    assert verdicts(c, (0, 1)) == [None, None, 0]
+
+
+def test_h_sign_gives_value_one():
+    """Stepping back from Z0 Z1, the middle H meets an X and a Z on qubit 0
+    and flips the sign, the only rule that does: the parity of M 0 1 is
+    deterministic 1, as the oracle says."""
+    c = parse("R 0 1; H 0; CX 0 1; H 0; CX 0 1; H 0; M 0 1; DETECTOR 0 1")
+    assert assert_noiseless_matches_oracle(c).detectors == [1]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("H 0; M 0 1", [None, 0]),                # X against the initial |0>
+    ("RX 0; M 0 1", [None, 0]),               # Z against RX
+    ("MX 0; M 0 1", [None, None, 0]),         # Z against MX
+    ("R 0; H 0; M 0 1", [None, 0]),           # X against R
+    ("H 0; M 0; H 0; M 0 1", [None, None, 0]),  # X against M
+])
+def test_anticommuting_with_a_reset_or_measurement_is_random(text, want):
+    assert verdicts(parse(text)) == want
 
 
 def random_circuit(rng, n=8, length=50) -> StabCircuit:
@@ -329,8 +336,9 @@ def random_circuit(rng, n=8, length=50) -> StabCircuit:
 
 
 def tableau_run(circuit: StabCircuit, inject=None):
-    """Noiseless tableau run with an optional Pauli injected mid-circuit."""
-    tab = Tableau(circuit.num_qubits)
+    """(const, mask, random) of every measurement of a noiseless dense
+    tableau run, with an optional Pauli injected mid-circuit."""
+    tab = DenseTableau(circuit.num_qubits)
     outcomes = []
     for idx, instr in enumerate(circuit.instructions):
         if instr.name == "R":
@@ -357,9 +365,9 @@ def tableau_run(circuit: StabCircuit, inject=None):
             # X_q those with a Z on q, Z_q those with an X on q
             for q, p in inject[1]:
                 if p in ("X", "Y"):
-                    tab.sign ^= tab.zc[q]
+                    tab.sign ^= tab.z[:, q]
                 if p in ("Z", "Y"):
-                    tab.sign ^= tab.xc[q]
+                    tab.sign ^= tab.x[:, q]
     return outcomes
 
 
@@ -383,23 +391,23 @@ def test_frame_agrees_with_tableau_on_random_circuits():
         clean = tableau_run(circuit)
         dirty = tableau_run(circuit, inject=(idx, paulis))
         assert len(clean) == len(dirty) == circuit.num_measurements
-        for a, b in zip(clean, dirty):
-            assert a.mask == b.mask, "fault changed the randomness structure"
+        for (_, a, _), (_, b, _) in zip(clean, dirty):
+            assert a == b, "fault changed the randomness structure"
 
         (frame_list,), _ = record_flips(circuit, fault_sites([(idx, paulis)]))
         frame_flips = set(frame_list)
 
-        for i, (a, b) in enumerate(zip(clean, dirty)):
-            if a.mask == 0:
+        for i, ((a, mask, _), (b, _, _)) in enumerate(zip(clean, dirty)):
+            if mask == 0:
                 compared += 1
-                assert (a.const != b.const) == (i in frame_flips), (
+                assert (a != b) == (i in frame_flips), (
                     f"trial {trial}: deterministic measurement {i}")
         for i in range(len(clean)):
             for j in range(i + 1, len(clean)):
-                if clean[i].mask and clean[i].mask == clean[j].mask:
+                if clean[i][1] and clean[i][1] == clean[j][1]:
                     compared += 1
-                    tab = (clean[i].const ^ clean[j].const
-                           ^ dirty[i].const ^ dirty[j].const)
+                    tab = (clean[i][0] ^ clean[j][0]
+                           ^ dirty[i][0] ^ dirty[j][0])
                     frm = (i in frame_flips) ^ (j in frame_flips)
                     assert tab == frm, (
                         f"trial {trial}: parity of measurements {i},{j}")
@@ -667,14 +675,14 @@ def test_fault_scan_rejects_malformed_term_columns(site, bits):
 
 
 def assert_noiseless_matches_oracle(circuit: StabCircuit) -> NoiselessReport:
-    """Measurement, detector and observable Outcomes equal the dense
-    tableau oracle's, exactly."""
+    """Every detector and observable verdict equals the dense tableau
+    oracle's: random where its outcome mask is nonzero, else its value."""
     report = simulate_noiseless(circuit)
-    triple = lambda o: (o.const, o.mask, o.random)
-    measurements, detectors, observables = noiseless_outcomes(circuit)
-    assert [triple(o) for o in report.measurements] == measurements
-    assert [triple(o) for o in report.detectors] == detectors
-    assert {k: triple(o) for k, o in report.observables.items()} == observables
+    verdict = lambda out: None if out[1] else out[0]
+    _, detectors, observables = noiseless_outcomes(circuit)
+    assert report.detectors == list(map(verdict, detectors))
+    assert report.observables == {k: verdict(out)
+                                  for k, out in observables.items()}
     return report
 
 
@@ -715,21 +723,40 @@ def test_tableau_matches_dense_oracle_on_bb72(bb72_schedule, basis):
     assert len(report.observables) == 12
 
 
-def test_tableau_rejects_anticommuting_stabilizers_in_random_measurement():
-    """Stabilizers X0 and Y0 Z1 both anticommute with Z0 and with each
-    other, so multiplying one into the other cannot keep a real sign."""
-    tab = Tableau(2)
-    tab.xc[0] |= 0b1100            # rows 2 and 3 get an X on qubit 0
-    tab.zc[0] ^= 0b1100            # row 2 loses its Z0, row 3 gains one
-    with pytest.raises(TableauError, match="anticommuting"):
-        tab.measure(0)
+# one-target H, R, RX, M and MX and one-pair CX, as in random_circuit, and
+# their wider forms: several targets, a qubit repeated in M and MX, chained
+# CX pairs
+@st.composite
+def multi_target_circuits(draw):
+    n = draw(st.integers(1, 5))
+    qubit = st.integers(0, n - 1)
+    c = StabCircuit(n)
+    for _ in range(draw(st.integers(0, 14))):
+        name = draw(st.sampled_from(["H", "R", "RX", "M", "MX", "CX"]))
+        if name == "CX":
+            if n == 1:
+                continue
+            pairs = draw(st.lists(st.lists(qubit, min_size=2, max_size=2,
+                                           unique=True),
+                                  min_size=1, max_size=4))
+            c.append(name, [q for pair in pairs for q in pair])
+        else:
+            c.append(name, draw(st.lists(qubit, min_size=1, max_size=4,
+                                         unique=name not in ("M", "MX"))))
+    c.append("M", draw(st.lists(qubit, min_size=1, max_size=n)))
+    record = st.integers(0, c.num_measurements - 1)
+    for _ in range(draw(st.integers(1, 6))):
+        c.append("DETECTOR", draw(st.lists(record, max_size=4)))
+    for _ in range(draw(st.integers(0, 3))):
+        c.append("OBSERVABLE_INCLUDE", draw(st.lists(record, max_size=4)),
+                 arg=(draw(st.integers(0, 2)),))
+    return c
 
 
-def test_tableau_rejects_non_hermitian_deterministic_product():
-    """Z0 is deterministic, but the two stabilizers it is built from,
-    Z0 X1 and Z1, anticommute, so their product has an imaginary phase."""
-    tab = Tableau(2)
-    tab.xc[0] |= 0b10              # destabilizer 1 also anticommutes with Z0
-    tab.xc[1] |= 0b100             # stabilizer row 2 becomes Z0 X1
-    with pytest.raises(TableauError, match="deterministic outcome"):
-        tab.measure(0)
+@given(multi_target_circuits())
+@example(parse("H 0; CX 0 1 1 2; M 2; DETECTOR 0", 3))  # random, not 0
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_dense_oracle_on_multi_target_circuits(circuit):
+    """Records across multi-target M and MX and CX pairs taken in reverse
+    give the oracle's verdicts."""
+    assert_noiseless_matches_oracle(circuit)
