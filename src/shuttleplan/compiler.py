@@ -11,11 +11,11 @@ per ancilla, keyed by the ancilla, with a route's WAIT, SHUTTLE and DISPLACE
 events as they are and each GATE as a CX (an H-CX-H sandwich on a tailored
 Z ancilla). Round r is that stored round shifted by r times the round
 makespan M, which stays collision-free because every occupancy of round r
-lies inside [r*M, (r+1)*M). Each writer lowers the stored round once and
-repeats it: the text and JSON forms name each stored event once and print
-its row at t + r*M in every round, and the emitter builds each stored
-event's instructions once and places the same objects at t + r*M. No
-shifted ``Event`` is built.
+lies inside [r*M, (r+1)*M). Each writer lowers the stored round once: the
+text form names each stored event once and prints its row at t + r*M in
+every round, the JSON form writes the stored round alone with the round
+count and M, and the emitter builds each stored event's instructions once
+and places the same objects at t + r*M. No shifted ``Event`` is built.
 
 Where an ancilla rests is decided by `ancilla_occupancy` alone, for both
 planning and validation; its docstring states the residency model.
@@ -76,20 +76,22 @@ class Schedule:
         lines.append(f"makespan_ns = {self.makespan}")
         return lines
 
-    def _rows(self) -> Iterator[tuple[int, int, Event, str, Optional[str]]]:
+    def _round_rows(self) -> list[tuple[int, int, Event, str, Optional[str]]]:
         """(time, ancilla, event, comp text, dest text or None) for every
-        event of every round, ordered by time, ancilla and kind.
+        event of the stored round, ordered by time, ancilla and kind; each
+        event is named once, from its own component objects."""
+        rows = [(ev.t, a, ev, comp_str(ev.comp),
+                 None if ev.dest is None else comp_str(ev.dest))
+                for a, evs in self.events.items() for ev in evs]
+        rows.sort(key=lambda row: (row[0], row[1], row[2].kind))
+        return rows
 
-        The stored round is sorted once and each of its events named once,
-        from its own component objects; round r repeats those rows at their
-        time plus r * round_makespan. Round after round is in time order
-        because every stored event lies in [0, round_makespan), which
-        ``validate_schedule`` checks.
-        """
-        pattern = [(ev.t, a, ev, comp_str(ev.comp),
-                    None if ev.dest is None else comp_str(ev.dest))
-                   for a, evs in self.events.items() for ev in evs]
-        pattern.sort(key=lambda row: (row[0], row[1], row[2].kind))
+    def _rows(self) -> Iterator[tuple[int, int, Event, str, Optional[str]]]:
+        """`_round_rows` for every round, in time order: round r repeats
+        the stored round's rows at their time plus r * round_makespan.
+        Round after round is in time order because every stored event lies
+        in [0, round_makespan), which ``validate_schedule`` checks."""
+        pattern = self._round_rows()
         for r in range(self.rounds):
             offset = r * self.round_makespan
             for t, a, ev, comp, dest in pattern:
@@ -110,10 +112,15 @@ class Schedule:
         return join_lines(lines())
 
     def to_json(self) -> str:
+        """The schedule as JSON: format, provenance, ``rounds``,
+        ``round_makespan_ns``, ``makespan_ns`` and ``events``, the stored
+        round's events as `to_text` prints round 0, one object each. Round
+        r is those events shifted by r * round_makespan_ns, so the JSON does
+        not grow with the round count."""
         events = [{"qubit": f"a{a}", "kind": ev.kind, "t": t,
                    "duration": ev.duration, "comp": comp, "dest": dest,
                    "partner": ev.partner}
-                  for t, a, ev, comp, dest in self._rows()]
+                  for t, a, ev, comp, dest in self._round_rows()]
         doc = {
             "format": "shuttleplan schedule v1",
             "provenance": self.provenance,

@@ -1,15 +1,11 @@
-"""Fault signatures and noiseless determinism by backward detector walks.
+"""Fault signatures and noiseless determinism from one backward Pauli walk.
 
-`fault_scan` finds the detectors and observables that every single fault
-flips in one reverse walk over the circuit, as Stim's error analyzer does
-(Gidney, Quantum 5, 497, 2021). It keeps, per qubit, the signature of an X
-and of a Z error at the current point as Python ints, updates them at each
-measurement, reset and gate it steps back over, and reads a site when it
-reaches the instruction the site follows. The signatures are written into
-the rows of a preallocated uint8 matrix, a run of at most 1,024
-consecutive sites at a time: ceil(num_detectors / 8) +
-ceil(num_observables / 8) bytes per site, the only memory the result
-holds.
+`_walk` steps back once over a circuit, as Stim's error analyzer does
+(Gidney, Quantum 5, 497, 2021); its docstring holds the rule of every
+gate, measurement and reset. `fault_scan` takes from it each single
+fault's detector and observable signature, as the rows of a uint8 matrix.
+`simulate_noiseless` walks over no sites and takes which detectors and
+observables are deterministic without noise, and their values.
 
 Fault sites are flat integer columns (`FaultSites`), never per-site
 objects: ``index`` has one entry per site, the instruction it follows; each
@@ -18,20 +14,9 @@ ascending), ``term_qubit`` and ``term_bits`` (X 1, Z 2, Y 3).
 `sites_from_noise` builds them in one pass over the noise instructions
 into numpy arrays, from the per-channel templates of `emit.NOISE_CHANNELS`
 (X_ERROR and Z_ERROR 1 site, DEPOLARIZE1 3, DEPOLARIZE2 15), and returns
-int32 columns and uint8 bits; the scan sorts the terms with numpy alone
+int32 columns and uint8 bits; the walk sorts the terms with numpy alone
 when they are not already in instruction order. A site's provenance is the
 ``meta`` of the instruction it follows.
-
-`simulate_noiseless` decides, in a second backward walk, which detectors
-and observables are deterministic without noise and their values. It
-carries each parity's backward Pauli as the scan carries signatures, per
-qubit X and Z bits as Python ints in the same row layout, plus one sign
-int and one int of the parities found random: Stim's check that a
-detector's Pauli anticommutes with no reset (Gidney, Quantum 5, 497,
-2021). Writing a Pauli as -1^s X^x Z^z with no factor of i, H is the only
-gate that changes a sign; CX permutes such words without reordering an X
-and a Z on one qubit. Both walks take their record masks from
-`_record_masks`, so the row layout is decided in one place.
 """
 
 from __future__ import annotations
@@ -224,7 +209,11 @@ def _record_masks(circuit: StabCircuit
     return mask, num_detectors, bits
 
 
-# the most finished signatures `fault_scan` holds before writing them
+# ---------------------------------------------------------------------------
+# the backward walk
+
+
+# the most finished signatures the walk holds before writing them
 _RUN_ROWS = 1024
 
 
@@ -237,35 +226,125 @@ def _write_run(written: memoryview, site: int, size: int,
     run.clear()
 
 
-def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
-    """Every site's detector and observable signature, in one backward pass.
+def _walk(circuit: StabCircuit, sites: FaultSites
+          ) -> tuple[np.ndarray, int, dict[int, int], int, int]:
+    """Walk `circuit` back once, from its last instruction to its first.
 
-    `_record_masks` reads the detectors and observables into a mask per
-    measurement record in one forward walk. Walking back from the last instruction to the earliest site,
-    ``sz[q]`` and ``sx[q]`` are the signatures of an X and a Z error on q
-    at that point, as Python ints in the row layout of `ScanResult`.
-    Passing back over M on q with record m XORs the record's mask into
-    ``sz[q]``, over MX into ``sx[q]``; R and RX clear both, H swaps them,
-    and CX(c, t), its pairs taken in reverse, does ``sx[t] ^= sx[c];
-    sz[c] ^= sz[t]``. A site injected after instruction i is read before
-    the walk steps back over i: the XOR over its terms of ``sz[q]`` for X,
-    ``sx[q]`` for Z and both for Y. Sites may come in any order. Finished
-    signatures of consecutive sites, read one below the other as
+    `_record_masks` gives each measurement record the bits, in the row
+    layout of `ScanResult`, of the detectors and observables holding it.
+    Bit b of ``sx[q]`` and of ``sz[q]`` says whether parity b's backward
+    Pauli, -1^sign X^x Z^z with no factor of i, has an X and a Z on q at
+    the current point: ``sz[q]`` is the signature of an X error on q there,
+    ``sx[q]`` that of a Z error. Bit b of ``sign`` is parity b's sign and
+    bit b of ``random`` is set once its Pauli anticommutes with a reset, a
+    measurement or the |0> every qubit starts in. Stepping back over
+
+    - CX(c, t), its pairs in reverse: ``sx[c]`` XORed into ``sx[t]`` and
+      ``sz[t]`` into ``sz[c]``. It maps X_c to X_c X_t and Z_t to Z_c Z_t,
+      so it moves no Z past an X on one qubit and leaves every sign alone;
+    - H on q: ``sign ^= sx[q] & sz[q]``, as H X^x Z^z H = -1^(xz) X^z Z^x,
+      then the swap of ``sx[q]`` and ``sz[q]``; H is the only sign rule;
+    - R on q: ``random |= sx[q]``, then both cleared; RX: ``random |=
+      sz[q]``, then both cleared;
+    - M on q with record m: ``random |= sx[q]``, then ``sz[q] ^= mask[m]``;
+      MX: ``random |= sz[q]``, then ``sx[q] ^= mask[m]``.
+
+    A site injected after instruction i is read before the walk steps back
+    over i: the XOR over its terms of ``sz[q]`` for X, ``sx[q]`` for Z and
+    both for Y. Sites may come in any order; their terms are sorted by
+    instruction, the terms of one site kept together. Past the first
+    instruction, ``random |= sx[q]`` for every q, and what remains of a
+    parity that is not random is -1^sign times a product of Zs on |0>, so
+    its value is its sign bit.
+
+    Finished signatures of consecutive sites, read one below the other as
     `sites_from_noise` gives them, are joined into rows and written into
-    the preallocated result when the run breaks or reaches _RUN_ROWS
-    sites; a row per site written on its own made the scan a fifth slower
-    on the 7-round surface d7 circuit.
-    The scan so holds at most _RUN_ROWS signatures besides the
-    ceil(num_detectors / 8) + ceil(num_observables / 8) bytes per site of
-    the result.
+    the preallocated rows when the run breaks or reaches _RUN_ROWS sites;
+    a row per site written on its own made the scan a fifth slower on the
+    7-round surface d7 circuit. The walk so holds at most _RUN_ROWS
+    signatures besides the ceil(num_detectors / 8) +
+    ceil(num_observables / 8) bytes per site of the rows.
+
+    Returns the (sites, row bytes) uint8 rows, the detector count, each
+    observable's bit by ascending index, ``sign`` and ``random``.
+    """
+    nq, instructions = circuit.num_qubits, circuit.instructions
+    mask, num_detectors, observables = _record_masks(circuit)
+    size = -(-num_detectors // 8) + -(-len(observables) // 8)
+    out = np.zeros(len(sites) * size, dtype=np.uint8)
+    written = memoryview(out)  # site r's row is [r * size, (r + 1) * size)
+
+    # terms by instruction, read from the last through memoryviews, which
+    # hand out one int at a time
+    at = sites.index[sites.term_site]
+    columns = [at, sites.term_site, sites.term_qubit, sites.term_bits]
+    if (at[1:] < at[:-1]).any():
+        order = np.argsort(at, kind="stable")
+        columns = [col[order] for col in columns]
+    terms = zip(*(reversed(memoryview(np.ascontiguousarray(col)))
+                  for col in columns))
+    done = (-1, 0, 0, 0)  # after the last term: no instruction has index -1
+    at, row, target, pauli = next(terms, done)
+    sx, sz = [0] * nq, [0] * nq
+    sign = random = 0
+    measured = circuit.num_measurements  # records before instruction i
+    # finished signatures of the sites just above `site`, the highest first
+    run: list[int] = []
+    site, signature = row, 0
+    i = len(instructions)
+    for name, targets, _, _ in reversed(instructions):
+        i -= 1
+        while at == i:  # a term of a site injected after instruction i
+            if row != site:  # the terms of `site` are done
+                run.append(signature)
+                if row != site - 1 or len(run) == _RUN_ROWS:
+                    _write_run(written, site, size, run)
+                site, signature = row, 0
+            if pauli & 1:
+                signature ^= sz[target]
+            if pauli & 2:
+                signature ^= sx[target]
+            at, row, target, pauli = next(terms, done)
+        if name == "CX":
+            for k in range(len(targets) - 2, -1, -2):
+                c, t = targets[k], targets[k + 1]
+                sx[t] ^= sx[c]
+                sz[c] ^= sz[t]
+        elif name == "H":
+            for q in targets:
+                sign ^= sx[q] & sz[q]
+                sz[q], sx[q] = sx[q], sz[q]
+        elif name in ("R", "RX"):
+            anti = sx if name == "R" else sz
+            for q in targets:
+                random |= anti[q]
+                sz[q] = sx[q] = 0
+        elif name in ("M", "MX"):
+            measured -= len(targets)
+            anti, sens = (sx, sz) if name == "M" else (sz, sx)
+            for m, q in enumerate(targets, measured):
+                random |= anti[q]
+                sens[q] ^= mask[m]
+    if len(sites.term_site):
+        run.append(signature)
+        _write_run(written, site, size, run)
+    for x in sx:
+        random |= x
+    return (out.reshape(len(sites), size), num_detectors, observables,
+            sign, random)
+
+
+def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
+    """Every site's detector and observable signature: the rows `_walk`
+    writes, ceil(num_detectors / 8) + ceil(num_observables / 8) bytes per
+    site, the only memory the result holds.
 
     Raises IndexError for a site whose instruction index or qubit is out of
     range, naming the site's row, and ValueError for a term whose site row
     or X/Z bits are out of range or whose site row is below the one before.
     """
     nq, index = circuit.num_qubits, sites.index
-    instructions = circuit.instructions
-    bad = np.flatnonzero((index < 0) | (index >= len(instructions)))
+    bad = np.flatnonzero((index < 0) | (index >= len(circuit.instructions)))
     if bad.size:
         row = int(bad[0])
         raise IndexError(f"fault site {row}: no instruction at {index[row]}")
@@ -282,70 +361,14 @@ def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
         raise ValueError(f"Pauli term {t}: site {rows[t]}, bits {bits[t]}; "
                          f"need ascending sites in [0, {len(index)}) and "
                          f"bits X 1, Z 2 or Y 3")
-
-    mask, num_detectors, observables = _record_masks(circuit)
-    size = -(-num_detectors // 8) + -(-len(observables) // 8)
-    out = np.zeros(len(index) * size, dtype=np.uint8)
-    written = memoryview(out)  # site r's row is [r * size, (r + 1) * size)
-
-    # terms by instruction, read from the last; the terms of one site stay
-    # together, and memoryviews hand out one int at a time. A term's walk
-    # stops just after its site's instruction.
-    stop = index[rows] + 1
-    columns = [stop, rows, qubit, bits]
-    if (stop[1:] < stop[:-1]).any():
-        order = np.argsort(stop, kind="stable")
-        columns = [col[order] for col in columns]
-    columns = [memoryview(np.ascontiguousarray(col)) for col in columns]
-    sz, sx = [0] * nq, [0] * nq
-    measured = circuit.num_measurements  # records before instruction i
-    i = len(instructions)  # instructions i and later are stepped back over
-    # finished signatures of the sites just above `site`, the highest first
-    run: list[int] = []
-    site = columns[1][-1] if len(rows) else 0
-    signature = 0
-    for end, row, target, pauli in zip(*map(reversed, columns)):
-        if row != site:  # the terms of `site` are done
-            run.append(signature)
-            if row != site - 1 or len(run) == _RUN_ROWS:
-                _write_run(written, site, size, run)
-            site, signature = row, 0
-        while i > end:  # step back to just after the site
-            i -= 1
-            name, targets, _, _ = instructions[i]
-            if name == "CX":
-                for k in range(len(targets) - 2, -1, -2):
-                    c, t = targets[k], targets[k + 1]
-                    sx[t] ^= sx[c]
-                    sz[c] ^= sz[t]
-            elif name == "H":
-                for q in targets:
-                    sz[q], sx[q] = sx[q], sz[q]
-            elif name in ("R", "RX"):
-                for q in targets:
-                    sz[q] = sx[q] = 0
-            elif name in ("M", "MX"):
-                measured -= len(targets)
-                sens = sz if name == "M" else sx
-                for m, q in enumerate(targets, measured):
-                    sens[q] ^= mask[m]
-        if pauli & 1:
-            signature ^= sz[target]
-        if pauli & 2:
-            signature ^= sx[target]
-    if len(rows):
-        run.append(signature)
-        _write_run(written, site, size, run)
-    return ScanResult(sites=sites, rows=out.reshape(len(index), size),
-                      num_detectors=num_detectors,
-                      num_observables=len(observables),
-                      num_qubits=nq, num_measurements=circuit.num_measurements)
-
-
+    out, num_detectors, observables, _, _ = _walk(circuit, sites)
+    return ScanResult(sites=sites, rows=out, num_detectors=num_detectors,
+                      num_observables=len(observables), num_qubits=nq,
+                      num_measurements=circuit.num_measurements)
 
 
 # ---------------------------------------------------------------------------
-# noiseless determinism by the backward walk
+# noiseless determinism
 
 
 @dataclass
@@ -367,51 +390,12 @@ class NoiselessReport:
 
 
 def simulate_noiseless(circuit: StabCircuit) -> NoiselessReport:
-    """Decide each detector and observable of a noiseless run in one
-    backward walk over the gates, measurements and resets.
-
-    ``sx[q]`` and ``sz[q]`` hold, in the row layout of `ScanResult`, the
-    parities whose backward Pauli has an X and a Z on q; bit b of ``sign``
-    is parity b's sign, its Pauli being -1^sign X^x Z^z with no factor of
-    i. Stepping back over H on q flips the sign where the Pauli has both
-    (H X^x Z^z H = Z^x X^z = -1^(xz) X^z Z^x) and swaps the two. CX(c, t),
-    its pairs in reverse, is `fault_scan`'s update and nothing more: it
-    maps X_c to X_c X_t and Z_t to Z_c Z_t, so it moves no Z past an X on
-    one qubit and leaves every sign alone. A parity whose Pauli
-    anticommutes with a measurement (M on q while it has an X on q, MX
-    while it has a Z), with a reset (R and X, RX and Z) or with the |0>
-    every qubit starts in (an X) is random; otherwise a measurement
-    multiplies its basis Pauli into the parities holding its record and a
-    reset drops q. What remains at the start is -1^sign times a product of
-    Zs, so a parity that was never random has the value of its sign bit.
-    """
-    mask, num_detectors, observables = _record_masks(circuit)
-    sx, sz = [0] * circuit.num_qubits, [0] * circuit.num_qubits
-    sign = random = 0
-    measured = circuit.num_measurements  # records before the instruction
-    for name, targets, _, _ in reversed(circuit.instructions):
-        if name == "CX":
-            for k in range(len(targets) - 2, -1, -2):
-                c, t = targets[k], targets[k + 1]
-                sx[t] ^= sx[c]
-                sz[c] ^= sz[t]
-        elif name == "H":
-            for q in targets:
-                sign ^= sx[q] & sz[q]
-                sz[q], sx[q] = sx[q], sz[q]
-        elif name in ("R", "RX"):
-            anti = sx if name == "R" else sz
-            for q in targets:
-                random |= anti[q]
-                sz[q] = sx[q] = 0
-        elif name in ("M", "MX"):
-            measured -= len(targets)
-            anti, sens = (sx, sz) if name == "M" else (sz, sx)
-            for m, q in enumerate(targets, measured):
-                random |= anti[q]
-                sens[q] ^= mask[m]
-    for x in sx:
-        random |= x
+    """Decide each detector and observable of a noiseless run from `_walk`
+    over no fault sites: a parity whose bit is set in the walk's ``random``
+    is random, any other has the value of its ``sign`` bit."""
+    none = np.zeros(0, dtype=np.int32)
+    _, num_detectors, observables, sign, random = _walk(
+        circuit, FaultSites(none, none, none, none))
 
     def value(bit: int) -> int | None:
         return None if random >> bit & 1 else sign >> bit & 1

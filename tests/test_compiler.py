@@ -553,7 +553,12 @@ def test_schedule_json_matches_events_and_text():
                      key=lambda row: (row[0], row[1], row[2].kind))
     lines = [ln.split() for ln in schedule.to_text().splitlines()
              if not ln.startswith("#")]
-    assert len(doc["events"]) == len(triples) == len(lines)
+    # the JSON holds the stored round, the text's first half
+    stored = len(doc["events"])
+    assert stored == sum(map(len, schedule.events.values()))
+    assert len(triples) == len(lines) == 2 * stored
+    assert triples[stored - 1][0] < schedule.round_makespan
+    assert triples[stored][0] >= schedule.round_makespan
     for row, (t, a, ev), fields in zip(doc["events"], triples, lines):
         assert (row["qubit"], row["kind"], row["t"], row["duration"],
                 row["partner"]) == (f"a{a}", ev.kind, t, ev.duration,
@@ -601,15 +606,20 @@ def _line(qubit, kind, t, duration, comp, dest, partner) -> str:
 @pytest.mark.parametrize("name,rounds", EXPANDED,
                          ids=[f"{n}-{r}" for n, r in EXPANDED])
 def test_text_and_json_print_the_expanded_rounds(stored_rounds, name, rounds):
+    """The text prints every expanded round; the JSON prints round 0 alone,
+    as the text does, and the round count."""
     one = stored_rounds[name]
     schedule = replicate_rounds(one, rounds)
     assert schedule.events is one.events
     expected = _printed(schedule)
     assert [ln for ln in schedule.to_text().splitlines()
             if not ln.startswith("#")] == expected
-    rows = json.loads(schedule.to_json())["events"]
+    round0 = _printed(replicate_rounds(one, 1))
+    assert expected[:len(round0)] == round0
+    doc = json.loads(schedule.to_json())
     assert [_line(r["qubit"], r["kind"], r["t"], r["duration"], r["comp"],
-                  r["dest"], r["partner"]) for r in rows] == expected
+                  r["dest"], r["partner"]) for r in doc["events"]] == round0
+    assert doc["rounds"] == rounds
 
 
 @pytest.mark.parametrize("name,rounds", EXPANDED,

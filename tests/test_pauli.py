@@ -5,6 +5,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import NOISELESS
 from oracles import (DenseTableau, expand_noise, fault_sites,
                      noiseless_outcomes, propagate_frame)
 from shuttleplan import pauli
@@ -12,7 +13,8 @@ from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
-from shuttleplan.emit import Instruction, StabCircuit, emit_memory_circuit
+from shuttleplan.emit import (_QUBIT_OPS, NOISE_CHANNELS, Instruction,
+                              StabCircuit, emit_memory_circuit)
 from shuttleplan.pauli import (FaultSites, NoiselessReport, fault_scan,
                                simulate_noiseless, sites_from_noise)
 
@@ -445,22 +447,30 @@ def test_fault_scan_matches_frame_oracle(num_sites):
 
 
 def parities(flipped: set, groups) -> list[int]:
-    return [len(flipped.intersection(targets)) % 2 for targets in groups]
+    """Per group of records, the parity of its flipped ones; a record
+    repeated in a group counts each time, as the circuit XORs it in."""
+    return [sum(m in flipped for m in targets) % 2 for targets in groups]
+
+
+def oracle_flips(circuit, faults) -> tuple[list, list]:
+    """Per fault, the frame oracle's detector and observable flips: the
+    parities of the measurements it flips, observables by index."""
+    dets = [targets for targets, _ in circuit.detectors()]
+    obs = [targets for _, targets in sorted(circuit.observables().items())]
+    expect_det, expect_obs = [], []
+    for index, paulis in faults:
+        flipped = set(propagate_frame(circuit, index, paulis)[2])
+        expect_det.append(parities(flipped, dets))
+        expect_obs.append(parities(flipped, obs))
+    return expect_det, expect_obs
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_detector_and_observable_flips_match_frame_oracle(basis):
     code, layout = surface_code(3)
     circuit = memory_circuit(code, layout, 2, basis)
-    sites = sites_from_noise(circuit)
-    result = fault_scan(circuit, sites)
-    dets = [targets for targets, _ in circuit.detectors()]
-    obs = [targets for _, targets in sorted(circuit.observables().items())]
-    expect_det, expect_obs = [], []
-    for index, paulis in expand_noise(circuit):
-        flipped = set(propagate_frame(circuit, index, paulis)[2])
-        expect_det.append(parities(flipped, dets))
-        expect_obs.append(parities(flipped, obs))
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    expect_det, expect_obs = oracle_flips(circuit, expand_noise(circuit))
     det_flips = result.detector_flips(circuit)
     assert det_flips.dtype == np.uint8
     assert det_flips.tolist() == expect_det
@@ -548,13 +558,7 @@ def test_bb72_sample_matches_frame_oracle(bb72_schedule):
                                   NoiseConfig(), "Z")
     faults = random.Random(72).sample(expand_noise(circuit), 64)
     result = fault_scan(circuit, fault_sites(faults))
-    dets = [targets for targets, _ in circuit.detectors()]
-    obs = [targets for _, targets in sorted(circuit.observables().items())]
-    expect_det, expect_obs = [], []
-    for index, paulis in faults:
-        flipped = set(propagate_frame(circuit, index, paulis)[2])
-        expect_det.append(parities(flipped, dets))
-        expect_obs.append(parities(flipped, obs))
+    expect_det, expect_obs = oracle_flips(circuit, faults)
     assert result.detector_flips(circuit).tolist() == expect_det
     assert result.observable_flips(circuit).tolist() == expect_obs
     assert np.array(expect_det).any()
@@ -723,6 +727,17 @@ def test_tableau_matches_dense_oracle_on_bb72(bb72_schedule, basis):
     assert len(report.observables) == 12
 
 
+# the gates the walk has a rule for
+GATES = ("H", "R", "RX", "M", "MX", "CX")
+
+
+def test_the_random_circuits_draw_every_emitted_gate():
+    """Every qubit instruction the emitter knows, other than a noise
+    channel or QUBIT_COORDS, is a gate the random circuits draw: a new gate
+    fails here until the walk has a rule for it and the strategy draws it."""
+    assert set(GATES) == _QUBIT_OPS - set(NOISE_CHANNELS) - {"QUBIT_COORDS"}
+
+
 # one-target H, R, RX, M and MX and one-pair CX, as in random_circuit, and
 # their wider forms: several targets, a qubit repeated in M and MX, chained
 # CX pairs
@@ -732,7 +747,7 @@ def multi_target_circuits(draw):
     qubit = st.integers(0, n - 1)
     c = StabCircuit(n)
     for _ in range(draw(st.integers(0, 14))):
-        name = draw(st.sampled_from(["H", "R", "RX", "M", "MX", "CX"]))
+        name = draw(st.sampled_from(GATES))
         if name == "CX":
             if n == 1:
                 continue
@@ -760,3 +775,84 @@ def test_walk_matches_dense_oracle_on_multi_target_circuits(circuit):
     """Records across multi-target M and MX and CX pairs taken in reverse
     give the oracle's verdicts."""
     assert_noiseless_matches_oracle(circuit)
+
+
+@given(multi_target_circuits(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_frame_oracle_on_multi_target_circuits(circuit, data):
+    """X, Z or Y sites after random instructions of multi-target circuits,
+    in any order, flip the detectors and observables whose records the
+    frame oracle flips an odd number of times."""
+    site = st.tuples(st.integers(0, len(circuit.instructions) - 1),
+                     st.tuples(st.tuples(
+                         st.integers(0, circuit.num_qubits - 1),
+                         st.sampled_from("XZY"))))
+    faults = data.draw(st.lists(site, max_size=8))
+    result = fault_scan(circuit, fault_sites(faults))
+    expect_det, expect_obs = oracle_flips(circuit, faults)
+    assert result.detector_flips(circuit).tolist() == expect_det
+    assert result.observable_flips(circuit).tolist() == expect_obs
+
+
+def ends_circuit() -> StabCircuit:
+    """A Bell pair from |00> without resets: H 0 is the first instruction,
+    and the observable of both records the last."""
+    c = parse("H 0; CX 0 1; M 0 1; DETECTOR 0; DETECTOR 1")
+    c.append("OBSERVABLE_INCLUDE", (0, 1), arg=(0,))
+    return c
+
+
+@pytest.mark.parametrize("index, paulis, detectors, observable", [
+    (0, ((0, "X"),), [1, 1], 0),  # after H 0: X0 spreads to X0 X1
+    (0, ((1, "X"),), [0, 1], 1),
+    (0, ((0, "Z"),), [0, 0], 0),  # before the H it would be an X
+    (2, ((0, "Y"),), [0, 0], 0),  # after the measurements
+    (5, ((1, "X"), (0, "Y")), [0, 0], 0),  # after the last instruction
+], ids=["first-X0", "first-X1", "first-Z0", "measured-Y0", "last-X1Y0"])
+def test_sites_at_the_ends_of_the_walk(index, paulis, detectors, observable):
+    """A site after the first instruction is read before the walk steps
+    back over it, and one after the last before it steps over anything."""
+    c = ends_circuit()
+    result = fault_scan(c, fault_sites([(index, paulis)]))
+    assert result.detector_flips(c).tolist() == [detectors]
+    assert result.observable_flips(c).tolist() == [[observable]]
+    assert oracle_flips(c, [(index, paulis)]) == ([detectors], [[observable]])
+
+
+def test_walk_steps_back_over_the_first_instruction():
+    """The H before any reset makes both records random; their parity is
+    deterministic 0."""
+    report = assert_noiseless_matches_oracle(ends_circuit())
+    assert (report.detectors, report.observables) == ([None, None], {0: 0})
+
+
+def test_empty_circuit():
+    c = StabCircuit(2)
+    result = fault_scan(c, fault_sites([]))
+    assert result.rows.shape == (0, 0)
+    assert result.detector_flips(c).shape == (0, 0)
+    assert result.observable_flips(c).shape == (0, 0)
+    report = simulate_noiseless(c)
+    assert (report.detectors, report.observables) == ([], {})
+    with pytest.raises(IndexError, match="fault site 0: no instruction at 0"):
+        fault_scan(c, fault_sites([(0, ((0, "X"),))]))
+
+
+def test_circuit_with_no_noise():
+    """No noise means no sites and a row width of its own detectors and
+    observables; the verdicts are those of the noisy circuit."""
+    code, layout = surface_code(3)
+    schedule = replicate_rounds(schedule_round(code, layout, TimingConfig()),
+                                2)
+    logicals = compute_logicals(code)
+    quiet = emit_memory_circuit(schedule, code, logicals, NOISELESS, "Z")
+    noisy = emit_memory_circuit(schedule, code, logicals, NoiseConfig(), "Z")
+    sites = sites_from_noise(quiet)
+    assert len(sites) == 0
+    result = fault_scan(quiet, sites)
+    ndet = len(quiet.detectors())
+    assert result.rows.shape == (0, -(-ndet // 8) + 1)
+    assert result.detector_flips(quiet).shape == (0, ndet)
+    report = simulate_noiseless(quiet)
+    assert report == simulate_noiseless(noisy)
+    assert report.detectors == [0] * ndet and report.observables == {0: 0}
