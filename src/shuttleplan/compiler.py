@@ -491,17 +491,6 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
     last_x: dict[int, int] = {}
     first_z: dict[int, int] = {}
 
-    # id() of every component object found well formed: is_component_id
-    # runs once per object, and a malformed one is reported at every use
-    # (by id, not value, since 1 == 1.0; the schedule holds the objects)
-    well_formed: set[int] = set()
-
-    def admit(comp) -> bool:
-        if is_component_id(comp):
-            well_formed.add(id(comp))
-            return True
-        return False
-
     for task in schedule.tasks:
         q = f"a{task.ancilla}"
         events = schedule.events.get(task.ancilla)
@@ -527,7 +516,7 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
         ids = [(ev, ev.comp) for ev in inside]
         ids += [(ev, ev.dest) for ev in inside if ev.dest is not None]
         malformed = [(ev, comp) for ev, comp in ids
-                     if id(comp) not in well_formed and not admit(comp)]
+                     if not is_component_id(comp)]
         for ev, comp in malformed:
             report.add(f"{where}: {ev.kind} at {ev.t} names malformed "
                        f"component {comp!r}")

@@ -6,6 +6,12 @@ check, an ``HZ`` section likewise, an optional ``LAYOUT`` section with one
 ``x y`` line per data qubit and an optional ``ORDER`` section with one line
 per check row (X rows first) listing that check's data indices in visit
 order.
+
+The checks of a code are the rows of ``[Hx; Hz]``, X rows first, and
+``CssCode.orders`` keeps the ORDER section's rows in that order.
+``tasks_from_code`` is the one place that turns a code into checks: check
+a is row a, collected by ancilla a; every later stage reads them from the
+schedule's tasks.
 """
 
 from __future__ import annotations
@@ -26,14 +32,19 @@ class CodeError(ValueError):
 
 @dataclass
 class CssCode:
+    """Checks ``hx`` and ``hz``; check a is row a of ``[hx; hz]``.
+
+    ``orders`` is None or one visit order per check row, in that row order
+    (X rows first, as in the ORDER section), each a permutation of its row's
+    support; a code with them is ``ordered``. ``tasks_from_code`` turns the
+    checks into tasks.
+    """
+
     hx: np.ndarray
     hz: np.ndarray
     name: str = "unnamed"
     d_claimed: Optional[int] = None
-    # explicit per-row visit orders, both or neither; a code with them is
-    # ``ordered``
-    x_orders: Optional[list[list[int]]] = None
-    z_orders: Optional[list[list[int]]] = None
+    orders: Optional[list[list[int]]] = None
     # explicit data placement from the file's LAYOUT section
     file_layout: Optional[dict[int, Cell]] = None
 
@@ -55,24 +66,20 @@ class CssCode:
             empty = np.nonzero(~mat.any(axis=1))[0] if mat.shape[0] else []
             if len(empty):
                 raise CodeError(f"{label} row {int(empty[0])} has no support")
-        if (self.x_orders is None) != (self.z_orders is None):
-            raise CodeError("x_orders and z_orders must be given together")
-        for mat, orders, label in ((self.hx, self.x_orders, "X"),
-                                   (self.hz, self.z_orders, "Z")):
-            if orders is None:
-                continue
-            if len(orders) != mat.shape[0]:
-                raise CodeError(f"{label} orders: expected {mat.shape[0]} rows")
-            for row, seq in enumerate(orders):
-                support = np.nonzero(mat[row])[0].tolist()
-                if sorted(seq) != support:
-                    raise CodeError(
-                        f"{label} row {row}: ORDER entries do not match support")
+        if self.orders is not None:
+            checks = np.vstack([self.hx, self.hz])
+            if len(self.orders) != checks.shape[0]:
+                raise CodeError(f"orders: expected {checks.shape[0]} rows, "
+                                f"got {len(self.orders)}")
+            for row, seq in enumerate(self.orders):
+                if sorted(seq) != np.nonzero(checks[row])[0].tolist():
+                    raise CodeError(f"check row {row}: ORDER entries do not "
+                                    f"match support")
 
     @property
     def ordered(self) -> bool:
         """Whether every check visits its data qubits in a fixed order."""
-        return self.x_orders is not None
+        return self.orders is not None
 
     @property
     def n(self) -> int:
@@ -165,22 +172,19 @@ def compute_logicals(code: CssCode) -> LogicalOperators:
 
 
 def tasks_from_code(code: CssCode, data_layout: DataLayout) -> list[CheckTask]:
-    """One task per check row; X rows first, matching measurement bookkeeping."""
+    """The code's checks, and the only derivation of them: task a is row a
+    of ``[Hx; Hz]`` (X rows first), collected by ancilla a, whose targets
+    are ``code.orders[a]`` when the code is ordered and the row's support in
+    increasing order otherwise."""
     for i in range(code.n):
         if i not in data_layout:
             raise CodeError(f"data qubit {i} missing from layout")
-    tasks: list[CheckTask] = []
-    aid = 0
-    for basis, mat, orders in (("X", code.hx, code.x_orders),
-                               ("Z", code.hz, code.z_orders)):
-        for row in range(mat.shape[0]):
-            if orders is not None:
-                support = list(orders[row])  # validated at construction
-            else:
-                support = [int(i) for i in np.nonzero(mat[row])[0]]
-            tasks.append(CheckTask(ancilla=aid, basis=basis, targets=support))
-            aid += 1
-    return tasks
+    n_x = code.hx.shape[0]
+    rows = np.vstack([code.hx, code.hz])
+    return [CheckTask(ancilla=a, basis="X" if a < n_x else "Z",
+                      targets=(list(code.orders[a]) if code.ordered
+                               else np.nonzero(row)[0].tolist()))
+            for a, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +207,9 @@ def surface_code(d: int) -> tuple[CssCode, DataLayout]:
     def qubit(r: int, c: int) -> int:
         return r * d + c
 
-    x_rows: list[np.ndarray] = []
-    z_rows: list[np.ndarray] = []
-    x_orders: list[list[int]] = []
-    z_orders: list[list[int]] = []
+    # check rows and visit orders, keyed by whether the check is X-type
+    rows: dict[bool, list[np.ndarray]] = {True: [], False: []}
+    orders: dict[bool, list[list[int]]] = {True: [], False: []}
     for i in range(d + 1):       # row boundary index
         for j in range(d + 1):   # column boundary index
             cells = [(r, c)
@@ -215,29 +218,20 @@ def surface_code(d: int) -> tuple[CssCode, DataLayout]:
             if len(cells) not in (2, 4):
                 continue  # corners of the corner grid
             is_x = (i + j) % 2 == 1
-            if len(cells) == 2:
-                on_top_bottom = i in (0, d)
-                if is_x and not on_top_bottom:
-                    continue
-                if not is_x and on_top_bottom:
-                    continue
-            row = np.zeros(n, dtype=np.uint8)
-            for r, c in cells:
-                row[qubit(r, c)] = 1
+            if len(cells) == 2 and is_x != (i in (0, d)):
+                continue  # X halves on the top/bottom, Z halves at the sides
             nw, ne = (i - 1, j - 1), (i - 1, j)
             sw, se = (i, j - 1), (i, j)
             sweep = (nw, ne, sw, se) if is_x else (nw, sw, ne, se)
             order = [qubit(r, c) for r, c in sweep if (r, c) in cells]
-            if is_x:
-                x_rows.append(row)
-                x_orders.append(order)
-            else:
-                z_rows.append(row)
-                z_orders.append(order)
+            row = np.zeros(n, dtype=np.uint8)
+            row[order] = 1
+            rows[is_x].append(row)
+            orders[is_x].append(order)
 
-    code = CssCode(hx=np.array(x_rows), hz=np.array(z_rows),
+    code = CssCode(hx=np.array(rows[True]), hz=np.array(rows[False]),
                    name=f"surface_d{d}", d_claimed=d,
-                   x_orders=x_orders, z_orders=z_orders)
+                   orders=orders[True] + orders[False])
     layout = {qubit(r, c): (c, r) for r in range(d) for c in range(d)}
     return code, layout
 
@@ -307,17 +301,15 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
     hx = parse_matrix(sections["HX"], "HX")
     hz = parse_matrix(sections["HZ"], "HZ")
 
-    x_orders = z_orders = None
+    orders = None
     if "ORDER" in sections:
         rows = sections["ORDER"]
         if len(rows) != hx.shape[0] + hz.shape[0]:
             raise CodeError(f"{name_hint}: ORDER needs one line per check row")
-        seqs = [parse_ints(line, "ORDER") for line in rows]
-        x_orders = seqs[:hx.shape[0]]
-        z_orders = seqs[hx.shape[0]:]
+        orders = [parse_ints(line, "ORDER") for line in rows]
 
     code = CssCode(hx=hx, hz=hz, name=name, d_claimed=d_claimed,
-                   x_orders=x_orders, z_orders=z_orders)
+                   orders=orders)
     if code.k != k_claim:
         raise CodeError(f"{name_hint}: header claims k={k_claim} "
                         f"but rank computation gives k={code.k}")

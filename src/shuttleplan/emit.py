@@ -42,7 +42,7 @@ import numpy as np
 
 from .chip import NoiseConfig
 from .compiler import Schedule, join_lines
-from .css import CodeError, CssCode, LogicalOperators
+from .css import CodeError, CssCode, LogicalOperators, tasks_from_code
 
 
 class Instruction(NamedTuple):
@@ -419,18 +419,20 @@ def _memory_basis(basis) -> str:
 
 def _check_schedule_fits(schedule: Schedule, code: CssCode) -> None:
     """Raise CodeError unless the schedule was compiled for the code: data
-    qubits 0..n-1 and one task per check row, in ``tasks_from_code`` order
-    (ancilla a is row a, X rows first), with the row's basis and support.
-    Qubit n + a is then the ancilla of check a."""
-    rows = [("X", row) for row in code.hx] + [("Z", row) for row in code.hz]
+    qubits 0..n-1, and ``schedule.tasks`` the checks ``tasks_from_code``
+    makes of the code, each with its ancilla, basis and support. Qubit
+    n + a is then the ancilla of check a, and the emitter reads every check
+    from ``schedule.tasks``."""
+    # the layout argument only has to place qubits 0..n-1
+    checks = tasks_from_code(code, range(code.n))
     if (sorted(schedule.data_cells) != list(range(code.n))
-            or len(schedule.tasks) != len(rows)):
+            or len(schedule.tasks) != len(checks)):
         raise CodeError(f"schedule has {len(schedule.data_cells)} data qubits "
                         f"and {len(schedule.tasks)} checks, code {code.name} "
-                        f"{code.n} and {len(rows)}")
-    for a, (task, (basis, row)) in enumerate(zip(schedule.tasks, rows)):
-        want = (a, basis, np.nonzero(row)[0].tolist())
+                        f"{code.n} and {len(checks)}")
+    for task, check in zip(schedule.tasks, checks):
         have = (task.ancilla, task.basis, sorted(task.targets))
+        want = (check.ancilla, check.basis, sorted(check.targets))
         if have != want:
             raise CodeError(f"schedule check (ancilla, basis, support) {have} "
                             f"!= {want} in code {code.name}")
@@ -443,16 +445,17 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
 
     A measurement of qubit q < n reads data qubit q, one of qubit n + a
     check a, and its round is its place among check a's measurements; every
-    check must be measured in every round. Round 0 gets detectors only for
-    checks of the memory basis (the other type is random on the first
-    round); later rounds compare consecutive measurements of every check;
-    the final detectors compare the last check round against the
-    transversal data readout.
+    check must be measured in every round. Each check's basis and support
+    are read from ``schedule.tasks``, which must be the code's checks.
+    Round 0 gets detectors only for checks of the memory basis (the other
+    type is random on the first round); later rounds compare consecutive
+    measurements of every check; the final detectors compare the last
+    check round against the transversal data readout.
     """
     basis = _memory_basis(basis)
     _check_schedule_fits(schedule, code)
-    n, n_x = code.n, code.hx.shape[0]
-    n_checks = n_x + code.hz.shape[0]
+    n, tasks = code.n, schedule.tasks
+    n_checks = len(tasks)
     homes = schedule.homes  # detector coordinates: the check's home cell
 
     # check a's record indices, in round order
@@ -476,17 +479,9 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
             raise CodeError(f"round {rnd}: {len(row)} of {n_checks} checks "
                             f"measured")
 
-    def is_basis_check(a: int) -> bool:
-        return (a < n_x) == (basis == "X")
-
-    def check_row(a: int) -> np.ndarray:
-        return code.hx[a] if a < n_x else code.hz[a - n_x]
-
-    batch: list[Instruction] = []
-    for a in range(n_checks):
-        if is_basis_check(a):
-            batch.append(Instruction("DETECTOR", (by_check[a][0],),
-                                     (*homes[a], 0)))
+    basis_checks = [task.ancilla for task in tasks if task.basis == basis]
+    batch = [Instruction("DETECTOR", (by_check[a][0],), (*homes[a], 0))
+             for a in basis_checks]
     for rnd in range(1, rounds):
         for a in range(n_checks):
             recs = by_check[a]
@@ -494,10 +489,8 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
                                      (*homes[a], rnd)))
 
     if data_m:
-        for a in range(n_checks):
-            if not is_basis_check(a):
-                continue
-            support = [data_m[int(i)] for i in np.nonzero(check_row(a))[0]]
+        for a in basis_checks:
+            support = [data_m[i] for i in sorted(tasks[a].targets)]
             batch.append(Instruction(
                 "DETECTOR", tuple([by_check[a][-1]] + support),
                 (*homes[a], rounds)))

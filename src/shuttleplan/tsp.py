@@ -87,10 +87,7 @@ class OpenPathTable:
                 while sub:
                     t = (sub & -sub).bit_length() - 1
                     sub &= sub - 1
-                    prev = best[rest][t]
-                    if prev is None:
-                        continue
-                    cand = dist[j][t] + prev
+                    cand = dist[j][t] + best[rest][t]
                     if acc is None or cand < acc:
                         acc = cand
                 best[mask][j] = acc

@@ -9,6 +9,7 @@ import pytest
 from oracles import expand_rounds, sweep_rounds
 from shuttleplan import tsp
 from shuttleplan.chip import TimingConfig, build_grid, readout_id
+from shuttleplan import compiler
 from shuttleplan.compiler import (CompileError, Event, assign_homes,
                                   comp_str, replicate_rounds, schedule_round,
                                   validate_schedule)
@@ -714,3 +715,32 @@ def test_fuzz_random_codes_compile_and_validate():
                                   seed=trial, order_policy="longest")
         report = validate_schedule(schedule)
         assert report.ok, (code.name, report.violations[:3])
+
+
+def _route_failure(monkeypatch):
+    """The first route, a0's under the index order, finds no path."""
+    def no_route(chip, table, timing, request):
+        raise compiler.PlanFailure("no route from here")
+
+    monkeypatch.setattr(compiler, "plan_route", no_route)
+    compile_surface(3, order_policy="index")
+
+
+COMPILER_ERRORS = [  # (id, call, message, type of the cause)
+    ("route-failure", _route_failure, r"^ancilla a0: no route from here$",
+     compiler.PlanFailure),
+    ("replicate-twice",
+     lambda _: replicate_rounds(replicate_rounds(compile_surface(3)[1], 2), 3),
+     r"^replicate_rounds expects a single-round schedule$", type(None)),
+]
+
+
+@pytest.mark.parametrize("call,match,cause",
+                         [case[1:] for case in COMPILER_ERRORS],
+                         ids=[case[0] for case in COMPILER_ERRORS])
+def test_compiler_named_errors(call, match, cause, monkeypatch):
+    """Each raises a CompileError naming what is wrong; a planner failure
+    names the ancilla and is kept as the cause."""
+    with pytest.raises(CompileError, match=match) as info:
+        call(monkeypatch)
+    assert type(info.value.__cause__) is cause

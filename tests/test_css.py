@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import in_rowspace
 from shuttleplan import gf2
 from shuttleplan.chip import build_grid
-from shuttleplan.css import (CodeError, CssCode, compute_logicals,
+from shuttleplan.css import (CheckTask, CodeError, CssCode, compute_logicals,
                              default_layout, layout_for, load_css, parse_css,
                              surface_code, tasks_from_code)
 
@@ -28,11 +28,18 @@ def test_zero_weight_row_rejected():
         CssCode(hx=[[0, 0]], hz=[[1, 1]])
 
 
-@pytest.mark.parametrize("side", ["x_orders", "z_orders"])
-def test_one_sided_orders_rejected(side):
-    """Orders fix the visit order of every check or of none."""
-    with pytest.raises(CodeError, match="given together"):
-        CssCode(hx=[[1, 1]], hz=[[1, 1]], **{side: [[0, 1]]})
+@pytest.mark.parametrize("orders,match", [
+    ([[0, 1]], r"^orders: expected 2 rows, got 1$"),
+    ([[0, 1], [1, 0], [0, 1]], r"^orders: expected 2 rows, got 3$"),
+    ([[0, 1], [1]], r"^check row 1: ORDER entries do not match support$"),
+    ([[0, 0], [1, 0]], r"^check row 0: ORDER entries do not match support$"),
+    ([[0, 1], [1, 2]], r"^check row 1: ORDER entries do not match support$"),
+], ids=["too-few", "too-many", "short-row", "repeat", "other-qubit"])
+def test_orders_must_give_each_check_row_its_support(orders, match):
+    """One visit order per row of [Hx; Hz], X rows first, each a permutation
+    of its row's support; a mismatch names the row."""
+    with pytest.raises(CodeError, match=match):
+        CssCode(hx=[[1, 1, 0]], hz=[[1, 1, 0]], orders=orders)
 
 
 def test_surface_d3_parameters():
@@ -167,7 +174,7 @@ def test_tasks_surface_d3():
     tasks = tasks_from_code(code, layout)
     assert len(tasks) == 8
     assert all(len(t.targets) in (2, 4) for t in tasks)
-    assert [t.targets for t in tasks] == code.x_orders + code.z_orders
+    assert [t.targets for t in tasks] == code.orders
     assert [t.ancilla for t in tasks] == list(range(8))
     assert {t.basis for t in tasks} == {"X", "Z"}
 
@@ -234,7 +241,7 @@ def test_layout_and_order_sections():
     ]
     code = parse_css(lines)
     assert code.ordered
-    assert code.x_orders == [[1, 0], [3, 2]]
+    assert code.orders == [[1, 0], [3, 2], [0, 1], [2, 3]]
     assert code.file_layout[2] == (0, 1)
     chip = build_grid(2, 2)
     assert layout_for(code, chip)[3] == (1, 1)
@@ -271,3 +278,78 @@ def test_repeated_section_is_rejected(section):
 def test_header_needs_a_positive_qubit_count(n):
     with pytest.raises(CodeError, match=f"n >= 1, got {n}"):
         parse_css([f"{n} 0 - empty", "HX", "HZ"])
+
+
+PAIR = ["2 0 - pair", "HX", "1 1", "HZ", "1 1"]
+
+
+def _layout_off_chip():
+    code = parse_css(PAIR + ["LAYOUT", "0 0", "5 0"])
+    return layout_for(code, build_grid(2, 2))
+
+
+def _tasks_missing_a_qubit():
+    code, layout = surface_code(3)
+    del layout[4]
+    return tasks_from_code(code, layout)
+
+
+CSS_ERRORS = [  # (id, call, message)
+    ("empty-file", lambda: parse_css(["# comment only", "  "], "pair.code"),
+     r"^pair.code: empty code file$"),
+    ("short-header", lambda: parse_css(["2 0 -", "HX", "1 1"], "pair.code"),
+     r"^pair.code: header must be 'n k d name'$"),
+    ("bad-header-n", lambda: parse_css(["two 0 - pair", *PAIR[1:]],
+                                       "pair.code"),
+     r"^pair.code: bad header numbers: "),
+    ("bad-header-d", lambda: parse_css(["2 0 x pair", *PAIR[1:]], "pair.code"),
+     r"^pair.code: bad header numbers: "),
+    ("data-first", lambda: parse_css(["2 0 - pair", "1 1", *PAIR[1:]],
+                                     "pair.code"),
+     r"^pair.code: data before any section header$"),
+    ("no-hz", lambda: parse_css(PAIR[:3], "pair.code"),
+     r"^pair.code: HX and HZ sections are required$"),
+    ("no-hx", lambda: parse_css([PAIR[0], *PAIR[3:]], "pair.code"),
+     r"^pair.code: HX and HZ sections are required$"),
+    ("row-length", lambda: parse_css([*PAIR[:4], "1 1 0"], "pair.code"),
+     r"^pair.code: HZ row has 3 entries, expected 2$"),
+    ("order-lines", lambda: parse_css(PAIR + ["ORDER", "0 1"], "pair.code"),
+     r"^pair.code: ORDER needs one line per check row$"),
+    ("layout-lines", lambda: parse_css(PAIR + ["LAYOUT", "0 0"], "pair.code"),
+     r"^pair.code: LAYOUT needs one line per data qubit$"),
+    ("layout-not-x-y", lambda: parse_css(PAIR + ["LAYOUT", "0 0", "1 0 0"],
+                                         "pair.code"),
+     r"^pair.code: LAYOUT lines are 'x y'$"),
+    ("layout-repeat", lambda: parse_css(PAIR + ["LAYOUT", "1 0", "1 0"],
+                                        "pair.code"),
+     r"^pair.code: LAYOUT coordinates must be distinct$"),
+    ("layout-off-chip", _layout_off_chip,
+     r"^layout places qubit 1 at \(5, 0\), outside 2x2$"),
+    ("column-mismatch", lambda: CssCode(hx=[[1, 1]], hz=[[1, 1, 0]]),
+     r"^Hx and Hz must have the same number of columns$"),
+    ("task-basis", lambda: CheckTask(0, "Y", [0]), r"^bad basis 'Y'$"),
+    ("task-empty", lambda: CheckTask(3, "X", []),
+     r"^ancilla 3: empty target list$"),
+    ("task-duplicate", lambda: CheckTask(3, "Z", [0, 2, 0]),
+     r"^ancilla 3: duplicate targets$"),
+    ("task-missing-qubit", _tasks_missing_a_qubit,
+     r"^data qubit 4 missing from layout$"),
+]
+
+
+@pytest.mark.parametrize("call,match", [case[1:] for case in CSS_ERRORS],
+                         ids=[case[0] for case in CSS_ERRORS])
+def test_css_named_errors(call, match):
+    """Each malformed code, layout or check raises CodeError naming what is
+    wrong; a code file's errors name the file."""
+    with pytest.raises(CodeError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("matrix,match", [
+    ([[1, 1]], "not square"),
+    ([[1, 1], [1, 1]], "singular"),
+], ids=["non-square", "singular"])
+def test_gf2_inverse_named_errors(matrix, match):
+    with pytest.raises(ValueError, match=f"^matrix is {match}"):
+        gf2.inverse(np.array(matrix, dtype=np.uint8))

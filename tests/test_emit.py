@@ -9,8 +9,9 @@ import pytest
 from conftest import NOISELESS
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
-from shuttleplan.css import (CodeError, CssCode, compute_logicals,
-                             default_layout, load_css, surface_code)
+from shuttleplan.css import (CodeError, CssCode, LogicalOperators,
+                             compute_logicals, default_layout, load_css,
+                             surface_code)
 from shuttleplan.emit import (NOISE_CHANNELS, Instruction, StabCircuit,
                               add_detectors, compose_phase_flips,
                               emit_memory_circuit)
@@ -517,3 +518,47 @@ def test_round_outside_its_period_is_refused(shift):
     with pytest.raises(CodeError, match="outside the round"):
         emit_memory_circuit(schedule, code, compute_logicals(code),
                             NoiseConfig(), "Z")
+
+
+def _emit_with_short_logicals():
+    code, schedule = surface_schedule()
+    short = np.zeros((1, code.n - 1), dtype=np.uint8)
+    emit_memory_circuit(schedule, code, LogicalOperators(x=short, z=short),
+                        NOISELESS, "Z")
+
+
+def _emit_unknown_event():
+    code, schedule = surface_schedule()
+    first, *rest = schedule.events[0]
+    events = {**schedule.events, 0: [replace(first, kind="JUMP"), *rest]}
+    emit_memory_circuit(replace(schedule, events=events), code,
+                        compute_logicals(code), NOISELESS, "Z")
+
+
+def _detect_with_a_check_unmeasured():
+    """Ancilla 0's second measurement is gone from a two-round circuit."""
+    code, schedule = surface_schedule(rounds=2)
+    logicals = compute_logicals(code)
+    circuit = emit_memory_circuit(schedule, code, logicals, NOISELESS, "Z")
+    kept = [i for i in circuit.instructions
+            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+    last = max(k for k, i in enumerate(kept)
+               if i.name == "M" and i.targets == (code.n,))
+    circuit.instructions = kept[:last] + kept[last + 1:]
+    add_detectors(circuit, code, "Z", logicals=logicals, schedule=schedule)
+
+
+EMIT_ERRORS = [  # (id, call, message)
+    ("logicals-length", _emit_with_short_logicals,
+     r"^logical operators do not match the code length$"),
+    ("unknown-event", _emit_unknown_event, r"^unknown schedule event JUMP$"),
+    ("check-missing-from-round", _detect_with_a_check_unmeasured,
+     r"^round 1: 7 of 8 checks measured$"),
+]
+
+
+@pytest.mark.parametrize("call,match", [case[1:] for case in EMIT_ERRORS],
+                         ids=[case[0] for case in EMIT_ERRORS])
+def test_emit_named_errors(call, match):
+    with pytest.raises(CodeError, match=match):
+        call()

@@ -160,6 +160,16 @@ def test_failure_when_start_occupied():
         plan_route(layout, table, TIMING, request((0, 0), [(1, 0)]))
 
 
+@pytest.mark.parametrize("targets,match", [
+    ([(1, 0), (1, 0)], r"^duplicate target cells in one task$"),
+    ([(2, 0)], r"^cell \(2, 0\) outside 2x1 grid$"),
+], ids=["duplicate-targets", "target-off-chip"])
+def test_planner_named_errors(targets, match):
+    with pytest.raises(ValueError, match=match):
+        plan_route(build_grid(2, 1), ReservationTable(), TIMING,
+                   request((0, 0), targets))
+
+
 def test_successors_interior_intersection():
     layout = build_grid(3, 3)
     req = request((1, 1), [(0, 0)])
