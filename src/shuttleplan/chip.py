@@ -86,29 +86,17 @@ class ChipLayout:
 
     def neighbors(self, cell: Cell) -> list[Cell]:
         x, y = cell
-        out = []
-        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if self.in_bounds((nx, ny)):
-                out.append((nx, ny))
-        return out
+        return [nb for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                if self.in_bounds(nb)]
 
     def channels(self) -> list[ComponentId]:
-        out = []
-        for x, y in self.cells():
-            if x + 1 < self.width:
-                out.append(channel_id((x, y), (x + 1, y)))
-            if y + 1 < self.height:
-                out.append(channel_id((x, y), (x, y + 1)))
-        return out
+        """Each cell's channel to its right, then down, in cell order."""
+        return [channel_id((x, y), nb) for x, y in self.cells()
+                for nb in ((x + 1, y), (x, y + 1)) if self.in_bounds(nb)]
 
     def components(self) -> list[ComponentId]:
-        out: list[ComponentId] = []
-        for cell in self.cells():
-            out.append(intersection_id(cell))
-            out.append(interaction_id(cell))
-            out.append(readout_id(cell))
-        out.extend(self.channels())
-        return out
+        return [build(cell) for cell in self.cells() for build in
+                (intersection_id, interaction_id, readout_id)] + self.channels()
 
     def __repr__(self) -> str:
         return f"ChipLayout({self.width}x{self.height})"

@@ -17,8 +17,9 @@ every round, the JSON form writes the stored round alone with the round
 count and M, and the emitter builds each stored event's instructions once
 and places the same objects at t + r*M. No shifted ``Event`` is built.
 
-Where an ancilla rests is decided by `ancilla_occupancy` alone, for both
-planning and validation; its docstring states the residency model.
+`_shape`, the one tailoring rule, alone decides an ancilla's H gates and
+`ancilla_occupancy` alone where it rests, for planning and validation
+alike; their docstrings state the rule and the residency model.
 """
 
 from __future__ import annotations
@@ -68,13 +69,12 @@ class Schedule:
     # -- serialization -------------------------------------------------------
 
     def header_lines(self) -> list[str]:
-        lines = ["shuttleplan schedule v1"]
-        for key in sorted(self.provenance):
-            lines.append(f"{key} = {self.provenance[key]}")
-        lines.append(f"rounds = {self.rounds}")
-        lines.append(f"round_makespan_ns = {self.round_makespan}")
-        lines.append(f"makespan_ns = {self.makespan}")
-        return lines
+        return ["shuttleplan schedule v1",
+                *(f"{key} = {self.provenance[key]}"
+                  for key in sorted(self.provenance)),
+                f"rounds = {self.rounds}",
+                f"round_makespan_ns = {self.round_makespan}",
+                f"makespan_ns = {self.makespan}"]
 
     def _round_rows(self) -> list[tuple[int, int, Event, str, Optional[str]]]:
         """(time, ancilla, event, comp text, dest text or None) for every
@@ -195,61 +195,51 @@ def planning_order(ids: list[int], bound: Callable[[int], int],
 # per-ancilla circuit shape
 
 
-def _sandwiched(task: CheckTask, tailored: bool) -> bool:
-    """Whether every CX of the ancilla sits between two H gates."""
-    return task.basis == "Z" and tailored
-
-
-def _flanked(task: CheckTask, tailored: bool) -> bool:
-    """Whether the ancilla circuit opens and closes with an H at the readout."""
-    return task.basis == "X" or _sandwiched(task, tailored)
-
-
-def _gate_duration(task: CheckTask, timing: TimingConfig, tailored: bool) -> int:
-    if _sandwiched(task, tailored):
-        return timing.t_cx + 2 * timing.t_h
-    return timing.t_cx
+def _shape(task: CheckTask, tailored: bool) -> tuple[bool, bool]:
+    """The tailoring rule, ``(flanked, sandwiched)``: a flanked round has an
+    H right after INIT and right before MEASURE, at the readout; a
+    sandwiched one also an H at the zone right before and after every CX.
+    X checks are flanked, tailored Z checks both, other Z checks neither."""
+    sandwiched = tailored and task.basis == "Z"
+    return task.basis == "X" or sandwiched, sandwiched
 
 
 def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
                   timing: TimingConfig, tailored: bool, ordered: bool,
                   gate_windows: Optional[dict[Cell, int]] = None) -> PlanRequest:
-    start_time = timing.t_init + (timing.t_h if _flanked(task, tailored) else 0)
-    pad = timing.t_meas + (timing.t_h if _flanked(task, tailored) else 0)
+    flanked, sandwiched = _shape(task, tailored)
+    flank = timing.t_h if flanked else 0
     return PlanRequest(
-        start_cell=home, start_time=start_time,
+        start_cell=home, start_time=timing.t_init + flank,
         tours=OpenPathTable([data_cells[i] for i in task.targets], ordered),
-        gate_duration=_gate_duration(task, timing, tailored), terminal_pad=pad,
-        gate_windows=gate_windows or {})
+        gate_duration=timing.t_cx + (2 * timing.t_h if sandwiched else 0),
+        terminal_pad=timing.t_meas + flank, gate_windows=gate_windows or {})
 
 
 def _events_for(task: CheckTask, home: Cell, result: PlanResult,
                 timing: TimingConfig, tailored: bool) -> list[Event]:
-    flank = _flanked(task, tailored)
-    sandwich = _sandwiched(task, tailored)
+    flanked, sandwiched = _shape(task, tailored)
     home_ro = readout_id(home)
     events = [Event("INIT", 0, timing.t_init, home_ro)]
-    cursor = timing.t_init
-    if flank:
-        events.append(Event("H", cursor, timing.t_h, home_ro))
-        cursor += timing.t_h
+    if flanked:
+        events.append(Event("H", timing.t_init, timing.t_h, home_ro))
     for step in result.steps:
         if step.kind != "GATE":  # WAIT, SHUTTLE or DISPLACE
             events.append(step)
             continue
         t, zone = step.t, step.comp
         data = task.targets[step.partner]
-        if sandwich:
+        if sandwiched:
             events.append(Event("H", t, timing.t_h, zone))
             t += timing.t_h
         events.append(Event("CX", t, timing.t_cx, zone, partner=data))
-        if sandwich:
+        if sandwiched:
             events.append(Event("H", t + timing.t_cx, timing.t_h, zone))
-    cursor = result.parked_time
-    if flank:
-        events.append(Event("H", cursor, timing.t_h, result.parked))
-        cursor += timing.t_h
-    events.append(Event("MEASURE", cursor, timing.t_meas, result.parked))
+    t = result.parked_time
+    if flanked:
+        events.append(Event("H", t, timing.t_h, result.parked))
+        t += timing.t_h
+    events.append(Event("MEASURE", t, timing.t_meas, result.parked))
     return events
 
 
@@ -339,8 +329,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
                    seed: int = 0) -> Schedule:
     """Plan one syndrome-extraction round for every check of the code.
 
-    A data layout cell must be a tuple of two ints and the margin an int
-    >= 0; anything else raises CompileError.
+    The data layout must place exactly qubits 0..n-1, each on a tuple of two
+    ints, and the margin be an int >= 0; anything else raises CompileError.
 
     Planning runs in two phases, all X checks before all Z checks, and each
     Z ancilla may gate a data qubit only after that qubit's last X-check
@@ -355,13 +345,16 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     if order_policy not in ORDER_POLICIES:
         raise CompileError(f"order policy must be one of {ORDER_POLICIES}, "
                            f"got {order_policy!r}")
-    tasks = tasks_from_code(code, data_layout)
+    tasks = tasks_from_code(code)
     if not tasks:
         raise CompileError(f"code {code.name} has no checks to schedule")
     extra = sorted(set(data_layout) - set(range(code.n)), key=str)
     if extra:
         raise CompileError(f"data layout places qubits {extra} outside "
                            f"0..{code.n - 1}")
+    missing = [i for i in range(code.n) if i not in data_layout]
+    if missing:
+        raise CompileError(f"data qubit {missing[0]} missing from layout")
     for i, cell in sorted(data_layout.items()):
         if not (type(cell) is tuple and len(cell) == 2
                 and all([type(v) is int for v in cell])):
@@ -455,7 +448,9 @@ class ValidationReport:
 
 def validate_schedule(schedule: Schedule) -> ValidationReport:
     """Independent sweep: round count, data placement, collisions,
-    completion, order, contiguity, timing.
+    completion, order, contiguity, timing, and the duration of every INIT,
+    H, CX, MEASURE, SHUTTLE and DISPLACE (``_DURATIONS``; a WAIT may last
+    any time).
 
     The round count must be an int >= 1 and the round makespan M a positive
     int; a malformed one is reported, never raised on. Every check task
@@ -482,8 +477,7 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
     if period <= 0:
         report.add(f"round makespan {period} is not positive")
         return report
-    for message in _shared_cells(schedule.data_cells):
-        report.add(message)
+    report.violations += _shared_cells(schedule.data_cells)
     # component -> (start, end, owner) of every span held there
     occupancies: dict[ComponentId, list[tuple[int, float, str]]] = {}
     # per data qubit: the end of its last X-check CX and the start of its
@@ -567,9 +561,10 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
 
     gated: list[int] = []
     for ev in events:
+        fixed = _DURATIONS.get(ev.kind)
+        if fixed is not None and ev.duration != getattr(timing, fixed):
+            report.add(f"{where}: {ev.kind.lower()} duration {ev.duration}")
         if ev.kind == "SHUTTLE":
-            if ev.duration != timing.t_shuttle:
-                report.add(f"{where}: shuttle duration {ev.duration}")
             # a SHUTTLE off a channel is reported by ancilla_occupancy
             if placed and ev.comp[0] == CHANNEL:
                 _, x0, y0, x1, y1 = ev.comp
@@ -577,8 +572,6 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
                     report.add(f"{where}: channel {comp_str(ev.comp)} spans "
                                f"more than one edge")
         elif ev.kind == "DISPLACE":
-            if ev.duration != timing.t_displace:
-                report.add(f"{where}: displace duration {ev.duration}")
             if ev.dest is None or placed and (
                     CHANNEL in (ev.comp[0], ev.dest[0])
                     or component_cell(ev.dest) != component_cell(ev.comp)):
@@ -608,7 +601,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
     elif schedule.ordered and gated != list(task.targets):
         report.add(f"{where}: CX order {gated} != required {list(task.targets)}")
 
-    if schedule.tailored and task.basis == "Z":
+    if _shape(task, schedule.tailored)[1]:
         _check_tailoring(report, where, events)
 
 
@@ -634,3 +627,6 @@ def _check_tailoring(report: ValidationReport, where: str,
 
 
 _MOVES = frozenset({"SHUTTLE", "DISPLACE", "WAIT"})
+# timed event kind -> the TimingConfig field its duration must equal
+_DURATIONS = {"INIT": "t_init", "H": "t_h", "CX": "t_cx", "MEASURE": "t_meas",
+              "SHUTTLE": "t_shuttle", "DISPLACE": "t_displace"}

@@ -34,10 +34,12 @@ class CodeError(ValueError):
 class CssCode:
     """Checks ``hx`` and ``hz``; check a is row a of ``[hx; hz]``.
 
-    ``orders`` is None or one visit order per check row, in that row order
-    (X rows first, as in the ORDER section), each a permutation of its row's
-    support; a code with them is ``ordered``. ``tasks_from_code`` turns the
-    checks into tasks.
+    Their entries are ints or bools equal to 0 or 1, in integer or bool
+    arrays or nested lists. ``orders`` is None or one visit order per check
+    row, in that row order (X rows first, as in the ORDER section), each a
+    permutation of its row's support in ints, not bools; a code with them
+    is ``ordered``. A CodeError names the field and row of a malformed
+    entry. ``tasks_from_code`` turns the checks into tasks.
     """
 
     hx: np.ndarray
@@ -49,8 +51,7 @@ class CssCode:
     file_layout: Optional[dict[int, Cell]] = None
 
     def __post_init__(self):
-        self.hx = (np.atleast_2d(np.asarray(self.hx)) & 1).astype(np.uint8)
-        self.hz = (np.atleast_2d(np.asarray(self.hz)) & 1).astype(np.uint8)
+        self.hx, self.hz = _bits(self.hx, "Hx"), _bits(self.hz, "Hz")
         if self.hx.size == 0:
             self.hx = self.hx.reshape(0, self.hz.shape[1])
         if self.hz.size == 0:
@@ -72,6 +73,8 @@ class CssCode:
                 raise CodeError(f"orders: expected {checks.shape[0]} rows, "
                                 f"got {len(self.orders)}")
             for row, seq in enumerate(self.orders):
+                if any(type(q) is not int for q in seq):
+                    raise CodeError(f"orders row {row}: entries must be ints")
                 if sorted(seq) != np.nonzero(checks[row])[0].tolist():
                     raise CodeError(f"check row {row}: ORDER entries do not "
                                     f"match support")
@@ -92,6 +95,20 @@ class CssCode:
     def params(self) -> str:
         d = self.d_claimed if self.d_claimed is not None else "?"
         return f"[[{self.n},{self.k},{d}]]"
+
+
+def _bits(matrix, label: str) -> np.ndarray:
+    """The check matrix as 2-D uint8; a CodeError names the first row with
+    an entry that is not an int or bool equal to 0 or 1."""
+    arr = np.atleast_2d(np.asarray(matrix))
+    if arr.dtype.kind not in "biu" or ((arr != 0) & (arr != 1)).any():
+        # the entries as given, since one float or string upcasts them all
+        rows = np.atleast_2d(np.asarray(matrix, dtype=object))
+        for row, v in ((r, v) for r, vs in enumerate(rows) for v in vs):
+            if not (isinstance(v, (int, np.integer, np.bool_)) and v in (0, 1)):
+                raise CodeError(f"{label} row {row}: entry {v!r} is not an "
+                                f"int 0 or 1")
+    return arr.astype(np.uint8)
 
 
 DataLayout = dict[int, Cell]
@@ -171,14 +188,11 @@ def compute_logicals(code: CssCode) -> LogicalOperators:
     return LogicalOperators(x=lx, z=lz)
 
 
-def tasks_from_code(code: CssCode, data_layout: DataLayout) -> list[CheckTask]:
+def tasks_from_code(code: CssCode) -> list[CheckTask]:
     """The code's checks, and the only derivation of them: task a is row a
     of ``[Hx; Hz]`` (X rows first), collected by ancilla a, whose targets
     are ``code.orders[a]`` when the code is ordered and the row's support in
     increasing order otherwise."""
-    for i in range(code.n):
-        if i not in data_layout:
-            raise CodeError(f"data qubit {i} missing from layout")
     n_x = code.hx.shape[0]
     rows = np.vstack([code.hx, code.hz])
     return [CheckTask(ancilla=a, basis="X" if a < n_x else "Z",
@@ -288,8 +302,7 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
             if any(b not in ("0", "1") for b in bits):
                 raise CodeError(f"{name_hint}: {label} entries must be 0/1")
             parsed.append([int(b) for b in bits])
-        arr = np.array(parsed, dtype=np.uint8)
-        return arr.reshape(len(parsed), n)
+        return np.array(parsed, dtype=np.uint8).reshape(len(parsed), n)
 
     def parse_ints(line: str, label: str) -> list[int]:
         try:

@@ -423,8 +423,7 @@ def _check_schedule_fits(schedule: Schedule, code: CssCode) -> None:
     makes of the code, each with its ancilla, basis and support. Qubit
     n + a is then the ancilla of check a, and the emitter reads every check
     from ``schedule.tasks``."""
-    # the layout argument only has to place qubits 0..n-1
-    checks = tasks_from_code(code, range(code.n))
+    checks = tasks_from_code(code)
     if (sorted(schedule.data_cells) != list(range(code.n))
             or len(schedule.tasks) != len(checks)):
         raise CodeError(f"schedule has {len(schedule.data_cells)} data qubits "

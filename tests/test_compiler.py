@@ -47,7 +47,7 @@ def test_assign_homes_distinct_surface():
     from shuttleplan.compiler import place_on_chip
     from shuttleplan.css import tasks_from_code
     chip, cells = place_on_chip(layout, 1)
-    tasks = tasks_from_code(code, layout)
+    tasks = tasks_from_code(code)
     remapped = {i: cells[i] for i in cells}
     homes = assign_homes(tasks, chip, remapped)
     assert len(homes) == 8
@@ -92,6 +92,46 @@ def test_untailored_has_no_z_ancilla_h():
         task = schedule.tasks[aid]
         n_h = sum(1 for ev in events if ev.kind == "H")
         assert n_h == (2 if task.basis == "X" else 0)
+
+
+@pytest.mark.parametrize("which,tailored", [("surface_d3", True),
+                                            ("surface_d3", False),
+                                            ("bb72", True), ("bb72", False)])
+def test_round_shape(which, tailored, bb72_path):
+    """X checks and tailored Z checks are flanked: INIT, H ... H, MEASURE,
+    the opening pair at the home readout and the closing pair at the parked
+    readout. Tailored Z checks are also sandwiched: an H at the same zone
+    right before and right after every CX. No other H appears."""
+    if which == "bb72":
+        code = load_css(str(bb72_path))
+        layout = default_layout(code, build_grid(9, 8))
+    else:
+        code, layout = surface_code(3)
+    schedule = schedule_round(code, layout, TIMING, tailored=tailored)
+    bases = set()
+    for task in schedule.tasks:
+        events = schedule.events[task.ancilla]
+        sandwiched = tailored and task.basis == "Z"
+        flanked = task.basis == "X" or sandwiched
+        bases.add((task.basis, flanked, sandwiched))
+        assert events[0].kind == "INIT" and events[-1].kind == "MEASURE"
+        assert events[0].comp == readout_id(schedule.homes[task.ancilla])
+        assert events[-1].comp[0] == "readout"
+        pairs = []  # (H index, index of the event it must abut)
+        if flanked:
+            pairs += [(1, 0), (len(events) - 2, len(events) - 1)]
+        if sandwiched:
+            pairs += [(i + d, i) for i, ev in enumerate(events)
+                      if ev.kind == "CX" for d in (-1, 1)]
+        for h, other in pairs:
+            first, second = sorted((events[h], events[other]),
+                                   key=lambda ev: ev.t)
+            assert events[h].kind == "H"
+            assert events[h].comp == events[other].comp
+            assert first.end == second.t
+        assert ({i for i, ev in enumerate(events) if ev.kind == "H"}
+                == {h for h, _ in pairs})
+    assert bases == {("X", True, False), ("Z", tailored, tailored)}
 
 
 def test_determinism_byte_identical():
@@ -425,6 +465,10 @@ CORRUPTIONS = [
     ("shuttle-on-readout", 0, _set(5, comp=("readout", 1, 1)),
      "SHUTTLE on readout:1,1, which is not a channel"),
     ("displace-duration", 0, _set(2, duration=150), "displace duration 150"),
+    ("init-duration", 0, _set(0, duration=250), "init duration 250"),
+    ("h-duration", 0, _set(1, duration=50), "h duration 50"),
+    ("cx-duration", 0, _set(3, duration=50), "cx duration 50"),
+    ("measure-duration", 0, _set(10, duration=250), "measure duration 250"),
     ("displace-not-from-rest", 0, _set(2, comp=("intersection", 1, 1)),
      "DISPLACE at intersection:1,1 but ancilla rests at readout:1,1"),
     ("displace-across-cells", 0, _set(2, dest=("interaction", 2, 1)),
@@ -726,12 +770,20 @@ def _route_failure(monkeypatch):
     compile_surface(3, order_policy="index")
 
 
+def _layout_missing_a_qubit(_):
+    code, layout = surface_code(3)
+    del layout[4]
+    schedule_round(code, layout, TIMING)
+
+
 COMPILER_ERRORS = [  # (id, call, message, type of the cause)
     ("route-failure", _route_failure, r"^ancilla a0: no route from here$",
      compiler.PlanFailure),
     ("replicate-twice",
      lambda _: replicate_rounds(replicate_rounds(compile_surface(3)[1], 2), 3),
      r"^replicate_rounds expects a single-round schedule$", type(None)),
+    ("task-missing-qubit", _layout_missing_a_qubit,
+     r"^data qubit 4 missing from layout$", type(None)),
 ]
 
 

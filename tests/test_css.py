@@ -18,6 +18,16 @@ def test_commuting_pair_accepted_even_overlap():
     assert code.n == 2 and code.k == 0
 
 
+def test_bool_and_integer_matrices_accepted():
+    """Bool arrays and any integer dtype with 0/1 entries are check
+    matrices; each is stored as uint8."""
+    for hx in ([[True, True]], np.array([[1, 1]], dtype=np.int64),
+               np.array([[1, 1]], dtype=object)):
+        code = CssCode(hx=hx, hz=np.array([[True, True]]))
+        assert code.hx.dtype == code.hz.dtype == np.uint8
+        assert code.hx.tolist() == code.hz.tolist() == [[1, 1]]
+
+
 def test_odd_overlap_rejected_with_row_pair():
     with pytest.raises(CodeError, match="row 0 anticommutes with Hz row 0"):
         CssCode(hx=[[1, 1]], hz=[[1, 0]])
@@ -171,7 +181,7 @@ def test_logicals_k0_empty():
 
 def test_tasks_surface_d3():
     code, layout = surface_code(3)
-    tasks = tasks_from_code(code, layout)
+    tasks = tasks_from_code(code)
     assert len(tasks) == 8
     assert all(len(t.targets) in (2, 4) for t in tasks)
     assert [t.targets for t in tasks] == code.orders
@@ -182,7 +192,7 @@ def test_tasks_surface_d3():
 def test_tasks_only_z_when_hx_empty():
     code = CssCode(hx=np.zeros((0, 3), dtype=np.uint8),
                    hz=[[1, 1, 0], [0, 1, 1]])
-    tasks = tasks_from_code(code, {0: (0, 0), 1: (1, 0), 2: (2, 0)})
+    tasks = tasks_from_code(code)
     assert [t.basis for t in tasks] == ["Z", "Z"]
 
 
@@ -205,7 +215,7 @@ def test_load_bb72(bb72_path):
     assert code.hx.sum(axis=1).max() == code.hz.sum(axis=1).max() == 6
     assert code.d_claimed == 6
     assert not code.ordered
-    tasks = tasks_from_code(code, default_layout(code, build_grid(9, 8)))
+    tasks = tasks_from_code(code)
     assert len(tasks) == 72
     assert all(len(t.targets) == 6 for t in tasks)
 
@@ -245,7 +255,7 @@ def test_layout_and_order_sections():
     assert code.file_layout[2] == (0, 1)
     chip = build_grid(2, 2)
     assert layout_for(code, chip)[3] == (1, 1)
-    tasks = tasks_from_code(code, layout_for(code, chip))
+    tasks = tasks_from_code(code)
     assert tasks[0].targets == [1, 0]
 
 
@@ -283,15 +293,13 @@ def test_header_needs_a_positive_qubit_count(n):
 PAIR = ["2 0 - pair", "HX", "1 1", "HZ", "1 1"]
 
 
+def _pair_with_orders(orders):
+    return CssCode(hx=[[1, 1]], hz=[[1, 1]], orders=orders)
+
+
 def _layout_off_chip():
     code = parse_css(PAIR + ["LAYOUT", "0 0", "5 0"])
     return layout_for(code, build_grid(2, 2))
-
-
-def _tasks_missing_a_qubit():
-    code, layout = surface_code(3)
-    del layout[4]
-    return tasks_from_code(code, layout)
 
 
 CSS_ERRORS = [  # (id, call, message)
@@ -332,8 +340,18 @@ CSS_ERRORS = [  # (id, call, message)
      r"^ancilla 3: empty target list$"),
     ("task-duplicate", lambda: CheckTask(3, "Z", [0, 2, 0]),
      r"^ancilla 3: duplicate targets$"),
-    ("task-missing-qubit", _tasks_missing_a_qubit,
-     r"^data qubit 4 missing from layout$"),
+    ("order-float", lambda: _pair_with_orders([[0.0, 1.0], [0, 1]]),
+     r"^orders row 0: entries must be ints$"),
+    ("order-bool", lambda: _pair_with_orders([[0, 1], [False, True]]),
+     r"^orders row 1: entries must be ints$"),
+    ("order-string", lambda: _pair_with_orders([[0, 1], ["1", "0"]]),
+     r"^orders row 1: entries must be ints$"),
+    ("matrix-two", lambda: CssCode(hx=[[1, 1]], hz=[[1, 1], [2, 0]]),
+     r"^Hz row 1: entry 2 is not an int 0 or 1$"),
+    ("matrix-half", lambda: CssCode(hx=[[1, 1], [0.5, 1]], hz=[[1, 1]]),
+     r"^Hx row 1: entry 0.5 is not an int 0 or 1$"),
+    ("matrix-string", lambda: CssCode(hx=[[1, "1"]], hz=[[1, 1]]),
+     r"^Hx row 0: entry '1' is not an int 0 or 1$"),
 ]
 
 
