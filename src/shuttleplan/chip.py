@@ -66,6 +66,9 @@ class ChipLayout:
     """Rectangular width x height grid of unit cells."""
 
     def __init__(self, width: int, height: int):
+        if type(width) is not int or type(height) is not int:
+            raise ValueError(f"grid dimensions must be ints, got "
+                             f"{width!r} x {height!r}")
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be >= 1")
         self.width = width

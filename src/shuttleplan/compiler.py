@@ -17,16 +17,16 @@ every round, the JSON form writes the stored round alone with the round
 count and M, and the emitter builds each stored event's instructions once
 and places the same objects at t + r*M. No shifted ``Event`` is built.
 
-`_shape`, the one tailoring rule, alone decides an ancilla's H gates and
-`ancilla_occupancy` alone where it rests, for planning and validation
-alike; their docstrings state the rule and the residency model.
+`_template`, the one tailoring rule, alone states an ancilla's gates, for
+the request, the events and the validator, and `ancilla_occupancy` alone
+where it rests; their docstrings state the rule and the residency model.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -86,28 +86,23 @@ class Schedule:
         rows.sort(key=lambda row: (row[0], row[1], row[2].kind))
         return rows
 
-    def _rows(self) -> Iterator[tuple[int, int, Event, str, Optional[str]]]:
-        """`_round_rows` for every round, in time order: round r repeats
-        the stored round's rows at their time plus r * round_makespan.
-        Round after round is in time order because every stored event lies
-        in [0, round_makespan), which ``validate_schedule`` checks."""
-        pattern = self._round_rows()
-        for r in range(self.rounds):
-            offset = r * self.round_makespan
-            for t, a, ev, comp, dest in pattern:
-                yield t + offset, a, ev, comp, dest
-
     def to_text(self) -> str:
+        """The header, then one line per event of every round in time
+        order. Each stored event's text either side of its time is built
+        once, and round r's line adds r * round_makespan to the time. Round
+        after round is in time order because every stored event lies in
+        [0, round_makespan), which ``validate_schedule`` checks."""
         def lines() -> Iterator[str]:
             for line in self.header_lines():
                 yield f"# {line}"
-            for t, a, ev, comp, dest in self._rows():
-                if dest is not None:
-                    comp = f"{comp}>{dest}"
-                line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
-                if ev.partner is not None:
-                    line = f"{line} d{ev.partner}"
-                yield line
+            rows = [(t, f"a{a} {ev.kind} ", f" {ev.duration} {comp}"
+                     + ("" if dest is None else f">{dest}")
+                     + ("" if ev.partner is None else f" d{ev.partner}"))
+                    for t, a, ev, comp, dest in self._round_rows()]
+            for r in range(self.rounds):
+                offset = r * self.round_makespan
+                for t, head, tail in rows:
+                    yield f"{head}{t + offset}{tail}"
 
         return join_lines(lines())
 
@@ -195,51 +190,56 @@ def planning_order(ids: list[int], bound: Callable[[int], int],
 # per-ancilla circuit shape
 
 
-def _shape(task: CheckTask, tailored: bool) -> tuple[bool, bool]:
-    """The tailoring rule, ``(flanked, sandwiched)``: a flanked round has an
-    H right after INIT and right before MEASURE, at the readout; a
-    sandwiched one also an H at the zone right before and after every CX.
-    X checks are flanked, tailored Z checks both, other Z checks neither."""
-    sandwiched = tailored and task.basis == "Z"
-    return task.basis == "X" or sandwiched, sandwiched
+def _template(task: CheckTask, tailored: bool
+              ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The tailoring rule: an ancilla's gate kinds as ``(opening,
+    per_target, closing)``, each group laid out back to back, at the home
+    readout from 0, at each GATE's zone and at the parked readout. X checks
+    change basis at the readout; tailored Z checks also wrap every CX in H
+    gates, so dephasing while the ancilla moves stays off the data."""
+    if task.basis == "X":
+        return ("INIT", "H"), ("CX",), ("H", "MEASURE")
+    if tailored:
+        return ("INIT", "H"), ("H", "CX", "H"), ("H", "MEASURE")
+    return ("INIT",), ("CX",), ("MEASURE",)
 
 
 def build_request(task: CheckTask, home: Cell, data_cells: dict[int, Cell],
                   timing: TimingConfig, tailored: bool, ordered: bool,
                   gate_windows: Optional[dict[Cell, int]] = None) -> PlanRequest:
-    flanked, sandwiched = _shape(task, tailored)
-    flank = timing.t_h if flanked else 0
+    opening, per_target, closing = (
+        sum(getattr(timing, _DURATIONS[kind]) for kind in group)
+        for group in _template(task, tailored))
     return PlanRequest(
-        start_cell=home, start_time=timing.t_init + flank,
+        start_cell=home, start_time=opening,
         tours=OpenPathTable([data_cells[i] for i in task.targets], ordered),
-        gate_duration=timing.t_cx + (2 * timing.t_h if sandwiched else 0),
-        terminal_pad=timing.t_meas + flank, gate_windows=gate_windows or {})
+        gate_duration=per_target, terminal_pad=closing,
+        gate_windows=gate_windows or {})
+
+
+def _group(kinds: tuple[str, ...], t: int, comp: ComponentId,
+           timing: TimingConfig, partner: Optional[int] = None) -> list[Event]:
+    """The kinds as events back to back from t at comp, a CX's with partner."""
+    events = []
+    for kind in kinds:
+        duration = getattr(timing, _DURATIONS[kind])
+        events.append(Event(kind, t, duration, comp,
+                            partner=partner if kind == "CX" else None))
+        t += duration
+    return events
 
 
 def _events_for(task: CheckTask, home: Cell, result: PlanResult,
                 timing: TimingConfig, tailored: bool) -> list[Event]:
-    flanked, sandwiched = _shape(task, tailored)
-    home_ro = readout_id(home)
-    events = [Event("INIT", 0, timing.t_init, home_ro)]
-    if flanked:
-        events.append(Event("H", timing.t_init, timing.t_h, home_ro))
+    opening, per_target, closing = _template(task, tailored)
+    events = _group(opening, 0, readout_id(home), timing)
     for step in result.steps:
-        if step.kind != "GATE":  # WAIT, SHUTTLE or DISPLACE
+        if step.kind == "GATE":
+            events += _group(per_target, step.t, step.comp, timing,
+                             task.targets[step.partner])
+        else:  # WAIT, SHUTTLE or DISPLACE
             events.append(step)
-            continue
-        t, zone = step.t, step.comp
-        data = task.targets[step.partner]
-        if sandwiched:
-            events.append(Event("H", t, timing.t_h, zone))
-            t += timing.t_h
-        events.append(Event("CX", t, timing.t_cx, zone, partner=data))
-        if sandwiched:
-            events.append(Event("H", t + timing.t_cx, timing.t_h, zone))
-    t = result.parked_time
-    if flanked:
-        events.append(Event("H", t, timing.t_h, result.parked))
-        t += timing.t_h
-    events.append(Event("MEASURE", t, timing.t_meas, result.parked))
+    events += _group(closing, result.parked_time, result.parked, timing)
     return events
 
 
@@ -330,7 +330,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     """Plan one syndrome-extraction round for every check of the code.
 
     The data layout must place exactly qubits 0..n-1, each on a tuple of two
-    ints, and the margin be an int >= 0; anything else raises CompileError.
+    ints, the margin be an int >= 0 and tailored a bool; anything else
+    raises CompileError.
 
     Planning runs in two phases, all X checks before all Z checks, and each
     Z ancilla may gate a data qubit only after that qubit's last X-check
@@ -345,6 +346,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     if order_policy not in ORDER_POLICIES:
         raise CompileError(f"order policy must be one of {ORDER_POLICIES}, "
                            f"got {order_policy!r}")
+    if type(tailored) is not bool:
+        raise CompileError(f"tailored must be a bool, got {tailored!r}")
     tasks = tasks_from_code(code)
     if not tasks:
         raise CompileError(f"code {code.name} has no checks to schedule")
@@ -448,9 +451,9 @@ class ValidationReport:
 
 def validate_schedule(schedule: Schedule) -> ValidationReport:
     """Independent sweep: round count, data placement, collisions,
-    completion, order, contiguity, timing, and the duration of every INIT,
-    H, CX, MEASURE, SHUTTLE and DISPLACE (``_DURATIONS``; a WAIT may last
-    any time).
+    completion, order, each round's gates against ``_template``,
+    contiguity, timing, and the duration of every INIT, H, CX, MEASURE,
+    SHUTTLE and DISPLACE (``_DURATIONS``; a WAIT may last any time).
 
     The round count must be an int >= 1 and the round makespan M a positive
     int; a malformed one is reported, never raised on. Every check task
@@ -590,7 +593,7 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
         elif ev.kind in ("INIT", "MEASURE"):
             if placed and ev.comp[0] != READOUT:
                 report.add(f"{where}: {ev.kind} outside a readout zone")
-        elif ev.kind not in ("H", "WAIT"):
+        elif ev.kind not in _DURATIONS and ev.kind != "WAIT":
             report.add(f"{where}: unknown event kind {ev.kind}")
 
     if sorted(gated) != sorted(task.targets):
@@ -601,29 +604,23 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
     elif schedule.ordered and gated != list(task.targets):
         report.add(f"{where}: CX order {gated} != required {list(task.targets)}")
 
-    if _shape(task, schedule.tailored)[1]:
-        _check_tailoring(report, where, events)
-
-
-def _check_tailoring(report: ValidationReport, where: str,
-                     events: list[Event]) -> None:
-    """Every movement period of a tailored Z ancilla is flanked by H gates.
-
-    One pass: ``prev`` is the last non-movement kind seen and ``run`` the
-    index of the first movement since it; the end of the events closes a
-    run as a next kind of None. The first unflanked run is reported.
-    """
-    prev = run = None
-    for i, kind in enumerate([*(ev.kind for ev in events), None]):
-        if kind in _MOVES:
-            if run is None:
-                run = i
-            continue
-        if run is not None and (prev != "H" or kind != "H"):
-            report.add(f"{where}: movement at index {run} not flanked by H "
-                       f"(prev={prev}, next={kind})")
-            return
-        prev, run = kind, None
+    # without its movements, the round runs the template's opening, one
+    # group per target and the closing; no movement falls inside a group
+    opening, per_target, closing = _template(task, schedule.tailored)
+    groups = [opening, *[per_target] * len(task.targets), closing]
+    expected = [kind for group in groups for kind in group]
+    gates = [ev.kind for ev in events if ev.kind not in _MOVES]
+    if gates != expected:
+        report.add(f"{where}: gates {' '.join(gates)}, expected "
+                   f"{' '.join(expected)}")
+        return
+    bounds = {0, *accumulate(map(len, groups))}
+    done = 0
+    for ev in events:
+        if ev.kind not in _MOVES:
+            done += 1
+        elif done not in bounds:
+            report.add(f"{where}: {ev.kind} at {ev.t} splits a gate group")
 
 
 _MOVES = frozenset({"SHUTTLE", "DISPLACE", "WAIT"})

@@ -17,6 +17,7 @@ schedule's tasks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,6 +146,8 @@ class LogicalOperators:
 
 def default_layout(code: CssCode, layout: ChipLayout) -> DataLayout:
     """Row-major square placement: qubit i at (i mod side, i // side)."""
+    if code.n == 0:
+        raise CodeError(f"code {code.name} has no data qubits to place")
     side = math.isqrt(code.n)
     if side * side < code.n:
         side += 1
@@ -213,7 +216,14 @@ def surface_code(d: int) -> tuple[CssCode, DataLayout]:
     boundary and Z half-plaquettes on the left/right boundary. X checks
     visit NW, NE, SW, SE ("Z" sweep) and Z checks NW, SW, NE, SE ("N"
     sweep), the standard ordering that keeps hook errors off the logicals.
+    A distance that ``operator.index`` refuses, or that is even or below 3,
+    raises CodeError.
     """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise CodeError(
+            f"surface code distance must be an int, got {d!r}") from None
     if d < 3 or d % 2 == 0:
         raise CodeError(f"surface code distance must be odd and >= 3, got {d}")
     n = d * d

@@ -315,16 +315,21 @@ def expand_rounds(schedule) -> dict[int, list[list[Event]]]:
 
 
 def schedule_text(schedule) -> str:
-    """``Schedule.to_text`` from one list holding every line, joined once.
-    It reads the schedule's own rows, so it checks the chunking only."""
+    """``Schedule.to_text`` from one list holding every line, joined once:
+    round r repeats the schedule's own stored-round rows at their time plus
+    r * round_makespan, so it checks the chunking and the round expansion
+    only."""
     out = [f"# {line}" for line in schedule.header_lines()]
-    for t, a, ev, comp, dest in schedule._rows():
-        if dest is not None:
-            comp = f"{comp}>{dest}"
-        line = f"a{a} {ev.kind} {t} {ev.duration} {comp}"
-        if ev.partner is not None:
-            line = f"{line} d{ev.partner}"
-        out.append(line)
+    rows = schedule._round_rows()
+    for r in range(schedule.rounds):
+        for t, a, ev, comp, dest in rows:
+            if dest is not None:
+                comp = f"{comp}>{dest}"
+            line = (f"a{a} {ev.kind} {t + r * schedule.round_makespan} "
+                    f"{ev.duration} {comp}")
+            if ev.partner is not None:
+                line = f"{line} d{ev.partner}"
+            out.append(line)
     return "\n".join(out) + "\n"
 
 

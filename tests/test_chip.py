@@ -43,6 +43,13 @@ def test_grid_rejects_empty():
         build_grid(0, 3)
 
 
+@pytest.mark.parametrize("width,height", [(True, 2), (3.0, 2), (2, False),
+                                          (2, "two"), (None, 2)])
+def test_grid_rejects_non_int_dimensions(width, height):
+    with pytest.raises(ValueError, match="grid dimensions must be ints"):
+        build_grid(width, height)
+
+
 def test_degrees():
     grid = build_grid(3, 3)
     degree = {cell: len(grid.neighbors(cell)) for cell in grid.cells()}

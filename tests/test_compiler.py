@@ -134,6 +134,48 @@ def test_round_shape(which, tailored, bb72_path):
     assert bases == {("X", True, False), ("Z", tailored, tailored)}
 
 
+def _code_and_layout(which, bb72_path):
+    """surface_d<d>, or bb72 on the 9x8 default layout."""
+    if which == "bb72":
+        code = load_css(str(bb72_path))
+        return code, default_layout(code, build_grid(9, 8))
+    return surface_code(int(which.removeprefix("surface_d")))
+
+
+@pytest.mark.parametrize("which,tailored", [
+    ("surface_d3", True), ("surface_d3", False), ("surface_d5", True),
+    ("surface_d5", False), ("bb72", True), ("bb72", False)])
+def test_template_states_request_and_events(which, tailored, bb72_path):
+    """Per ancilla, the request's start time, gate duration and terminal pad
+    are the summed durations of the template's opening, per-target group and
+    closing; its events without movements are those groups, each back to
+    back at one component, the opening from 0 at the home readout."""
+    code, layout = _code_and_layout(which, bb72_path)
+    schedule = schedule_round(code, layout, TIMING, tailored=tailored)
+    durations = {"INIT": TIMING.t_init, "H": TIMING.t_h, "CX": TIMING.t_cx,
+                 "MEASURE": TIMING.t_meas}
+    for task in schedule.tasks:
+        home = schedule.homes[task.ancilla]
+        opening, per_target, closing = compiler._template(task, tailored)
+        request = compiler.build_request(task, home, schedule.data_cells,
+                                         TIMING, tailored, code.ordered)
+        assert (request.start_time, request.gate_duration,
+                request.terminal_pad) == tuple(
+            sum(durations[kind] for kind in group)
+            for group in (opening, per_target, closing))
+        gates = [ev for ev in schedule.events[task.ancilla]
+                 if ev.kind not in ("WAIT", "SHUTTLE", "DISPLACE")]
+        groups = [opening, *[per_target] * len(task.targets), closing]
+        assert [ev.kind for ev in gates] == [k for g in groups for k in g]
+        assert (gates[0].t, gates[0].comp) == (0, readout_id(home))
+        start = 0
+        for group in groups:
+            run = gates[start:start + len(group)]
+            start += len(group)
+            assert len({ev.comp for ev in run}) == 1
+            assert all(a.end == b.t for a, b in zip(run, run[1:]))
+
+
 def test_determinism_byte_identical():
     _, first = compile_surface(3, seed=5)
     _, second = compile_surface(3, seed=5)
@@ -336,35 +378,93 @@ def test_validator_reports_events_without_a_task():
 
 
 def test_validator_reports_z_before_x():
-    """Relabelling every check's basis puts Z-check CXs before X-check ones."""
+    """Relabelling every check's basis puts Z-check CXs before X-check ones;
+    each relabelled round also stops running its new basis's template."""
     _, schedule = compile_surface(3, tailored=False)
     tasks = [replace(t, basis="X" if t.basis == "Z" else "Z")
              for t in schedule.tasks]
     report = validate_schedule(replace(schedule, tasks=tasks))
-    assert report.violations
-    assert all("receives a Z-check CX" in v for v in report.violations)
+    z_first = [v for v in report.violations if "receives a Z-check CX" in v]
+    assert z_first
+    shapes = [v for v in report.violations if v not in z_first]
+    assert [v.split(": gates ")[0] for v in shapes] == [
+        f"a{t.ancilla} round 0" for t in tasks]
 
 
 def test_validator_reports_unflanked_tailored_movement():
+    """A tailored Z round without its H gates, or without the H before
+    MEASURE that flanks its parking leg, no longer runs its template."""
     _, schedule = compile_surface(3, tailored=True)
     aid = next(t.ancilla for t in schedule.tasks if t.basis == "Z")
+    n = len(schedule.tasks[aid].targets)
+    expected = " ".join(["INIT", "H", *["H", "CX", "H"] * n, "H", "MEASURE"])
     events = [ev for ev in schedule.events[aid] if ev.kind != "H"]
     corrupted = replace(schedule, events={**schedule.events, aid: events})
     report = validate_schedule(corrupted)
-    assert report.violations
-    assert all(v.startswith(f"a{aid} round 0: movement at index")
-               and "not flanked by H" in v for v in report.violations)
+    gates = " ".join(["INIT", *["CX"] * n, "MEASURE"])
+    assert report.violations == [
+        f"a{aid} round 0: gates {gates}, expected {expected}"]
     # trailing movement: the parking leg loses the H before MEASURE
     events = list(schedule.events[aid])
     assert [ev.kind for ev in events[-2:]] == ["H", "MEASURE"]
     del events[-2]
-    last = max(i for i, ev in enumerate(events)
-               if ev.kind not in ("SHUTTLE", "DISPLACE", "WAIT", "MEASURE"))
     report = validate_schedule(
         replace(schedule, events={**schedule.events, aid: events}))
+    gates = expected.removesuffix(" H MEASURE") + " MEASURE"
     assert report.violations == [
-        f"a{aid} round 0: movement at index {last + 1} not flanked by H "
-        f"(prev={events[last].kind}, next=MEASURE)"]
+        f"a{aid} round 0: gates {gates}, expected {expected}"]
+
+
+def _without_h(events, end):
+    """The events without their first (end=0) or last (end=-1) H."""
+    drop = [i for i, ev in enumerate(events) if ev.kind == "H"][end]
+    return [ev for i, ev in enumerate(events) if i != drop]
+
+
+@pytest.mark.parametrize("which,tailored", [("surface_d3", True),
+                                            ("surface_d3", False),
+                                            ("bb72", True)])
+@pytest.mark.parametrize("end", [0, -1], ids=["opening", "closing"])
+def test_validator_reports_x_round_without_its_h(which, tailored, end,
+                                                 bb72_path):
+    """An X round that lost the H after INIT or before MEASURE measures in
+    the wrong basis. Its first X check is a0, of weight 2 on surface d3
+    ("gates INIT CX CX H MEASURE, expected INIT H CX CX H MEASURE")."""
+    code, layout = _code_and_layout(which, bb72_path)
+    schedule = schedule_round(code, layout, TIMING, tailored=tailored)
+    task = next(t for t in schedule.tasks if t.basis == "X")
+    events = _without_h(schedule.events[task.ancilla], end)
+    report = validate_schedule(replace(
+        schedule, events={**schedule.events, task.ancilla: events}))
+    cxs = ["CX"] * len(task.targets)
+    expected = " ".join(["INIT", "H", *cxs, "H", "MEASURE"])
+    gates = " ".join(["INIT", *cxs, "H", "MEASURE"] if end == 0
+                     else ["INIT", "H", *cxs, "MEASURE"])
+    assert report.violations == [
+        f"a{task.ancilla} round 0: gates {gates}, expected {expected}"]
+
+
+def test_validator_reports_a_displace_inside_a_sandwich():
+    """A DISPLACE moved between a sandwich H and its CX leaves the gate
+    kinds in template order but splits the H-CX-H group."""
+    _, schedule = compile_surface(3, tailored=True)
+    aid, i = next((t.ancilla, i) for t in schedule.tasks if t.basis == "Z"
+                  for i in range(len(schedule.events[t.ancilla]))
+                  if [ev.kind for ev in schedule.events[t.ancilla][i:i + 3]]
+                  == ["DISPLACE", "H", "CX"])
+    events = list(schedule.events[aid])
+    events[i], events[i + 1] = events[i + 1], events[i]
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, aid: events}))
+    assert (f"a{aid} round 0: DISPLACE at {events[i + 1].t} splits a gate "
+            f"group") in report.violations
+
+
+@pytest.mark.parametrize("tailored", ["no", None, 1])
+def test_schedule_round_rejects_a_non_bool_tailored(tailored):
+    code, layout = surface_code(3)
+    with pytest.raises(CompileError, match="tailored must be a bool"):
+        schedule_round(code, layout, TIMING, tailored=tailored)
 
 
 def _outside_violations(schedule, aid, events):

@@ -67,10 +67,24 @@ def test_surface_d5_parameters():
     assert code.hx.sum(axis=1).max() == code.hz.sum(axis=1).max() == 4
 
 
-@pytest.mark.parametrize("d", [2, 1, 4])
+@pytest.mark.parametrize("d", [2, 1, 4, 3.0, "3"])
 def test_surface_rejects_bad_distance(d):
     with pytest.raises(CodeError):
         surface_code(d)
+
+
+def test_surface_takes_a_numpy_distance():
+    code, layout = surface_code(np.int64(3))
+    ref, ref_layout = surface_code(3)
+    assert (code.name, code.orders, layout) == (ref.name, ref.orders,
+                                                ref_layout)
+    assert np.array_equal(code.hx, ref.hx) and np.array_equal(code.hz, ref.hz)
+
+
+def test_default_layout_rejects_a_code_without_qubits():
+    empty = np.zeros((0, 0), dtype=np.uint8)
+    with pytest.raises(CodeError, match="no data qubits"):
+        default_layout(CssCode(hx=empty, hz=empty), build_grid(1, 1))
 
 
 def test_surface_d3_distance_is_three():
