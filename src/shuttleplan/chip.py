@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterator
 
 Cell = tuple[int, int]
@@ -132,8 +133,8 @@ class TimingConfig:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Error rates per operation plus idle decoherence times (ns); a bool
-    is neither."""
+    """Error rates per operation plus idle decoherence times (ns), each a
+    real number other than a bool."""
 
     p_cx: float = 1e-3        # depolarizing, two-qubit
     p_h: float = 1e-3         # depolarizing, single-qubit
@@ -146,8 +147,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if type(value) is bool:
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("p_cx", "p_h", "p_init", "p_meas", "p_shuttle", "p_displace"):
             p = getattr(self, name)
             if not 0.0 <= p <= 0.75:

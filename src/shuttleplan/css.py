@@ -139,10 +139,6 @@ class LogicalOperators:
     x: np.ndarray
     z: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.x.shape[0]
-
 
 def default_layout(code: CssCode, layout: ChipLayout) -> DataLayout:
     """Row-major square placement: qubit i at (i mod side, i // side)."""
@@ -302,18 +298,6 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
     if "HX" not in sections or "HZ" not in sections:
         raise CodeError(f"{name_hint}: HX and HZ sections are required")
 
-    def parse_matrix(rows: list[str], label: str) -> np.ndarray:
-        parsed = []
-        for line in rows:
-            bits = line.split()
-            if len(bits) != n:
-                raise CodeError(f"{name_hint}: {label} row has {len(bits)} "
-                                f"entries, expected {n}")
-            if any(b not in ("0", "1") for b in bits):
-                raise CodeError(f"{name_hint}: {label} entries must be 0/1")
-            parsed.append([int(b) for b in bits])
-        return np.array(parsed, dtype=np.uint8).reshape(len(parsed), n)
-
     def parse_ints(line: str, label: str) -> list[int]:
         try:
             return [int(t) for t in line.split()]
@@ -321,18 +305,29 @@ def parse_css(lines: list[str], name_hint: str = "<string>") -> CssCode:
             raise CodeError(f"{name_hint}: {label} entries must be integers: "
                             f"{exc}") from exc
 
+    def parse_matrix(rows: list[str], label: str) -> np.ndarray:
+        """The rows as an int array; CssCode checks that they are bits."""
+        parsed = [parse_ints(line, label) for line in rows]
+        for row in parsed:
+            if len(row) != n:
+                raise CodeError(f"{name_hint}: {label} row has {len(row)} "
+                                f"entries, expected {n}")
+        try:
+            return np.array(parsed, dtype=int).reshape(len(parsed), n)
+        except OverflowError as exc:  # an entry past int64, so no bit
+            raise CodeError(f"{name_hint}: {label} entries must be 0 or 1: "
+                            f"{exc}") from exc
+
     hx = parse_matrix(sections["HX"], "HX")
     hz = parse_matrix(sections["HZ"], "HZ")
-
     orders = None
     if "ORDER" in sections:
-        rows = sections["ORDER"]
-        if len(rows) != hx.shape[0] + hz.shape[0]:
-            raise CodeError(f"{name_hint}: ORDER needs one line per check row")
-        orders = [parse_ints(line, "ORDER") for line in rows]
-
-    code = CssCode(hx=hx, hz=hz, name=name, d_claimed=d_claimed,
-                   orders=orders)
+        orders = [parse_ints(line, "ORDER") for line in sections["ORDER"]]
+    try:
+        code = CssCode(hx=hx, hz=hz, name=name, d_claimed=d_claimed,
+                       orders=orders)
+    except CodeError as exc:
+        raise CodeError(f"{name_hint}: {exc}") from exc
     if code.k != k_claim:
         raise CodeError(f"{name_hint}: header claims k={k_claim} "
                         f"but rank computation gives k={code.k}")

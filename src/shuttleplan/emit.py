@@ -12,11 +12,11 @@ one TICK per round boundary, so the round of a noise site is the number of
 TICKs before its instruction.
 
 Every instruction enters a `StabCircuit` through one checked batch method,
-`StabCircuit.extend`, and `append` is a batch of one. A batch is checked
-as a whole before anything is added, each rule once over all of it rather
-than once per instruction: integer targets (numpy integers become plain
-ints, a float or a bool is refused), known names, pairs of two distinct
-qubits for the pair instructions, qubit targets in range, args (each distinct one
+`StabCircuit.extend`. A batch is checked as a whole before anything is
+added, each rule once over all of it rather than once per instruction:
+integer targets (numpy integers become plain ints, a float or a bool is
+refused), known names, pairs of two distinct qubits for the pair
+instructions, qubit targets in range, args (each distinct one
 checked once: a noise channel takes a one-tuple of a probability in [0, 1],
 OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
 measurement records that index only the measurements before them.
@@ -115,11 +115,6 @@ class StabCircuit:
         self.instructions: list[Instruction] = []
         self.num_measurements = 0
 
-    def append(self, name: str, targets: Iterable[int] = (),
-               arg: Optional[tuple] = None, meta: Optional[dict] = None) -> None:
-        """Add one instruction: ``extend`` of a batch of one."""
-        self.extend((Instruction(name, targets, arg, meta),))
-
     def extend(self, instructions: Iterable[Instruction]) -> None:
         """Check a batch of instructions, each rule once over the whole
         batch, then add them all; the only way into ``instructions``.
@@ -184,10 +179,6 @@ class StabCircuit:
                                  f"outside the {measured} measurements so far")
         self.instructions += batch
         self.num_measurements = measured
-
-    def detectors(self) -> list[tuple[tuple[int, ...], Optional[tuple]]]:
-        return [(i.targets, i.arg) for i in self.instructions
-                if i.name == "DETECTOR"]
 
     def observables(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}

@@ -10,18 +10,22 @@ each noise instruction into its faults one target at a time, and the
 tableau oracle is a row-major uint8 destabilizer/stabilizer tableau that
 updates every row of a column with numpy and multiplies rows one phase
 term at a time, and the round oracle expands a schedule's stored round into
-a shifted copy of every event of every round and sweeps all of them.
+a shifted copy of every event of every round and sweeps all of them, and
+the noise ledger turns each idle and shuttle phase flip of a circuit back
+into the nanoseconds or edges it stands for, from instruction fields alone.
 
-Four helpers here are not independent: `fault_sites` writes the input of
+Five helpers here are not independent: `fault_sites` writes the input of
 the package's `fault_scan`, `in_rowspace` compares two `gf2.rank` values,
-and `schedule_text` and `circuit_text` are the one-list text writers the
-chunked `to_text` methods replaced, kept as references for the chunking.
-Only the tests call them.
+`schedule_text` and `circuit_text` are the one-list text writers the
+chunked `to_text` methods replaced, kept as references for the chunking,
+and `detector_targets` lists a circuit's detectors. Only the tests call
+them.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from functools import lru_cache
 from itertools import permutations
@@ -538,6 +542,40 @@ class DenseTableau:
             self.mask[h] ^= mask
 
 
+def detector_targets(circuit) -> list[tuple[int, ...]]:
+    """The record targets of each DETECTOR instruction, in circuit order."""
+    return [instr.targets for instr in circuit.instructions
+            if instr.name == "DETECTOR"]
+
+
+def noise_ledger(circuit, noise) -> tuple[dict[int, float], dict[int, float]]:
+    """Per qubit, the idle nanoseconds and the shuttle edges its Z_ERRORs
+    stand for.
+
+    An idle Z_ERROR (meta kind "idle") of probability p stands for
+    -t2 * log(1 - p) ns, inverting 1 - exp(-dt / t2); a shuttle Z_ERROR
+    (meta kind "shuttle") for log(1 - 2p) / log(1 - 2 p_shuttle) edges,
+    inverting the odd-parity flip probability (1 - (1 - 2 p_shuttle)^m) / 2.
+    Qubits come from the targets; no emitter code is used.
+    """
+    idle_ns: dict[int, float] = {}
+    edges: dict[int, float] = {}
+    for instr in circuit.instructions:
+        if instr.name != "Z_ERROR":
+            continue
+        (p,) = instr.arg
+        if instr.meta["kind"] == "idle":
+            amount, ledger = -noise.t2 * math.log1p(-p), idle_ns
+        elif instr.meta["kind"] == "shuttle":
+            amount = math.log1p(-2 * p) / math.log1p(-2 * noise.p_shuttle)
+            ledger = edges
+        else:
+            continue
+        for q in instr.targets:
+            ledger[q] = ledger.get(q, 0.0) + amount
+    return idle_ns, edges
+
+
 def noiseless_outcomes(circuit):
     """(measurements, detectors, observables by index) of a noiseless run,
     each outcome a (const, mask, random) triple; parities XOR the consts
@@ -573,7 +611,7 @@ def noiseless_outcomes(circuit):
             random = random or outcomes[m][2]
         return const, mask, random
 
-    detectors = [parity(targets) for targets, _ in circuit.detectors()]
+    detectors = [parity(targets) for targets in detector_targets(circuit)]
     observables = {obs: parity(targets)
                    for obs, targets in circuit.observables().items()}
     return outcomes, detectors, observables

@@ -121,10 +121,13 @@ def test_noise_defaults_and_validation():
 
 @pytest.mark.parametrize("name", ["p_cx", "p_h", "p_init", "p_meas",
                                   "p_shuttle", "p_displace", "t1", "t2"])
-@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("value", [True, False, "0.1", "x", None, [1],
+                                   0.1 + 0j])
 def test_noise_rejects_bool_fields(name, value):
-    """t1=True would otherwise be a 1 ns bit-flip time."""
-    with pytest.raises(ValueError, match=f"{name} must be a number"):
+    """A bool or a value that is not a real number is refused by name:
+    t1=True would otherwise be a 1 ns bit-flip time, and a string, None, a
+    list or a complex would fail a comparison with a bare TypeError."""
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
         NoiseConfig(**{name: value})
 
 

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_logicals_raise_when_pairing_fails(monkeypatch):
 def test_logicals_k0_empty():
     code = CssCode(hx=[[1, 1]], hz=[[1, 1]])
     logs = compute_logicals(code)
-    assert logs.k == 0 and logs.x.shape == (0, 2)
+    assert logs.x.shape == logs.z.shape == (0, 2)
 
 
 def test_tasks_surface_d3():
@@ -251,7 +252,8 @@ def test_load_rejects_anticommuting(tmp_path):
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.code"
     path.write_text("2 0 - pair\nHX\n1 2\nHZ\n1 1\n")
-    with pytest.raises(CodeError, match="0/1"):
+    with pytest.raises(CodeError, match=re.escape(
+            f"{path}: Hx row 0: entry 2 is not an int 0 or 1")):
         load_css(str(path))
 
 
@@ -336,7 +338,7 @@ CSS_ERRORS = [  # (id, call, message)
     ("row-length", lambda: parse_css([*PAIR[:4], "1 1 0"], "pair.code"),
      r"^pair.code: HZ row has 3 entries, expected 2$"),
     ("order-lines", lambda: parse_css(PAIR + ["ORDER", "0 1"], "pair.code"),
-     r"^pair.code: ORDER needs one line per check row$"),
+     r"^pair.code: orders: expected 2 rows, got 1$"),
     ("layout-lines", lambda: parse_css(PAIR + ["LAYOUT", "0 0"], "pair.code"),
      r"^pair.code: LAYOUT needs one line per data qubit$"),
     ("layout-not-x-y", lambda: parse_css(PAIR + ["LAYOUT", "0 0", "1 0 0"],
@@ -366,6 +368,16 @@ CSS_ERRORS = [  # (id, call, message)
      r"^Hx row 1: entry 0.5 is not an int 0 or 1$"),
     ("matrix-string", lambda: CssCode(hx=[[1, "1"]], hz=[[1, 1]]),
      r"^Hx row 0: entry '1' is not an int 0 or 1$"),
+    ("file-entry-minus-one",
+     lambda: parse_css(["2 0 - pair", "HX", "1 -1", "HZ", "1 1"], "pair.code"),
+     r"^pair.code: Hx row 0: entry -1 is not an int 0 or 1$"),
+    ("file-entry-huge",
+     lambda: parse_css(["2 0 - pair", "HX", f"1 {2 ** 63}", "HZ", "1 1"],
+                       "pair.code"),
+     r"^pair.code: HX entries must be 0 or 1: "),
+    ("file-anticommuting",
+     lambda: parse_css(["2 0 - pair", "HX", "1 1", "HZ", "1 0"], "pair.code"),
+     r"^pair.code: Hx row 0 anticommutes with Hz row 0 \(odd overlap\)$"),
 ]
 
 

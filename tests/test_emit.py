@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import NOISELESS
+from conftest import CODES, NOISELESS
+from oracles import detector_targets, noise_ledger
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (CodeError, CssCode, LogicalOperators,
@@ -89,22 +90,67 @@ def test_displace_noise_per_event():
                             for instr in circuit.instructions)
 
 
+def _bb72_random_schedule(rounds=3, seed=1):
+    code = load_css(str(CODES / "bb_72_12_6.code"))
+    layout = default_layout(code, build_grid(9, 8))
+    schedule = schedule_round(code, layout, TIMING, order_policy="random",
+                              seed=seed)
+    return code, replicate_rounds(schedule, rounds)
+
+
+LEDGER_CASES = {  # id -> ((code, schedule), memory basis)
+    "d3-Z-tailored": (lambda: surface_schedule(3, 3, tailored=True), "Z"),
+    "d3-X-untailored": (lambda: surface_schedule(3, 3, tailored=False), "X"),
+    "d5-X": (lambda: surface_schedule(5, 5), "X"),
+    "bb72-random-1": (_bb72_random_schedule, "Z"),
+}
+
+
+@pytest.mark.parametrize("case", LEDGER_CASES)
+def test_noise_ledger_matches_the_schedule(case):
+    """The circuit's phase flips, turned back into time and edges, are the
+    schedule's: each data qubit idles the makespan less its reset and its
+    CXs, each ancilla exactly its WAITs, and each ancilla's shuttle flips
+    stand for its SHUTTLE events, in every round."""
+    build, basis = LEDGER_CASES[case]
+    code, schedule = build()
+    noise = NoiseConfig()
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  noise, basis)
+    cx_ns, wait_ns, shuttles = Counter(), Counter(), Counter()
+    for a, evs in schedule.events.items():  # the stored round
+        for ev in evs:
+            if ev.kind == "CX":
+                cx_ns[ev.partner] += ev.duration
+            elif ev.kind == "WAIT":
+                wait_ns[code.n + a] += ev.duration
+            elif ev.kind == "SHUTTLE":
+                shuttles[code.n + a] += 1
+    rounds, span = schedule.rounds, schedule.makespan - schedule.timing.t_init
+    idle_ns, edges = noise_ledger(circuit, noise)
+    assert wait_ns and shuttles
+    assert idle_ns == pytest.approx(
+        {**{i: span - rounds * cx_ns[i] for i in range(code.n)},
+         **{q: rounds * ns for q, ns in wait_ns.items()}})
+    assert edges == pytest.approx({q: rounds * m for q, m in shuttles.items()})
+
+
 def test_detector_counts_surface_d3_three_rounds():
     _, circuit = surface_circuit(d=3, rounds=3, basis="z")
     # 4 first-round Z detectors + 8 checks x 2 comparison rounds + 4 final
-    assert len(circuit.detectors()) == 4 + 16 + 4
+    assert len(detector_targets(circuit)) == 4 + 16 + 4
     assert len(circuit.observables()) == 1
 
 
 def test_detector_counts_single_round():
     _, circuit = surface_circuit(d=3, rounds=1, basis="z")
-    assert len(circuit.detectors()) == 4 + 4
+    assert len(detector_targets(circuit)) == 4 + 4
     assert len(circuit.observables()) == 1
 
 
 def test_x_basis_detector_counts():
     _, circuit = surface_circuit(d=3, rounds=2, basis="x")
-    assert len(circuit.detectors()) == 4 + 8 + 4
+    assert len(detector_targets(circuit)) == 4 + 8 + 4
     assert len(circuit.observables()) == 1
 
 
@@ -218,7 +264,7 @@ def test_append_rejects_odd_pair_targets(name):
     c = StabCircuit(3)
     arg = (0.1,) if name == "DEPOLARIZE2" else None
     with pytest.raises(ValueError, match="target pairs"):
-        c.append(name, (0, 1, 2), arg=arg)
+        c.extend([Instruction(name, (0, 1, 2), arg)])
     assert c.instructions == []
 
 
@@ -230,7 +276,7 @@ def test_append_rejects_a_pair_of_equal_targets(name, targets):
     with pytest.raises(ValueError, match=re.escape(
             f"{name} needs target pairs of two distinct qubits, "
             f"got {targets}")):
-        c.append(name, targets, arg=arg)
+        c.extend([Instruction(name, targets, arg)])
     assert c.instructions == []
 
 
@@ -244,13 +290,13 @@ def test_append_rejects_qubit_out_of_range(name, bad):
     error, match = ((TypeError, "integer") if isinstance(bad, float)
                     else (ValueError, "outside qubits 0..2"))
     with pytest.raises(error, match=match):
-        c.append(name, (0, bad))
+        c.extend([Instruction(name, (0, bad))])
     assert c.instructions == [] and c.num_measurements == 0
 
 
 def test_append_accepts_numpy_integer_targets():
     c = StabCircuit(3)
-    c.append("CX", (np.int64(0), np.uint8(2)))
+    c.extend([Instruction("CX", (np.int64(0), np.uint8(2)))])
     assert c.to_text() == "CX 0 2\n"
 
 
@@ -258,12 +304,10 @@ def test_append_accepts_measurement_record_targets():
     """DETECTOR and OBSERVABLE_INCLUDE targets index measurements, not
     qubits, so they are not range checked against num_qubits."""
     c = StabCircuit(1)
-    c.append("R", (0,))
-    for _ in range(3):
-        c.append("M", (0,))
-    c.append("DETECTOR", (1, 2))
-    c.append("OBSERVABLE_INCLUDE", (2,), arg=(0,))
-    c.append("TICK")
+    c.extend([Instruction("R", (0,)), *[Instruction("M", (0,))] * 3,
+              Instruction("DETECTOR", (1, 2)),
+              Instruction("OBSERVABLE_INCLUDE", (2,), (0,)),
+              Instruction("TICK")])
     assert c.num_measurements == 3 and len(c.instructions) == 7
 
 
@@ -272,7 +316,7 @@ def test_append_rejects_unknown_instruction(name):
     """An instruction the simulators do not know would be skipped by them."""
     c = StabCircuit(2)
     with pytest.raises(ValueError, match="unknown instruction"):
-        c.append(name, (0, 1))
+        c.extend([Instruction(name, (0, 1))])
     assert c.instructions == []
 
 
@@ -282,16 +326,16 @@ def test_append_rejects_record_out_of_range(name, bad):
     """Records index the measurements made so far: rec[-k] must exist, and a
     float record is refused, not truncated."""
     c = StabCircuit(2)
-    c.append("M", (0, 1))
+    c.extend([Instruction("M", (0, 1))])
     arg = (0,) if name == "OBSERVABLE_INCLUDE" else None
     error, match = ((TypeError, "integer") if isinstance(bad, float)
                     else (ValueError, "outside the 2 measurements"))
     with pytest.raises(error, match=match):
-        c.append(name, (0, bad), arg=arg)
+        c.extend([Instruction(name, (0, bad), arg)])
     assert len(c.instructions) == 1
 
 
-# -- the checked batch path against append ----------------------------------
+# -- one batch against batches of one ----------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -315,14 +359,14 @@ def pinned_circuits(bb72_path):
 
 
 def test_extend_matches_append_on_pinned_circuits(pinned_circuits):
-    """Replayed one by one through append, in one batch and in random
-    batches, the instructions give the same circuit."""
+    """Replayed one by one, in one batch and in random batches, the
+    instructions give the same circuit."""
     rng = np.random.default_rng(5)
     for circuit in pinned_circuits:
         instrs = circuit.instructions
         one_by_one = StabCircuit(circuit.num_qubits)
         for instr in instrs:
-            one_by_one.append(*instr)
+            one_by_one.extend([instr])
         whole = StabCircuit(circuit.num_qubits)
         whole.extend(instrs)
         chunked = StabCircuit(circuit.num_qubits)
@@ -427,7 +471,7 @@ def test_schedule_for_another_code_is_refused(case):
 
 def test_extend_normalises_targets_as_append_does():
     c = StabCircuit(3)
-    c.append("CX", [np.int64(0), np.uint8(2)])
+    c.extend([Instruction("CX", [np.int64(0), np.uint8(2)])])
     batch = StabCircuit(3)
     batch.extend([Instruction("CX", [np.int64(0), np.uint8(2)]),
                   Instruction("M", (x for x in (1,)), None, {})])
@@ -437,7 +481,7 @@ def test_extend_normalises_targets_as_append_does():
     assert batch.num_measurements == 1
 
 
-# (name, targets, arg) that append rejects, on a 3-qubit circuit after M 0 1
+# (name, targets, arg) rejected on its own, on a 3-qubit circuit after M 0 1
 REJECTED = [
     *((name, targets, (0.1,) if name == "DEPOLARIZE2" else None)
       for name in ("CX", "DEPOLARIZE2")
@@ -467,7 +511,7 @@ BAD_ARGS = [
 
 def _after_measuring():
     c = StabCircuit(3)
-    c.append("M", (0, 1))
+    c.extend([Instruction("M", (0, 1))])
     return c
 
 
@@ -475,10 +519,10 @@ def _after_measuring():
                          ids=[f"{n or 'empty'}-{t}" for n, t, _ in REJECTED]
                          + [f"{n}-{t}-arg{a}" for n, t, a in BAD_ARGS])
 def test_extend_rejects_what_append_rejects(name, targets, arg):
-    """A rejected instruction raises the same exception from a batch,
-    wherever it sits, and the batch adds nothing."""
+    """An instruction rejected on its own raises the same exception from a
+    batch, wherever it sits, and the batch adds nothing."""
     with pytest.raises((TypeError, ValueError)) as appended:
-        _after_measuring().append(name, targets, arg)
+        _after_measuring().extend([Instruction(name, targets, arg)])
     # valid around it; none measures, so the records in range stay the same
     good = [Instruction("H", (2,)), Instruction("X_ERROR", (2,), (0.1,), {}),
             Instruction("DETECTOR", (1,))]

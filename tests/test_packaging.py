@@ -1,6 +1,7 @@
 import ast
 import importlib
-import importlib.util
+import json
+import subprocess
 import sys
 
 import pytest
@@ -57,79 +58,76 @@ def test_package_has_no_broad_except():
     assert found == []
 
 
-# Module-level names that nothing in the package or the benchmark refers to,
-# each kept for the reason given.
+# Top-level functions, by name, that no job of tests/traffic.py runs, each
+# kept for the reason given.
 ENTRY_POINTS = {
     "layout_for": "reads the LAYOUT section, which the data-layout search "
                   "will write",
     "route_successors": "the tests' only view of one expansion of the "
                         "inline successor loop",
+    "_spanning_tree_weight": "bounds a tour only past EXACT_LIMIT unordered "
+                             "targets, more than any benchmark check has; "
+                             "tests/test_tsp.py runs it",
 }
 
 
-# Methods and properties, as "Class.member", that nothing in the package or
-# the benchmark calls, each kept for the caller it waits for.
+# Methods and properties, as "Class.member", that no job of
+# tests/traffic.py runs, each kept for the caller it waits for.
 MEMBER_ENTRY_POINTS = {
     "Schedule.to_json": "carries the structured diagnostics of the CLI's "
                         "compile subcommand (ROADMAP item 2)",
 }
 
 
-def _traced_attributes() -> set[str]:
-    """The attributes the benchmark's tracer patches on the package."""
-    from types import SimpleNamespace
-
-    from shuttleplan import compiler, css, emit, intervals, metrics, pauli, tsp
-
-    spec = importlib.util.spec_from_file_location(
-        "tracing", REPO / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    sp = SimpleNamespace(compiler=compiler, css=css, emit=emit,
-                         intervals=intervals, metrics=metrics, pauli=pauli,
-                         tsp=tsp)
-    return {attr for _, attr, _ in tracing.traced_targets(sp)}
-
-
 def test_every_package_name_has_a_caller():
-    """A module-level def or class must be referenced by name, as an
-    attribute or in an import somewhere in the package or the benchmark,
-    or be listed in ENTRY_POINTS. A method or property of a package class
-    must be named as an attribute there (a bare name is a local or a
-    global, never a member), or be patched by the benchmark's tracer, or be
-    listed in MEMBER_ENTRY_POINTS; dunder methods are called by the
-    language."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    """The traffic guard: every top-level function, method and property of
+    the package runs in the benchmark's own pipeline, on the jobs of
+    tests/traffic.py (surface d3 in both bases and bb72 with a random
+    order, each with the fault audit, and one schedule with a dropped CX,
+    which the validator must report), in a fresh interpreter and from the
+    package's first import on. A matching name is not a caller: any
+    list's ``append`` matches a method called ``append``.
+
+    Not checked: dunders, which the language calls, and the methods a
+    dataclass or NamedTuple generates, whose code lies outside the
+    package. Waived: the class members the benchmark's tracer patches
+    (``perfbench/tracing.traced_targets``), which must exist for the
+    tracer to wrap them, run or not; ENTRY_POINTS and MEMBER_ENTRY_POINTS,
+    each for the reason it gives, and each of which must exist and stay
+    unrun.
+    """
+    out = subprocess.run([sys.executable, str(REPO / "tests" / "traffic.py")],
+                         capture_output=True, text=True, check=True)
+    traffic = json.loads(out.stdout)
+    assert [ok for ok, _ in traffic["ok"]] == [True, True, True, False]
+    assert traffic["ok"][-1][1][0].startswith("validate:")
+    idle = {name: name.split(".", 1)[1] for name in traffic["idle"]}
+    waived = {*ENTRY_POINTS, *MEMBER_ENTRY_POINTS}
+    stale = waived - set(idle.values())
+    assert not stale, f"waived, but run or not defined: {sorted(stale)}"
+    unrun = sorted(name for name, qualname in idle.items()
+                   if qualname not in waived | set(traffic["traced"]))
+    assert not unrun, f"never run: {', '.join(unrun)}"
+
+
+def test_every_package_class_is_named():
+    """A top-level class must be referenced by name, as an attribute or in
+    an import, somewhere in the package or the benchmark."""
     package = sorted((REPO / "src" / "shuttleplan").glob("*.py"))
     defined: dict[str, str] = {}
-    members: dict[str, str] = {}
     referenced: set[str] = set()
-    attributes: set[str] = set()
     for path in package + sorted((REPO / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         if path in package:
-            for node in tree.body:
-                if isinstance(node, (*defs, ast.ClassDef)):
-                    defined[node.name] = f"{path.stem}.{node.name}"
-                if isinstance(node, ast.ClassDef):
-                    members.update(
-                        (f"{node.name}.{m.name}", m.name) for m in node.body
-                        if isinstance(m, defs) and not (
-                            m.name.startswith("__") and m.name.endswith("__")))
+            defined.update((node.name, f"{path.stem}.{node.name}")
+                           for node in tree.body
+                           if isinstance(node, ast.ClassDef))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    assert set(ENTRY_POINTS) <= set(defined)
-    assert set(MEMBER_ENTRY_POINTS) <= set(members)
-    unused = sorted(where for name, where in defined.items()
-                    if name not in referenced and name not in ENTRY_POINTS)
-    called = attributes | _traced_attributes()
-    unused += sorted(member for member, name in members.items()
-                     if name not in called
-                     and member not in MEMBER_ENTRY_POINTS)
-    assert unused == []
+    assert sorted(where for name, where in defined.items()
+                  if name not in referenced) == []

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import NOISELESS
-from oracles import (DenseTableau, expand_noise, fault_sites,
-                     noiseless_outcomes, propagate_frame)
+from oracles import (DenseTableau, detector_targets, expand_noise,
+                     fault_sites, noiseless_outcomes, propagate_frame)
 from shuttleplan import pauli
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
@@ -21,22 +21,18 @@ from shuttleplan.pauli import (FaultSites, NoiselessReport, fault_scan,
 
 def z_check_circuit(tailored: bool) -> StabCircuit:
     """One Z ancilla (qubit 4) visiting data 0..3; noise markers per hop."""
-    c = StabCircuit(5)
-    c.append("R", (4,), meta={"kind": "anc_init"})
-    if tailored:
-        c.append("H", (4,))
+    h = [Instruction("H", (4,))] if tailored else []
+    batch = [Instruction("R", (4,), meta={"kind": "anc_init"}), *h]
     for i in range(4):
-        c.append("Z_ERROR", (4,), arg=(1e-3,),
-                 meta={"kind": "shuttle", "hop": i})
-        if tailored:
-            c.append("H", (4,))
-        c.append("CX", (i, 4))
-        if tailored:
-            c.append("H", (4,))
-    c.append("Z_ERROR", (4,), arg=(1e-3,), meta={"kind": "shuttle", "hop": 4})
-    if tailored:
-        c.append("H", (4,))
-    c.append("M", (4,), meta={"kind": "anc_measure", "check": 0})
+        batch += [Instruction("Z_ERROR", (4,), (1e-3,),
+                              {"kind": "shuttle", "hop": i}),
+                  *h, Instruction("CX", (i, 4)), *h]
+    batch += [Instruction("Z_ERROR", (4,), (1e-3,),
+                          {"kind": "shuttle", "hop": 4}),
+              *h, Instruction("M", (4,), None,
+                              {"kind": "anc_measure", "check": 0})]
+    c = StabCircuit(5)
+    c.extend(batch)
     return c
 
 
@@ -49,15 +45,16 @@ def hop_index(circuit, hop):
 def x_check_circuit() -> StabCircuit:
     """One X ancilla (qubit 4) driving CXs onto data 0..3 between its
     basis-change Hs; noise markers per hop."""
-    c = StabCircuit(5)
-    c.append("R", (4,))
-    c.append("H", (4,))
+    batch = [Instruction("R", (4,)), Instruction("H", (4,))]
     for i in range(4):
-        c.append("Z_ERROR", (4,), arg=(1e-3,), meta={"kind": "shuttle", "hop": i})
-        c.append("CX", (4, i))  # X ancilla drives the CX
-    c.append("Z_ERROR", (4,), arg=(1e-3,), meta={"kind": "shuttle", "hop": 4})
-    c.append("H", (4,))
-    c.append("M", (4,))
+        batch += [Instruction("Z_ERROR", (4,), (1e-3,),
+                              {"kind": "shuttle", "hop": i}),
+                  Instruction("CX", (4, i))]  # X ancilla drives the CX
+    batch += [Instruction("Z_ERROR", (4,), (1e-3,),
+                          {"kind": "shuttle", "hop": 4}),
+              Instruction("H", (4,)), Instruction("M", (4,))]
+    c = StabCircuit(5)
+    c.extend(batch)
     return c
 
 
@@ -98,9 +95,9 @@ def test_x_ancilla_dephasing_never_reaches_data():
 
 def test_sites_from_noise_expansion():
     c = StabCircuit(2)
-    c.append("X_ERROR", (0,), arg=(0.1,))
-    c.append("DEPOLARIZE1", (1,), arg=(0.1,))
-    c.append("DEPOLARIZE2", (0, 1), arg=(0.1,))
+    c.extend([Instruction("X_ERROR", (0,), (0.1,)),
+              Instruction("DEPOLARIZE1", (1,), (0.1,)),
+              Instruction("DEPOLARIZE2", (0, 1), (0.1,))])
     sites = sites_from_noise(c)
     assert len(sites) == 1 + 3 + 15
 
@@ -128,15 +125,15 @@ def assert_columns_equal(sites: FaultSites, faults, dtypes=NARROW) -> None:
 
 def every_channel_circuit() -> StabCircuit:
     c = StabCircuit(4)
-    c.append("R", (0, 1, 2, 3))
-    c.append("X_ERROR", (0, 3), arg=(0.1,))
-    c.append("DEPOLARIZE2", (0, 1, 3, 2), arg=(0.1,))
-    c.append("CX", (0, 1))
-    c.append("Z_ERROR", (2,), arg=(0.1,))
-    c.append("DEPOLARIZE1", (1, 2, 0), arg=(0.1,))
-    c.append("H", (3,))
-    c.append("DEPOLARIZE2", (2, 3), arg=(0.1,))
-    c.append("M", (0, 1, 2, 3))
+    c.extend([Instruction("R", (0, 1, 2, 3)),
+              Instruction("X_ERROR", (0, 3), (0.1,)),
+              Instruction("DEPOLARIZE2", (0, 1, 3, 2), (0.1,)),
+              Instruction("CX", (0, 1)),
+              Instruction("Z_ERROR", (2,), (0.1,)),
+              Instruction("DEPOLARIZE1", (1, 2, 0), (0.1,)),
+              Instruction("H", (3,)),
+              Instruction("DEPOLARIZE2", (2, 3), (0.1,)),
+              Instruction("M", (0, 1, 2, 3))])
     return c
 
 
@@ -146,9 +143,7 @@ def test_sites_match_noise_oracle_on_every_channel(indices):
     c = every_channel_circuit()
     if indices is not None:
         whole, c = c, StabCircuit(c.num_qubits)
-        for i in indices:
-            name, targets, arg, meta = whole.instructions[i]
-            c.append(name, targets, arg=arg, meta=meta)
+        c.extend([whole.instructions[i] for i in indices])
     sites = sites_from_noise(c)
     faults = expand_noise(c)
     assert len(sites) == len(faults)
@@ -215,12 +210,7 @@ def test_fault_scan_takes_cx_pairs_in_order():
     """A CX's pairs act in order (CX 0 1 1 2 is CX 0 1, then CX 1 2), as
     the frame oracle takes them: every single-qubit fault before the two
     chained CXs flips the measurements the oracle gives."""
-    c = StabCircuit(3)
-    c.append("R", (0, 1, 2))
-    c.append("CX", (0, 1, 1, 2))
-    c.append("CX", (2, 1, 1, 0))
-    c.append("M", (0, 1, 2))
-    c.append("MX", (0, 1, 2))
+    c = parse("R 0 1 2; CX 0 1 1 2; CX 2 1 1 0; M 0 1 2; MX 0 1 2", 3)
     faults = [(0, ((q, p),)) for q in range(3) for p in "XYZ"]
     flipped, _ = record_flips(c, fault_sites(faults))
     assert flipped == [propagate_frame(c, index, paulis)[2]
@@ -254,9 +244,8 @@ def verdicts(circuit: StabCircuit, *parities) -> list:
 def parse(text: str, num_qubits: int = 2) -> StabCircuit:
     """A circuit from ``"NAME t t; NAME t; ..."``."""
     c = StabCircuit(num_qubits)
-    for line in text.split(";"):
-        name, *targets = line.split()
-        c.append(name, map(int, targets))
+    c.extend([Instruction(name, tuple(map(int, targets)))
+              for name, *targets in map(str.split, text.split(";"))])
     return c
 
 
@@ -270,16 +259,8 @@ def test_simulate_hadamard_gives_random_flag():
 
 def test_repeated_random_measurement_is_correlated():
     """Same stabilizer measured twice: detector parity is deterministic 0."""
-    c = StabCircuit(2)
-    c.append("R", (0,))
-    c.append("R", (1,))
     # measure X0 X1 twice via an ancilla-free trick: H, CX, M chains
-    for _ in range(2):
-        c.append("H", (0,))
-        c.append("CX", (0, 1))
-        c.append("M", (1,))
-        c.append("CX", (0, 1))
-        c.append("H", (0,))
+    c = parse("R 0; R 1" + "; H 0; CX 0 1; M 1; CX 0 1; H 0" * 2)
     assert verdicts(c, (0, 1)) == [None, None, 0]
 
 
@@ -313,27 +294,27 @@ def test_anticommuting_with_a_reset_or_measurement_is_random(text, want):
 
 
 def random_circuit(rng, n=8, length=50) -> StabCircuit:
-    c = StabCircuit(n)
-    for q in range(n):
-        c.append("R", (q,))
+    batch = [Instruction("R", (q,)) for q in range(n)]
     for _ in range(length):
         roll = rng.random()
         if roll < 0.35:
-            c.append("H", (rng.randrange(n),))
+            batch.append(Instruction("H", (rng.randrange(n),)))
         elif roll < 0.7 and n > 1:
             a = rng.randrange(n)
             b = rng.randrange(n)
             while b == a:
                 b = rng.randrange(n)
-            c.append("CX", (a, b))
+            batch.append(Instruction("CX", (a, b)))
         elif roll < 0.8:
-            c.append("R" if rng.random() < 0.5 else "RX", (rng.randrange(n),))
+            batch.append(Instruction("R" if rng.random() < 0.5 else "RX",
+                                     (rng.randrange(n),)))
         elif roll < 0.95:
-            c.append("M", (rng.randrange(n),))
+            batch.append(Instruction("M", (rng.randrange(n),)))
         else:
-            c.append("MX", (rng.randrange(n),))
-    for q in range(n):
-        c.append("M", (q,))
+            batch.append(Instruction("MX", (rng.randrange(n),)))
+    batch += [Instruction("M", (q,)) for q in range(n)]
+    c = StabCircuit(n)
+    c.extend(batch)
     return c
 
 
@@ -455,7 +436,7 @@ def parities(flipped: set, groups) -> list[int]:
 def oracle_flips(circuit, faults) -> tuple[list, list]:
     """Per fault, the frame oracle's detector and observable flips: the
     parities of the measurements it flips, observables by index."""
-    dets = [targets for targets, _ in circuit.detectors()]
+    dets = detector_targets(circuit)
     obs = [targets for _, targets in sorted(circuit.observables().items())]
     expect_det, expect_obs = [], []
     for index, paulis in faults:
@@ -501,7 +482,7 @@ def observables_by_detectors(circuit) -> dict[bytes, set[bytes]]:
     with different observables make an undetected logical of weight 2; a
     nonzero observable in the all-zero group, one of weight 1."""
     result = fault_scan(circuit, sites_from_noise(circuit))
-    split = -(-len(circuit.detectors()) // 8)
+    split = -(-len(detector_targets(circuit)) // 8)
     groups: dict[bytes, set[bytes]] = {}
     for row in result.rows:
         groups.setdefault(row[:split].tobytes(), set()).add(
@@ -512,7 +493,7 @@ def observables_by_detectors(circuit) -> dict[bytes, set[bytes]]:
 def assert_no_undetected_logical_pair(circuit) -> None:
     groups = observables_by_detectors(circuit)
     assert [obs for obs in groups.values() if len(obs) > 1] == []
-    split = -(-len(circuit.detectors()) // 8)
+    split = -(-len(detector_targets(circuit)) // 8)
     nobs = -(-len(circuit.observables()) // 8)
     assert groups.get(bytes(split), {bytes(nobs)}) == {bytes(nobs)}
 
@@ -576,7 +557,8 @@ def test_scan_rows_equal_for_wide_and_narrow_sites(bb72_schedule):
     assert (narrow.index.dtype, narrow.term_bits.dtype) == (np.int32, np.uint8)
     rows = fault_scan(circuit, narrow).rows
     assert rows.tobytes() == fault_scan(circuit, wide).rows.tobytes()
-    assert rows.shape == (len(narrow), -(-len(circuit.detectors()) // 8) + 2)
+    assert rows.shape == (len(narrow),
+                          -(-len(detector_targets(circuit)) // 8) + 2)
 
 
 @pytest.mark.parametrize("run_rows", [1, 2, 7])
@@ -596,14 +578,14 @@ def test_flips_read_the_counts_the_scan_kept(monkeypatch):
     and the flips walk it not at all."""
     code, layout = surface_code(3)
     circuit = memory_circuit(code, layout, 2, "Z")
-    detectors, observables = circuit.detectors(), circuit.observables()
+    detectors, observables = detector_targets(circuit), circuit.observables()
 
     def walk(self):
         raise AssertionError("the circuit was walked again")
 
-    monkeypatch.setattr(StabCircuit, "detectors", walk)
     monkeypatch.setattr(StabCircuit, "observables", walk)
     result = fault_scan(circuit, sites_from_noise(circuit))
+    circuit.instructions = None  # the flips must not read it
     assert (result.num_detectors, result.num_observables) == (
         len(detectors), len(observables))
     assert result.detector_flips(circuit).shape == (len(result.sites),
@@ -632,7 +614,7 @@ def test_scan_memory_is_bit_packed():
     circuit = memory_circuit(code, layout, 2, "Z")
     sites = sites_from_noise(circuit)
     result = fault_scan(circuit, sites)
-    row = (-(-len(circuit.detectors()) // 8)
+    row = (-(-len(detector_targets(circuit)) // 8)
            + -(-len(circuit.observables()) // 8))
     assert len(sites) > 1000
     assert result.rows.nbytes <= len(sites) * row + 1024
@@ -640,10 +622,7 @@ def test_scan_memory_is_bit_packed():
 
 @pytest.mark.parametrize("index", [3, 99, -1])
 def test_fault_scan_rejects_instruction_out_of_range(index):
-    c = StabCircuit(2)
-    for q in range(2):
-        c.append("R", (q,))
-    c.append("M", (0, 1))
+    c = parse("R 0; R 1; M 0 1")
     sites = fault_sites([(0, ((0, "X"),)), (index, ((1, "Z"),))])
     with pytest.raises(IndexError, match="fault site 1: no instruction"):
         fault_scan(c, sites)
@@ -651,8 +630,7 @@ def test_fault_scan_rejects_instruction_out_of_range(index):
 
 @pytest.mark.parametrize("qubit", [2, -1])
 def test_fault_scan_rejects_qubit_out_of_range(qubit):
-    c = StabCircuit(2)
-    c.append("M", (0, 1))
+    c = parse("M 0 1")
     sites = fault_sites([(0, ((1, "Z"),)),
                                     (0, ((0, "X"), (qubit, "Y")))])
     with pytest.raises(IndexError, match="fault site 1: qubit"):
@@ -661,8 +639,7 @@ def test_fault_scan_rejects_qubit_out_of_range(qubit):
 
 @pytest.mark.parametrize("letter", ["x", "I", "XZ", ""])
 def test_fault_scan_rejects_unknown_pauli_letter(letter):
-    c = StabCircuit(2)
-    c.append("M", (0, 1))
+    c = parse("M 0 1")
     with pytest.raises(ValueError, match="fault site 1: Pauli"):
         fault_scan(c, fault_sites([(0, ((1, "Z"),)),
                                               (0, ((0, letter),))]))
@@ -670,8 +647,7 @@ def test_fault_scan_rejects_unknown_pauli_letter(letter):
 
 @pytest.mark.parametrize("site, bits", [(2, 1), (-1, 2), (0, 0), (1, 4)])
 def test_fault_scan_rejects_malformed_term_columns(site, bits):
-    c = StabCircuit(2)
-    c.append("M", (0, 1))
+    c = parse("M 0 1")
     col = lambda *v: np.array(v, dtype=np.int64)
     sites = FaultSites(col(0, 0), col(0, site), col(1, 0), col(2, bits))
     with pytest.raises(ValueError, match="Pauli term 1"):
@@ -700,10 +676,10 @@ def test_tableau_matches_dense_oracle_on_random_circuits(n):
         records = range(circuit.num_measurements)
         pick = lambda most: rng.sample(records,
                                        rng.randint(1, min(most, len(records))))
-        for _ in range(5):
-            circuit.append("DETECTOR", pick(3))
-        for obs in range(2):
-            circuit.append("OBSERVABLE_INCLUDE", pick(4), arg=(obs,))
+        circuit.extend([
+            *(Instruction("DETECTOR", pick(3)) for _ in range(5)),
+            *(Instruction("OBSERVABLE_INCLUDE", pick(4), (obs,))
+              for obs in range(2))])
         assert_noiseless_matches_oracle(circuit)
 
 
@@ -745,7 +721,7 @@ def test_the_random_circuits_draw_every_emitted_gate():
 def multi_target_circuits(draw):
     n = draw(st.integers(1, 5))
     qubit = st.integers(0, n - 1)
-    c = StabCircuit(n)
+    gates = []
     for _ in range(draw(st.integers(0, 14))):
         name = draw(st.sampled_from(GATES))
         if name == "CX":
@@ -754,17 +730,24 @@ def multi_target_circuits(draw):
             pairs = draw(st.lists(st.lists(qubit, min_size=2, max_size=2,
                                            unique=True),
                                   min_size=1, max_size=4))
-            c.append(name, [q for pair in pairs for q in pair])
+            gates.append(Instruction(name,
+                                     [q for pair in pairs for q in pair]))
         else:
-            c.append(name, draw(st.lists(qubit, min_size=1, max_size=4,
-                                         unique=name not in ("M", "MX"))))
-    c.append("M", draw(st.lists(qubit, min_size=1, max_size=n)))
+            gates.append(Instruction(name, draw(st.lists(
+                qubit, min_size=1, max_size=4,
+                unique=name not in ("M", "MX")))))
+    gates.append(Instruction("M", draw(st.lists(qubit, min_size=1,
+                                                max_size=n))))
+    c = StabCircuit(n)
+    c.extend(gates)
     record = st.integers(0, c.num_measurements - 1)
-    for _ in range(draw(st.integers(1, 6))):
-        c.append("DETECTOR", draw(st.lists(record, max_size=4)))
-    for _ in range(draw(st.integers(0, 3))):
-        c.append("OBSERVABLE_INCLUDE", draw(st.lists(record, max_size=4)),
-                 arg=(draw(st.integers(0, 2)),))
+    records = [Instruction("DETECTOR", draw(st.lists(record, max_size=4)))
+               for _ in range(draw(st.integers(1, 6)))]
+    records += [Instruction("OBSERVABLE_INCLUDE",
+                            draw(st.lists(record, max_size=4)),
+                            (draw(st.integers(0, 2)),))
+                for _ in range(draw(st.integers(0, 3)))]
+    c.extend(records)
     return c
 
 
@@ -798,7 +781,7 @@ def ends_circuit() -> StabCircuit:
     """A Bell pair from |00> without resets: H 0 is the first instruction,
     and the observable of both records the last."""
     c = parse("H 0; CX 0 1; M 0 1; DETECTOR 0; DETECTOR 1")
-    c.append("OBSERVABLE_INCLUDE", (0, 1), arg=(0,))
+    c.extend([Instruction("OBSERVABLE_INCLUDE", (0, 1), (0,))])
     return c
 
 
@@ -850,7 +833,7 @@ def test_circuit_with_no_noise():
     sites = sites_from_noise(quiet)
     assert len(sites) == 0
     result = fault_scan(quiet, sites)
-    ndet = len(quiet.detectors())
+    ndet = len(detector_targets(quiet))
     assert result.rows.shape == (0, -(-ndet // 8) + 1)
     assert result.detector_flips(quiet).shape == (0, ndet)
     report = simulate_noiseless(quiet)
