@@ -19,10 +19,12 @@ refused), known names, pairs of two distinct qubits for the pair
 instructions, qubit targets in range, args (each distinct one
 checked once: a noise channel takes a one-tuple of a probability in [0, 1],
 OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
-measurement records that index only the measurements before them.
-`emit_memory_circuit` builds its instructions itself and checks them one
-round at a time, a batch per round, and `add_detectors` adds all its
-detectors and observables as one more batch.
+measurement records that index only the measurements before them. A
+batch may be added several times over for one check (``repeat``), as the
+rounds of a memory experiment repeat. `emit_memory_circuit` builds its
+instructions itself: round 0 is one checked batch, round 1 another, added
+once for each of the identical rounds 1..R-1, and `add_detectors` adds all
+its detectors and observables as one more batch.
 
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
@@ -115,9 +117,13 @@ class StabCircuit:
         self.instructions: list[Instruction] = []
         self.num_measurements = 0
 
-    def extend(self, instructions: Iterable[Instruction]) -> None:
+    def extend(self, instructions: Iterable[Instruction],
+               repeat: int = 1) -> None:
         """Check a batch of instructions, each rule once over the whole
-        batch, then add them all; the only way into ``instructions``.
+        batch, then add them all ``repeat`` times over; the only way into
+        ``instructions``. One check covers every copy: a record in range in
+        the first copy is in range in the later ones, which follow more
+        measurements.
 
         Targets other than a tuple of plain ints are converted with
         ``operator.index``, so numpy integers pass and a float raises
@@ -129,8 +135,11 @@ class StabCircuit:
         one-tuple of a probability in [0, 1], for an OBSERVABLE_INCLUDE
         whose arg is not a one-tuple of an int >= 0 (a bool is neither) and
         for a DETECTOR or OBSERVABLE_INCLUDE record outside the
-        measurements made before it. A batch that raises adds nothing.
+        measurements made before it, and for a ``repeat`` that is not an
+        int >= 1 (a bool is not). A batch that raises adds nothing.
         """
+        if type(repeat) is not int or repeat < 1:
+            raise ValueError(f"repeat must be an int >= 1, got {repeat!r}")
         batch = list(instructions)
         if {type(i.targets) for i in batch} - {tuple}:
             batch = [i._replace(targets=tuple(i.targets)) for i in batch]
@@ -177,8 +186,9 @@ class StabCircuit:
                   and not _within(instr.targets, measured)):
                 raise ValueError(f"{instr.name} records {instr.targets} "
                                  f"outside the {measured} measurements so far")
-        self.instructions += batch
-        self.num_measurements = measured
+        for _ in range(repeat):
+            self.instructions += batch
+        self.num_measurements += (measured - self.num_measurements) * repeat
 
     def observables(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
@@ -233,21 +243,27 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     ``rounds``. The lowered round must lie in [0, round_makespan), as the
     stored events of a valid schedule do; CodeError is raised otherwise.
 
-    The circuit is emitted a round at a time. Round r's rows, its shifted
-    ancilla instructions, its data idle gaps and TICK r, are sorted by time
-    and qubit (ties keep the order they were made in) and added as one
-    checked batch. Round 0's batch opens with the qubit coordinates and the
-    data preparation; the final data idle gaps and the readout make one
-    more batch. No list spanning all rounds is built.
+    The circuit is emitted a round at a time, and a repeated round is one
+    checked batch. Round r's rows, the lowered round, its data idle gaps
+    and TICK r, are timed from the round's start, sorted by time and qubit
+    (ties keep the order they were made in) and checked as one batch.
+    Round 0's batch opens with the qubit coordinates and the data
+    preparation instead of a TICK. A round's rows depend on nothing but
+    when each data qubit last ended a CX, timed from the round's start, and
+    a round that leaves those times as it found them is followed by copies
+    of itself. In a valid schedule every data qubit's CXs end after its
+    preparation, so round 1 is that round: rounds 1..R-1 are identical,
+    and round 1 is built, sorted and checked once and added R-1 times. The
+    final data idle gaps and the readout make one more batch. No list
+    spanning all rounds is built.
 
     Repeated facts are stored once per circuit: equal target tuples are one
     tuple object, and so are equal noise args, each a one-tuple of a float;
     the two are kept apart, since ``(1,) == (1.0,)``. An ancilla's noise
     instructions share their meta across rounds, and the X_ERROR and Z_ERROR
     of one idle gap share one meta dict. A data qubit's idle gaps share one
-    meta, and its gaps of one length are the same two instructions, so
-    every interior gap of round r >= 2 is round 1's. Every meta is
-    read-only.
+    meta, and its gaps of one length are the same two instructions. Every
+    meta is read-only.
     """
     basis = _memory_basis(basis)
     if logicals.x.shape[1] != code.n:
@@ -288,12 +304,12 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
             pair = idle_pairs[i, dt] = [instr for _, _, instr in made]
         rows.extend((t, i, instr) for instr in pair)
 
-    def put(rows):
-        """Add the rows, by time and qubit key, as one batch."""
+    def put(rows, copies=1):
+        """Add the rows, by time and qubit key, as one batch, copies times."""
         # two stable sorts on int keys build no key tuples for the collector
         rows.sort(key=itemgetter(1))
         rows.sort(key=itemgetter(0))
-        circuit.extend([instr for _, _, instr in rows])
+        circuit.extend([instr for _, _, instr in rows], copies)
 
     # the stored round, lowered once and sorted; (start, end) of each data
     # qubit's CXs
@@ -367,27 +383,38 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
         add(rows, 0, i, data_reset, (i,))
         add_noise(rows, 0, i, flip_after_reset, (i,), noise.p_init,
                   {"kind": "init", "qubit": i})
-    # idle decoherence on data qubits between their CXs and the readout
-    cursor = [schedule.timing.t_init] * n
-    for r in range(schedule.rounds):
-        offset = r * period
+    # idle decoherence on data qubits between their CXs and the readout.
+    # Rows are timed from the start of their round, and cursor[i] is when
+    # data qubit i, one with CXs, last ended a CX, timed from the start of
+    # the next round; a qubit without CXs idles from its preparation to
+    # the readout
+    t_init = schedule.timing.t_init
+    cursor = {i: t_init for i in range(n) if spans[i]}
+    r = 0
+    while r < schedule.rounds:
         if r:
-            add(rows, offset, -1, "TICK", ())
-        rows.extend((t + offset, q, instr) for t, q, instr in lowered)
-        for i in range(n):
+            add(rows, 0, -1, "TICK", ())
+        rows += lowered
+        entry = dict(cursor)
+        for i, last in entry.items():
             for start, end in spans[i]:
-                start += offset
-                if start > cursor[i]:
-                    add_data_idle(rows, start, i, start - cursor[i])
-                cursor[i] = max(cursor[i], end + offset)
-        put(rows)
+                if start > last:
+                    add_data_idle(rows, start, i, start - last)
+                last = max(last, end)
+            cursor[i] = last - period
+        # a later round that starts as this one did makes the same rows, and
+        # so does every round after it
+        copies = schedule.rounds - r if r and cursor == entry else 1
+        put(rows, copies)
         rows = []
+        r += copies
 
     # the last gaps, then the transversal data readout in the memory basis
     add(rows, makespan, -1, "TICK", ())
     for i in range(n):
-        if makespan > cursor[i]:
-            add_data_idle(rows, makespan, i, makespan - cursor[i])
+        last = cursor.get(i, t_init - makespan)
+        if last < 0:
+            add_data_idle(rows, makespan, i, -last)
     data_measure = "M" if basis == "Z" else "MX"
     flip_before_measure = "X_ERROR" if basis == "Z" else "Z_ERROR"
     for i in range(n):
@@ -396,7 +423,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
         add(rows, makespan, i, data_measure, (i,))
     put(rows)
 
-    add_detectors(circuit, code, basis, logicals=logicals, schedule=schedule)
+    _add_detectors(circuit, code, basis, logicals, schedule)
     return circuit
 
 
@@ -444,6 +471,14 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     """
     basis = _memory_basis(basis)
     _check_schedule_fits(schedule, code)
+    return _add_detectors(circuit, code, basis, logicals, schedule)
+
+
+def _add_detectors(circuit: StabCircuit, code: CssCode, basis: str,
+                   logicals: LogicalOperators,
+                   schedule: Schedule) -> StabCircuit:
+    """`add_detectors` for a basis already read and a schedule already
+    checked against the code."""
     n, tasks = code.n, schedule.tasks
     n_checks = len(tasks)
     homes = schedule.homes  # detector coordinates: the check's home cell

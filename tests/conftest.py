@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from shuttleplan import compiler
 from shuttleplan.chip import NoiseConfig
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -25,3 +26,10 @@ def bb72_path() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def bb144_path() -> pathlib.Path:
     return CODES / "bb_144_12_12.code"
+
+
+@pytest.fixture(autouse=True)
+def fresh_plan_slot(monkeypatch):
+    """Each test starts with no kept plan, so no test passes on a schedule
+    an earlier one compiled."""
+    monkeypatch.setattr(compiler, "_last_plan", None)

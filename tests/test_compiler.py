@@ -896,3 +896,94 @@ def test_compiler_named_errors(call, match, cause, monkeypatch):
     with pytest.raises(CompileError, match=match) as info:
         call(monkeypatch)
     assert type(info.value.__cause__) is cause
+
+
+# -- the plan slot -------------------------------------------------------------
+
+
+def _counted_routes(monkeypatch) -> list:
+    """The plan_route calls from here on, one entry each."""
+    calls = []
+    plan = compiler.plan_route
+
+    def counted(*args):
+        calls.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(compiler, "plan_route", counted)
+    return calls
+
+
+def test_equal_inputs_plan_once_and_copy_the_containers(monkeypatch):
+    routes = _counted_routes(monkeypatch)
+    code, layout = surface_code(3)
+    first = schedule_round(code, layout, TIMING)
+    planned = len(routes)
+    second = schedule_round(code, layout, TIMING)
+    assert planned == len(first.tasks) and len(routes) == planned
+    assert second.to_text() == first.to_text()
+    assert second.to_json() == first.to_json()
+    for field in ("events", "tasks", "data_cells", "homes", "provenance"):
+        assert getattr(second, field) is not getattr(first, field), field
+    for a, evs in first.events.items():
+        assert second.events[a] is not evs
+        assert all(x is y for x, y in zip(second.events[a], evs))
+    for mine, theirs in zip(second.tasks, first.tasks):
+        assert mine is not theirs and mine.targets is not theirs.targets
+    # editing one schedule changes neither the other nor the next
+    text = second.to_text()
+    first.events[0].clear()
+    first.tasks[0].targets.reverse()
+    first.homes.clear()
+    first.provenance["code"] = "edited"
+    assert second.to_text() == text
+    assert schedule_round(code, layout, TIMING).to_text() == text
+    assert len(routes) == planned
+
+
+def _unordered_d3():
+    d3, layout = surface_code(3)
+    return CssCode(hx=d3.hx.copy(), hz=d3.hz.copy(), name="d3"), layout
+
+
+def _swap_first_x_rows(code, layout):
+    """The same code object, its first two X checks swapped in place."""
+    code.hx[[0, 1]] = code.hx[[1, 0]]
+    return code, layout
+
+
+CHANGED_INPUTS = {  # id -> (code, layout, options) -> the same, one changed
+    "seed": lambda c, l, o: (c, l, {**o, "seed": 1}),
+    "tailored": lambda c, l, o: (c, l, {**o, "tailored": False}),
+    "timing": lambda c, l, o: (c, l, {**o, "timing": TimingConfig(t_cx=200)}),
+    "margin": lambda c, l, o: (c, l, {**o, "margin": 2}),
+    "order-policy": lambda c, l, o: (c, l, {**o, "order_policy": "index"}),
+    "layout": lambda c, l, o: (c, {i: (x + 1, y) for i, (x, y) in l.items()},
+                               o),
+    "hx-in-place": lambda c, l, o: (*_swap_first_x_rows(c, l), o),
+}
+
+
+@pytest.mark.parametrize("change", CHANGED_INPUTS)
+def test_each_changed_input_plans_afresh(change, monkeypatch):
+    routes = _counted_routes(monkeypatch)
+    code, layout = _unordered_d3()
+    options = {"timing": TIMING}
+    first = schedule_round(code, layout, **options).to_text()
+    planned = len(routes)
+    code, layout, options = CHANGED_INPUTS[change](code, layout, options)
+    again = schedule_round(code, layout, **options)
+    assert len(routes) == 2 * planned
+    monkeypatch.setattr(compiler, "_last_plan", None)
+    fresh = schedule_round(code, layout, **options)
+    assert again.to_text() == fresh.to_text()
+    if change != "layout":  # a shifted layout places the data alike
+        assert again.to_text() != first
+
+
+def test_a_none_seed_is_never_kept(monkeypatch):
+    routes = _counted_routes(monkeypatch)
+    code, layout = surface_code(3)
+    schedule_round(code, layout, TIMING, seed=None)
+    schedule_round(code, layout, TIMING, seed=None)
+    assert len(routes) == 2 * len(code.hx) + 2 * len(code.hz)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from collections import Counter
@@ -5,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CODES, NOISELESS
 from oracles import detector_targets, noise_ledger
@@ -13,6 +15,7 @@ from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (CodeError, CssCode, LogicalOperators,
                              compute_logicals, default_layout, load_css,
                              surface_code)
+from shuttleplan import emit
 from shuttleplan.emit import (NOISE_CHANNELS, Instruction, StabCircuit,
                               add_detectors, compose_phase_flips,
                               emit_memory_circuit)
@@ -606,3 +609,123 @@ EMIT_ERRORS = [  # (id, call, message)
 def test_emit_named_errors(call, match):
     with pytest.raises(CodeError, match=match):
         call()
+
+
+# -- a batch added several times over ----------------------------------------
+
+
+@st.composite
+def batches(draw):
+    """A valid batch on 3 qubits after M 0 1: gates, measurements, noise and
+    detectors whose records index measurements made before them."""
+    qubit = st.integers(0, 2)
+    measured, batch = 2, []
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(["H", "CX", "M", "X_ERROR", "DETECTOR",
+                                     "TICK"]))
+        if name == "CX":
+            targets = draw(st.lists(qubit, min_size=2, max_size=2,
+                                    unique=True))
+        elif name == "DETECTOR":
+            targets = draw(st.lists(st.integers(0, measured - 1),
+                                    max_size=3))
+        elif name == "TICK":
+            targets = []
+        else:
+            targets = draw(st.lists(qubit, min_size=1, max_size=2))
+        measured += len(targets) if name == "M" else 0
+        batch.append(Instruction(name, tuple(targets),
+                                 (0.1,) if name == "X_ERROR" else None))
+    return batch
+
+
+@given(batches(), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_repeated_is_the_batch_added_that_many_times(batch, k):
+    once, each = _after_measuring(), _after_measuring()
+    once.extend(batch, repeat=k)
+    for _ in range(k):
+        each.extend(batch)
+    assert once.instructions == each.instructions
+    assert once.num_measurements == each.num_measurements
+
+
+@pytest.mark.parametrize("repeat", [1, 3])
+@pytest.mark.parametrize("bad", [
+    Instruction("CX", (1, 1)),            # an equal pair
+    Instruction("H", (3,)),               # a qubit out of range
+    Instruction("DETECTOR", (2,)),        # a record past the measurements
+], ids=["equal-pair", "qubit-out-of-range", "record-past-measurements"])
+def test_a_bad_batch_repeated_raises_as_once_and_adds_nothing(bad, repeat):
+    """The record is refused although later copies would follow the
+    batch's own measurement: one check covers the first copy."""
+    batch = [bad, Instruction("M", (0,))]
+    with pytest.raises(ValueError) as once:
+        _after_measuring().extend(batch)
+    c = _after_measuring()
+    with pytest.raises(ValueError) as repeated:
+        c.extend(batch, repeat=repeat)
+    assert str(repeated.value) == str(once.value)
+    assert (c.instructions, c.num_measurements) == (
+        [Instruction("M", (0, 1))], 2)
+
+
+@pytest.mark.parametrize("repeat", [0, -1, True, 2.0])
+def test_repeat_must_be_a_positive_int(repeat):
+    c = _after_measuring()
+    with pytest.raises(ValueError, match="repeat must be an int >= 1"):
+        c.extend([Instruction("M", (0,))], repeat=repeat)
+    assert len(c.instructions) == 1 and c.num_measurements == 2
+
+
+def _logged_batches(monkeypatch) -> list[tuple[int, int]]:
+    """(batch length, repeat) of every extend from here on."""
+    log = []
+    extend = StabCircuit.extend
+
+    def logged(self, instructions, repeat=1):
+        batch = list(instructions)
+        log.append((len(batch), repeat))
+        extend(self, batch, repeat)
+
+    monkeypatch.setattr(StabCircuit, "extend", logged)
+    return log
+
+
+def test_rounds_one_on_are_one_checked_batch(monkeypatch):
+    """Round 0, round 1 added for rounds 1..3, the readout, the detectors;
+    rounds 1..3 are the same objects between their TICKs."""
+    log = _logged_batches(monkeypatch)
+    _, circuit = surface_circuit(d=3, rounds=4)
+    assert [repeat for _, repeat in log] == [1, 3, 1, 1]
+    ticks = [k for k, i in enumerate(circuit.instructions) if i.name == "TICK"]
+    blocks = [circuit.instructions[a:b] for a, b in zip(ticks, ticks[1:])]
+    assert len(blocks) == 3 and len(blocks[0]) == log[1][0]
+    assert all(a is b for block in blocks[1:]
+               for a, b in zip(blocks[0], block))
+
+
+def test_a_round_that_starts_otherwise_is_its_own_batch(monkeypatch):
+    """With a data preparation as long as the round, every data qubit
+    enters round 1 at its start and round 2 after its last CX of round 1,
+    so round 1 is a batch of its own and round 2 is added for rounds 2..3.
+    The circuit is pinned from the emitter that built every round on its
+    own."""
+    code, schedule = surface_schedule(rounds=4)
+    late = replace(schedule, timing=replace(
+        schedule.timing, t_init=schedule.round_makespan))
+    log = _logged_batches(monkeypatch)
+    circuit = emit_memory_circuit(late, code, compute_logicals(code),
+                                  NoiseConfig(), "Z")
+    assert [repeat for _, repeat in log] == [1, 1, 2, 1, 1]
+    assert hashlib.sha256(circuit.to_text().encode()).hexdigest() == (
+        "fd6b8afae9f6d8dc2290866c53aec86b0e388db117a0acefa1e76adace22f1a9")
+
+
+def test_emit_checks_the_schedule_fit_once(monkeypatch):
+    calls = []
+    check = emit._check_schedule_fits
+    monkeypatch.setattr(emit, "_check_schedule_fits",
+                        lambda *args: calls.append(args) or check(*args))
+    surface_circuit(rounds=2)
+    assert len(calls) == 1
