@@ -533,8 +533,8 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
     report.violations += _shared_cells(schedule.data_cells)
     # component -> (start, end, owner) of every span held there
     occupancies: dict[ComponentId, list[tuple[int, float, str]]] = {}
-    # per data qubit: the end of its last X-check CX and the start of its
-    # first Z-check CX
+    # per data qubit, the int partner of a CX: the end of its last X-check
+    # CX and the start of its first Z-check CX
     last_x: dict[int, int] = {}
     first_z: dict[int, int] = {}
 
@@ -551,7 +551,7 @@ def validate_schedule(schedule: Schedule) -> ValidationReport:
                            f"the round windows")
                 continue
             inside.append(ev)
-            if ev.kind == "CX":
+            if ev.kind == "CX" and type(ev.partner) is int:
                 if task.basis == "X":
                     last_x[ev.partner] = max(last_x.get(ev.partner, 0),
                                              ev.end)
@@ -634,6 +634,9 @@ def _check_round(report: ValidationReport, schedule: Schedule, task: CheckTask,
                 report.add(f"{where}: CX outside the interaction zone")
             elif ev.partner is None:
                 report.add(f"{where}: CX without a data partner")
+            elif type(ev.partner) is not int:
+                report.add(f"{where}: CX partner {ev.partner!r} is not a "
+                           f"data qubit index")
             else:
                 cell = schedule.data_cells.get(ev.partner)
                 if placed and cell != component_cell(ev.comp):

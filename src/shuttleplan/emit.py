@@ -18,13 +18,15 @@ integer targets (numpy integers become plain ints, a float or a bool is
 refused), known names, pairs of two distinct qubits for the pair
 instructions, qubit targets in range, args (each distinct one
 checked once: a noise channel takes a one-tuple of a probability in [0, 1],
-OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither), and
+OBSERVABLE_INCLUDE a one-tuple of an int >= 0, and a bool is neither; the
+gates, resets, measurements and TICK take none), no targets on a TICK, and
 measurement records that index only the measurements before them. A
 batch may be added several times over for one check (``repeat``), as the
 rounds of a memory experiment repeat. `emit_memory_circuit` builds its
 instructions itself: round 0 is one checked batch, round 1 another, added
-once for each of the identical rounds 1..R-1, and `add_detectors` adds all
-its detectors and observables as one more batch.
+once for each of the identical rounds 1..R-1. `add_detectors`, the one
+detector entry point for every circuit, adds all its detectors and
+observables as one more batch.
 
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
@@ -83,6 +85,9 @@ _PAIR_OPS = ("CX", "DEPOLARIZE2")
 _RECORD_OPS = ("DETECTOR", "OBSERVABLE_INCLUDE")
 _KNOWN_OPS = frozenset({*_QUBIT_OPS, *_RECORD_OPS, "TICK"})
 _MEASURE_OPS = ("M", "MX")
+# instructions that take no arg; in the text format M(p) is a noisy
+# measurement, whose faults the fault scan would not see
+_NO_ARG_OPS = frozenset({"H", "CX", "R", "RX", "M", "MX", "TICK"})
 # instructions whose arg is a one-tuple of a number other than a bool:
 # (names, the number's type, its upper bound, what they take)
 _NUMBER_ARGS = (
@@ -133,10 +138,11 @@ class StabCircuit:
         targets, for a gate, reset, measure, noise or QUBIT_COORDS target
         outside [0, num_qubits), for a noise channel whose arg is not a
         one-tuple of a probability in [0, 1], for an OBSERVABLE_INCLUDE
-        whose arg is not a one-tuple of an int >= 0 (a bool is neither) and
+        whose arg is not a one-tuple of an int >= 0 (a bool is neither),
         for a DETECTOR or OBSERVABLE_INCLUDE record outside the
-        measurements made before it, and for a ``repeat`` that is not an
-        int >= 1 (a bool is not). A batch that raises adds nothing.
+        measurements made before it, for an arg on an H, CX, R, RX, M, MX
+        or TICK, for a TICK with targets, and for a ``repeat`` that is not
+        an int >= 1 (a bool is not). A batch that raises adds nothing.
         """
         if type(repeat) is not int or repeat < 1:
             raise ValueError(f"repeat must be an int >= 1, got {repeat!r}")
@@ -154,6 +160,13 @@ class StabCircuit:
         if {i.name for i in batch} - _KNOWN_OPS:
             bad = next(i for i in batch if i.name not in _KNOWN_OPS)
             raise ValueError(f"unknown instruction {bad.name!r}")
+        if {i.name for i in batch if i.arg is not None} & _NO_ARG_OPS:
+            bad = next(i for i in batch
+                       if i.name in _NO_ARG_OPS and i.arg is not None)
+            raise ValueError(f"{bad.name} takes no arg, got {bad.arg!r}")
+        if any(i.targets for i in batch if i.name == "TICK"):
+            bad = next(i for i in batch if i.name == "TICK" and i.targets)
+            raise ValueError(f"TICK takes no targets, got {bad.targets}")
         # each distinct target tuple once
         if any(map(_bad_pairs, {i.targets for i in batch
                                 if i.name in _PAIR_OPS})):
@@ -255,15 +268,12 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     preparation, so round 1 is that round: rounds 1..R-1 are identical,
     and round 1 is built, sorted and checked once and added R-1 times. The
     final data idle gaps and the readout make one more batch. No list
-    spanning all rounds is built.
+    spanning all rounds is built. `add_detectors` adds the detectors and
+    observables.
 
-    Repeated facts are stored once per circuit: equal target tuples are one
-    tuple object, and so are equal noise args, each a one-tuple of a float;
-    the two are kept apart, since ``(1,) == (1.0,)``. An ancilla's noise
-    instructions share their meta across rounds, and the X_ERROR and Z_ERROR
-    of one idle gap share one meta dict. A data qubit's idle gaps share one
-    meta, and its gaps of one length are the same two instructions. Every
-    meta is read-only.
+    An ancilla's instructions are shared across rounds, and the X_ERROR and
+    Z_ERROR of one idle gap share one meta dict; a data qubit's idle gaps
+    share one meta. Every meta is read-only.
     """
     basis = _memory_basis(basis)
     if logicals.x.shape[1] != code.n:
@@ -273,36 +283,21 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     n = code.n
     circuit = StabCircuit(num_qubits=n + len(schedule.tasks))
     period, makespan = schedule.round_makespan, schedule.makespan
-    # each distinct targets tuple and noise arg, stored once
-    shared_targets: dict[tuple[int, ...], tuple[int, ...]] = {}
-    shared_args: dict[tuple[float], tuple[float]] = {}
 
     # rows are (time, qubit key, instruction); the TICKs' key is -1
     def add(rows, t: int, qkey: int, name: str, targets, arg=None, meta=None):
-        targets = shared_targets.setdefault(targets, targets)
         rows.append((t, qkey, Instruction(name, targets, arg, meta)))
 
     def add_noise(rows, t, qkey, name, targets, p, meta):
         if p > 0.0:
-            arg = (float(p),)
-            add(rows, t, qkey, name, targets, shared_args.setdefault(arg, arg),
-                meta)
+            add(rows, t, qkey, name, targets, (float(p),), meta)
 
     def add_idle(rows, t, q, dt, meta):  # one meta for the pair
         add_noise(rows, t, q, "X_ERROR", (q,), noise.idle_px(dt), meta)
         add_noise(rows, t, q, "Z_ERROR", (q,), noise.idle_pz(dt), meta)
 
-    # data qubit i's idle pair for a gap of dt, made once per (i, dt)
+    # one meta per data qubit, for all its idle gaps
     idle_meta = [{"kind": "idle", "qubit": i} for i in range(n)]
-    idle_pairs: dict[tuple[int, int], list[Instruction]] = {}
-
-    def add_data_idle(rows, t, i, dt):
-        pair = idle_pairs.get((i, dt))
-        if pair is None:
-            made = []
-            add_idle(made, t, i, dt, idle_meta[i])
-            pair = idle_pairs[i, dt] = [instr for _, _, instr in made]
-        rows.extend((t, i, instr) for instr in pair)
 
     def put(rows, copies=1):
         """Add the rows, by time and qubit key, as one batch, copies times."""
@@ -399,7 +394,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
         for i, last in entry.items():
             for start, end in spans[i]:
                 if start > last:
-                    add_data_idle(rows, start, i, start - last)
+                    add_idle(rows, start, i, start - last, idle_meta[i])
                 last = max(last, end)
             cursor[i] = last - period
         # a later round that starts as this one did makes the same rows, and
@@ -414,7 +409,7 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     for i in range(n):
         last = cursor.get(i, t_init - makespan)
         if last < 0:
-            add_data_idle(rows, makespan, i, -last)
+            add_idle(rows, makespan, i, -last, idle_meta[i])
     data_measure = "M" if basis == "Z" else "MX"
     flip_before_measure = "X_ERROR" if basis == "Z" else "Z_ERROR"
     for i in range(n):
@@ -422,9 +417,8 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
                   {"kind": "meas", "qubit": i})
         add(rows, makespan, i, data_measure, (i,))
     put(rows)
-
-    _add_detectors(circuit, code, basis, logicals, schedule)
-    return circuit
+    return add_detectors(circuit, code, basis, logicals=logicals,
+                         schedule=schedule)
 
 
 def _memory_basis(basis) -> str:
@@ -471,14 +465,6 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     """
     basis = _memory_basis(basis)
     _check_schedule_fits(schedule, code)
-    return _add_detectors(circuit, code, basis, logicals, schedule)
-
-
-def _add_detectors(circuit: StabCircuit, code: CssCode, basis: str,
-                   logicals: LogicalOperators,
-                   schedule: Schedule) -> StabCircuit:
-    """`add_detectors` for a basis already read and a schedule already
-    checked against the code."""
     n, tasks = code.n, schedule.tasks
     n_checks = len(tasks)
     homes = schedule.homes  # detector coordinates: the check's home cell

@@ -117,7 +117,7 @@ def sites_from_noise(circuit: StabCircuit) -> FaultSites:
     flat = np.fromiter(chain.from_iterable(map(targets_of, noise)),
                        dtype=np.int32, count=int(width.sum()))
     # one application per target, or per target pair for DEPOLARIZE2
-    # (StabCircuit.append rejects an odd count, so applications tile `flat`)
+    # (StabCircuit.extend rejects an odd count, so applications tile `flat`)
     uses = width // _ARITY[kind]
     use_kind = np.repeat(kind, uses)
     use_sites, use_terms = _SITES[use_kind], _TERMS[use_kind]

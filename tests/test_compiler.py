@@ -624,6 +624,24 @@ def test_validator_reports_corrupted_event(aid, edit, expected):
     assert f"a{aid} round 0: {expected}" in report.violations
 
 
+@pytest.mark.parametrize("partner", [True, 1.0, "d"], ids=repr)
+def test_validator_reports_a_cx_partner_that_is_no_int(partner):
+    """A CX partner other than a plain int is reported, left out of the
+    gated targets and of the X-before-Z check, and raises nothing; True
+    and 1.0 equal d1 as dict keys but name no data qubit."""
+    _, schedule = compile_surface(3, tailored=True)
+    events = list(schedule.events[0])
+    (i,) = [k for k, ev in enumerate(events)
+            if ev.kind == "CX" and ev.partner == 1]
+    events[i] = replace(events[i], partner=partner)
+    report = validate_schedule(replace(schedule,
+                                       events={**schedule.events, 0: events}))
+    assert report.violations == [
+        f"a0 round 0: CX partner {partner!r} is not a data qubit index",
+        "a0 round 0: incomplete check, missing=[1] extra=[]",
+    ]
+
+
 def test_validator_reports_a_malformed_id_at_every_use():
     """One malformed id object shared by two events of the stored round is
     reported once per event, whatever the round count; a float coordinate

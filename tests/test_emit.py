@@ -15,7 +15,6 @@ from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (CodeError, CssCode, LogicalOperators,
                              compute_logicals, default_layout, load_css,
                              surface_code)
-from shuttleplan import emit
 from shuttleplan.emit import (NOISE_CHANNELS, Instruction, StabCircuit,
                               add_detectors, compose_phase_flips,
                               emit_memory_circuit)
@@ -382,19 +381,13 @@ def test_extend_matches_append_on_pinned_circuits(pinned_circuits):
         assert whole.to_text() == circuit.to_text()
 
 
-def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
-    """Equal qubit targets are one tuple object, and so are equal noise
-    args, each a one-tuple of a float; the X_ERROR and Z_ERROR of one idle
-    gap share their meta, and an ancilla's idle pair shares it with the
-    same pair of every round (the pinned bb72 circuit has 2). A data
-    qubit's idle instructions share one meta, and its equal ones (its gaps
-    of one length) are one object. The records of the detectors and
-    observables, which add_detectors builds, are not shared."""
-    bb72 = [i for i in pinned_circuits[-1].instructions
-            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
-    assert len({id(i.targets) for i in bb72}) == len({i.targets for i in bb72})
-    noise = [i for i in bb72 if i.name in NOISE_CHANNELS]
-    assert len({id(i.arg) for i in noise}) == len({i.arg for i in noise})
+def test_pinned_bb72_circuit_shares_each_idle_meta(pinned_circuits):
+    """Noise args are one-tuples of a float; the X_ERROR and Z_ERROR of one
+    idle gap share their meta, and an ancilla's idle pair shares it with
+    the same pair of every round (the pinned bb72 circuit has 2). A data
+    qubit's idle instructions share one meta."""
+    noise = [i for i in pinned_circuits[-1].instructions
+             if i.name in NOISE_CHANNELS]
     assert {type(i.arg[0]) for i in noise} == {float}
     idle = [i for i in noise if i.meta["kind"] == "idle"]
     holders = Counter(id(i.meta) for i in idle)
@@ -402,8 +395,6 @@ def test_pinned_bb72_circuit_stores_each_tuple_once(pinned_circuits):
     data_idle = [i for i in idle if "qubit" in i.meta]
     metas = {(i.meta["qubit"], id(i.meta)) for i in data_idle}
     assert len(metas) == len({q for q, _ in metas}) == 72
-    distinct = {(i.name, i.targets, i.arg) for i in data_idle}
-    assert len({id(i) for i in data_idle}) == len(distinct) < len(data_idle)
 
 
 def test_pinned_bb72_rounds_repeat_the_lowered_round(pinned_circuits):
@@ -495,6 +486,7 @@ REJECTED = [
       for bad in (-1, 3, 1.7)),
     *((name, (0, 1), None) for name in ("CZ", "m", "SHIFT_COORDS", "")),
     ("H", (True,), None),  # a bool is no qubit, though index(True) == 1
+    ("TICK", (0, 5), None),
     *((name, (0, bad), (0,) if name == "OBSERVABLE_INCLUDE" else None)
       for name in ("DETECTOR", "OBSERVABLE_INCLUDE")
       for bad in (-1, 2, 5, 0.5)),
@@ -509,6 +501,11 @@ BAD_ARGS = [
                   (0.1, 0.2), ("0.1",), ([0.1],))),
     *((name, (0, 1), None) for name in ("X_ERROR", "DEPOLARIZE1",
                                         "DEPOLARIZE2")),
+    # gates, resets, measurements and TICK take no arg: M(0.1) is a noisy
+    # measurement, which the fault scan would read as noiseless
+    *((name, (0,), (0.1,)) for name in ("H", "R", "RX", "M", "MX")),
+    ("CX", (0, 1), (0.1,)),
+    ("TICK", (), (0.1,)),
 ]
 
 
@@ -720,12 +717,3 @@ def test_a_round_that_starts_otherwise_is_its_own_batch(monkeypatch):
     assert [repeat for _, repeat in log] == [1, 1, 2, 1, 1]
     assert hashlib.sha256(circuit.to_text().encode()).hexdigest() == (
         "fd6b8afae9f6d8dc2290866c53aec86b0e388db117a0acefa1e76adace22f1a9")
-
-
-def test_emit_checks_the_schedule_fit_once(monkeypatch):
-    calls = []
-    check = emit._check_schedule_fits
-    monkeypatch.setattr(emit, "_check_schedule_fits",
-                        lambda *args: calls.append(args) or check(*args))
-    surface_circuit(rounds=2)
-    assert len(calls) == 1

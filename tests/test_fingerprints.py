@@ -46,6 +46,16 @@ SURFACE_CIRCUITS = [
 BB72_LONGEST_CIRCUIT = (  # 2 rounds, Z basis
     "fdf34d5fbfed4a0cf08e62255cfff11b141ebe206825a990b7d090083cc0cb2b")
 
+# (basis, sha256) of a 3-round surface d3 memory circuit, longest order,
+# untailored, seed 3
+SURFACE_PLAIN_CIRCUITS = [
+    ("Z", "b96c17deef2ce7de943e2bb63517396eda09c582da8a36d184c197d1145d2acb"),
+    ("X", "38a5ad40e7b13acc248ee6ea452e31a59fd1b4557042a1f62a2606451be7ac09"),
+]
+
+BB72_RANDOM_CIRCUIT = (  # random order, seed 1, 3 rounds, Z basis
+    "8b95180931dc1888846713a154be6164c21276d9d67bc193b031cdf572beb1e6")
+
 
 def fingerprint(schedule) -> str:
     return hashlib.sha256(schedule.to_text().encode()).hexdigest()
@@ -90,3 +100,20 @@ def test_bb72_longest_circuit_fingerprint(bb72_path):
     schedule = schedule_round(code, layout, TimingConfig(),
                               order_policy="longest", seed=0)
     assert circuit_fingerprint(code, schedule, 2, "Z") == BB72_LONGEST_CIRCUIT
+
+
+@pytest.mark.parametrize("basis,expected", SURFACE_PLAIN_CIRCUITS,
+                         ids=[b for b, _ in SURFACE_PLAIN_CIRCUITS])
+def test_surface_plain_circuit_fingerprint(basis, expected):
+    code, layout = surface_code(3)
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="longest", tailored=False, seed=3)
+    assert circuit_fingerprint(code, schedule, 3, basis) == expected
+
+
+def test_bb72_random_circuit_fingerprint(bb72_path):
+    code = load_css(str(bb72_path))
+    layout = default_layout(code, build_grid(9, 8))
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="random", seed=1)
+    assert circuit_fingerprint(code, schedule, 3, "Z") == BB72_RANDOM_CIRCUIT

@@ -68,9 +68,6 @@ ENTRY_POINTS = {
     "_spanning_tree_weight": "bounds a tour only past EXACT_LIMIT unordered "
                              "targets, more than any benchmark check has; "
                              "tests/test_tsp.py runs it",
-    "add_detectors": "the checked entry for a circuit built elsewhere; "
-                     "emit_memory_circuit checks its schedule once and "
-                     "calls _add_detectors; tests/test_emit.py runs it",
 }
 
 
