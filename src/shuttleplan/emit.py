@@ -276,8 +276,6 @@ def emit_memory_circuit(schedule: Schedule, code: CssCode,
     share one meta. Every meta is read-only.
     """
     basis = _memory_basis(basis)
-    if logicals.x.shape[1] != code.n:
-        raise CodeError("logical operators do not match the code length")
     _check_schedule_fits(schedule, code)
 
     n = code.n
@@ -461,10 +459,17 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     Round 0 gets detectors only for checks of the memory basis (the other
     type is random on the first round); later rounds compare consecutive
     measurements of every check; the final detectors compare the last
-    check round against the transversal data readout.
+    check round against the transversal data readout. ``logicals.x`` and
+    ``logicals.z`` must both be (k, n) with one k, else CodeError.
     """
     basis = _memory_basis(basis)
     _check_schedule_fits(schedule, code)
+    shapes = (np.shape(logicals.x), np.shape(logicals.z))
+    if any(len(shape) != 2 or shape[1] != code.n for shape in shapes):
+        raise CodeError("logical operators do not match the code length")
+    if shapes[0][0] != shapes[1][0]:
+        raise CodeError(f"logical operators have {shapes[0][0]} X rows and "
+                        f"{shapes[1][0]} Z rows")
     n, tasks = code.n, schedule.tasks
     n_checks = len(tasks)
     homes = schedule.homes  # detector coordinates: the check's home cell

@@ -2,141 +2,72 @@
 
 `_walk` steps back once over a circuit, as Stim's error analyzer does
 (Gidney, Quantum 5, 497, 2021); its docstring holds the rule of every
-gate, measurement and reset. `fault_scan` takes from it each single
-fault's detector and observable signature, as the rows of a uint8 matrix.
-`simulate_noiseless` walks over no sites and takes which detectors and
-observables are deterministic without noise, and their values.
+gate, measurement, reset and noise channel. `fault_scan` takes from it the
+detector and observable signature of every single fault of the circuit's
+noise instructions, as the rows of a uint8 matrix. `simulate_noiseless`
+walks past the noise and takes which detectors and observables are
+deterministic without noise, and their values.
 
-Fault sites are flat integer columns (`FaultSites`), never per-site
-objects: ``index`` has one entry per site, the instruction it follows; each
-Pauli term of a site has one entry in ``term_site`` (the site's row,
-ascending), ``term_qubit`` and ``term_bits`` (X 1, Z 2, Y 3).
-`sites_from_noise` builds them in one pass over the noise instructions
-into numpy arrays, from the per-channel templates of `emit.NOISE_CHANNELS`
-(X_ERROR and Z_ERROR 1 site, DEPOLARIZE1 3, DEPOLARIZE2 15), and returns
-int32 columns and uint8 bits; the walk sorts the terms with numpy alone
-when they are not already in instruction order. A site's provenance is the
-``meta`` of the instruction it follows.
+A noise instruction's sites are the Paulis of `emit.NOISE_CHANNELS`, one
+per Pauli word of its channel for each target (each target pair for
+DEPOLARIZE2): X_ERROR and Z_ERROR 1 per target, DEPOLARIZE1 3 and
+DEPOLARIZE2 15 per pair. The walk reads them off the instruction as it
+steps back over it, so no per-term array is built; the one per-site array
+is `sites_from_noise`'s, the instruction index of each site, and a site's
+provenance is the ``meta`` of that instruction.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import repeat
 
 import numpy as np
 
-from .emit import NOISE_CHANNELS, StabCircuit
+from .emit import NOISE_CHANNELS, Instruction, StabCircuit
 
 
 # ---------------------------------------------------------------------------
 # fault sites and their detector signatures
 
 
-# Pauli letter -> bit 0 (X component) | bit 1 (Z component)
-_PAULI_BITS = {"X": 1, "Y": 3, "Z": 2}
+# instructions per numpy.repeat in sites_from_noise, so that its intp copy
+# of the counts and its output stay small beside the index
+_CHUNK = 1024
 
 
-_KIND = {name: k for k, name in enumerate(NOISE_CHANNELS)}
+def _site_count(instruction: Instruction) -> int:
+    """The number of sites of a noise instruction, 0 for any other."""
+    words = NOISE_CHANNELS.get(instruction.name)
+    if words is None:
+        return 0
+    return len(instruction.targets) // len(words[0]) * len(words)
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums, in the dtype of `counts`: where each run of
-    `counts` starts."""
-    return np.cumsum(counts, dtype=counts.dtype) - counts
-
-
-def _templates() -> tuple[np.ndarray, ...]:
-    """Per channel kind: arity (its Pauli word length), site count, term
-    count and first template term; then the template terms of every kind,
-    concatenated in kind order: site within one application, slot, X/Z bits."""
-    arity, sites, terms, rows = [], [], [], []
-    for paulis in NOISE_CHANNELS.values():
-        kind_rows = [(s, slot, _PAULI_BITS[p]) for s, word in enumerate(paulis)
-                     for slot, p in enumerate(word) if p != "I"]
-        arity.append(len(paulis[0]))
-        sites.append(len(paulis))
-        terms.append(len(kind_rows))
-        rows.extend(kind_rows)
-    terms = np.array(terms, dtype=np.int32)
-    site, slot, bits = np.array(rows, dtype=np.int32).T
-    return (np.array(arity, dtype=np.int32), np.array(sites, dtype=np.int32),
-            terms, _offsets(terms), site, slot, bits.astype(np.uint8))
-
-
-(_ARITY, _SITES, _TERMS, _TERM_START,
- _T_SITE, _T_SLOT, _T_BITS) = _templates()
-
-
-@dataclass(frozen=True)
-class FaultSites:
-    """Single-fault sites as flat integer columns, in scan order.
-
-    Site r is injected right after instruction ``index[r]``. Its Pauli terms
-    are the entries t with ``term_site[t] == r`` (contiguous, ascending r):
-    ``term_qubit[t]`` is the qubit and ``term_bits[t]`` the X/Z bits (X 1,
-    Z 2, Y 3). A site's provenance is ``circuit.instructions[index[r]].meta``.
-    `sites_from_noise` gives int32 ``index``, ``term_site`` and
-    ``term_qubit`` and uint8 ``term_bits``; `fault_scan` takes any integer
-    dtype.
-    """
-
-    index: np.ndarray
-    term_site: np.ndarray
-    term_qubit: np.ndarray
-    term_bits: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
-def sites_from_noise(circuit: StabCircuit) -> FaultSites:
-    """Expand noise instructions into their possible single-fault Paulis.
+def sites_from_noise(circuit: StabCircuit) -> np.ndarray:
+    """The int32 instruction index of every single-fault site, in scan order.
 
     Sites follow the instructions, then each instruction's targets (pairs
     for DEPOLARIZE2), then the channel's Paulis: X_ERROR gives X, Z_ERROR
     gives Z, DEPOLARIZE1 gives X, Y, Z and DEPOLARIZE2 the 15 non-identity
-    products of IXYZ x IXYZ in that order. The circuit is read by
-    ``np.fromiter`` over iterators, so no list of Python ints is built, and
-    every column is int32 (uint8 for the bits): instruction indices, qubits
-    and term counts stay below 2**31.
+    products of IXYZ x IXYZ in that order. Entry r is the instruction that
+    site r's fault follows; that instruction's ``meta`` says what made it.
+    `_walk` reads the Paulis off the instruction, so this index is all
+    `fault_scan` takes. Besides the index, the site count of every
+    instruction is held, 4 bytes each, and one chunk of instructions is
+    repeated at a time.
     """
-    instructions = circuit.instructions
-    name_of = operator.attrgetter("name")
-    targets_of = operator.attrgetter("targets")
-    kind_of = defaultdict(lambda: -1, _KIND)  # -1: not a noise channel
-    kinds = np.fromiter(map(kind_of.__getitem__, map(name_of, instructions)),
-                        dtype=np.int8, count=len(instructions))
-    noisy = kinds >= 0
-    noise = list(compress(instructions, noisy))
-    kind = kinds[noisy]
-    width = np.fromiter(map(len, map(targets_of, noise)), dtype=np.int32,
-                        count=len(noise))
-    flat = np.fromiter(chain.from_iterable(map(targets_of, noise)),
-                       dtype=np.int32, count=int(width.sum()))
-    # one application per target, or per target pair for DEPOLARIZE2
-    # (StabCircuit.extend rejects an odd count, so applications tile `flat`)
-    uses = width // _ARITY[kind]
-    use_kind = np.repeat(kind, uses)
-    use_sites, use_terms = _SITES[use_kind], _TERMS[use_kind]
-    term_use = np.repeat(np.arange(len(use_kind), dtype=np.int32), use_terms)
-    entry = (_TERM_START[use_kind] - _offsets(use_terms))[term_use]
-    entry += np.arange(len(term_use), dtype=np.int32)
-    # each term's site row and the place of its qubit in `flat`, summed in
-    # place, and `term_use` dropped first: fewer term-long temporaries
-    term_site = _offsets(use_sites)[term_use]
-    place = _offsets(_ARITY[use_kind])[term_use]
-    del term_use
-    term_site += _T_SITE[entry]
-    place += _T_SLOT[entry]
-    return FaultSites(
-        index=np.repeat(np.repeat(np.flatnonzero(noisy).astype(np.int32),
-                                  uses), use_sites),
-        term_site=term_site,
-        term_qubit=flat[place],
-        term_bits=_T_BITS[entry])
+    counts = np.fromiter(map(_site_count, circuit.instructions),
+                         dtype=np.int32, count=len(circuit.instructions))
+    index = np.empty(int(counts.sum()), dtype=np.int32)
+    at = 0
+    for lo in range(0, len(counts), _CHUNK):
+        chunk = counts[lo:lo + _CHUNK]
+        part = np.repeat(np.arange(lo, lo + len(chunk), dtype=np.int32),
+                         chunk)
+        index[at:at + len(part)] = part
+        at += len(part)
+    return index
 
 
 @dataclass
@@ -150,7 +81,7 @@ class ScanResult:
     walks no circuit.
     """
 
-    sites: FaultSites
+    sites: np.ndarray
     rows: np.ndarray
     num_detectors: int
     num_observables: int
@@ -213,7 +144,14 @@ def _record_masks(circuit: StabCircuit
 # the backward walk
 
 
-# the most finished signatures the walk holds before writing them
+# noise channel -> its Pauli words in reverse site order, each word one
+# letter per slot: 0 I, 1 X, 2 Y, 3 Z, the place of the slot's signature in
+# (0, sz[q], sx[q] ^ sz[q], sx[q])
+_WORDS = {name: [tuple(map("IXYZ".index, word)) for word in reversed(words)]
+          for name, words in NOISE_CHANNELS.items()}
+
+# the most finished signatures the walk holds before writing them, besides
+# those of one noise instruction
 _RUN_ROWS = 1024
 
 
@@ -226,7 +164,7 @@ def _write_run(written: memoryview, site: int, size: int,
     run.clear()
 
 
-def _walk(circuit: StabCircuit, sites: FaultSites
+def _walk(circuit: StabCircuit, num_sites: int
           ) -> tuple[np.ndarray, int, dict[int, int], int, int]:
     """Walk `circuit` back once, from its last instruction to its first.
 
@@ -247,23 +185,25 @@ def _walk(circuit: StabCircuit, sites: FaultSites
     - R on q: ``random |= sx[q]``, then both cleared; RX: ``random |=
       sz[q]``, then both cleared;
     - M on q with record m: ``random |= sx[q]``, then ``sz[q] ^= mask[m]``;
-      MX: ``random |= sz[q]``, then ``sx[q] ^= mask[m]``.
+      MX: ``random |= sz[q]``, then ``sx[q] ^= mask[m]``;
+    - X_ERROR, Z_ERROR, DEPOLARIZE1 or DEPOLARIZE2, which changes no
+      Pauli: the signatures of its sites, read in reverse site order. A
+      site's Pauli word gives ``sz[q]`` for an X on q, ``sx[q]`` for a Z
+      and both for a Y, and a DEPOLARIZE2 word the XOR of its two slots.
 
-    A site injected after instruction i is read before the walk steps back
-    over i: the XOR over its terms of ``sz[q]`` for X, ``sx[q]`` for Z and
-    both for Y. Sites may come in any order; their terms are sorted by
-    instruction, the terms of one site kept together. Past the first
-    instruction, ``random |= sx[q]`` for every q, and what remains of a
-    parity that is not random is -1^sign times a product of Zs on |0>, so
-    its value is its sign bit.
+    The walk so reads the sites from the last down to the first, and
+    `num_sites` must be their count; with 0 it walks past the noise. Past
+    the first instruction, ``random |= sx[q]`` for every q, and what
+    remains of a parity that is not random is -1^sign times a product of
+    Zs on |0>, so its value is its sign bit.
 
-    Finished signatures of consecutive sites, read one below the other as
-    `sites_from_noise` gives them, are joined into rows and written into
-    the preallocated rows when the run breaks or reaches _RUN_ROWS sites;
-    a row per site written on its own made the scan a fifth slower on the
-    7-round surface d7 circuit. The walk so holds at most _RUN_ROWS
-    signatures besides the ceil(num_detectors / 8) +
-    ceil(num_observables / 8) bytes per site of the rows.
+    Finished signatures are joined into rows and written into the
+    preallocated rows once _RUN_ROWS or more are held, after a noise
+    instruction; a row per site written on its own made the scan a fifth
+    slower on the 7-round surface d7 circuit. The walk so holds at most
+    _RUN_ROWS signatures and those of one instruction besides the
+    ceil(num_detectors / 8) + ceil(num_observables / 8) bytes per site of
+    the rows.
 
     Returns the (sites, row bytes) uint8 rows, the detector count, each
     observable's bit by ascending index, ``sign`` and ``random``.
@@ -271,41 +211,36 @@ def _walk(circuit: StabCircuit, sites: FaultSites
     nq, instructions = circuit.num_qubits, circuit.instructions
     mask, num_detectors, observables = _record_masks(circuit)
     size = -(-num_detectors // 8) + -(-len(observables) // 8)
-    out = np.zeros(len(sites) * size, dtype=np.uint8)
+    out = np.zeros(num_sites * size, dtype=np.uint8)
     written = memoryview(out)  # site r's row is [r * size, (r + 1) * size)
-
-    # terms by instruction, read from the last through memoryviews, which
-    # hand out one int at a time
-    at = sites.index[sites.term_site]
-    columns = [at, sites.term_site, sites.term_qubit, sites.term_bits]
-    if (at[1:] < at[:-1]).any():
-        order = np.argsort(at, kind="stable")
-        columns = [col[order] for col in columns]
-    terms = zip(*(reversed(memoryview(np.ascontiguousarray(col)))
-                  for col in columns))
-    done = (-1, 0, 0, 0)  # after the last term: no instruction has index -1
-    at, row, target, pauli = next(terms, done)
+    noise = _WORDS if num_sites else {}
     sx, sz = [0] * nq, [0] * nq
     sign = random = 0
-    measured = circuit.num_measurements  # records before instruction i
-    # finished signatures of the sites just above `site`, the highest first
+    measured = circuit.num_measurements  # records before the instruction
+    # finished signatures of the sites just below `site`, the highest first
     run: list[int] = []
-    site, signature = row, 0
-    i = len(instructions)
+    add = run.append
+    site = num_sites
     for name, targets, _, _ in reversed(instructions):
-        i -= 1
-        while at == i:  # a term of a site injected after instruction i
-            if row != site:  # the terms of `site` are done
-                run.append(signature)
-                if row != site - 1 or len(run) == _RUN_ROWS:
-                    _write_run(written, site, size, run)
-                site, signature = row, 0
-            if pauli & 1:
-                signature ^= sz[target]
-            if pauli & 2:
-                signature ^= sx[target]
-            at, row, target, pauli = next(terms, done)
-        if name == "CX":
+        if name in noise:
+            words = noise[name]
+            if len(words[0]) == 1:
+                for q in reversed(targets):
+                    x, z = sx[q], sz[q]
+                    read = (0, z, x ^ z, x)
+                    for p, in words:
+                        add(read[p])
+            else:
+                for k in range(len(targets) - 2, -1, -2):
+                    a, b = targets[k], targets[k + 1]
+                    read_a = (0, sz[a], sx[a] ^ sz[a], sx[a])
+                    read_b = (0, sz[b], sx[b] ^ sz[b], sx[b])
+                    for p, r in words:
+                        add(read_a[p] ^ read_b[r])
+            if len(run) >= _RUN_ROWS:
+                site -= len(run)
+                _write_run(written, site, size, run)
+        elif name == "CX":
             for k in range(len(targets) - 2, -1, -2):
                 c, t = targets[k], targets[k + 1]
                 sx[t] ^= sx[c]
@@ -325,45 +260,31 @@ def _walk(circuit: StabCircuit, sites: FaultSites
             for m, q in enumerate(targets, measured):
                 random |= anti[q]
                 sens[q] ^= mask[m]
-    if len(sites.term_site):
-        run.append(signature)
-        _write_run(written, site, size, run)
+    if run:
+        _write_run(written, 0, size, run)
     for x in sx:
         random |= x
-    return (out.reshape(len(sites), size), num_detectors, observables,
+    return (out.reshape(num_sites, size), num_detectors, observables,
             sign, random)
 
 
-def fault_scan(circuit: StabCircuit, sites: FaultSites) -> ScanResult:
+def fault_scan(circuit: StabCircuit, sites: np.ndarray) -> ScanResult:
     """Every site's detector and observable signature: the rows `_walk`
     writes, ceil(num_detectors / 8) + ceil(num_observables / 8) bytes per
     site, the only memory the result holds.
 
-    Raises IndexError for a site whose instruction index or qubit is out of
-    range, naming the site's row, and ValueError for a term whose site row
-    or X/Z bits are out of range or whose site row is below the one before.
+    `sites` must be `sites_from_noise(circuit)`, in any integer dtype: the
+    walk reads the sites off the noise instructions, and sites of another
+    circuit, with another count or index, raise ValueError.
     """
-    nq, index = circuit.num_qubits, sites.index
-    bad = np.flatnonzero((index < 0) | (index >= len(circuit.instructions)))
-    if bad.size:
-        row = int(bad[0])
-        raise IndexError(f"fault site {row}: no instruction at {index[row]}")
-    rows, qubit, bits = sites.term_site, sites.term_qubit, sites.term_bits
-    bad = np.flatnonzero((qubit < 0) | (qubit >= nq))
-    if bad.size:
-        t = int(bad[0])
-        raise IndexError(f"fault site {rows[t]}: qubit {qubit[t]} out of range "
-                         f"for {nq} qubits")
-    bad = np.flatnonzero((rows < 0) | (rows >= len(index)) | (bits < 1)
-                         | (bits > 3) | np.append(False, rows[1:] < rows[:-1]))
-    if bad.size:
-        t = int(bad[0])
-        raise ValueError(f"Pauli term {t}: site {rows[t]}, bits {bits[t]}; "
-                         f"need ascending sites in [0, {len(index)}) and "
-                         f"bits X 1, Z 2 or Y 3")
-    out, num_detectors, observables, _, _ = _walk(circuit, sites)
+    own = sites_from_noise(circuit)
+    if not np.array_equal(sites, own):
+        raise ValueError(f"{len(sites)} fault sites given, not the "
+                         f"{len(own)} of this circuit's noise instructions")
+    out, num_detectors, observables, _, _ = _walk(circuit, len(own))
     return ScanResult(sites=sites, rows=out, num_detectors=num_detectors,
-                      num_observables=len(observables), num_qubits=nq,
+                      num_observables=len(observables),
+                      num_qubits=circuit.num_qubits,
                       num_measurements=circuit.num_measurements)
 
 
@@ -391,11 +312,9 @@ class NoiselessReport:
 
 def simulate_noiseless(circuit: StabCircuit) -> NoiselessReport:
     """Decide each detector and observable of a noiseless run from `_walk`
-    over no fault sites: a parity whose bit is set in the walk's ``random``
-    is random, any other has the value of its ``sign`` bit."""
-    none = np.zeros(0, dtype=np.int32)
-    _, num_detectors, observables, sign, random = _walk(
-        circuit, FaultSites(none, none, none, none))
+    past the noise: a parity whose bit is set in the walk's ``random`` is
+    random, any other has the value of its ``sign`` bit."""
+    _, num_detectors, observables, sign, random = _walk(circuit, 0)
 
     def value(bit: int) -> int | None:
         return None if random >> bit & 1 else sign >> bit & 1

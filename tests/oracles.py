@@ -14,12 +14,11 @@ a shifted copy of every event of every round and sweeps all of them, and
 the noise ledger turns each idle and shuttle phase flip of a circuit back
 into the nanoseconds or edges it stands for, from instruction fields alone.
 
-Five helpers here are not independent: `fault_sites` writes the input of
-the package's `fault_scan`, `in_rowspace` compares two `gf2.rank` values,
-`schedule_text` and `circuit_text` are the one-list text writers the
-chunked `to_text` methods replaced, kept as references for the chunking,
-and `detector_targets` lists a circuit's detectors. Only the tests call
-them.
+Four helpers here are not independent: `in_rowspace` compares two
+`gf2.rank` values, `schedule_text` and `circuit_text` are the one-list text
+writers the chunked `to_text` methods replaced, kept as references for the
+chunking, and `detector_targets` lists a circuit's detectors. Only the
+tests call them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from shuttleplan.chip import (INTERACTION, INTERSECTION, READOUT, ChipLayout,
                               intersection_id, readout_id)
 from shuttleplan.compiler import ancilla_occupancy
 from shuttleplan.intervals import ReservationTable
-from shuttleplan.pauli import FaultSites
 from shuttleplan.planner import Event
 
 if TYPE_CHECKING:
@@ -399,26 +397,6 @@ def sweep_rounds(schedule) -> list[str]:
             if span[1] > latest[1]:
                 latest = span
     return faults
-
-
-_PAULI_BITS = {"X": 1, "Z": 2, "Y": 3}
-
-
-def fault_sites(faults) -> FaultSites:
-    """The columns of ``[(instruction index, ((qubit, "X"|"Y"|"Z"), ...))]``.
-
-    Raises ValueError naming the site's row for any other Pauli letter.
-    """
-    terms = []
-    for row, (_, paulis) in enumerate(faults):
-        for q, p in paulis:
-            if p not in _PAULI_BITS:
-                raise ValueError(f"fault site {row}: Pauli {p!r} is not "
-                                 f"X, Y or Z")
-            terms.append((row, q, _PAULI_BITS[p]))
-    columns = [[index for index, _ in faults],
-               *(zip(*terms) if terms else ([], [], []))]
-    return FaultSites(*(np.array(col, dtype=np.int64) for col in columns))
 
 
 def in_rowspace(v, H) -> bool:

@@ -608,6 +608,30 @@ def test_emit_named_errors(call, match):
         call()
 
 
+@pytest.mark.parametrize("x_shape, z_shape, match", [
+    ((1, 9), (1, 12), "code length"),  # the Z basis reads data record 9
+    ((1, 9), (1, 5), "code length"),   # the Z basis would read records 0..4
+    ((1, 12), (1, 9), "code length"),
+    ((1, 9), (2, 9), "1 X rows and 2 Z rows"),
+    ((9,), (9,), "code length"),
+], ids=["z-wide", "z-narrow", "x-wide", "k-differs", "one-dimensional"])
+def test_logicals_of_the_wrong_shape_are_refused(x_shape, z_shape, match):
+    """Both entry points refuse logicals unless X and Z are both (k, n)
+    with one k, whichever of them the memory basis reads."""
+    code, schedule = surface_schedule()
+    logicals = LogicalOperators(x=np.ones(x_shape, dtype=np.uint8),
+                                z=np.ones(z_shape, dtype=np.uint8))
+    with pytest.raises(CodeError, match=match):
+        emit_memory_circuit(schedule, code, logicals, NOISELESS, "Z")
+    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
+                                  NOISELESS, "Z")
+    circuit.instructions = [i for i in circuit.instructions
+                            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+    with pytest.raises(CodeError, match=match):
+        add_detectors(circuit, code, "Z", logicals=logicals,
+                      schedule=schedule)
+
+
 # -- a batch added several times over ----------------------------------------
 
 

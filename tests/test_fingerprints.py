@@ -3,7 +3,9 @@
 Each schedule sha256 is of ``Schedule.to_text()`` as produced by the
 full-rescan planner these schedules were first recorded with; each circuit
 sha256 is of ``StabCircuit.to_text()`` of a memory experiment under the
-default ``NoiseConfig``. Speed-ups must leave every schedule and circuit
+default ``NoiseConfig``, and each scan sha256 is of the rows
+``fault_scan(circuit, sites_from_noise(circuit))`` gives for such a
+circuit. Speed-ups must leave every schedule, circuit and scan
 byte-identical; a change that alters one fails here even when every other
 test passes, and must be argued as a behaviour change.
 """
@@ -17,6 +19,7 @@ from shuttleplan.compiler import replicate_rounds, schedule_round
 from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
 from shuttleplan.emit import emit_memory_circuit
+from shuttleplan.pauli import fault_scan, sites_from_noise
 
 SURFACE = [  # (distance, order policy, tailored, sha256), all at seed 3
     (3, "longest", True, "6b42f3c08adcdd3859ad7695c2b915df7357c9651c39a7e06ec2cf73356fd092"),
@@ -55,6 +58,16 @@ SURFACE_PLAIN_CIRCUITS = [
 
 BB72_RANDOM_CIRCUIT = (  # random order, seed 1, 3 rounds, Z basis
     "8b95180931dc1888846713a154be6164c21276d9d67bc193b031cdf572beb1e6")
+
+# (basis, site count, scan sha256) of a 3-round surface d3 memory circuit,
+# longest order, seed 3
+SURFACE_SCANS = [
+    ("Z", 1929, "9ec8b37c87ec2cbf2b7bd192b859b30a5c93b4706d330689cda7f7acf61bab34"),
+    ("X", 1929, "3fa180d208bb4f8708c18669e3bd8c011b48fdac93bfe28f9abee405cec0c3d2"),
+]
+
+BB72_RANDOM_SCAN = (  # random order, seed 1, 3 rounds, Z basis
+    33720, "0a5aa9704f39ec9f32c590d9cfbc198e3327ac0ed2c21c32affe089de60e7c14")
 
 
 def fingerprint(schedule) -> str:
@@ -117,3 +130,29 @@ def test_bb72_random_circuit_fingerprint(bb72_path):
     schedule = schedule_round(code, layout, TimingConfig(),
                               order_policy="random", seed=1)
     assert circuit_fingerprint(code, schedule, 3, "Z") == BB72_RANDOM_CIRCUIT
+
+
+def scan_fingerprint(code, schedule, rounds: int, basis: str
+                     ) -> tuple[int, str]:
+    circuit = emit_memory_circuit(replicate_rounds(schedule, rounds), code,
+                                  compute_logicals(code), NoiseConfig(), basis)
+    sites = sites_from_noise(circuit)
+    rows = fault_scan(circuit, sites).rows
+    return len(sites), hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("basis,sites,expected", SURFACE_SCANS,
+                         ids=[b for b, _, _ in SURFACE_SCANS])
+def test_surface_scan_fingerprint(basis, sites, expected):
+    code, layout = surface_code(3)
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="longest", seed=3)
+    assert scan_fingerprint(code, schedule, 3, basis) == (sites, expected)
+
+
+def test_bb72_random_scan_fingerprint(bb72_path):
+    code = load_css(str(bb72_path))
+    layout = default_layout(code, build_grid(9, 8))
+    schedule = schedule_round(code, layout, TimingConfig(),
+                              order_policy="random", seed=1)
+    assert scan_fingerprint(code, schedule, 3, "Z") == BB72_RANDOM_SCAN

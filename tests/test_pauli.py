@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import NOISELESS
 from oracles import (DenseTableau, detector_targets, expand_noise,
-                     fault_sites, noiseless_outcomes, propagate_frame)
+                     noiseless_outcomes, propagate_frame)
 from shuttleplan import pauli
 from shuttleplan.chip import NoiseConfig, TimingConfig, build_grid
 from shuttleplan.compiler import replicate_rounds, schedule_round
@@ -15,7 +15,7 @@ from shuttleplan.css import (compute_logicals, default_layout, load_css,
                              surface_code)
 from shuttleplan.emit import (_QUBIT_OPS, NOISE_CHANNELS, Instruction,
                               StabCircuit, emit_memory_circuit)
-from shuttleplan.pauli import (FaultSites, NoiselessReport, fault_scan,
+from shuttleplan.pauli import (NoiselessReport, fault_scan,
                                simulate_noiseless, sites_from_noise)
 
 
@@ -80,8 +80,6 @@ def test_tailored_fault_flips_only_the_measurement():
 def test_identity_fault_is_silent():
     c = z_check_circuit(tailored=False)
     assert propagate_frame(c, 0, []) == (set(), set(), [])
-    (flips,), _ = record_flips(c, fault_sites([(0, ())]))
-    assert flips == []
 
 
 def test_x_ancilla_dephasing_never_reaches_data():
@@ -102,25 +100,10 @@ def test_sites_from_noise_expansion():
     assert len(sites) == 1 + 3 + 15
 
 
-def columns(faults):
-    """(index, term_site, term_qubit, term_bits) lists of (index, paulis)."""
-    bits = {"X": 1, "Z": 2, "Y": 3}
-    terms = [(row, q, bits[p]) for row, (_, paulis) in enumerate(faults)
-             for q, p in paulis]
-    return ([index for index, _ in faults], [t[0] for t in terms],
-            [t[1] for t in terms], [t[2] for t in terms])
-
-
-# the column dtypes of sites_from_noise, and of the oracle's fault_sites
-NARROW = (np.int32, np.int32, np.int32, np.uint8)
-WIDE = (np.int64,) * 4
-
-
-def assert_columns_equal(sites: FaultSites, faults, dtypes=NARROW) -> None:
-    got = (sites.index, sites.term_site, sites.term_qubit, sites.term_bits)
-    assert tuple(col.dtype for col in got) == dtypes
-    assert all(col.ndim == 1 for col in got)
-    assert tuple(col.tolist() for col in got) == columns(faults)
+def assert_index_equal(sites: np.ndarray, faults) -> None:
+    """`sites` is an int32 vector of the instruction of every fault."""
+    assert (sites.dtype, sites.ndim) == (np.int32, 1)
+    assert sites.tolist() == [index for index, _ in faults]
 
 
 def every_channel_circuit() -> StabCircuit:
@@ -147,7 +130,7 @@ def test_sites_match_noise_oracle_on_every_channel(indices):
     sites = sites_from_noise(c)
     faults = expand_noise(c)
     assert len(sites) == len(faults)
-    assert_columns_equal(sites, faults)
+    assert_index_equal(sites, faults)
     if indices is None:
         assert len(sites) == 2 + 2 * 15 + 1 + 3 * 3 + 15
 
@@ -156,39 +139,29 @@ def test_sites_match_noise_oracle_on_every_channel(indices):
 def test_sites_match_noise_oracle_on_surface_d3(basis):
     code, layout = surface_code(3)
     circuit = memory_circuit(code, layout, 2, basis)
-    assert_columns_equal(sites_from_noise(circuit), expand_noise(circuit))
+    assert_index_equal(sites_from_noise(circuit), expand_noise(circuit))
 
 
 def test_sites_match_noise_oracle_on_bb72(bb72_schedule):
     code, schedule = bb72_schedule
     circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
                                   NoiseConfig(), "Z")
-    assert_columns_equal(sites_from_noise(circuit), expand_noise(circuit))
+    assert_index_equal(sites_from_noise(circuit), expand_noise(circuit))
 
 
 def test_fault_sites_memory_is_flat():
-    """Columns hold 4 bytes per site and 4 + 4 + 1 per Pauli term, nothing
-    per site beyond that (no objects, no metadata copies)."""
+    """The sites hold 4 bytes each and nothing per site beyond that (no
+    objects, no per-term columns, no metadata copies)."""
     code, layout = surface_code(3)
-    circuit = memory_circuit(code, layout, 2, "Z")
-    sites = sites_from_noise(circuit)
-    terms = len(sites.term_site)
-    held = sum(col.nbytes for col in (sites.index, sites.term_site,
-                                      sites.term_qubit, sites.term_bits))
-    assert len(sites) > 1000 and terms >= len(sites)
-    assert held <= 4 * len(sites) + 9 * terms + 1024
+    sites = sites_from_noise(memory_circuit(code, layout, 2, "Z"))
+    assert len(sites) > 1000
+    assert sites.nbytes == 4 * len(sites)
 
 
-def test_from_paulis_matches_columns():
-    faults = [(0, ((1, "Z"),)), (2, ()), (1, ((0, "X"), (3, "Y"), (0, "Z")))]
-    assert_columns_equal(fault_sites(faults), faults, WIDE)
-    assert len(fault_sites([])) == 0
-
-
-def record_flips(circuit: StabCircuit, sites: FaultSites):
-    """Scan `sites` on a copy of `circuit` (which has no detectors or
-    observables) with one DETECTOR per measurement record and one
-    OBSERVABLE_INCLUDE of every record. Returns, per site, the records
+def record_flips(circuit: StabCircuit):
+    """Scan the sites of `circuit`'s noise on a copy of it (it has no
+    detectors or observables) with one DETECTOR per measurement record and
+    one OBSERVABLE_INCLUDE of every record. Returns, per site, the records
     `fault_scan` says it flips, and the observable's flip; checks that the
     padding bits of every row are zero."""
     c = StabCircuit(circuit.num_qubits)
@@ -196,7 +169,7 @@ def record_flips(circuit: StabCircuit, sites: FaultSites):
     c.extend([*circuit.instructions,
               *(Instruction("DETECTOR", (m,)) for m in records),
               Instruction("OBSERVABLE_INCLUDE", records, (0,))])
-    result = fault_scan(c, sites)
+    result = fault_scan(c, sites_from_noise(c))
     split = 8 * -(-len(records) // 8)  # the observable's bit
     bits = np.unpackbits(result.rows, axis=1, bitorder="little")
     assert not bits[:, len(records):split].any()
@@ -210,9 +183,11 @@ def test_fault_scan_takes_cx_pairs_in_order():
     """A CX's pairs act in order (CX 0 1 1 2 is CX 0 1, then CX 1 2), as
     the frame oracle takes them: every single-qubit fault before the two
     chained CXs flips the measurements the oracle gives."""
-    c = parse("R 0 1 2; CX 0 1 1 2; CX 2 1 1 0; M 0 1 2; MX 0 1 2", 3)
-    faults = [(0, ((q, p),)) for q in range(3) for p in "XYZ"]
-    flipped, _ = record_flips(c, fault_sites(faults))
+    c = parse("R 0 1 2; DEPOLARIZE1 0 1 2; CX 0 1 1 2; CX 2 1 1 0; M 0 1 2; "
+              "MX 0 1 2", 3)
+    faults = expand_noise(c)
+    flipped, _ = record_flips(c)
+    assert len(flipped) == 9
     assert flipped == [propagate_frame(c, index, paulis)[2]
                        for index, paulis in faults]
 
@@ -223,7 +198,7 @@ def test_fault_scan_matches_single_propagation():
     for c in (z_check_circuit(True), z_check_circuit(False),
               x_check_circuit()):
         faults = expand_noise(c)
-        flipped, parity = record_flips(c, sites_from_noise(c))
+        flipped, parity = record_flips(c)
         assert len(faults) == len(flipped) == 5
         assert flipped == [propagate_frame(c, index, paulis)[2]
                            for index, paulis in faults]
@@ -242,9 +217,11 @@ def verdicts(circuit: StabCircuit, *parities) -> list:
 
 
 def parse(text: str, num_qubits: int = 2) -> StabCircuit:
-    """A circuit from ``"NAME t t; NAME t; ..."``."""
+    """A circuit from ``"NAME t t; NAME t; ..."``; a noise channel gets
+    the probability 0.1."""
     c = StabCircuit(num_qubits)
-    c.extend([Instruction(name, tuple(map(int, targets)))
+    c.extend([Instruction(name, tuple(map(int, targets)),
+                          (0.1,) if name in NOISE_CHANNELS else None)
               for name, *targets in map(str.split, text.split(";"))])
     return c
 
@@ -293,7 +270,20 @@ def test_anticommuting_with_a_reset_or_measurement_is_random(text, want):
     assert verdicts(parse(text)) == want
 
 
-def random_circuit(rng, n=8, length=50) -> StabCircuit:
+def noise_instruction(rng, n: int) -> Instruction:
+    """One of the four noise channels on a random qubit, or on a random
+    pair for DEPOLARIZE2 (never drawn on one qubit)."""
+    name = rng.choice([c for c in NOISE_CHANNELS
+                       if n > 1 or c != "DEPOLARIZE2"])
+    width = 2 if name == "DEPOLARIZE2" else 1
+    return Instruction(name, tuple(rng.sample(range(n), width)), (0.01,))
+
+
+def random_circuit(rng, n=8, length=50, noise=None) -> StabCircuit:
+    """R on every qubit, `length` random gates and M on every qubit, with
+    `noise` noise instructions (length // 5 unless given) at random places
+    among them: the first and the last instruction are noise when there are
+    two or more."""
     batch = [Instruction("R", (q,)) for q in range(n)]
     for _ in range(length):
         roll = rng.random()
@@ -313,6 +303,12 @@ def random_circuit(rng, n=8, length=50) -> StabCircuit:
         else:
             batch.append(Instruction("MX", (rng.randrange(n),)))
     batch += [Instruction("M", (q,)) for q in range(n)]
+    count = length // 5 if noise is None else noise
+    places = sorted(rng.randint(0, len(batch)) for _ in range(count))
+    if count >= 2:
+        places[0], places[-1] = 0, len(batch)
+    for place in reversed(places):
+        batch.insert(place, noise_instruction(rng, n))
     c = StabCircuit(n)
     c.extend(batch)
     return c
@@ -366,10 +362,9 @@ def test_frame_agrees_with_tableau_on_random_circuits():
     compared = 0
     for trial in range(500):
         circuit = random_circuit(rng)
-        n_instr = len(circuit.instructions)
-        idx = rng.randrange(n_instr)
-        qubits = rng.sample(range(circuit.num_qubits), rng.randint(1, 2))
-        paulis = tuple((q, rng.choice("XYZ")) for q in qubits)
+        faults = expand_noise(circuit)
+        site = rng.randrange(len(faults))
+        idx, paulis = faults[site]
 
         clean = tableau_run(circuit)
         dirty = tableau_run(circuit, inject=(idx, paulis))
@@ -377,8 +372,8 @@ def test_frame_agrees_with_tableau_on_random_circuits():
         for (_, a, _), (_, b, _) in zip(clean, dirty):
             assert a == b, "fault changed the randomness structure"
 
-        (frame_list,), _ = record_flips(circuit, fault_sites([(idx, paulis)]))
-        frame_flips = set(frame_list)
+        flipped, _ = record_flips(circuit)
+        frame_flips = set(flipped[site])
 
         for i, ((a, mask, _), (b, _, _)) in enumerate(zip(clean, dirty)):
             if mask == 0:
@@ -403,25 +398,17 @@ def memory_circuit(code, layout, rounds, basis, tailored=True):
                                compute_logicals(code), NoiseConfig(), basis)
 
 
-def random_faults(rng, circuit, count):
-    """Faults of 0-3 Paulis; a qubit may repeat (X then Z on it acts as Y)."""
-    n = circuit.num_qubits
-    return [(rng.randrange(len(circuit.instructions)),
-             tuple((rng.randrange(n), rng.choice("XYZ"))
-                   for _ in range(rng.randint(0, 3))))
-            for _ in range(count)]
-
-
-@pytest.mark.parametrize("num_sites", [0, 1, 63, 64, 65, 130])
-def test_fault_scan_matches_frame_oracle(num_sites):
-    """Every site's measurement flips equal a one-fault set propagation,
-    for sites in any order, with Y terms and repeated qubits; the padding
-    bits of each row stay zero."""
-    rng = random.Random(num_sites)
+@pytest.mark.parametrize("num_noise", [0, 1, 63, 64, 65, 130])
+def test_fault_scan_matches_frame_oracle(num_noise):
+    """Every site of `num_noise` noise instructions of all four channels,
+    the first and last instruction among them, flips the measurements of
+    a one-fault set propagation; the padding bits of each row stay zero."""
+    rng = random.Random(num_noise)
     for _ in range(3):
-        circuit = random_circuit(rng)
-        faults = random_faults(rng, circuit, num_sites)
-        flipped, parity = record_flips(circuit, fault_sites(faults))
+        circuit = random_circuit(rng, noise=num_noise)
+        faults = expand_noise(circuit)
+        flipped, parity = record_flips(circuit)
+        assert len(flipped) == len(faults) >= num_noise
         assert flipped == [propagate_frame(circuit, index, paulis)[2]
                            for index, paulis in faults]
         assert parity == [len(f) % 2 for f in flipped]
@@ -531,30 +518,30 @@ def test_no_undetected_logical_fault_pair_bb72(bb72_schedule, basis):
 
 
 def test_bb72_sample_matches_frame_oracle(bb72_schedule):
-    """A seeded sample of bb72 sites, scanned on their own and out of
-    circuit order, flips the detectors and observables the frame oracle
-    gives."""
+    """A seeded sample of bb72 sites flips the detectors and observables
+    the frame oracle gives."""
     code, schedule = bb72_schedule
     circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
                                   NoiseConfig(), "Z")
-    faults = random.Random(72).sample(expand_noise(circuit), 64)
-    result = fault_scan(circuit, fault_sites(faults))
-    expect_det, expect_obs = oracle_flips(circuit, faults)
-    assert result.detector_flips(circuit).tolist() == expect_det
-    assert result.observable_flips(circuit).tolist() == expect_obs
+    faults = expand_noise(circuit)
+    sample = random.Random(72).sample(range(len(faults)), 64)
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    expect_det, expect_obs = oracle_flips(circuit, [faults[r] for r in sample])
+    assert result.detector_flips(circuit)[sample].tolist() == expect_det
+    assert result.observable_flips(circuit)[sample].tolist() == expect_obs
     assert np.array(expect_det).any()
 
 
 def test_scan_rows_equal_for_wide_and_narrow_sites(bb72_schedule):
-    """The oracle's int64 columns and sites_from_noise's int32 and uint8
-    ones give byte-identical rows."""
+    """The noise oracle's sites as int64 and sites_from_noise's int32 ones
+    give byte-identical rows."""
     code, schedule = bb72_schedule
     circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
                                   NoiseConfig(), "Z")
     narrow = sites_from_noise(circuit)
-    wide = fault_sites(expand_noise(circuit))
-    assert (wide.index.dtype, wide.term_bits.dtype) == (np.int64, np.int64)
-    assert (narrow.index.dtype, narrow.term_bits.dtype) == (np.int32, np.uint8)
+    wide = np.array([index for index, _ in expand_noise(circuit)],
+                    dtype=np.int64)
+    assert narrow.dtype == np.int32
     rows = fault_scan(circuit, narrow).rows
     assert rows.tobytes() == fault_scan(circuit, wide).rows.tobytes()
     assert rows.shape == (len(narrow),
@@ -622,36 +609,23 @@ def test_scan_memory_is_bit_packed():
 
 @pytest.mark.parametrize("index", [3, 99, -1])
 def test_fault_scan_rejects_instruction_out_of_range(index):
-    c = parse("R 0; R 1; M 0 1")
-    sites = fault_sites([(0, ((0, "X"),)), (index, ((1, "Z"),))])
-    with pytest.raises(IndexError, match="fault site 1: no instruction"):
-        fault_scan(c, sites)
+    c = parse("X_ERROR 0; Z_ERROR 1; M 0 1")
+    with pytest.raises(ValueError, match="2 fault sites given, not the 2 "):
+        fault_scan(c, np.array([0, index]))
 
 
-@pytest.mark.parametrize("qubit", [2, -1])
-def test_fault_scan_rejects_qubit_out_of_range(qubit):
-    c = parse("M 0 1")
-    sites = fault_sites([(0, ((1, "Z"),)),
-                                    (0, ((0, "X"), (qubit, "Y")))])
-    with pytest.raises(IndexError, match="fault site 1: qubit"):
-        fault_scan(c, sites)
-
-
-@pytest.mark.parametrize("letter", ["x", "I", "XZ", ""])
-def test_fault_scan_rejects_unknown_pauli_letter(letter):
-    c = parse("M 0 1")
-    with pytest.raises(ValueError, match="fault site 1: Pauli"):
-        fault_scan(c, fault_sites([(0, ((1, "Z"),)),
-                                              (0, ((0, letter),))]))
-
-
-@pytest.mark.parametrize("site, bits", [(2, 1), (-1, 2), (0, 0), (1, 4)])
-def test_fault_scan_rejects_malformed_term_columns(site, bits):
-    c = parse("M 0 1")
-    col = lambda *v: np.array(v, dtype=np.int64)
-    sites = FaultSites(col(0, 0), col(0, site), col(1, 0), col(2, bits))
-    with pytest.raises(ValueError, match="Pauli term 1"):
-        fault_scan(c, sites)
+def test_fault_scan_refuses_sites_of_another_circuit():
+    """Sites with another count, or with the same count after other
+    instructions, are not this circuit's."""
+    code, layout = surface_code(3)
+    two, three = (memory_circuit(code, layout, rounds, "Z")
+                  for rounds in (2, 3))
+    with pytest.raises(ValueError, match="not the"):
+        fault_scan(three, sites_from_noise(two))
+    late, early = parse("H 0; X_ERROR 0; M 0", 1), parse("X_ERROR 0; H 0; M 0", 1)
+    assert len(sites_from_noise(late)) == len(sites_from_noise(early)) == 1
+    with pytest.raises(ValueError, match="1 fault sites given, not the 1 "):
+        fault_scan(early, sites_from_noise(late))
 
 
 def assert_noiseless_matches_oracle(circuit: StabCircuit) -> NoiselessReport:
@@ -703,39 +677,46 @@ def test_tableau_matches_dense_oracle_on_bb72(bb72_schedule, basis):
     assert len(report.observables) == 12
 
 
-# the gates the walk has a rule for
+# the gates the walk has a rule for, and the noise channels it reads
 GATES = ("H", "R", "RX", "M", "MX", "CX")
+NOISE = tuple(NOISE_CHANNELS)
 
 
 def test_the_random_circuits_draw_every_emitted_gate():
-    """Every qubit instruction the emitter knows, other than a noise
-    channel or QUBIT_COORDS, is a gate the random circuits draw: a new gate
-    fails here until the walk has a rule for it and the strategy draws it."""
-    assert set(GATES) == _QUBIT_OPS - set(NOISE_CHANNELS) - {"QUBIT_COORDS"}
+    """Every qubit instruction the emitter knows, other than QUBIT_COORDS,
+    is a gate or noise channel the random circuits draw: a new one fails
+    here until the walk has a rule for it and the strategy draws it."""
+    assert set(GATES) | set(NOISE_CHANNELS) == _QUBIT_OPS - {"QUBIT_COORDS"}
 
 
-# one-target H, R, RX, M and MX and one-pair CX, as in random_circuit, and
-# their wider forms: several targets, a qubit repeated in M and MX, chained
-# CX pairs
+# one-target H, R, RX, M and MX, one-pair CX and one-qubit or one-pair
+# noise, as in random_circuit, and their wider forms: several targets, a
+# qubit repeated in M, MX and the one-qubit noise channels, chained CX and
+# DEPOLARIZE2 pairs
 @st.composite
 def multi_target_circuits(draw):
     n = draw(st.integers(1, 5))
     qubit = st.integers(0, n - 1)
-    gates = []
-    for _ in range(draw(st.integers(0, 14))):
-        name = draw(st.sampled_from(GATES))
-        if name == "CX":
+
+    def instruction(name: str) -> list[Instruction]:
+        """One `name` instruction on drawn targets; none for a pair
+        instruction on one qubit."""
+        if name in ("CX", "DEPOLARIZE2"):
             if n == 1:
-                continue
+                return []
             pairs = draw(st.lists(st.lists(qubit, min_size=2, max_size=2,
                                            unique=True),
                                   min_size=1, max_size=4))
-            gates.append(Instruction(name,
-                                     [q for pair in pairs for q in pair]))
+            targets = [q for pair in pairs for q in pair]
         else:
-            gates.append(Instruction(name, draw(st.lists(
-                qubit, min_size=1, max_size=4,
-                unique=name not in ("M", "MX")))))
+            targets = draw(st.lists(qubit, min_size=1, max_size=4,
+                                    unique=name in ("H", "R", "RX")))
+        arg = (0.1,) if name in NOISE_CHANNELS else None
+        return [Instruction(name, targets, arg)]
+
+    gates = []
+    for _ in range(draw(st.integers(0, 14))):
+        gates += instruction(draw(st.sampled_from(GATES + NOISE)))
     gates.append(Instruction("M", draw(st.lists(qubit, min_size=1,
                                                 max_size=n))))
     c = StabCircuit(n)
@@ -747,6 +728,9 @@ def multi_target_circuits(draw):
                             draw(st.lists(record, max_size=4)),
                             (draw(st.integers(0, 2)),))
                 for _ in range(draw(st.integers(0, 3)))]
+    # noise may also be the last instruction
+    for name in draw(st.lists(st.sampled_from(NOISE), max_size=1)):
+        records += instruction(name)
     c.extend(records)
     return c
 
@@ -760,46 +744,51 @@ def test_walk_matches_dense_oracle_on_multi_target_circuits(circuit):
     assert_noiseless_matches_oracle(circuit)
 
 
-@given(multi_target_circuits(), st.data())
+@given(multi_target_circuits())
 @settings(max_examples=300, deadline=None)
-def test_scan_matches_frame_oracle_on_multi_target_circuits(circuit, data):
-    """X, Z or Y sites after random instructions of multi-target circuits,
-    in any order, flip the detectors and observables whose records the
-    frame oracle flips an odd number of times."""
-    site = st.tuples(st.integers(0, len(circuit.instructions) - 1),
-                     st.tuples(st.tuples(
-                         st.integers(0, circuit.num_qubits - 1),
-                         st.sampled_from("XZY"))))
-    faults = data.draw(st.lists(site, max_size=8))
-    result = fault_scan(circuit, fault_sites(faults))
-    expect_det, expect_obs = oracle_flips(circuit, faults)
+def test_scan_matches_frame_oracle_on_multi_target_circuits(circuit):
+    """Every site of the noise instructions of multi-target circuits flips
+    the detectors and observables whose records the frame oracle flips an
+    odd number of times."""
+    result = fault_scan(circuit, sites_from_noise(circuit))
+    expect_det, expect_obs = oracle_flips(circuit, expand_noise(circuit))
     assert result.detector_flips(circuit).tolist() == expect_det
     assert result.observable_flips(circuit).tolist() == expect_obs
 
 
-def ends_circuit() -> StabCircuit:
+def ends_circuit(noise: str = "", after: int = 0) -> StabCircuit:
     """A Bell pair from |00> without resets: H 0 is the first instruction,
-    and the observable of both records the last."""
-    c = parse("H 0; CX 0 1; M 0 1; DETECTOR 0; DETECTOR 1")
-    c.extend([Instruction("OBSERVABLE_INCLUDE", (0, 1), (0,))])
+    and the observable of both records the last; `noise`, a noise
+    instruction in `parse`'s text, if any, comes right after instruction
+    `after`."""
+    batch = [*parse("H 0; CX 0 1; M 0 1; DETECTOR 0; DETECTOR 1").instructions,
+             Instruction("OBSERVABLE_INCLUDE", (0, 1), (0,))]
+    if noise:
+        batch.insert(after + 1, *parse(noise).instructions)
+    c = StabCircuit(2)
+    c.extend(batch)
     return c
 
 
-@pytest.mark.parametrize("index, paulis, detectors, observable", [
-    (0, ((0, "X"),), [1, 1], 0),  # after H 0: X0 spreads to X0 X1
-    (0, ((1, "X"),), [0, 1], 1),
-    (0, ((0, "Z"),), [0, 0], 0),  # before the H it would be an X
-    (2, ((0, "Y"),), [0, 0], 0),  # after the measurements
-    (5, ((1, "X"), (0, "Y")), [0, 0], 0),  # after the last instruction
+@pytest.mark.parametrize("noise, after, site, paulis, detectors, observable", [
+    ("X_ERROR 0", 0, 0, ((0, "X"),), [1, 1], 0),  # X0 spreads to X0 X1
+    ("X_ERROR 1", 0, 0, ((1, "X"),), [0, 1], 1),
+    ("Z_ERROR 0", 0, 0, ((0, "Z"),), [0, 0], 0),  # before H 0 an X
+    ("DEPOLARIZE1 0", 2, 1, ((0, "Y"),), [0, 0], 0),  # after M 0 1
+    ("DEPOLARIZE2 1 0", 5, 5, ((1, "X"), (0, "Y")), [0, 0], 0),
 ], ids=["first-X0", "first-X1", "first-Z0", "measured-Y0", "last-X1Y0"])
-def test_sites_at_the_ends_of_the_walk(index, paulis, detectors, observable):
-    """A site after the first instruction is read before the walk steps
-    back over it, and one after the last before it steps over anything."""
-    c = ends_circuit()
-    result = fault_scan(c, fault_sites([(index, paulis)]))
-    assert result.detector_flips(c).tolist() == [detectors]
-    assert result.observable_flips(c).tolist() == [[observable]]
-    assert oracle_flips(c, [(index, paulis)]) == ([detectors], [[observable]])
+def test_sites_at_the_ends_of_the_walk(noise, after, site, paulis, detectors,
+                                       observable):
+    """Noise right after the first instruction is read before the walk
+    steps back over that instruction, and noise that is the last
+    instruction before the walk steps over anything else."""
+    c = ends_circuit(noise, after)
+    faults = expand_noise(c)
+    assert faults[site] == (after + 1, paulis)
+    result = fault_scan(c, sites_from_noise(c))
+    assert result.detector_flips(c)[site].tolist() == detectors
+    assert result.observable_flips(c)[site].tolist() == [observable]
+    assert oracle_flips(c, [faults[site]]) == ([detectors], [[observable]])
 
 
 def test_walk_steps_back_over_the_first_instruction():
@@ -811,14 +800,14 @@ def test_walk_steps_back_over_the_first_instruction():
 
 def test_empty_circuit():
     c = StabCircuit(2)
-    result = fault_scan(c, fault_sites([]))
+    result = fault_scan(c, sites_from_noise(c))
     assert result.rows.shape == (0, 0)
     assert result.detector_flips(c).shape == (0, 0)
     assert result.observable_flips(c).shape == (0, 0)
     report = simulate_noiseless(c)
     assert (report.detectors, report.observables) == ([], {})
-    with pytest.raises(IndexError, match="fault site 0: no instruction at 0"):
-        fault_scan(c, fault_sites([(0, ((0, "X"),))]))
+    with pytest.raises(ValueError, match="1 fault sites given, not the 0 "):
+        fault_scan(c, np.array([0]))
 
 
 def test_circuit_with_no_noise():
