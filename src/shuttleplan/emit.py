@@ -28,6 +28,15 @@ once for each of the identical rounds 1..R-1. `add_detectors`, the one
 detector entry point for every circuit, adds all its detectors and
 observables as one more batch.
 
+A circuit stores each batch once, with its copy count, as a REPEAT block
+of Stim's circuit format stores a repeated round; ``instructions`` is the
+flattened view, built on each read. Every pass over a circuit works a
+batch at a time and does a distinct batch's per-instruction work once
+where the copies allow: `StabCircuit.to_text` formats a repeated batch
+without records once, the fault-site index (`pauli.sites_from_noise`)
+counts a batch's sites once, and the noiseless walk picks out a batch's
+noise-free instructions once.
+
 Noise placement follows the operation table: depolarizing after CX and H,
 a state flip after initialization and before measurement (in the basis of
 the operation), one phase-flip per displace, one phase-flip per shuttle
@@ -114,21 +123,32 @@ def _within(targets: Sequence[int], bound: int) -> bool:
 
 
 class StabCircuit:
-    """Ordered instruction list; a measurement's record index is its place
-    among the M and MX targets in that order, and is stored nowhere else."""
+    """An ordered instruction list, stored as its checked batches: each
+    batch once, with the number of copies of it that follow one another
+    (``batches``, in circuit order; an empty batch is not kept).
+    ``instructions`` is the flattened view. A measurement's record index
+    is its place among the M and MX targets in that order, and is stored
+    nowhere else."""
 
     def __init__(self, num_qubits: int):
         self.num_qubits = num_qubits
-        self.instructions: list[Instruction] = []
+        self.batches: list[tuple[tuple[Instruction, ...], int]] = []
         self.num_measurements = 0
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """Every instruction in circuit order, each batch as many times as
+        it has copies; a new list on each read."""
+        return [instr for batch, copies in self.batches
+                for _ in range(copies) for instr in batch]
 
     def extend(self, instructions: Iterable[Instruction],
                repeat: int = 1) -> None:
         """Check a batch of instructions, each rule once over the whole
-        batch, then add them all ``repeat`` times over; the only way into
-        ``instructions``. One check covers every copy: a record in range in
-        the first copy is in range in the later ones, which follow more
-        measurements.
+        batch, then add the batch with ``repeat`` copies; the only way into
+        ``batches``. Nothing is copied. One check covers every copy: a
+        record in range in the first copy is in range in the later ones,
+        which follow more measurements.
 
         Targets other than a tuple of plain ints are converted with
         ``operator.index``, so numpy integers pass and a float raises
@@ -146,17 +166,17 @@ class StabCircuit:
         """
         if type(repeat) is not int or repeat < 1:
             raise ValueError(f"repeat must be an int >= 1, got {repeat!r}")
-        batch = list(instructions)
+        batch = tuple(instructions)
         if {type(i.targets) for i in batch} - {tuple}:
-            batch = [i._replace(targets=tuple(i.targets)) for i in batch]
+            batch = tuple(i._replace(targets=tuple(i.targets)) for i in batch)
         kinds = {type(t) for i in batch for t in i.targets}
         if bool in kinds:
             bad = next(i for i in batch if bool in map(type, i.targets))
             raise TypeError(f"{bad.name} targets {bad.targets}: a bool is "
                             f"not a target")
         if kinds - {int}:
-            batch = [i._replace(targets=tuple(map(index, i.targets)))
-                     for i in batch]
+            batch = tuple(i._replace(targets=tuple(map(index, i.targets)))
+                          for i in batch)
         if {i.name for i in batch} - _KNOWN_OPS:
             bad = next(i for i in batch if i.name not in _KNOWN_OPS)
             raise ValueError(f"unknown instruction {bad.name!r}")
@@ -199,44 +219,69 @@ class StabCircuit:
                   and not _within(instr.targets, measured)):
                 raise ValueError(f"{instr.name} records {instr.targets} "
                                  f"outside the {measured} measurements so far")
-        for _ in range(repeat):
-            self.instructions += batch
+        if batch:
+            self.batches.append((batch, repeat))
         self.num_measurements += (measured - self.num_measurements) * repeat
 
     def observables(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
-        for instr in self.instructions:
-            if instr.name == "OBSERVABLE_INCLUDE":
-                out.setdefault(int(instr.arg[0]), []).extend(instr.targets)
+        for batch, copies in self.batches:
+            included = [(int(i.arg[0]), i.targets) for i in batch
+                        if i.name == "OBSERVABLE_INCLUDE"]
+            for _ in range(copies):
+                for obs, targets in included:
+                    out.setdefault(obs, []).extend(targets)
         return {k: tuple(v) for k, v in out.items()}
 
     def to_text(self) -> str:
-        def lines() -> Iterator[str]:
-            # each distinct (name, arg) and qubit target tuple formatted
-            # once; extend made every target a plain int, so equal tuples
-            # print alike
+        """The circuit in the text format, joined from one text per batch.
+        A batch without DETECTOR or OBSERVABLE_INCLUDE prints alike in
+        every copy, so its text is made once and joined ``copies`` times; a
+        batch with them is printed per copy, as its relative ``rec[-k]``
+        offsets differ."""
+        def texts() -> Iterator[str]:
+            # a generator, so that its caches are freed before the texts
+            # are joined. Each distinct (name, arg) and qubit target tuple
+            # is formatted once; extend made every target a plain int, so
+            # equal tuples print alike
             heads: dict[tuple, str] = {}
             qubits: dict[tuple[int, ...], str] = {}
-            seen = 0
-            for instr in self.instructions:
-                name, targets, arg, _ = instr
-                head = heads.get((name, arg))
-                if head is None:
-                    head = heads[name, arg] = instr.head()
-                if not targets:
-                    yield head
-                elif name in _RECORD_OPS:
-                    yield " ".join([head, *(f"rec[{t - seen}]"
-                                            for t in targets)])
-                else:
-                    if name in _MEASURE_OPS:
-                        seen += len(targets)
-                    text = qubits.get(targets)
-                    if text is None:
-                        text = qubits[targets] = " ".join(map(str, targets))
-                    yield f"{head} {text}"
+            seen = 0  # measurements before the line
 
-        return join_lines(lines())
+            def lines(batch) -> Iterator[str]:
+                """One copy's lines."""
+                nonlocal seen
+                for instr in batch:
+                    name, targets, arg, _ = instr
+                    head = heads.get((name, arg))
+                    if head is None:
+                        head = heads[name, arg] = instr.head()
+                    if not targets:
+                        yield head
+                    elif name in _RECORD_OPS:
+                        yield " ".join([head, *(f"rec[{t - seen}]"
+                                                for t in targets)])
+                    else:
+                        if name in _MEASURE_OPS:
+                            seen += len(targets)
+                        text = qubits.get(targets)
+                        if text is None:
+                            text = qubits[targets] = " ".join(map(str,
+                                                                  targets))
+                        yield f"{head} {text}"
+
+            for batch, copies in self.batches:
+                if copies > 1 and all(i.name not in _RECORD_OPS
+                                      for i in batch):
+                    before = seen
+                    yield from [join_lines(lines(batch))] * copies
+                    # the later copies measure as many as the first
+                    seen += (seen - before) * (copies - 1)
+                else:
+                    for _ in range(copies):
+                        yield join_lines(lines(batch))
+
+        return "".join(texts()) or "\n"
 
 
 def compose_phase_flips(p: float, repeats: int) -> float:
@@ -477,15 +522,17 @@ def add_detectors(circuit: StabCircuit, code: CssCode, basis: str, *,
     # check a's record indices, in round order
     by_check: dict[int, list[int]] = {}
     data_m: dict[int, int] = {}
-    measured = 0  # record index of the instruction's first measurement
-    for instr in circuit.instructions:
-        if instr.name in _MEASURE_OPS:
-            for rec, q in enumerate(instr.targets, measured):
+    measured = 0  # record index of the copy's first measurement
+    for batch, copies in circuit.batches:
+        qubits = [q for i in batch if i.name in _MEASURE_OPS
+                  for q in i.targets]
+        for _ in range(copies):
+            for rec, q in enumerate(qubits, measured):
                 if q < n:
                     data_m[q] = rec
                 else:
                     by_check.setdefault(q - n, []).append(rec)
-            measured += len(instr.targets)
+            measured += len(qubits)
     if not by_check:
         raise CodeError("circuit has no check measurements")
     rounds = max(map(len, by_check.values()))

@@ -20,28 +20,23 @@ provenance is the ``meta`` of that instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import floordiv, itemgetter, mul
+from typing import Iterator
 
 import numpy as np
 
-from .emit import NOISE_CHANNELS, Instruction, StabCircuit
+from .emit import NOISE_CHANNELS, StabCircuit
 
 
 # ---------------------------------------------------------------------------
 # fault sites and their detector signatures
 
 
-# instructions per numpy.repeat in sites_from_noise, so that its intp copy
-# of the counts and its output stay small beside the index
-_CHUNK = 1024
-
-
-def _site_count(instruction: Instruction) -> int:
-    """The number of sites of a noise instruction, 0 for any other."""
-    words = NOISE_CHANNELS.get(instruction.name)
-    if words is None:
-        return 0
-    return len(instruction.targets) // len(words[0]) * len(words)
+# noise channel -> its site count per two targets: a one-qubit channel's
+# Paulis for each of two targets, a DEPOLARIZE2 word's for its one pair
+_SITES_PER_TWO = {name: 2 * len(words) // len(words[0])
+                  for name, words in NOISE_CHANNELS.items()}
 
 
 def sites_from_noise(circuit: StabCircuit) -> np.ndarray:
@@ -51,22 +46,38 @@ def sites_from_noise(circuit: StabCircuit) -> np.ndarray:
     for DEPOLARIZE2), then the channel's Paulis: X_ERROR gives X, Z_ERROR
     gives Z, DEPOLARIZE1 gives X, Y, Z and DEPOLARIZE2 the 15 non-identity
     products of IXYZ x IXYZ in that order. Entry r is the instruction that
-    site r's fault follows; that instruction's ``meta`` says what made it.
-    `_walk` reads the Paulis off the instruction, so this index is all
-    `fault_scan` takes. Besides the index, the site count of every
-    instruction is held, 4 bytes each, and one chunk of instructions is
-    repeated at a time.
+    site r's fault follows, its place in ``circuit.instructions``; that
+    instruction's ``meta`` says what made it. `_walk` reads the Paulis off
+    the instruction, so this index is all `fault_scan` takes.
     """
-    counts = np.fromiter(map(_site_count, circuit.instructions),
-                         dtype=np.int32, count=len(circuit.instructions))
-    index = np.empty(int(counts.sum()), dtype=np.int32)
-    at = 0
-    for lo in range(0, len(counts), _CHUNK):
-        chunk = counts[lo:lo + _CHUNK]
-        part = np.repeat(np.arange(lo, lo + len(chunk), dtype=np.int32),
-                         chunk)
-        index[at:at + len(part)] = part
-        at += len(part)
+    return _site_index(circuit)
+
+
+def _site_counts(batch) -> Iterator[int]:
+    """The site count of each instruction of a batch, 0 for one that is no
+    noise."""
+    per_two = map(_SITES_PER_TWO.get, map(itemgetter(0), batch), repeat(0))
+    twice = map(mul, per_two, map(len, map(itemgetter(1), batch)))
+    return map(floordiv, twice, repeat(2))
+
+
+def _site_index(circuit: StabCircuit) -> np.ndarray:
+    """`sites_from_noise`, built a batch at a time. A distinct batch's site
+    counts are summed once for the size of the index and taken once more
+    for its copies, so that one batch's counts and one copy's index are
+    all that is held besides the result."""
+    sizes = [sum(_site_counts(batch)) for batch, _ in circuit.batches]
+    index = np.empty(sum(size * copies for size, (_, copies)
+                         in zip(sizes, circuit.batches)), dtype=np.int32)
+    at = first = 0  # index entries and instructions before the copy
+    for size, (batch, copies) in zip(sizes, circuit.batches):
+        count = np.fromiter(_site_counts(batch), dtype=np.intp,
+                            count=len(batch))
+        for _ in range(copies):
+            index[at:at + size] = np.repeat(
+                np.arange(first, first + len(batch), dtype=np.int32), count)
+            at += size
+            first += len(batch)
     return index
 
 
@@ -124,13 +135,17 @@ def _record_masks(circuit: StabCircuit
     mask = [0] * circuit.num_measurements
     num_detectors = 0
     observables: dict[int, list[tuple[int, ...]]] = {}
-    for name, targets, arg, _ in circuit.instructions:
-        if name == "DETECTOR":
-            for m in targets:
-                mask[m] ^= 1 << num_detectors
-            num_detectors += 1
-        elif name == "OBSERVABLE_INCLUDE":
-            observables.setdefault(int(arg[0]), []).append(targets)
+    for batch, copies in circuit.batches:
+        records = [(name, targets, arg) for name, targets, arg, _ in batch
+                   if name in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+        for _ in range(copies):
+            for name, targets, arg in records:
+                if name == "DETECTOR":
+                    for m in targets:
+                        mask[m] ^= 1 << num_detectors
+                    num_detectors += 1
+                else:
+                    observables.setdefault(int(arg[0]), []).append(targets)
     bits = {obs: bit for bit, obs in enumerate(sorted(observables),
                                                8 * -(-num_detectors // 8))}
     for obs, bit in bits.items():
@@ -191,8 +206,12 @@ def _walk(circuit: StabCircuit, num_sites: int
       site's Pauli word gives ``sz[q]`` for an X on q, ``sx[q]`` for a Z
       and both for a Y, and a DEPOLARIZE2 word the XOR of its two slots.
 
-    The walk so reads the sites from the last down to the first, and
-    `num_sites` must be their count; with 0 it walks past the noise. Past
+    The walk steps over the circuit's batches from the last, and over each
+    batch once per copy, from the batch's last instruction. It so reads
+    the sites from the last down to the first, and `num_sites` must be
+    their count. With 0 it walks past the noise: each distinct batch's
+    other instructions are picked out once, about 30% of a memory
+    circuit's, and only they are stepped over in every copy. Past
     the first instruction, ``random |= sx[q]`` for every q, and what
     remains of a parity that is not random is -1^sign times a product of
     Zs on |0>, so its value is its sign bit.
@@ -208,12 +227,11 @@ def _walk(circuit: StabCircuit, num_sites: int
     Returns the (sites, row bytes) uint8 rows, the detector count, each
     observable's bit by ascending index, ``sign`` and ``random``.
     """
-    nq, instructions = circuit.num_qubits, circuit.instructions
+    nq = circuit.num_qubits
     mask, num_detectors, observables = _record_masks(circuit)
     size = -(-num_detectors // 8) + -(-len(observables) // 8)
     out = np.zeros(num_sites * size, dtype=np.uint8)
     written = memoryview(out)  # site r's row is [r * size, (r + 1) * size)
-    noise = _WORDS if num_sites else {}
     sx, sz = [0] * nq, [0] * nq
     sign = random = 0
     measured = circuit.num_measurements  # records before the instruction
@@ -221,9 +239,16 @@ def _walk(circuit: StabCircuit, num_sites: int
     run: list[int] = []
     add = run.append
     site = num_sites
-    for name, targets, _, _ in reversed(instructions):
-        if name in noise:
-            words = noise[name]
+    # every copy of every batch, from the last; past the noise, a distinct
+    # batch's other instructions are picked out once
+    backward = chain.from_iterable(
+        map(reversed, repeat(batch if num_sites else
+                             [i for i in batch if i.name not in _WORDS],
+                             copies))
+        for batch, copies in reversed(circuit.batches))
+    for name, targets, _, _ in chain.from_iterable(backward):
+        if name in _WORDS:
+            words = _WORDS[name]
             if len(words[0]) == 1:
                 for q in reversed(targets):
                     x, z = sx[q], sz[q]
@@ -277,7 +302,7 @@ def fault_scan(circuit: StabCircuit, sites: np.ndarray) -> ScanResult:
     walk reads the sites off the noise instructions, and sites of another
     circuit, with another count or index, raise ValueError.
     """
-    own = sites_from_noise(circuit)
+    own = _site_index(circuit)
     if not np.array_equal(sites, own):
         raise ValueError(f"{len(sites)} fault sites given, not the "
                          f"{len(own)} of this circuit's noise instructions")

@@ -18,7 +18,8 @@ from shuttleplan.css import (CodeError, CssCode, LogicalOperators,
 from shuttleplan.emit import (NOISE_CHANNELS, Instruction, StabCircuit,
                               add_detectors, compose_phase_flips,
                               emit_memory_circuit)
-from shuttleplan.pauli import simulate_noiseless
+from shuttleplan.pauli import (fault_scan, simulate_noiseless,
+                              sites_from_noise)
 
 TIMING = TimingConfig()
 
@@ -444,6 +445,14 @@ def _mismatched_pairs():
     ]
 
 
+def _without_records(circuit: StabCircuit) -> StabCircuit:
+    """The circuit built again without its detectors and observables."""
+    bare = StabCircuit(circuit.num_qubits)
+    bare.extend(i for i in circuit.instructions
+                if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE"))
+    return bare
+
+
 @pytest.mark.parametrize("case", range(4),
                          ids=["d3-for-d5", "d5-for-d3", "fewer-checks",
                               "other-supports"])
@@ -454,10 +463,8 @@ def test_schedule_for_another_code_is_refused(case):
     logicals = compute_logicals(code)
     with pytest.raises(CodeError, match=match):
         emit_memory_circuit(schedule, code, logicals, NOISELESS, "z")
-    circuit = emit_memory_circuit(schedule, own, compute_logicals(own),
-                                  NOISELESS, "z")
-    circuit.instructions = [i for i in circuit.instructions
-                            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+    circuit = _without_records(emit_memory_circuit(
+        schedule, own, compute_logicals(own), NOISELESS, "z"))
     with pytest.raises(CodeError, match=match):
         add_detectors(circuit, code, "z", logicals=logicals,
                       schedule=schedule)
@@ -588,7 +595,8 @@ def _detect_with_a_check_unmeasured():
             if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
     last = max(k for k, i in enumerate(kept)
                if i.name == "M" and i.targets == (code.n,))
-    circuit.instructions = kept[:last] + kept[last + 1:]
+    circuit = StabCircuit(circuit.num_qubits)
+    circuit.extend(kept[:last] + kept[last + 1:])
     add_detectors(circuit, code, "Z", logicals=logicals, schedule=schedule)
 
 
@@ -623,10 +631,8 @@ def test_logicals_of_the_wrong_shape_are_refused(x_shape, z_shape, match):
                                 z=np.ones(z_shape, dtype=np.uint8))
     with pytest.raises(CodeError, match=match):
         emit_memory_circuit(schedule, code, logicals, NOISELESS, "Z")
-    circuit = emit_memory_circuit(schedule, code, compute_logicals(code),
-                                  NOISELESS, "Z")
-    circuit.instructions = [i for i in circuit.instructions
-                            if i.name not in ("DETECTOR", "OBSERVABLE_INCLUDE")]
+    circuit = _without_records(emit_memory_circuit(
+        schedule, code, compute_logicals(code), NOISELESS, "Z"))
     with pytest.raises(CodeError, match=match):
         add_detectors(circuit, code, "Z", logicals=logicals,
                       schedule=schedule)
@@ -637,38 +643,66 @@ def test_logicals_of_the_wrong_shape_are_refused(x_shape, z_shape, match):
 
 @st.composite
 def batches(draw):
-    """A valid batch on 3 qubits after M 0 1: gates, measurements, noise and
-    detectors whose records index measurements made before them."""
+    """A valid batch on 3 qubits after M 0 1: gates, measurements, noise,
+    detectors and observables whose records index measurements made before
+    them."""
     qubit = st.integers(0, 2)
     measured, batch = 2, []
     for _ in range(draw(st.integers(0, 8))):
         name = draw(st.sampled_from(["H", "CX", "M", "X_ERROR", "DETECTOR",
-                                     "TICK"]))
+                                     "OBSERVABLE_INCLUDE", "TICK"]))
+        arg = None
         if name == "CX":
             targets = draw(st.lists(qubit, min_size=2, max_size=2,
                                     unique=True))
-        elif name == "DETECTOR":
+        elif name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
             targets = draw(st.lists(st.integers(0, measured - 1),
                                     max_size=3))
+            if name == "OBSERVABLE_INCLUDE":
+                arg = (draw(st.integers(0, 1)),)
         elif name == "TICK":
             targets = []
         else:
             targets = draw(st.lists(qubit, min_size=1, max_size=2))
+            if name == "X_ERROR":
+                arg = (0.1,)
         measured += len(targets) if name == "M" else 0
-        batch.append(Instruction(name, tuple(targets),
-                                 (0.1,) if name == "X_ERROR" else None))
+        batch.append(Instruction(name, tuple(targets), arg))
     return batch
 
 
 @given(batches(), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_a_batch_repeated_is_the_batch_added_that_many_times(batch, k):
+    """One batch of k copies and k batches of one copy are the same
+    circuit to every pass over it: text, fault sites, scan rows, noiseless
+    verdicts and observables."""
     once, each = _after_measuring(), _after_measuring()
     once.extend(batch, repeat=k)
     for _ in range(k):
         each.extend(batch)
     assert once.instructions == each.instructions
     assert once.num_measurements == each.num_measurements
+    assert once.to_text() == each.to_text()
+    sites = sites_from_noise(once)
+    assert np.array_equal(sites, sites_from_noise(each))
+    assert np.array_equal(fault_scan(once, sites).rows,
+                          fault_scan(each, sites).rows)
+    assert simulate_noiseless(once) == simulate_noiseless(each)
+    assert once.observables() == each.observables()
+
+
+def test_instructions_is_a_read_only_view():
+    """The flattened view is rebuilt from the batches on each read; it
+    cannot be assigned, so extend stays the only way in."""
+    c = _after_measuring()
+    c.extend([Instruction("H", (2,))], repeat=3)
+    view = c.instructions
+    view.clear()
+    assert c.instructions == [Instruction("M", (0, 1)),
+                              *[Instruction("H", (2,))] * 3]
+    with pytest.raises(AttributeError):
+        c.instructions = []
 
 
 @pytest.mark.parametrize("repeat", [1, 3])

@@ -3,7 +3,8 @@
 Each stage keeps at most one round, one text chunk or one run of signature
 rows alive besides what it returns. The guard runs every stage on the pinned
 bb72 memory circuit (longest order, seed 0, 2 rounds, Z basis, as
-tests/test_fingerprints.py pins it) under tracemalloc, and bounds the
+tests/test_fingerprints.py pins it), and on the same schedule at 4 rounds,
+whose repeated round is one batch, under tracemalloc, and bounds the
 stage's peak by a stated multiple of the bytes still allocated when it
 returns, which are its result's. A writer that held every line as an
 object, or a scan that held every signature as a Python int, exceeds its
@@ -31,10 +32,15 @@ BOUNDS = {"schedule text": 2.5, "emit": 2.0, "circuit text": 2.5,
 
 
 @pytest.fixture(scope="module")
-def bb72(bb72_path):
+def bb72_round(bb72_path):
     code = load_css(str(bb72_path))
-    schedule = schedule_round(code, default_layout(code, build_grid(9, 8)),
-                              TimingConfig(), order_policy="longest", seed=0)
+    return code, schedule_round(code, default_layout(code, build_grid(9, 8)),
+                                TimingConfig(), order_policy="longest", seed=0)
+
+
+@pytest.fixture(scope="module")
+def bb72(bb72_round):
+    code, schedule = bb72_round
     return code, replicate_rounds(schedule, 2)
 
 
@@ -50,10 +56,10 @@ def traced(fn, *args):
     return result, kept, peak
 
 
-def test_verify_path_peaks_stay_within_bounds(bb72):
+def stages_over_bounds(code, schedule):
+    """The circuit, and each stage whose peak ratio exceeds its bound."""
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
-    code, schedule = bb72
     ratios = {}
     _, kept, peak = traced(schedule.to_text)
     ratios["schedule text"] = peak / kept
@@ -67,9 +73,25 @@ def test_verify_path_peaks_stay_within_bounds(bb72):
     scan, kept, peak = traced(fault_scan, circuit, sites)
     assert kept >= scan.rows.nbytes
     ratios["scan"] = peak / kept
-    over = {stage: round(ratio, 2) for stage, ratio in ratios.items()
-            if ratio > BOUNDS[stage]}
+    return circuit, {stage: round(ratio, 2) for stage, ratio in ratios.items()
+                     if ratio > BOUNDS[stage]}
+
+
+def test_verify_path_peaks_stay_within_bounds(bb72):
+    _, over = stages_over_bounds(*bb72)
     assert over == {}
+
+
+def test_repeated_round_peaks_stay_within_bounds(bb72_round):
+    """bb72 at 4 rounds, whose round 1 is one batch of 3 copies: the text
+    made once per repeated batch and the site index filled a copy at a
+    time stay within the same bounds, and the text is the one-list
+    writer's."""
+    code, schedule = bb72_round
+    circuit, over = stages_over_bounds(code, replicate_rounds(schedule, 4))
+    assert over == {}
+    assert [copies for _, copies in circuit.batches] == [1, 3, 1, 1]
+    assert circuit.to_text() == circuit_text(circuit)
 
 
 CHUNK = 8

@@ -572,7 +572,9 @@ def test_flips_read_the_counts_the_scan_kept(monkeypatch):
 
     monkeypatch.setattr(StabCircuit, "observables", walk)
     result = fault_scan(circuit, sites_from_noise(circuit))
-    circuit.instructions = None  # the flips must not read it
+    # the flips must read neither the instructions nor the batches
+    monkeypatch.setattr(StabCircuit, "instructions", property(walk))
+    circuit.batches = None
     assert (result.num_detectors, result.num_observables) == (
         len(detectors), len(observables))
     assert result.detector_flips(circuit).shape == (len(result.sites),
