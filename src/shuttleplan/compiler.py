@@ -21,19 +21,21 @@ and places the same objects at t + r*M. No shifted ``Event`` is built.
 the request, the events and the validator, and `ancilla_occupancy` alone
 where it rests; their docstrings state the rule and the residency model.
 
-`schedule_round` keeps its last plan in one slot: a memory experiment
-compiles one round for both bases and across noise sweeps, and each of
-those calls would plan it afresh. The slot's key is the value of every
-input that decides the plan (`_plan_key`), taken after the inputs are
-checked, and a call with an equal key gets a copy of the kept schedule
-with its own containers over the same frozen events. A None seed draws
-the random order from the system, so its plan is never kept.
+`schedule_round` keeps its last plan, since a memory experiment compiles
+one round for both bases and across noise sweeps. Planning is `_plan`,
+which takes exactly the inputs it reads, as hashable values, and returns
+immutable facts; its one `functools.lru_cache` entry is the only plan kept,
+and every call builds fresh containers over the plan's frozen events.
+Inputs equal by value share a plan, a translated layout or a renamed code
+among them. A None seed draws the order from the system and is never kept.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -331,33 +333,57 @@ def _shared_cells(data_cells: dict[int, Cell]) -> list[str]:
             if holder.setdefault(cell, i) != i]
 
 
-# the last plan: (its `_plan_key`, a copy no caller holds), or None
-_last_plan: Optional[tuple[tuple, Schedule]] = None
+@lru_cache(maxsize=1)
+def _plan(checks: tuple[tuple[int, str, tuple[int, ...]], ...],
+          grid: tuple[int, int], cells: tuple[tuple[int, Cell], ...],
+          timing: TimingConfig, tailored: bool, ordered: bool,
+          order_policy: str, seed: Optional[int]) -> tuple:
+    """The plan from exactly the inputs planning reads: the checks as
+    ``(ancilla, basis, targets)``, the grid's ``(width, height)`` and the
+    placed data cells as items. Returns the homes as items, each ancilla's
+    frozen events in planning order and the round makespan."""
+    tasks = [CheckTask(a, basis, list(targets))
+             for a, basis, targets in checks]
+    chip, data_cells = build_grid(*grid), dict(cells)
+    homes = assign_homes(tasks, chip, data_cells)
+    rng = random.Random(seed)
 
+    table = ReservationTable()
+    for task in tasks:
+        table.reserve(readout_id(homes[task.ancilla]), 0, INF)
 
-def _plan_key(code: CssCode, data_layout: DataLayout, timing: TimingConfig,
-              margin: int, order_policy: str, tailored: bool,
-              seed) -> tuple:
-    """Every input that decides the plan, by value: the check matrices with
-    their shapes and bytes (an in-place edit changes the key), then the
-    orders, the code's name and claimed distance (the provenance reads
-    them), the layout in its order, the timing and the options, by their
-    repr, which tells 1 from 1.0 and True."""
-    return (*((m.shape, m.dtype.str, m.tobytes()) for m in (code.hx, code.hz)),
-            repr((code.orders, code.name, code.d_claimed, data_layout, timing,
-                  margin, order_policy, tailored, seed)))
+    planned: list[tuple[int, tuple[Event, ...]]] = []
+    gate_windows: dict[Cell, int] = {}
+    for basis in ("X", "Z"):
+        ids = [t.ancilla for t in tasks if t.basis == basis]
+        windows = gate_windows if basis == "Z" else None
+        requests = {a: build_request(tasks[a], homes[a], data_cells, timing,
+                                     tailored, ordered, windows)
+                    for a in ids}
 
+        def bound(a: int) -> int:
+            return route_heuristic(chip, timing, requests[a], SearchState(
+                readout_id(homes[a]), 0, 0))
 
-def _own_copy(schedule: Schedule) -> Schedule:
-    """The schedule with its own dicts, lists and tasks over the same
-    frozen events, so editing one copy changes no other."""
-    return replace(
-        schedule,
-        events={a: list(evs) for a, evs in schedule.events.items()},
-        tasks=[replace(task, targets=list(task.targets))
-               for task in schedule.tasks],
-        data_cells=dict(schedule.data_cells), homes=dict(schedule.homes),
-        provenance=dict(schedule.provenance))
+        for aid in planning_order(ids, bound, order_policy, rng):
+            table.release(readout_id(homes[aid]), 0, INF)
+            try:
+                result = plan_route(chip, table, timing, requests[aid])
+            except PlanFailure as exc:
+                raise CompileError(f"ancilla a{aid}: {exc}") from exc
+            evs = _events_for(tasks[aid], homes[aid], result, timing, tailored)
+            for span in ancilla_occupancy(evs)[0]:
+                table.reserve(*span)
+            planned.append((aid, tuple(evs)))
+            if basis == "X":
+                for ev in evs:
+                    if ev.kind == "CX":
+                        cell = data_cells[ev.partner]
+                        gate_windows[cell] = max(gate_windows.get(cell, 0),
+                                                 ev.end)
+
+    makespan = max(ev.end for _, evs in planned for ev in evs)
+    return tuple(homes.items()), tuple(planned), makespan
 
 
 def schedule_round(code: CssCode, data_layout: DataLayout,
@@ -367,7 +393,8 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     """Plan one syndrome-extraction round for every check of the code.
 
     The data layout must place exactly qubits 0..n-1, each on a tuple of two
-    ints, the margin be an int >= 0 and tailored a bool; anything else
+    ints, the timing be a TimingConfig, the margin an int >= 0, tailored a
+    bool and the seed None or an int (a bool is not one); anything else
     raises CompileError.
 
     Planning runs in two phases, all X checks before all Z checks, and each
@@ -378,13 +405,13 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     other check's measured operator and randomizes its outcome. Within each
     phase the configured priority order applies.
 
-    A call whose inputs equal the last call's, by `_plan_key`, plans
-    nothing and returns a copy of that call's schedule.
+    A call whose planning inputs equal the last call's, by `_plan`'s own
+    parameters, plans nothing: it builds its schedule from that plan.
     """
-    import random as _random
-
-    global _last_plan
-
+    if not isinstance(timing, TimingConfig):
+        raise CompileError(f"timing must be a TimingConfig, got {timing!r}")
+    if seed is not None and type(seed) is not int:
+        raise CompileError(f"seed must be None or an int, got {seed!r}")
     if order_policy not in ORDER_POLICIES:
         raise CompileError(f"order policy must be one of {ORDER_POLICIES}, "
                            f"got {order_policy!r}")
@@ -409,66 +436,24 @@ def schedule_round(code: CssCode, data_layout: DataLayout,
     if shared:
         raise CompileError(f"data layout: {shared[0]}")
     chip, data_cells = place_on_chip(data_layout, margin)
-    key = None if seed is None else _plan_key(
-        code, data_layout, timing, margin, order_policy, tailored, seed)
-    last = _last_plan  # read once: another thread may replace it
-    if key is not None and last is not None and last[0] == key:
-        return _own_copy(last[1])
-    homes = assign_homes(tasks, chip, data_cells)
-    rng = _random.Random(seed)
-
-    table = ReservationTable()
-    for task in tasks:
-        table.reserve(readout_id(homes[task.ancilla]), 0, INF)
-
-    events: dict[int, list[Event]] = {}
-    order: list[int] = []
-    gate_windows: dict[Cell, int] = {}
-    for basis in ("X", "Z"):
-        ids = [t.ancilla for t in tasks if t.basis == basis]
-        windows = gate_windows if basis == "Z" else None
-        requests = {a: build_request(tasks[a], homes[a], data_cells, timing,
-                                     tailored, code.ordered, windows)
-                    for a in ids}
-
-        def bound(a: int) -> int:
-            return route_heuristic(chip, timing, requests[a], SearchState(
-                readout_id(homes[a]), 0, 0))
-
-        for aid in planning_order(ids, bound, order_policy, rng):
-            order.append(aid)
-            table.release(readout_id(homes[aid]), 0, INF)
-            try:
-                result = plan_route(chip, table, timing, requests[aid])
-            except PlanFailure as exc:
-                raise CompileError(f"ancilla a{aid}: {exc}") from exc
-            evs = _events_for(tasks[aid], homes[aid], result, timing, tailored)
-            for span in ancilla_occupancy(evs)[0]:
-                table.reserve(*span)
-            events[aid] = evs
-            if basis == "X":
-                for ev in evs:
-                    if ev.kind == "CX":
-                        cell = data_cells[ev.partner]
-                        gate_windows[cell] = max(gate_windows.get(cell, 0),
-                                                 ev.end)
-
-    makespan = max(ev.end for evs in events.values() for ev in evs)
+    plan = _plan if seed is not None else _plan.__wrapped__
+    homes, planned, makespan = plan(
+        tuple((task.ancilla, task.basis, tuple(task.targets))
+              for task in tasks),
+        (chip.width, chip.height), tuple(data_cells.items()), timing,
+        tailored, code.ordered, order_policy, seed)
     provenance = {
         "code": code.name, "params": code.params(),
         "chip": f"{chip.width}x{chip.height}", "margin": margin,
         "order_policy": order_policy, "seed": seed, "tailored": tailored,
-        "ancilla_order": ",".join(f"a{a}" for a in order),
+        "ancilla_order": ",".join(f"a{a}" for a, _ in planned),
         "timing": ",".join(f"{k}={v}" for k, v in
                            sorted(vars(timing).items())),
     }
-    schedule = Schedule(events=events, tasks=tasks, data_cells=data_cells,
-                        homes=homes, timing=timing, tailored=tailored,
-                        ordered=code.ordered, rounds=1,
-                        round_makespan=makespan, provenance=provenance)
-    if key is not None:
-        _last_plan = key, _own_copy(schedule)
-    return schedule
+    return Schedule(events={a: list(evs) for a, evs in planned},
+                    tasks=tasks, data_cells=data_cells, homes=dict(homes),
+                    timing=timing, tailored=tailored, ordered=code.ordered,
+                    rounds=1, round_makespan=makespan, provenance=provenance)
 
 
 def replicate_rounds(schedule: Schedule, rounds: int) -> Schedule:

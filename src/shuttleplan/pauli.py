@@ -306,7 +306,8 @@ def fault_scan(circuit: StabCircuit, sites: np.ndarray) -> ScanResult:
     if not np.array_equal(sites, own):
         raise ValueError(f"{len(sites)} fault sites given, not the "
                          f"{len(own)} of this circuit's noise instructions")
-    out, num_detectors, observables, _, _ = _walk(circuit, len(own))
+    del own  # equal to sites, so only one index stays alive through the walk
+    out, num_detectors, observables, _, _ = _walk(circuit, len(sites))
     return ScanResult(sites=sites, rows=out, num_detectors=num_detectors,
                       num_observables=len(observables),
                       num_qubits=circuit.num_qubits,

@@ -29,7 +29,7 @@ def bb144_path() -> pathlib.Path:
 
 
 @pytest.fixture(autouse=True)
-def fresh_plan_slot(monkeypatch):
+def fresh_plan_slot():
     """Each test starts with no kept plan, so no test passes on a schedule
     an earlier one compiled."""
-    monkeypatch.setattr(compiler, "_last_plan", None)
+    compiler._plan.cache_clear()

@@ -902,6 +902,13 @@ COMPILER_ERRORS = [  # (id, call, message, type of the cause)
      r"^replicate_rounds expects a single-round schedule$", type(None)),
     ("task-missing-qubit", _layout_missing_a_qubit,
      r"^data qubit 4 missing from layout$", type(None)),
+    ("timing-none", lambda _: schedule_round(*surface_code(3), None),
+     r"^timing must be a TimingConfig, got None$", type(None)),
+    ("seed-bytes",
+     lambda _: schedule_round(*surface_code(3), TIMING, seed=bytearray(b"x")),
+     r"^seed must be None or an int, got bytearray\(b'x'\)$", type(None)),
+    ("seed-bool", lambda _: schedule_round(*surface_code(3), TIMING, seed=True),
+     r"^seed must be None or an int, got True$", type(None)),
 ]
 
 
@@ -916,7 +923,7 @@ def test_compiler_named_errors(call, match, cause, monkeypatch):
     assert type(info.value.__cause__) is cause
 
 
-# -- the plan slot -------------------------------------------------------------
+# -- the plan memo -------------------------------------------------------------
 
 
 def _counted_routes(monkeypatch) -> list:
@@ -976,8 +983,7 @@ CHANGED_INPUTS = {  # id -> (code, layout, options) -> the same, one changed
     "timing": lambda c, l, o: (c, l, {**o, "timing": TimingConfig(t_cx=200)}),
     "margin": lambda c, l, o: (c, l, {**o, "margin": 2}),
     "order-policy": lambda c, l, o: (c, l, {**o, "order_policy": "index"}),
-    "layout": lambda c, l, o: (c, {i: (x + 1, y) for i, (x, y) in l.items()},
-                               o),
+    "layout": lambda c, l, o: (c, {**l, 0: l[1], 1: l[0]}, o),
     "hx-in-place": lambda c, l, o: (*_swap_first_x_rows(c, l), o),
 }
 
@@ -992,11 +998,37 @@ def test_each_changed_input_plans_afresh(change, monkeypatch):
     code, layout, options = CHANGED_INPUTS[change](code, layout, options)
     again = schedule_round(code, layout, **options)
     assert len(routes) == 2 * planned
-    monkeypatch.setattr(compiler, "_last_plan", None)
+    compiler._plan.cache_clear()
     fresh = schedule_round(code, layout, **options)
     assert again.to_text() == fresh.to_text()
-    if change != "layout":  # a shifted layout places the data alike
-        assert again.to_text() != first
+    assert again.to_text() != first
+
+
+SHARED_INPUTS = {  # id -> (code, layout) -> the same plan's inputs
+    "renamed-code": lambda c, l: (CssCode(hx=c.hx, hz=c.hz, name="renamed"),
+                                  l),
+    "translated-layout": lambda c, l: (c, {i: (x + 3, y + 2)
+                                           for i, (x, y) in l.items()}),
+}
+
+
+@pytest.mark.parametrize("change", SHARED_INPUTS)
+def test_inputs_equal_by_value_share_one_plan(change, monkeypatch):
+    """A renamed code and a translated layout give the planner the inputs
+    it had: the call plans nothing, and its schedule reads as a fresh
+    plan's, a renamed code's provenance with the new name."""
+    routes = _counted_routes(monkeypatch)
+    code, layout = _unordered_d3()
+    first = schedule_round(code, layout, TIMING).to_text()
+    planned = len(routes)
+    code, layout = SHARED_INPUTS[change](code, layout)
+    again = schedule_round(code, layout, TIMING).to_text()
+    assert len(routes) == planned
+    compiler._plan.cache_clear()
+    assert schedule_round(code, layout, TIMING).to_text() == again
+    assert len(routes) == 2 * planned
+    assert ("code = renamed" in again) == (change == "renamed-code")
+    assert (again == first) == (change == "translated-layout")
 
 
 def test_a_none_seed_is_never_kept(monkeypatch):

@@ -10,8 +10,9 @@ dropped from its schedule, so the validator reports. Prints one JSON object:
 ``ok``, each job's verdict and first error; ``idle``, as ``module.qualname``,
 every top-level function, method and property of ``shuttleplan`` whose
 code never ran; and ``traced``, the class members the benchmark's tracer
-patches, as ``Class.member``. Dunders and methods whose code lies outside
-the package (those a dataclass or NamedTuple generates) are not checked.
+patches, as ``Class.member``. A ``functools`` wrapper is checked by the
+code it wraps. Dunders and methods whose code lies outside the package
+(those a dataclass or NamedTuple generates) are not checked.
 Imports nothing from ``shuttleplan`` before the profile starts.
 """
 
@@ -74,6 +75,7 @@ def package_functions():
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue  # imported from elsewhere, or not a def
+            obj = getattr(obj, "__wrapped__", obj)  # a functools wrapper's def
             if inspect.isfunction(obj):
                 funcs = [obj]
             elif isinstance(obj, type):
